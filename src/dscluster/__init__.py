@@ -88,7 +88,6 @@ from .verify import (
     check_double_star,
     check_efficient_edge_domination,
     check_partition,
-    edge_domination_counts,
     line_graph_domination_number,
     run_property_checks,
 )

@@ -14,8 +14,9 @@ import sys
 from dataclasses import replace
 
 from . import fileio
-from .engine import CLASS_PERFECT, form_and_adjust, run_m_dsec
+from .engine import CLASS_PERFECT, form_and_adjust
 from .errors import (
+    ConfigurationError,
     DisconnectedGraphError,
     FixtureFormatError,
     InvalidArgumentError,
@@ -205,7 +206,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, FixtureFormatError, InvalidArgumentError, SizeLimitError) as exc:
+    except (SchemaError, FixtureFormatError, InvalidArgumentError, SizeLimitError,
+            ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DisconnectedGraphError as exc:

@@ -1,23 +1,30 @@
 """Cluster formation and adjustment.
 
-Formation elects (master, proxy) pairs in descending weight order.  The
-first master is the global maximum-weight node; every later master must
-sit exactly 3 hops from one previously elected master or proxy while
-staying at least 3 hops from all of them, which keeps clusters from
-overlapping.  Each cluster is the elected pair plus both leaders'
-unclaimed neighbours, so a double star (the (m, p) edge plus one spoke
-per member) always embeds in it.
+Every election follows one order, ``NetworkMetrics.rank``: higher weight,
+then higher NS, then the lower node id.  Critical nodes are handled in
+terms of three neighbourhood sets of a node u (``neighbor_partitions``):
+N'(u), its heavier neighbours that are not masters; N''(u), its lighter
+neighbours that are neither masters nor proxies; and N_M(u), its
+neighbours adjacent to some master.
+
+Formation walks the nodes in rank order.  The first master is the
+top-ranked node; every later master must sit exactly 3 hops from one
+previously elected master or proxy while staying at least 3 hops from all
+of them, which keeps clusters from overlapping.  Each cluster is the
+elected pair plus both leaders' unclaimed neighbours, so a double star
+(the (m, p) edge plus one spoke per member) always embeds in it.
 
 Nodes that fail the distance conditions are deferred; deferred nodes plus
-type-I hidden masters (a proxy's neighbours that outweigh the proxy) form
-the critical set.  The adjustment pass then regroups critical nodes into
-new clusters, pulling members out of existing ones where needed, and
-declares any node still uncovered a master on its own.
+type-I hidden masters (the members of a proxy's N') form the critical
+set.  The adjustment pass then regroups critical nodes, in rank order,
+into new clusters drawn from N'' and kept clear of N_M, pulling members
+out of existing ones where needed, and declares any node still uncovered
+a master on its own.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -63,12 +70,7 @@ class ClusterRecord:
 
 @dataclass(frozen=True)
 class NeighborPartitions:
-    """Weight/role partitions of a node's neighbourhood.
-
-    ``n_prime``: heavier neighbours (masters excluded).  ``n_dprime``:
-    lighter neighbours that are neither masters nor proxies.  ``n_m``:
-    neighbours adjacent to at least one master.
-    """
+    """N'(u), N''(u) and N_M(u) of one node u (see the module docstring)."""
 
     n_prime: frozenset[int]
     n_dprime: frozenset[int]
@@ -149,9 +151,15 @@ class ClusterState:
         return st
 
 
-def _weight_key(metrics: NetworkMetrics):
-    """Deterministic extraction order: weight, then NS, then lower node id."""
-    return lambda v: (metrics.weight(v), metrics.ns(v), -v)
+def _leader_distances(
+    nodes, elected_pairs: list[tuple[int, int | None]], hop: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """hop[nodes, leaders] over every elected master and proxy, and per
+    node whether it keeps >= 3 hops to all of them (UNREACHABLE counts as
+    too close).  A pair's missing proxy imposes no constraint."""
+    leaders = [x for pair in elected_pairs for x in pair if x is not None]
+    dist = hop.take(nodes, axis=0).take(leaders, axis=1)
+    return dist, (dist >= 3).all(axis=1)
 
 
 def master_eligibility(
@@ -161,20 +169,10 @@ def master_eligibility(
 
     Eligible iff the candidate is >= 3 hops from every elected master and
     proxy, and exactly 3 hops from at least one of them.  The first master
-    (no elected pairs yet) is unconditionally eligible; a pair's missing
-    proxy imposes no constraint.
+    (no elected pairs yet) is unconditionally eligible.
     """
-    if not elected_pairs:
-        return True
-    exactly_three = False
-    for m, p in elected_pairs:
-        dm = int(hop[candidate, m])
-        dp = int(hop[candidate, p]) if p is not None else None
-        if dm < 3 or (dp is not None and dp < 3):
-            return False
-        if dm == 3 or dp == 3:
-            exactly_three = True
-    return exactly_three
+    dist, separated = _leader_distances([candidate], elected_pairs, hop)
+    return not elected_pairs or bool(separated[0] and (dist == 3).any())
 
 
 def elect_proxy(
@@ -183,51 +181,40 @@ def elect_proxy(
     metrics: NetworkMetrics,
     hop: np.ndarray,
 ) -> int | None:
-    """Max-weight neighbour of the master that keeps >= 3 hops to every
+    """Top-ranked neighbour of the master that keeps >= 3 hops to every
     previously elected master and proxy; None when no neighbour qualifies
     (the cluster then forms with a master only)."""
-    n = hop.shape[0]
-    candidates = []
-    for v in range(n):
-        if hop[master, v] != 1:
-            continue
-        ok = True
-        for m, p in elected_pairs:
-            if hop[v, m] < 3 or (p is not None and hop[v, p] < 3):
-                ok = False
-                break
-        if ok:
-            candidates.append(v)
-    if not candidates:
-        return None
-    return max(candidates, key=_weight_key(metrics))
+    nbrs = np.flatnonzero(hop[master] == 1)
+    _, separated = _leader_distances(nbrs, elected_pairs, hop)
+    return max((int(v) for v in nbrs[separated]), key=metrics.rank, default=None)
 
 
 def neighbor_partitions(
-    u: int, state: ClusterState, graph: NetworkGraph, metrics: NetworkMetrics
-) -> NeighborPartitions:
-    """The three neighbourhood partitions of ``u`` against a state's roles."""
-    return _partitions(u, graph, metrics, state.masters(), state.proxies())
-
-
-def _partitions(
     u: int,
     graph: NetworkGraph,
     metrics: NetworkMetrics,
     masters: set[int],
     proxies: set[int],
 ) -> NeighborPartitions:
+    """The paper's three neighbourhood sets of ``u`` against the given
+    masters and proxies.
+
+    N' (heavier non-masters) inside a proxy's cluster are its type-I
+    hidden masters; N'' (lighter non-leaders) is where adjustment draws a
+    partner and members; N_M (neighbours of masters) is what adjustment
+    must leave alone.
+    """
     w_u = metrics.weight(u)
     nbrs = graph.neighbors(u)
-    n_prime = frozenset(
-        v for v in nbrs if metrics.weight(v) > w_u and v not in masters
+    near = graph.adj.take(nbrs, axis=0).take(sorted(masters), axis=1).any(axis=1)
+    return NeighborPartitions(
+        n_prime=frozenset(v for v in nbrs if metrics.weight(v) > w_u and v not in masters),
+        n_dprime=frozenset(
+            v for v in nbrs
+            if v not in masters and v not in proxies and metrics.weight(v) < w_u
+        ),
+        n_m=frozenset(v for v, hit in zip(nbrs, near) if hit),
     )
-    n_dprime = frozenset(
-        v for v in nbrs
-        if v not in masters and v not in proxies and metrics.weight(v) < w_u
-    )
-    n_m = frozenset(v for v in nbrs if any(graph.adjacent(v, m) for m in masters))
-    return NeighborPartitions(n_prime, n_dprime, n_m)
 
 
 def run_m_dsec(
@@ -256,28 +243,32 @@ def run_m_dsec(
         raise InvalidArgumentError("metrics with weights are required for n > 1")
 
     hop = tables.hop
-    key = _weight_key(metrics)
     clustered: set[int] = set()
     deferred: set[int] = set()
     hm1: set[int] = set()
+    masters: set[int] = set()
+    proxies: set[int] = set()
     clusters: list[ClusterRecord] = []
     pairs: list[tuple[int, int | None]] = []
     events: list[dict] = []
 
-    def form_cluster(x: int) -> None:
+    for x in sorted(range(n), key=metrics.rank, reverse=True):
+        if x in clustered:
+            continue
+        if not master_eligibility(x, pairs, hop):
+            deferred.add(x)
+            events.append({"action": "defer", "node": x})
+            continue
+        events.append({"action": "elect_master", "node": x})
+        masters.add(x)
         y = elect_proxy(x, pairs, metrics, hop)
+        members = {x} | (set(graph.neighbors(x)) - clustered)
+        hidden: frozenset[int] = frozenset()
         if y is not None:
             events.append({"action": "elect_proxy", "node": y, "master": x})
-        members = {x} | (set(graph.neighbors(x)) - clustered)
-        hidden: set[int] = set()
-        if y is not None:
+            proxies.add(y)
             members |= {y} | (set(graph.neighbors(y)) - clustered)
-            masters_now = {c.master for c in clusters} | {x}
-            w_y = metrics.weight(y)
-            hidden = {
-                v for v in graph.neighbors(y)
-                if metrics.weight(v) > w_y and v not in masters_now
-            } & members
+            hidden = neighbor_partitions(y, graph, metrics, masters, proxies).n_prime & members
         record = ClusterRecord(id=len(clusters) + 1, master=x, proxy=y, members=members)
         clusters.append(record)
         pairs.append((x, y))
@@ -288,24 +279,7 @@ def run_m_dsec(
             "members": sorted(members), "hidden_masters": sorted(hidden),
         })
 
-    first = max(range(n), key=key)
-    events.append({"action": "elect_master", "node": first})
-    form_cluster(first)
-
-    while True:
-        pool = [v for v in range(n) if v not in clustered and v not in deferred]
-        if not pool:
-            break
-        z = max(pool, key=key)
-        if master_eligibility(z, pairs, hop):
-            events.append({"action": "elect_master", "node": z})
-            form_cluster(z)
-        else:
-            deferred.add(z)
-            events.append({"action": "defer", "node": z})
-
     critical = (set(range(n)) - clustered) | hm1
-    proxies = {p for _, p in pairs if p is not None}
     hm2 = {
         v for v in deferred
         if v not in clustered and not any(graph.adjacent(v, p) for p in proxies)
@@ -323,23 +297,19 @@ def run_adjusted(
     metrics: NetworkMetrics,
     hop: np.ndarray,
 ) -> ClusterState:
-    """Adjustment pass over the critical nodes, in descending weight order.
+    """Adjustment pass over the critical nodes, in rank order.
 
     A type-I hidden master pairs with the best non-leader neighbour on the
-    far side of its proxy; other critical nodes pair within their lighter,
-    master-free neighbourhood.  Members pulled into a new cluster leave
-    their old one.  Critical nodes that cannot form a cluster stay slaves
-    if already covered, otherwise become masters on their own.
+    far side of its proxy; other critical nodes pair within N'' - N_M.
+    Members pulled into a new cluster leave their old one.  Critical nodes
+    that cannot form a cluster stay slaves if already covered, otherwise
+    become masters on their own.
     """
     if not state.critical:
         return state
 
-    key = _weight_key(metrics)
     working: dict[int, ClusterRecord] = {c.id: c.copy() for c in state.clusters}
-    membership: dict[int, int] = {}
-    for c in state.clusters:
-        for m in c.members:
-            membership[m] = c.id
+    membership = state.membership()
     masters = state.masters()
     proxies = state.proxies()
     unresolved = set(state.critical)
@@ -347,18 +317,8 @@ def run_adjusted(
     events = list(state.events)
     next_id = max(working, default=0) + 1
 
-    def lighter_non_leaders(u: int) -> set[int]:
-        w_u = metrics.weight(u)
-        return {
-            v for v in graph.neighbors(u)
-            if v not in masters and v not in proxies and metrics.weight(v) < w_u
-        }
-
-    def near_masters(u: int) -> set[int]:
-        return {
-            v for v in graph.neighbors(u)
-            if any(graph.adjacent(v, m) for m in masters)
-        }
+    def partitions(u: int) -> NeighborPartitions:
+        return neighbor_partitions(u, graph, metrics, masters, proxies)
 
     def attempt(c: int):
         """Pick a partner and member set for critical node c, or None."""
@@ -371,32 +331,31 @@ def run_adjusted(
             else:
                 nearby = sorted(v for v in graph.neighbors(c) if v in proxies)
                 adjacent_proxy = nearby[0] if nearby else None
+        own = partitions(c)
         if adjacent_proxy is not None:
             base = {
                 v for v in graph.neighbors(c)
                 if v != adjacent_proxy and v not in masters and v not in proxies
             }
             still_critical = unresolved | set(leftovers)
-            for partner in sorted(base, key=key, reverse=True):
+            for partner in sorted(base, key=metrics.rank, reverse=True):
                 if partner in still_critical:
                     if partner in state.hidden_masters_1:
-                        extra = lighter_non_leaders(partner)
+                        extra = partitions(partner).n_dprime
                     else:
                         extra = set(graph.neighbors(partner))
                     return partner, {c, partner} | base | extra
                 # partner is an ordinary member: unusable if it touches a master
-                if any(graph.adjacent(partner, m) for m in masters):
+                if partner in own.n_m:
                     continue
-                return partner, {c, partner} | base | lighter_non_leaders(partner)
+                return partner, {c, partner} | base | partitions(partner).n_dprime
             return None
-        pool = lighter_non_leaders(c) - near_masters(c)
+        pool = own.n_dprime - own.n_m
         if not pool:
             return None
-        partner = max(pool, key=key)
-        members = {c, partner} | pool | (
-            lighter_non_leaders(partner) - near_masters(partner)
-        )
-        return partner, members
+        partner = max(pool, key=metrics.rank)
+        mate = partitions(partner)
+        return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
 
     def detach(node: int, lost: dict[int, list[int]]) -> None:
         old = membership.get(node)
@@ -404,8 +363,9 @@ def run_adjusted(
             working[old].members.discard(node)
             lost.setdefault(old, []).append(node)
 
-    while unresolved:
-        c = max(unresolved, key=key)
+    for c in sorted(state.critical, key=metrics.rank, reverse=True):
+        if c not in unresolved:
+            continue
         unresolved.discard(c)
         outcome = attempt(c)
         if outcome is None:

@@ -8,6 +8,7 @@ matrices and per-node score columns, used as the canonical worked example.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,11 @@ from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, Weigh
 from .mobility import MaintenanceEvent, Scenario, SimulationResult
 
 BUNDLED_FIXTURE = "paper23.json"
+#: (fixture key, FixtureOverrides field) of the per-node override columns.
+_OVERRIDE_COLUMNS = (
+    ("ns_override", "ns"), ("gh_override", "g_h"), ("ged_override", "g_ed"),
+    ("weight_override", "w"),
+)
 
 
 @dataclass(frozen=True)
@@ -31,13 +37,28 @@ class FixtureBundle:
     config: WeightConfig
 
 
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _numbers(values, label: str, length: int | None = None) -> list:
+    """``values`` itself once it is a list of finite numbers (of ``length``
+    entries when given); every float the engine orders must be finite."""
+    if (not isinstance(values, list) or not all(map(_is_number, values))
+            or length not in (None, len(values))):
+        size = "" if length is None else f"{length} "
+        raise SchemaError(f"{label} must be a list of {size}finite numbers")
+    return values
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing required field '{key}'")
     value = doc[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{where}: field '{key}' must be a number")
+        if not _is_number(value):
+            raise SchemaError(f"{where}: field '{key}' must be a finite number")
         return float(value)
     if not isinstance(value, kind):
         raise SchemaError(f"{where}: field '{key}' must be {kind.__name__}")
@@ -71,15 +92,16 @@ def load_fixture(source) -> FixtureBundle:
     euclid = _require(doc, "euclid", list, where)
     if len(euclid) != n:
         raise SchemaError(f"{where}: 'nodes' is {n} but euclid has {len(euclid)} rows")
-    overrides = FixtureOverrides(
-        ns=doc.get("ns_override"),
-        g_h=doc.get("gh_override"),
-        g_ed=doc.get("ged_override"),
-        w=doc.get("weight_override"),
-    )
+    for row in euclid:
+        _numbers(row, f"{where}: every euclid row", n)
+    overrides = FixtureOverrides(**{
+        attr: _numbers(doc[key], f"{where}: '{key}'")
+        for key, attr in _OVERRIDE_COLUMNS if doc.get(key) is not None
+    })
     config = WeightConfig(
-        alphas=tuple(doc.get("alphas", DEFAULT_ALPHAS)),
-        ns_threshold=float(doc.get("ns_threshold", DEFAULT_NS_THRESHOLD)),
+        alphas=tuple(_numbers(doc.get("alphas", list(DEFAULT_ALPHAS)), f"{where}: 'alphas'")),
+        ns_threshold=_require(doc, "ns_threshold", float, where)
+        if "ns_threshold" in doc else DEFAULT_NS_THRESHOLD,
     )
     graph, tables, overrides = ingest_fixture(edges, np.array(euclid, dtype=float), overrides)
     return FixtureBundle(graph=graph, tables=tables, overrides=overrides, config=config)
@@ -99,12 +121,8 @@ def dump_fixture(bundle: FixtureBundle) -> dict:
         "edges": [[u, v] for u, v in bundle.graph.edges()],
         "euclid": [[float(x) for x in row] for row in bundle.tables.euclid],
     }
-    for key, values in (
-        ("ns_override", bundle.overrides.ns),
-        ("gh_override", bundle.overrides.g_h),
-        ("ged_override", bundle.overrides.g_ed),
-        ("weight_override", bundle.overrides.w),
-    ):
+    for key, attr in _OVERRIDE_COLUMNS:
+        values = getattr(bundle.overrides, attr)
         if values is not None:
             doc[key] = list(values)
     doc["ns_threshold"] = bundle.config.ns_threshold
@@ -132,8 +150,7 @@ def load_scenario(source, seed: int | None = None) -> Scenario:
         if key in doc:
             kwargs[attr] = _require(doc, key, kind, where)
     if "alphas" in doc:
-        alphas = _require(doc, "alphas", list, where)
-        kwargs["alphas"] = tuple(float(a) for a in alphas)
+        kwargs["alphas"] = tuple(_numbers(doc["alphas"], f"{where}: 'alphas'"))
     if seed is not None:
         kwargs["seed"] = seed
     return Scenario(**kwargs)
@@ -190,25 +207,35 @@ def state_from_report(report: dict) -> ClusterState:
     clusters_doc = _require(report, "clusters", list, where)
     statuses = _require(report, "statuses", dict, where)
     node_count = len(statuses)
+
+    def nodes(values, label: str) -> set[int]:
+        if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) and 0 <= v < node_count
+            for v in values
+        ):
+            raise SchemaError(f"{where}: {label} must list nodes in 0..{node_count - 1}")
+        return set(values)
+
     clusters = []
     for c in clusters_doc:
-        clusters.append(
-            ClusterRecord(
-                id=_require(c, "id", int, where),
-                master=_require(c, "master", int, where),
-                proxy=c.get("proxy"),
-                members=set(_require(c, "members", list, where)),
-            )
-        )
+        if not isinstance(c, dict):
+            raise SchemaError(f"{where}: every cluster must be an object")
+        cid = _require(c, "id", int, where)
+        proxy = c.get("proxy")
+        nodes([c.get("master")] + ([] if proxy is None else [proxy]), f"cluster {cid} leaders")
+        clusters.append(ClusterRecord(
+            id=cid, master=c["master"], proxy=proxy,
+            members=nodes(c.get("members"), f"cluster {cid} members"),
+        ))
     classification = report.get("classification", "")
     phase = PHASE_FORMATION if classification == "perfect" else PHASE_ADJUSTED
     return ClusterState(
         node_count=node_count,
         clusters=clusters,
         critical=set(),
-        hidden_masters_1=set(report.get("hm1", [])),
-        hidden_masters_2=set(report.get("hm2", [])),
-        deferred=set(report.get("deferred", [])),
+        hidden_masters_1=nodes(report.get("hm1", []), "'hm1'"),
+        hidden_masters_2=nodes(report.get("hm2", []), "'hm2'"),
+        deferred=nodes(report.get("deferred", []), "'deferred'"),
         phase=phase,
     )
 

@@ -9,7 +9,7 @@ distances always come from breadth-first search over the adjacency.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

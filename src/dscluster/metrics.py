@@ -80,6 +80,11 @@ class NetworkMetrics:
     def ns(self, node: int) -> float:
         return float(self.ns_values[node])
 
+    def rank(self, node: int) -> tuple[float, float, int]:
+        """The paper's election order, used by every election: higher
+        weight first, then higher NS, then the lower node id."""
+        return self.weight(node), self.ns(node), -node
+
 
 def _check_distinct(u: int, v: int) -> None:
     if u == v:
@@ -189,19 +194,16 @@ def node_weight(record: NodeMetrics, config: WeightConfig) -> float:
     Raises ZeroDivisionError when ecc, MHD or MED is zero (possible only
     in a single-node network, where the weight is undefined).
     """
-    if record.ecc == 0 or record.mhd == 0.0 or record.med == 0.0:
+    return _weight(record.node, record.deg, record.cci, record.ecc, record.mhd,
+                   record.med, record.ns, config)
+
+
+def _weight(node, deg, cci, ecc, mhd, med, ns, config: WeightConfig) -> float:
+    if ecc == 0 or mhd == 0.0 or med == 0.0:
         raise ZeroDivisionError(
-            f"node {record.node}: reciprocal parameters undefined (ecc/MHD/MED is zero)"
+            f"node {node}: reciprocal parameters undefined (ecc/MHD/MED is zero)"
         )
-    return combine_weight(
-        record.deg,
-        record.cci,
-        1.0 / record.ecc,
-        1.0 / record.mhd,
-        1.0 / record.med,
-        record.ns,
-        config.alphas,
-    )
+    return combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
 
 
 def compute_network_metrics(
@@ -246,21 +248,14 @@ def compute_network_metrics(
             m1, m2, m3 = neighbor_categories(u, euclid, graph.range_)
             ns = neighbor_strength(m1, m2, m3, config.ns_threshold)
 
-        record = NodeMetrics(
-            node=u, deg=deg, g_h=g_h, g_ed=g_ed, cci=cci,
-            ecc=ecc, mhd=mhd, med=med, m1=m1, m2=m2, m3=m3, ns=ns, weight=None,
-        )
         if overrides.w is not None:
             weight = float(overrides.w[u])
         elif n == 1:
             weight = None  # undefined; a lone node is its own master anyway
         else:
-            weight = node_weight(record, config)
-        records.append(
-            NodeMetrics(
-                node=u, deg=deg, g_h=g_h, g_ed=g_ed, cci=cci,
-                ecc=ecc, mhd=mhd, med=med, m1=m1, m2=m2, m3=m3, ns=ns,
-                weight=weight,
-            )
-        )
+            weight = _weight(u, deg, cci, ecc, mhd, med, ns, config)
+        records.append(NodeMetrics(
+            node=u, deg=deg, g_h=g_h, g_ed=g_ed, cci=cci,
+            ecc=ecc, mhd=mhd, med=med, m1=m1, m2=m2, m3=m3, ns=ns, weight=weight,
+        ))
     return NetworkMetrics(records, config)

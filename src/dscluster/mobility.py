@@ -15,7 +15,7 @@ for recomputation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,9 @@ def find_ch(
     """Re-affiliation for a node that left its cluster's reach.
 
     Every master/proxy adjacent to the node acknowledges; the node joins
-    the acknowledger with the highest weight (ties: higher NS, then lower
-    id).  With no acknowledgers it becomes a master of a new singleton
-    cluster.  The state is updated in place.
+    the top-ranked acknowledger (``NetworkMetrics.rank``).  With no
+    acknowledgers it becomes a master of a new singleton cluster.  The
+    state is updated in place.
     """
     old = state.cluster_of(node)
     if old is not None:
@@ -183,10 +183,7 @@ def find_ch(
             MaintenanceEvent(time, EVENT_ACK, node, (cluster.master, cluster.proxy))
         )
     if acknowledgers:
-        leader, cluster = max(
-            acknowledgers,
-            key=lambda t: (metrics.weight(t[0]), metrics.ns(t[0]), -t[0]),
-        )
+        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
         cluster.members.add(node)
         events.append(
             MaintenanceEvent(time, EVENT_JOIN, node, (cluster.master, cluster.proxy))
@@ -324,12 +321,7 @@ class _Simulation:
             v for v in cluster.members - {cluster.master}
             if self.graph.adjacent(v, cluster.master)
         ]
-        if not candidates:
-            return None
-        return max(
-            candidates,
-            key=lambda v: (self.metrics.weight(v), self.metrics.ns(v), -v),
-        )
+        return max(candidates, key=self.metrics.rank, default=None)
 
     def _summarise(
         self,

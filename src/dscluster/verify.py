@@ -7,14 +7,13 @@ exhaustive search and are deliberately capped at desk scale.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ClusterState, NodeStatus, PHASE_FORMATION
+from .engine import ClusterState, PHASE_FORMATION
 from .errors import InvalidArgumentError, SizeLimitError
-from .graph import UNREACHABLE, NetworkGraph
+from .graph import UNREACHABLE, NetworkGraph, hop_distance_table
 
 #: Brute-force bound for line_graph_domination_number.
 EDGE_LIMIT = 20
@@ -59,32 +58,16 @@ class PropertyReport:
         }
 
 
-def _induced_bfs(graph: NetworkGraph, members: set[int], src: int) -> dict[int, int]:
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v in members and v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every cluster's member-induced subgraph has diameter at most 3."""
     witnesses = []
     for cluster in state.clusters:
-        members = cluster.members
-        for src in sorted(members):
-            dist = _induced_bfs(graph, members, src)
-            for v in sorted(members):
-                if v not in dist:
-                    witnesses.append({"cluster": cluster.id, "pair": [src, v],
-                                      "distance": None})
-                elif dist[v] > 3:
-                    witnesses.append({"cluster": cluster.id, "pair": [src, v],
-                                      "distance": dist[v]})
+        order = sorted(cluster.members)
+        hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
+        for i, j in np.argwhere((hop == UNREACHABLE) | (hop > 3)):
+            distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
+            witnesses.append({"cluster": cluster.id, "pair": [order[i], order[j]],
+                              "distance": distance})
     return CheckResult("cluster-diameter", not witnesses, witnesses)
 
 
@@ -111,10 +94,9 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
 
 
 def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
-    """Cluster member sets are pairwise disjoint and every node holds one
-    status.  Once formation is complete (no critical set) or adjustment /
-    maintenance has run, every node must additionally lie in exactly one
-    cluster."""
+    """Cluster member sets are pairwise disjoint.  Once formation is
+    complete (no critical set) or adjustment / maintenance has run, every
+    node must additionally lie in exactly one cluster."""
     witnesses = []
     seen: dict[int, int] = {}
     for cluster in state.clusters:
@@ -123,10 +105,6 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
                 witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
             else:
                 seen[v] = cluster.id
-    statuses = state.statuses()
-    for v in range(state.node_count):
-        if v not in statuses:
-            witnesses.append({"node": v, "missing_status": True})
     coverage_required = state.phase != PHASE_FORMATION or not state.critical
     if coverage_required:
         for v in range(state.node_count):
@@ -172,30 +150,18 @@ def check_dominance_and_independence(
     )
 
 
-def edge_domination_counts(
-    edge_set: list[tuple[int, int]], graph: NetworkGraph
-) -> dict[tuple[int, int], int]:
-    """For every graph edge, how many edges of ``edge_set`` share an
-    endpoint with it (an edge dominates itself)."""
-    chosen = []
-    for u, v in edge_set:
-        if not graph.adjacent(u, v):
-            raise InvalidArgumentError(f"({u}, {v}) is not an edge of the graph")
-        chosen.append((u, v))
-    counts = {}
-    for a, b in graph.edges():
-        counts[(a, b)] = sum(
-            1 for u, v in chosen if a in (u, v) or b in (u, v)
-        )
-    return counts
-
-
 def check_efficient_edge_domination(
     edge_set: list[tuple[int, int]], graph: NetworkGraph
 ) -> bool:
     """True iff every edge of the graph shares an endpoint with exactly
-    one edge of ``edge_set``."""
-    return all(c == 1 for c in edge_domination_counts(edge_set, graph).values())
+    one edge of ``edge_set`` (an edge dominates itself)."""
+    for u, v in edge_set:
+        if not graph.adjacent(u, v):
+            raise InvalidArgumentError(f"({u}, {v}) is not an edge of the graph")
+    return all(
+        sum(1 for u, v in edge_set if a in (u, v) or b in (u, v)) == 1
+        for a, b in graph.edges()
+    )
 
 
 def line_graph_domination_number(graph: NetworkGraph, limit: int = EDGE_LIMIT) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from importlib import resources
 
@@ -141,6 +142,80 @@ class TestUsageErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["cluster", "--fixture", str(path)]) == 1
+
+
+def _path_fixture(**extra):
+    """A 6-node path fixture with unit spacing and an NS override column."""
+    n = 6
+    doc = {
+        "nodes": n,
+        "edges": [[i, i + 1] for i in range(n - 1)],
+        "euclid": [[float(abs(i - j)) for j in range(n)] for i in range(n)],
+        "ns_override": [1.0] * n,
+    }
+    doc.update(extra)
+    return doc
+
+
+def _with_euclid(row, col, value, row_len=None):
+    doc = _path_fixture()
+    doc["euclid"][row][col] = doc["euclid"][col][row] = value
+    if row_len is not None:
+        doc["euclid"][row] = doc["euclid"][row][:row_len]
+    return doc
+
+
+def _set_cluster(key, value):
+    def mutate(report):
+        report["clusters"][0][key] = value
+    return mutate
+
+
+NAN_COLUMN = [1.0, math.nan, 3.0, 0.5, 4.0, 2.0]
+OVERRIDE_KEYS = ("ns_override", "gh_override", "ged_override", "weight_override")
+
+# (input kind, malformed document -- or for "report" a mutation of a valid
+# report --, a fragment the error message must contain)
+MALFORMED = [
+    pytest.param("fixture", _with_euclid(2, 2, 0.0, row_len=4), "6 finite", id="ragged-euclid"),
+    pytest.param("fixture", _with_euclid(0, 5, math.inf), "euclid row", id="inf-euclid"),
+    pytest.param("fixture", _with_euclid(0, 5, math.nan), "euclid row", id="nan-euclid"),
+    pytest.param("fixture", _path_fixture(ns_override=["a"] * 6), "ns_override",
+                 id="string-ns-override"),
+    *[pytest.param("fixture", _path_fixture(**{key: NAN_COLUMN}), key, id=f"nan-{key}")
+      for key in OVERRIDE_KEYS],
+    pytest.param("fixture", _path_fixture(alphas=["a"] * 6), "alphas", id="string-alphas"),
+    pytest.param("fixture", {k: v for k, v in _path_fixture().items() if k != "ns_override"},
+                 "no transmission range", id="no-ns-and-no-range"),
+    pytest.param("scenario", _scenario_doc(terrain_size=math.nan), "terrain_size",
+                 id="nan-terrain"),
+    pytest.param("scenario", _scenario_doc(range=math.inf), "range", id="inf-range"),
+    pytest.param("report", lambda r: r["clusters"][0]["members"].append(99), "members",
+                 id="member-out-of-range"),
+    pytest.param("report", _set_cluster("proxy", "x"), "leaders", id="string-proxy"),
+    pytest.param("report", _set_cluster("master", -1), "leaders", id="negative-master"),
+    pytest.param("report", lambda r: r["clusters"].append(3), "object",
+                 id="cluster-not-object"),
+    pytest.param("report", lambda r: r.update(hm1=[[1]]), "'hm1'", id="hm1-not-nodes"),
+]
+
+
+@pytest.mark.parametrize("kind, payload, fragment", MALFORMED)
+def test_malformed_input_is_a_typed_error(kind, payload, fragment, tmp_path, capsys):
+    """Malformed documents end in exit 1 with an ``error:`` line, never a
+    traceback; non-finite numbers never reach the engine's orderings."""
+    if kind == "report":
+        fixture = _write(tmp_path, "fixture.json", _path_fixture())
+        good = tmp_path / "report.json"
+        assert main(["cluster", "--fixture", fixture, "--out", str(good)]) == 0
+        report = json.loads(good.read_text())
+        payload(report)
+        argv = ["verify", "--fixture", fixture, "--report", _write(tmp_path, "bad.json", report)]
+    else:
+        argv = ["cluster", f"--{kind}", _write(tmp_path, "doc.json", payload)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
 
 
 class TestDisconnectedInput:

@@ -88,26 +88,87 @@ class TestElectProxy:
 
 
 class TestNeighborPartitions:
-    def test_proxy_16(self, bundle, paper_metrics, paper_states):
+    # the roles after formation on the bundled fixture
+    MASTERS = {3, 9, 18}
+    PROXIES = {1, 10, 16}
+
+    def _parts(self, u, bundle, metrics, masters=MASTERS, proxies=PROXIES):
+        return d.neighbor_partitions(u, bundle.graph, metrics, masters, proxies)
+
+    def test_roles_are_formation_roles(self, paper_states):
         formation, _, _ = paper_states
-        parts = d.neighbor_partitions(16, formation, bundle.graph, paper_metrics)
+        assert formation.masters() == self.MASTERS
+        assert formation.proxies() == self.PROXIES
+
+    def test_proxy_16(self, bundle, paper_metrics):
+        parts = self._parts(16, bundle, paper_metrics)
         assert sorted(parts.n_prime) == [13, 14]  # master 18 excluded
 
-    def test_node_11_lighter_non_leaders(self, bundle, paper_metrics, paper_states):
+    def test_node_11_lighter_non_leaders(self, bundle, paper_metrics):
         # 9 is a master, 10 a proxy, and 13 outweighs 11, leaving {12, 14}
-        formation, _, _ = paper_states
-        parts = d.neighbor_partitions(11, formation, bundle.graph, paper_metrics)
+        parts = self._parts(11, bundle, paper_metrics)
         assert sorted(parts.n_dprime) == [12, 14]
 
-    def test_all_leader_neighbors_empty(self, bundle, paper_metrics, paper_states):
-        formation, _, _ = paper_states
-        parts = d.neighbor_partitions(17, formation, bundle.graph, paper_metrics)
+    def test_all_leader_neighbors_empty(self, bundle, paper_metrics):
+        parts = self._parts(17, bundle, paper_metrics)
         assert parts.n_dprime == frozenset()
 
-    def test_near_master_set(self, bundle, paper_metrics, paper_states):
-        formation, _, _ = paper_states
-        parts = d.neighbor_partitions(6, formation, bundle.graph, paper_metrics)
+    def test_near_master_set(self, bundle, paper_metrics):
+        parts = self._parts(6, bundle, paper_metrics)
         assert sorted(parts.n_m) == [5, 8]
+
+    def test_no_roles(self, bundle, paper_metrics):
+        # with no masters or proxies, N' and N'' split the neighbourhood by
+        # weight and N_M is empty
+        parts = self._parts(16, bundle, paper_metrics, set(), set())
+        w = paper_metrics.weight
+        nbrs = bundle.graph.neighbors(16)
+        assert parts.n_prime == {v for v in nbrs if w(v) > w(16)}
+        assert parts.n_dprime == {v for v in nbrs if w(v) < w(16)}
+        assert parts.n_m == frozenset()
+
+
+class TestSeparationEdgeCases:
+    """master_eligibility / elect_proxy on a 7-node path whose hop table
+    carries planted UNREACHABLE entries, and on pairs without a proxy."""
+
+    @pytest.fixture
+    def path7(self):
+        n = 7
+        edges = [(i, i + 1) for i in range(n - 1)]
+        euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+        weights = [1.0, 6.0, 4.0, 7.0, 5.0, 3.0, 2.0]
+        overrides = d.FixtureOverrides(ns=[0.0] * n, w=weights)
+        graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+        metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
+        return tables.hop.copy(), metrics
+
+    @staticmethod
+    def _cut(hop, u, v):
+        hop[u, v] = hop[v, u] = d.UNREACHABLE
+
+    def test_unreachable_leader_is_too_close(self, path7):
+        hop, _ = path7
+        assert d.master_eligibility(3, [(0, None)], hop)
+        self._cut(hop, 3, 0)
+        assert not d.master_eligibility(3, [(0, None)], hop)
+
+    def test_unreachable_proxy_is_too_close(self, path7):
+        hop, _ = path7
+        assert d.master_eligibility(6, [(0, 3)], hop)
+        self._cut(hop, 6, 0)
+        assert not d.master_eligibility(6, [(0, 3)], hop)
+
+    def test_proxy_none_imposes_nothing(self, path7):
+        hop, metrics = path7
+        # 4 outweighs 2 but sits 2 hops from master 6; 2 sits 4 hops away
+        assert d.elect_proxy(3, [], metrics, hop) == 4
+        assert d.elect_proxy(3, [(6, None)], metrics, hop) == 2
+
+    def test_unreachable_candidate_skipped(self, path7):
+        hop, metrics = path7
+        self._cut(hop, 2, 6)
+        assert d.elect_proxy(3, [(6, None)], metrics, hop) is None
 
 
 class TestFormation:
@@ -215,6 +276,11 @@ class TestTieBreaking:
         graph, tables, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 10.0, 0.0])
         state = d.run_m_dsec(graph, tables, metrics)
         assert state.clusters[0].master == 0
+
+    def test_rank_orders_weight_ns_id(self):
+        _, _, metrics = self._fixture([5.0, 5.0, 5.0, 6.0], [10.0, 20.0, 10.0, 0.0])
+        order = sorted(range(4), key=metrics.rank, reverse=True)
+        assert order == [3, 1, 0, 2]
 
     def test_rerun_identical(self):
         for seed, graph in connected_rgg_suite(5, start_seed=300):

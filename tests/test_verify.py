@@ -43,6 +43,20 @@ class TestClusterDiameter:
         assert not check.passed
         assert {"cluster": 1, "pair": [0, 4], "distance": 4} in check.witnesses
 
+    def test_distances_stay_inside_the_cluster(self):
+        # 0-1-2-3-4 is a member path; the non-member 5 would shorten 0..4 to
+        # 2 hops, and member 6 has no edge at all
+        graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 4)])
+        state = _state(7, [(1, 2, {0, 1, 2, 3, 4, 6}), (5, None, {5})])
+        check = d.check_cluster_diameter(state, graph)
+        members = [0, 1, 2, 3, 4, 6]
+        expected = [
+            {"cluster": 1, "pair": [u, v], "distance": None if 6 in (u, v) else 4}
+            for u in members for v in members
+            if u != v and (6 in (u, v) or {u, v} == {0, 4})
+        ]
+        assert check.witnesses == expected
+
 
 class TestDoubleStar:
     def test_reference_pruned_cluster(self, bundle, paper_states):
