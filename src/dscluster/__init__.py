@@ -32,7 +32,6 @@ from .errors import (
     UnreachableNodeError,
 )
 from .fileio import (
-    FixtureBundle,
     cluster_report,
     dot_graph,
     dump_fixture,
@@ -57,7 +56,6 @@ from .graph import (
 )
 from .metrics import (
     NetworkMetrics,
-    NodeMetrics,
     WeightConfig,
     closer_euclidean_cardinalities,
     closer_hop_cardinalities,
@@ -68,7 +66,6 @@ from .metrics import (
     hop_closeness_index,
     neighbor_categories,
     neighbor_strength,
-    node_weight,
     path_statistics,
 )
 from .mobility import (

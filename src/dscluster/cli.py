@@ -92,25 +92,30 @@ def _build_parser() -> _Parser:
 
 
 def _load_inputs(args):
-    """(graph, tables, overrides, config) from --fixture or --scenario."""
+    """(graph, tables, overrides, config) from --fixture or --scenario;
+    a disconnected graph is refused in either mode."""
     fixture = getattr(args, "fixture", None)
     if fixture and args.scenario:
         raise _UsageError("--fixture and --scenario are mutually exclusive")
     if fixture:
         bundle = fileio.load_fixture(fixture)
-        return bundle.graph, bundle.tables, bundle.overrides, bundle.config
-    if args.scenario:
+        graph, tables, overrides = bundle.graph, bundle.tables, bundle.overrides
+        config = bundle.config
+    elif args.scenario:
         scenario = fileio.load_scenario(args.scenario, seed=args.seed)
         positions = deploy_random(
             scenario.node_count, scenario.terrain_size, scenario.seed
         )
         graph = build_graph(positions, scenario.range_)
-        if not graph.is_connected:
-            raise DisconnectedGraphError(graph.components())
-        tables = compute_tables(graph)
+        tables, overrides = None, None
         config = WeightConfig(scenario.alphas, scenario.ns_threshold)
-        return graph, tables, None, config
-    raise _UsageError("one of --fixture or --scenario is required")
+    else:
+        raise _UsageError("one of --fixture or --scenario is required")
+    if not graph.is_connected:
+        raise DisconnectedGraphError(graph.components())
+    if tables is None:
+        tables = compute_tables(graph)
+    return graph, tables, overrides, config
 
 
 def _cmd_cluster(args) -> int:

@@ -241,25 +241,23 @@ def state_from_report(report: dict) -> ClusterState:
 
 
 def metrics_records(metrics: NetworkMetrics) -> list[dict]:
-    """One record per node with the fixed metric field names."""
-    out = []
-    for r in metrics.records:
-        out.append({
-            "node": r.node,
-            "deg": r.deg,
-            "g_h": r.g_h,
-            "g_ed": r.g_ed,
-            "cci": r.cci,
-            "ecc": r.ecc,
-            "mhd": r.mhd,
-            "med": r.med,
-            "m1": r.m1,
-            "m2": r.m2,
-            "m3": r.m3,
-            "ns": r.ns,
-            "w": r.weight,
-        })
-    return out
+    """One record per node with the fixed metric field names, as plain JSON
+    values: m1/m2/m3 are null under an NS override, w where the weight is
+    undefined."""
+    bands = [[None] * 3] * len(metrics) if metrics.bands is None else metrics.bands.tolist()
+    columns = zip(
+        metrics.deg.tolist(), metrics.g_h.tolist(), metrics.g_ed.tolist(),
+        metrics.cci.tolist(), metrics.ecc.tolist(), metrics.mhd.tolist(),
+        metrics.med.tolist(), bands, metrics.ns_values.tolist(), metrics.weights.tolist(),
+    )
+    return [
+        {
+            "node": u, "deg": deg, "g_h": g_h, "g_ed": g_ed, "cci": cci,
+            "ecc": ecc, "mhd": mhd, "med": med, "m1": m1, "m2": m2, "m3": m3,
+            "ns": ns, "w": None if math.isnan(w) else w,
+        }
+        for u, (deg, g_h, g_ed, cci, ecc, mhd, med, (m1, m2, m3), ns, w) in enumerate(columns)
+    ]
 
 
 def simulation_report(result: SimulationResult) -> dict:

@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FixtureFormatError, InvalidArgumentError
+from .errors import FixtureFormatError, InvalidArgumentError, SizeLimitError
 
 #: Sentinel hop distance for node pairs with no connecting path.
 UNREACHABLE = -1
+#: Largest network the dense n x n tables are built for: one float64 table
+#: is 200 MB at this size.
+MAX_NODES = 5000
 
 
 @dataclass(frozen=True)
@@ -139,11 +142,17 @@ def sample_positions(rng: np.random.Generator, n: int, terrain_size: float) -> n
     return rng.uniform(0.0, terrain_size, size=(n, 2))
 
 
+def _check_size(n: int) -> None:
+    if n > MAX_NODES:
+        raise SizeLimitError(f"{n} nodes exceed the limit of {MAX_NODES} for dense n x n tables")
+
+
 def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
     """Pairwise planar Euclidean distances; symmetric with zero diagonal."""
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
         raise InvalidArgumentError("positions must be a non-empty (n, 2) array")
+    _check_size(pos.shape[0])
     delta = pos[:, None, :] - pos[None, :, :]
     return np.sqrt((delta ** 2).sum(axis=2))
 
@@ -190,6 +199,7 @@ def compute_tables(graph: NetworkGraph, euclid: np.ndarray | None = None) -> Dis
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:
     """Graph over ``n`` nodes from an explicit edge list (no geometry)."""
+    _check_size(n)
     adj = np.zeros((n, n), dtype=bool)
     for edge in edges:
         if len(edge) != 2:
@@ -220,6 +230,9 @@ def ingest_fixture(
     n = euclid.shape[0]
     if n < 1:
         raise FixtureFormatError("euclid matrix is empty")
+    if not np.isfinite(euclid).all():
+        bad = np.argwhere(~np.isfinite(euclid))[0]
+        raise FixtureFormatError(f"euclid matrix has a non-finite entry at ({bad[0]}, {bad[1]})")
     if not np.array_equal(euclid, euclid.T):
         bad = np.argwhere(euclid != euclid.T)[0]
         raise FixtureFormatError(

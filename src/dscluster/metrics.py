@@ -1,10 +1,15 @@
-"""Per-node weight parameters and the combined node weight.
+"""Weight parameters of every node and the combined node weight.
 
 A node's weight is a linear combination of six parameters: degree, the
 combined closeness index (average of the hop- and Euclidean-closeness
 indices), the reciprocals of eccentricity / mean hop distance / mean
-Euclidean distance, and the neighbour-strength value.  Fixture-supplied
-override columns take precedence over recomputation.
+Euclidean distance, and the neighbour-strength value.  Each is computed
+once for the whole network as an array column indexed by node
+(``closeness_indices``, ``path_columns``, ``neighbor_bands``), and
+``NetworkMetrics`` holds the columns.  The per-node functions
+(``hop_closeness_index``, ``path_statistics``, ...) are row views of the
+same kernels.  Fixture-supplied override columns take precedence over
+recomputation.
 """
 from __future__ import annotations
 
@@ -32,47 +37,30 @@ class WeightConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
 
-@dataclass(frozen=True)
-class NodeMetrics:
-    """All weight parameters for one node.
+@dataclass(frozen=True, eq=False)
+class NetworkMetrics:
+    """Weight parameters of every node, one array column per parameter.
 
-    ``m1``/``m2``/``m3`` are None when the neighbour categorisation was
-    bypassed (fixture mode with an NS override and no range).  ``weight``
-    is None only for single-node networks, where the reciprocal terms are
-    undefined.
+    ``bands`` is the n x 3 array of strong/medium/weak neighbour counts
+    (m1, m2, m3), or None when the categorisation was bypassed (fixture
+    mode with an NS override).  ``weights`` is NaN where the weight is
+    undefined: a single-node network without a weight override.
     """
 
-    node: int
-    deg: int
-    g_h: float
-    g_ed: float
-    cci: float
-    ecc: int
-    mhd: float
-    med: float
-    m1: int | None
-    m2: int | None
-    m3: int | None
-    ns: float
-    weight: float | None
-
-
-class NetworkMetrics:
-    """Computed metrics for every node, with fast weight/NS lookups."""
-
-    def __init__(self, records: list[NodeMetrics], config: WeightConfig):
-        self.records = records
-        self.config = config
-        self.weights = np.array(
-            [np.nan if r.weight is None else r.weight for r in records], dtype=float
-        )
-        self.ns_values = np.array([r.ns for r in records], dtype=float)
-
-    def __getitem__(self, node: int) -> NodeMetrics:
-        return self.records[node]
+    deg: np.ndarray
+    g_h: np.ndarray
+    g_ed: np.ndarray
+    cci: np.ndarray
+    ecc: np.ndarray
+    mhd: np.ndarray
+    med: np.ndarray
+    bands: np.ndarray | None
+    ns_values: np.ndarray
+    weights: np.ndarray
+    config: WeightConfig
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.weights)
 
     def weight(self, node: int) -> float:
         return float(self.weights[node])
@@ -86,124 +74,111 @@ class NetworkMetrics:
         return self.weight(node), self.ns(node), -node
 
 
-def _check_distinct(u: int, v: int) -> None:
+def closer_hop_cardinalities(u: int, v: int, table: np.ndarray) -> tuple[int, int]:
+    """(c(u|v), c(v|u)): how many nodes are strictly closer to u than to v
+    in a hop (or Euclidean) table, and vice versa.  Every node counts,
+    including u and v; ties belong to neither side."""
     if u == v:
         raise InvalidArgumentError(f"nodes must be distinct, got u == v == {u}")
+    return int(np.sum(table[u] < table[v])), int(np.sum(table[v] < table[u]))
 
 
-def closer_hop_cardinalities(u: int, v: int, hop: np.ndarray) -> tuple[int, int]:
-    """(c_h(u|v), c_h(v|u)): how many nodes are strictly closer in hops to
-    u than to v, and vice versa.  Every node counts, including u and v;
-    ties belong to neither side."""
-    _check_distinct(u, v)
-    row_u, row_v = hop[u], hop[v]
-    return int(np.sum(row_u < row_v)), int(np.sum(row_v < row_u))
+#: The same count over the Euclidean table.
+closer_euclidean_cardinalities = closer_hop_cardinalities
 
 
-def closer_euclidean_cardinalities(u: int, v: int, euclid: np.ndarray) -> tuple[int, int]:
-    """Euclidean analogue of closer_hop_cardinalities."""
-    _check_distinct(u, v)
-    row_u, row_v = euclid[u], euclid[v]
-    return int(np.sum(row_u < row_v)), int(np.sum(row_v < row_u))
+def _reachable(hop: np.ndarray) -> np.ndarray:
+    """``hop`` itself once no pair in it is UNREACHABLE."""
+    pairs = np.argwhere(hop == UNREACHABLE)
+    if pairs.size:
+        u = pairs[0, 0]
+        raise UnreachableNodeError(
+            f"node {u} cannot reach nodes {pairs[pairs[:, 0] == u, 1][:5].tolist()}"
+        )
+    return hop
 
 
-def _closeness_index(u: int, table: np.ndarray) -> int:
-    # g(u) = sum over v != u of [c(u|v) - c(v|u)], vectorised over v.
-    closer = np.sum(table[u][None, :] < table, axis=1)
-    farther = np.sum(table[u][None, :] > table, axis=1)
-    return int(np.sum(closer - farther))
+def closeness_indices(table: np.ndarray) -> np.ndarray:
+    """Closeness index g(u) of every node u, as exact integers.
+
+    g(u) sums c(u|v) - c(v|u) over every node v, where c(u|v) counts the
+    nodes w with t[u, w] < t[v, w].  Grouped by w instead, g(u) sums
+    #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, and two binary
+    searches in the sorted column w count both for every u at once.
+    """
+    columns = np.ascontiguousarray(np.asarray(table).T)
+    n = columns.shape[1]
+    g = np.zeros(n, dtype=np.int64)
+    for column, ordered in zip(columns, np.sort(columns, axis=1)):
+        g += n - np.searchsorted(ordered, column, "right") - np.searchsorted(ordered, column, "left")
+    return g
 
 
 def hop_closeness_index(u: int, hop: np.ndarray) -> int:
     """Sum of pairwise closer-hop count differences against every other node."""
-    if np.any(hop == UNREACHABLE):
-        raise UnreachableNodeError("hop-closeness index requires a connected graph")
-    return _closeness_index(u, hop)
+    return int(closeness_indices(_reachable(hop))[u])
 
 
 def euclidean_closeness_index(u: int, euclid: np.ndarray) -> int:
     """Sum of pairwise closer-euclidean count differences against every other node."""
-    return _closeness_index(u, euclid)
+    return int(closeness_indices(euclid)[u])
 
 
-def combined_closeness_index(g_h: float, g_ed: float) -> float:
+def combined_closeness_index(g_h, g_ed):
     """Average of the hop- and Euclidean-closeness indices."""
     return (g_h + g_ed) / 2.0
 
 
-def neighbor_categories(u: int, euclid: np.ndarray, range_: float) -> tuple[int, int, int]:
-    """Counts of strong / medium / weak neighbours of u by distance band.
+def neighbor_bands(euclid: np.ndarray, range_: float) -> np.ndarray:
+    """Counts (m1, m2, m3) of strong / medium / weak neighbours of every
+    node by distance band, as an n x 3 array.
 
     Strong: ed in [0, r/2]; medium: ed in (r/2, 3r/4]; weak: ed in (3r/4, r].
     The bands are half-open so they partition the neighbourhood exactly.
+    A node is not its own neighbour: its zero diagonal entry is left out.
     """
     if range_ is None or range_ <= 0:
         raise ConfigurationError("neighbour categorisation requires a positive range")
-    row = np.delete(euclid[u], u)
-    m1 = int(np.sum(row <= range_ / 2))
-    m2 = int(np.sum((row > range_ / 2) & (row <= 3 * range_ / 4)))
-    m3 = int(np.sum((row > 3 * range_ / 4) & (row <= range_)))
-    return m1, m2, m3
+    bounds = (range_ / 2, 3 * range_ / 4, range_)
+    within = np.stack([(euclid <= bound).sum(axis=1) for bound in bounds], axis=1)
+    bands = np.diff(within, axis=1, prepend=0)
+    bands[:, 0] -= 1
+    return bands
 
 
-def neighbor_strength(m1: int, m2: int, m3: int, k: float) -> float:
-    """NS value: (m1 + m2/2 + m3/4) * K."""
-    if min(m1, m2, m3) < 0:
+def neighbor_categories(u: int, euclid: np.ndarray, range_: float) -> tuple[int, int, int]:
+    """(m1, m2, m3) of node u; see neighbor_bands."""
+    return tuple(neighbor_bands(euclid, range_)[u].tolist())
+
+
+def neighbor_strength(m1, m2, m3, k: float):
+    """NS value: (m1 + m2/2 + m3/4) * K, for one node or a column of nodes."""
+    if np.min((m1, m2, m3)) < 0:
         raise InvalidArgumentError("neighbour counts must be non-negative")
     return (m1 + m2 / 2 + m3 / 4) * k
 
 
-def path_statistics(u: int, hop: np.ndarray, euclid: np.ndarray) -> tuple[int, float, float]:
-    """(eccentricity, mean hop distance, mean Euclidean distance) of u.
+def path_columns(hop: np.ndarray, euclid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eccentricity, mean hop distance, mean Euclidean distance) of every node.
 
-    Means divide by n - 1.  Any unreachable counterpart raises rather than
+    Means divide by n - 1.  Any unreachable pair raises rather than
     silently skewing the statistics; a single-node network yields zeros.
     """
-    row = hop[u]
-    unreachable = np.flatnonzero(row == UNREACHABLE)
-    if unreachable.size:
-        raise UnreachableNodeError(
-            f"node {u} cannot reach nodes {[int(w) for w in unreachable[:5]]}"
-        )
-    n = row.shape[0]
-    if n == 1:
-        return 0, 0.0, 0.0
-    ecc = int(row.max())
-    mhd = float(row.sum()) / (n - 1)
-    med = float(euclid[u].sum()) / (n - 1)
-    return ecc, mhd, med
+    _reachable(hop)
+    others = max(hop.shape[0] - 1, 1)
+    return hop.max(axis=1), hop.sum(axis=1) / others, euclid.sum(axis=1) / others
 
 
-def combine_weight(
-    deg: float,
-    cci: float,
-    inv_ecc: float,
-    inv_mhd: float,
-    inv_med: float,
-    ns: float,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-) -> float:
-    """Linear combination of the six weight parameters."""
+def path_statistics(u: int, hop: np.ndarray, euclid: np.ndarray) -> tuple[int, float, float]:
+    """(eccentricity, mean hop distance, mean Euclidean distance) of u; see path_columns."""
+    return tuple(column[u].item() for column in path_columns(hop, euclid))
+
+
+def combine_weight(deg, cci, inv_ecc, inv_mhd, inv_med, ns, alphas=DEFAULT_ALPHAS):
+    """Linear combination of the six weight parameters, for one node or a
+    column of nodes."""
     a1, a2, a3, a4, a5, a6 = alphas
     return a1 * deg + a2 * cci + a3 * inv_ecc + a4 * inv_mhd + a5 * inv_med + a6 * ns
-
-
-def node_weight(record: NodeMetrics, config: WeightConfig) -> float:
-    """Weight of a node from its metric record.
-
-    Raises ZeroDivisionError when ecc, MHD or MED is zero (possible only
-    in a single-node network, where the weight is undefined).
-    """
-    return _weight(record.node, record.deg, record.cci, record.ecc, record.mhd,
-                   record.med, record.ns, config)
-
-
-def _weight(node, deg, cci, ecc, mhd, med, ns, config: WeightConfig) -> float:
-    if ecc == 0 or mhd == 0.0 or med == 0.0:
-        raise ZeroDivisionError(
-            f"node {node}: reciprocal parameters undefined (ecc/MHD/MED is zero)"
-        )
-    return combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
 
 
 def compute_network_metrics(
@@ -212,7 +187,7 @@ def compute_network_metrics(
     config: WeightConfig | None = None,
     overrides: FixtureOverrides | None = None,
 ) -> NetworkMetrics:
-    """Metric records for every node, honouring fixture overrides.
+    """Metric columns for the whole network, honouring fixture overrides.
 
     Override columns (NS, g_h, g_ed, W) replace the recomputed values.
     Without an NS override the graph must carry a transmission range so
@@ -224,38 +199,34 @@ def compute_network_metrics(
     overrides.validate(n)
 
     hop, euclid = tables.hop, tables.euclid
-    records = []
-    for u in range(n):
-        deg = graph.degree(u)
-        ecc, mhd, med = path_statistics(u, hop, euclid)
+    ecc, mhd, med = path_columns(hop, euclid)
+    g_h, g_ed = (
+        closeness_indices(table).astype(float) if given is None else np.asarray(given, dtype=float)
+        for given, table in ((overrides.g_h, hop), (overrides.g_ed, euclid))
+    )
+    cci = combined_closeness_index(g_h, g_ed)
 
-        g_h = float(overrides.g_h[u]) if overrides.g_h is not None else float(
-            hop_closeness_index(u, hop)
+    bands = None
+    if overrides.ns is not None:
+        ns = np.asarray(overrides.ns, dtype=float)
+    elif graph.range_ is None:
+        raise ConfigurationError(
+            "no transmission range and no NS override: cannot categorise neighbours"
         )
-        g_ed = float(overrides.g_ed[u]) if overrides.g_ed is not None else float(
-            euclidean_closeness_index(u, euclid)
-        )
-        cci = combined_closeness_index(g_h, g_ed)
+    else:
+        bands = neighbor_bands(euclid, graph.range_)
+        ns = neighbor_strength(*bands.T, config.ns_threshold)
 
-        if overrides.ns is not None:
-            m1 = m2 = m3 = None
-            ns = float(overrides.ns[u])
-        else:
-            if graph.range_ is None:
-                raise ConfigurationError(
-                    "no transmission range and no NS override: cannot categorise neighbours"
-                )
-            m1, m2, m3 = neighbor_categories(u, euclid, graph.range_)
-            ns = neighbor_strength(m1, m2, m3, config.ns_threshold)
-
-        if overrides.w is not None:
-            weight = float(overrides.w[u])
-        elif n == 1:
-            weight = None  # undefined; a lone node is its own master anyway
-        else:
-            weight = _weight(u, deg, cci, ecc, mhd, med, ns, config)
-        records.append(NodeMetrics(
-            node=u, deg=deg, g_h=g_h, g_ed=g_ed, cci=cci,
-            ecc=ecc, mhd=mhd, med=med, m1=m1, m2=m2, m3=m3, ns=ns, weight=weight,
-        ))
-    return NetworkMetrics(records, config)
+    deg = graph.adj.sum(axis=1)
+    if overrides.w is not None:
+        weights = np.asarray(overrides.w, dtype=float)
+    elif n == 1:
+        weights = np.full(1, np.nan)  # undefined; a lone node is its own master anyway
+    else:
+        zero = np.flatnonzero((ecc == 0) | (mhd == 0.0) | (med == 0.0))
+        if zero.size:
+            raise InvalidArgumentError(
+                f"node {zero[0]}: weight undefined, its eccentricity, MHD or MED is zero"
+            )
+        weights = combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
+    return NetworkMetrics(deg, g_h, g_ed, cci, ecc, mhd, med, bands, ns, weights, config)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import dscluster as d
 from dscluster.cli import main
+from dscluster.graph import MAX_NODES
 
 FIXTURE_PATH = str(resources.files("dscluster.data").joinpath("paper23.json"))
 
@@ -228,6 +230,27 @@ class TestDisconnectedInput:
         err = capsys.readouterr().err
         assert "disconnected" in err
         assert "component" in err
+
+    @pytest.mark.parametrize("command", ["cluster", "metrics"])
+    def test_disconnected_fixture_is_refused(self, command, tmp_path, capsys):
+        fixture = _write(tmp_path, "fixture.json", _path_fixture(edges=[[0, 1], [1, 2]]))
+        assert main([command, "--fixture", fixture]) == 3
+        err = capsys.readouterr().err
+        assert "disconnected: 4 components" in err
+        assert "component 1: [0, 1, 2]" in err
+
+
+@pytest.mark.parametrize("command", ["cluster", "simulate"])
+def test_oversized_scenario_is_refused_before_any_table(command, tmp_path, capsys):
+    scenario = _write(tmp_path, "big.json", _scenario_doc(node_count=MAX_NODES + 1))
+    tracemalloc.start()
+    try:
+        assert main([command, "--scenario", scenario]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error: ")
+    assert peak < (MAX_NODES + 1) ** 2  # one n x n table of bools would be this big
 
 
 class TestVerifyCommand:

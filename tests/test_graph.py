@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import dscluster as d
-from dscluster.errors import FixtureFormatError, InvalidArgumentError
+from dscluster.errors import FixtureFormatError, InvalidArgumentError, SizeLimitError
+from dscluster.graph import MAX_NODES
 
 from conftest import random_edge_graph
 
@@ -124,6 +125,16 @@ class TestIngestFixture:
         euclid[0, 1] += 0.5
         with pytest.raises(FixtureFormatError, match="asymmetric"):
             d.ingest_fixture([(0, 1)], euclid)
+
+    def test_nan_entry_rejected_as_non_finite(self):
+        euclid = self._euclid(4)
+        euclid[0, 3] = np.nan
+        with pytest.raises(FixtureFormatError, match="non-finite entry at \\(0, 3\\)"):
+            d.ingest_fixture([(0, 1)], euclid)
+
+    def test_oversized_edge_list_rejected(self):
+        with pytest.raises(SizeLimitError, match=str(MAX_NODES)):
+            d.graph_from_edges(MAX_NODES + 1, [])
 
     def test_nonzero_diagonal_rejected(self):
         euclid = self._euclid(3)

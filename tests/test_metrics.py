@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.errors import (
@@ -10,6 +12,7 @@ from dscluster.errors import (
     InvalidArgumentError,
     UnreachableNodeError,
 )
+from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
 from conftest import random_edge_graph
 
@@ -202,7 +205,7 @@ class TestNeighborStrength:
             d.neighbor_strength(-1, 0, 0, 100.0)
 
     def test_fixture_override_reported_unchanged(self, paper_metrics):
-        assert paper_metrics[3].ns == 400.0
+        assert paper_metrics.ns(3) == 400.0
 
 
 class TestPathStatistics:
@@ -245,13 +248,13 @@ class TestNodeWeight:
         # only the degree term contributes; equal factors of 1/6
         assert d.combine_weight(6, 0.0, 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
-    def test_zero_reciprocals_raise(self):
-        record = d.NodeMetrics(
-            node=0, deg=0, g_h=0, g_ed=0, cci=0.0, ecc=0, mhd=0.0, med=0.0,
-            m1=0, m2=0, m3=0, ns=0.0, weight=None,
+    def test_zero_reciprocals_rejected(self):
+        # two coincident nodes: MED is zero, so 1/MED and the weight are undefined
+        graph, tables, overrides = d.ingest_fixture(
+            [(0, 1)], np.zeros((2, 2)), d.FixtureOverrides(ns=[1.0, 1.0])
         )
-        with pytest.raises(ZeroDivisionError):
-            d.node_weight(record, d.WeightConfig())
+        with pytest.raises(InvalidArgumentError, match="weight undefined"):
+            d.compute_network_metrics(graph, tables, overrides=overrides)
 
     def test_fixture_weights_recomputed(self, bundle, reference):
         # drop the weight override so the formula actually runs
@@ -286,13 +289,14 @@ class TestComputeNetworkMetrics:
             )
 
     def test_categories_bypassed_with_override(self, paper_metrics):
-        assert paper_metrics[0].m1 is None
+        assert paper_metrics.bands is None
 
     def test_single_node_weight_undefined(self):
         graph = d.build_graph(np.array([[1.0, 1.0]]), range_=5.0)
         tables = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, tables)
-        assert metrics[0].weight is None
+        assert math.isnan(metrics.weight(0))
+        assert d.metrics_records(metrics)[0]["w"] is None
 
     def test_dump_field_names(self, paper_metrics):
         records = d.metrics_records(paper_metrics)
@@ -303,3 +307,58 @@ class TestComputeNetworkMetrics:
         assert all(list(r.keys()) == expected_keys for r in records)
         assert records[3]["ns"] == 400.0
         assert records[3]["w"] == pytest.approx(68.96)
+
+
+@st.composite
+def small_tables(draw):
+    """(hop, euclid) of one small network: a symmetric integer hop-like
+    table, and distances between points of a 4 x 4 grid, so coincident
+    points and equal distances, hence ties, are common."""
+    n = draw(st.integers(1, 8))
+    hop = np.zeros((n, n), dtype=np.int64)
+    pairs = n * (n - 1) // 2
+    hop[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 4), min_size=pairs, max_size=pairs))
+    grid = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    points = draw(st.lists(grid, min_size=n, max_size=n))
+    return hop + hop.T, d.euclidean_distance_table(np.array(points, dtype=float))
+
+
+class TestColumnKernelProperties:
+    """Each whole-network kernel against the per-node definition."""
+
+    @settings(deadline=None)
+    @given(small_tables())
+    def test_closeness_is_sum_of_cardinality_differences(self, tables):
+        hop, euclid = tables
+        n = hop.shape[0]
+        for table, counter in ((hop, d.closer_hop_cardinalities),
+                               (euclid, d.closer_euclidean_cardinalities)):
+            expected = [
+                sum(c_uv - c_vu for v in range(n) if v != u
+                    for c_uv, c_vu in [counter(u, v, table)])
+                for u in range(n)
+            ]
+            assert closeness_indices(table).tolist() == expected
+
+    @settings(deadline=None)
+    @given(small_tables(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
+    def test_bands_count_every_other_node_once(self, tables, r):
+        _, euclid = tables
+        n = euclid.shape[0]
+        expected = [
+            [sum(1 for v in range(n) if v != u and low < euclid[u, v] <= high)
+             for low, high in ((-1.0, r / 2), (r / 2, 3 * r / 4), (3 * r / 4, r))]
+            for u in range(n)
+        ]
+        assert neighbor_bands(euclid, r).tolist() == expected
+
+    @settings(deadline=None)
+    @given(small_tables())
+    def test_path_columns_are_row_max_and_means(self, tables):
+        hop, euclid = tables
+        n = hop.shape[0]
+        ecc, mhd, med = path_columns(hop, euclid)
+        others = max(n - 1, 1)
+        assert ecc.tolist() == [max(row) for row in hop.tolist()]
+        assert mhd.tolist() == [sum(row) / others for row in hop.tolist()]
+        assert med.tolist() == [float(row.sum()) / others for row in euclid]
