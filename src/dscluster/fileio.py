@@ -38,8 +38,12 @@ class FixtureBundle:
 
 
 def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _numbers(values, label: str, length: int | None = None) -> list:
@@ -73,9 +77,11 @@ def _load_doc(source) -> dict:
         text = path.read_text()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
@@ -90,6 +96,10 @@ def load_fixture(source) -> FixtureBundle:
     n = _require(doc, "nodes", int, where)
     edges = _require(doc, "edges", list, where)
     euclid = _require(doc, "euclid", list, where)
+    for edge in edges:
+        if not (isinstance(edge, list) and len(edge) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in edge)):
+            raise SchemaError(f"{where}: every edge must be a pair of node numbers")
     if len(euclid) != n:
         raise SchemaError(f"{where}: 'nodes' is {n} but euclid has {len(euclid)} rows")
     for row in euclid:

@@ -4,11 +4,14 @@ Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
 ingested verbatim from a fixture's edge list plus Euclidean matrix.  Hop
-distances always come from breadth-first search over the adjacency.
+distances always come from breadth-first search over the adjacency: one
+level-synchronous, bit-parallel BFS over uint64-packed adjacency rows that
+runs from a block of sources at once.  Blocks are sized so that one level
+gathers at most 16 MB of rows: beyond the int64 table, the BFS needs no
+memory that grows with density.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,8 @@ UNREACHABLE = -1
 #: Largest network the dense n x n tables are built for: one float64 table
 #: is 200 MB at this size.
 MAX_NODES = 5000
+#: Packed adjacency rows one BFS level may gather for a block of sources.
+_LEVEL_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,22 @@ class NetworkGraph:
         return int(self.adj.sum()) // 2
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted node lists, ordered by least node."""
+        """Connected components as sorted node lists, ordered by least node.
+
+        Each component grows from its least unseen node by whole-frontier
+        steps: the next frontier is every node adjacent to the current one
+        and not yet in the component."""
         seen = np.zeros(self.node_count, dtype=bool)
         out = []
-        for start in range(self.node_count):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for v in np.flatnonzero(self.adj[u]):
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(int(v))
-                        queue.append(int(v))
-            out.append(sorted(comp))
+        while not seen.all():
+            comp = np.zeros_like(seen)
+            frontier = comp.copy()
+            frontier[np.argmin(seen)] = True
+            while frontier.any():
+                comp |= frontier
+                frontier = self.adj[frontier].any(axis=0) & ~comp
+            seen |= comp
+            out.append(np.flatnonzero(comp).tolist())
         return out
 
     @property
@@ -132,6 +136,7 @@ def deploy_random(n: int, terrain_size: float, seed: int) -> np.ndarray:
         raise InvalidArgumentError(f"node count must be >= 1, got {n}")
     if terrain_size <= 0:
         raise InvalidArgumentError(f"terrain size must be positive, got {terrain_size}")
+    _check_size(n)
     rng = np.random.default_rng(seed)
     return sample_positions(rng, n, terrain_size)
 
@@ -170,20 +175,48 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
 
 
 def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
-    """All-pairs hop distances by BFS from every node (UNREACHABLE = -1)."""
+    """All-pairs hop distances (UNREACHABLE = -1) by a level-synchronous,
+    bit-parallel BFS from a block of sources at once.
+
+    Adjacency rows are packed into uint64 bitsets.  The frontier is a list
+    of (source, node) pairs sorted by source; one level ORs the packed rows
+    of each source's frontier nodes (``bitwise_or.reduceat``), masks the
+    result with that source's visited set, and the new bits are both the
+    next frontier and the entries at the current distance.  Sources run in
+    blocks sized so that one level gathers at most ``_LEVEL_BYTES`` (16 MB)
+    of rows, even when every node is on every frontier: working memory
+    beyond the table does not depend on density.
+    """
     n = graph.node_count
     hop = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    neighbor_lists = [np.flatnonzero(graph.adj[u]) for u in range(n)]
-    for src in range(n):
-        hop[src, src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = hop[src, u]
-            for v in neighbor_lists[u]:
-                if hop[src, v] == UNREACHABLE:
-                    hop[src, v] = du + 1
-                    queue.append(int(v))
+    row_bytes = -(-n // 64) * 8
+    packed = np.zeros((n, row_bytes), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(graph.adj, axis=1, bitorder="little")
+    rows = packed.view(np.uint64)
+    block = max(1, _LEVEL_BYTES // max(row_bytes * n, 1))
+    for start in range(0, n, block):
+        table = hop[start:start + block]
+        local = np.arange(table.shape[0])
+        sources = local + start
+        visited = np.zeros((sources.size, row_bytes), dtype=np.uint8)
+        visited[local, sources >> 3] = np.left_shift(1, sources & 7)
+        visited = visited.view(np.uint64)
+        table[local, sources] = 0
+        owner, node = local, sources
+        distance = 0
+        while node.size:
+            distance += 1
+            first = np.ones(owner.size, dtype=bool)
+            np.not_equal(owner[1:], owner[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            active = owner[starts]
+            reach = np.bitwise_or.reduceat(rows[node], starts, axis=0)
+            reach &= ~visited[active]
+            visited[active] |= reach
+            bits = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little")
+            hit, node = np.nonzero(bits)
+            owner = active[hit]
+            table[owner, node] = distance
     return hop
 
 

@@ -75,6 +75,8 @@ class Scenario:
             raise InvalidArgumentError("dt must be positive")
         if self.steps < 0:
             raise InvalidArgumentError("steps must be >= 0")
+        if self.seed < 0:
+            raise InvalidArgumentError("seed must be >= 0")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if len(self.alphas) != 6:
             raise InvalidArgumentError("exactly 6 weighing factors required")

@@ -3,10 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dscluster as d
 
 DATA = Path(__file__).parent / "data"
+
+# One profile for every property test: no per-example deadline (timings on a
+# loaded machine are noise) and a fixed example sequence, so a run is
+# repeatable.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

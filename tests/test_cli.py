@@ -192,6 +192,13 @@ MALFORMED = [
     pytest.param("scenario", _scenario_doc(terrain_size=math.nan), "terrain_size",
                  id="nan-terrain"),
     pytest.param("scenario", _scenario_doc(range=math.inf), "range", id="inf-range"),
+    pytest.param("scenario", _scenario_doc(terrain_size=10**400), "terrain_size",
+                 id="int-beyond-float-terrain"),
+    pytest.param("scenario", _scenario_doc(seed=-1), "seed", id="negative-seed"),
+    pytest.param("scenario", _scenario_doc(node_count=10**12), str(MAX_NODES),
+                 id="huge-node-count"),
+    pytest.param("fixture", _path_fixture(edges=[[0, 1], [1, None]]), "edge",
+                 id="edge-not-a-pair-of-nodes"),
     pytest.param("report", lambda r: r["clusters"][0]["members"].append(99), "members",
                  id="member-out-of-range"),
     pytest.param("report", _set_cluster("proxy", "x"), "leaders", id="string-proxy"),

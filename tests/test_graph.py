@@ -1,13 +1,64 @@
 import math
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import graph as graph_module
 from dscluster.errors import FixtureFormatError, InvalidArgumentError, SizeLimitError
 from dscluster.graph import MAX_NODES
 
 from conftest import random_edge_graph
+
+
+def reference_hops(graph, sources=None):
+    """Hop rows of ``sources`` (default: every node) by one deque BFS per
+    source, UNREACHABLE where there is no path: the reference the
+    bit-parallel kernel must equal."""
+    n = graph.node_count
+    sources = range(n) if sources is None else sources
+    neighbor_lists = [np.flatnonzero(graph.adj[u]) for u in range(n)]
+    rows = np.full((len(sources), n), d.UNREACHABLE, dtype=np.int64)
+    for row, src in zip(rows, sources):
+        row[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for v in neighbor_lists[u]:
+                if row[v] == d.UNREACHABLE:
+                    row[v] = row[u] + 1
+                    queue.append(int(v))
+    return rows
+
+
+def reference_components(graph):
+    """Components read off the reference hop rows, ordered by least node."""
+    reachable = reference_hops(graph) != d.UNREACHABLE
+    return [list(c) for c in sorted({tuple(np.flatnonzero(row).tolist()) for row in reachable})]
+
+
+def edge_list_graph(n, p, seed):
+    """Graph over ``n`` nodes from a random edge list with edge density ``p``."""
+    rng = np.random.default_rng(seed)
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < p, k=1))
+    return d.graph_from_edges(n, list(zip(u.tolist(), v.tolist())))
+
+
+#: Sizes around the 64-bit words the kernel packs rows into, plus n = 1.
+WORD_EDGE_SIZES = [1, 63, 64, 65, 129]
+#: Edge densities from all isolated nodes to a complete graph.
+DENSITIES = [0.0, 0.01, 0.03, 0.1, 0.5, 1.0]
+
+random_graphs = st.builds(
+    edge_list_graph,
+    n=st.integers(1, 12) | st.sampled_from(WORD_EDGE_SIZES),
+    p=st.sampled_from(DENSITIES) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 class TestDeployRandom:
@@ -36,6 +87,10 @@ class TestDeployRandom:
     def test_invalid_arguments(self, n, terrain):
         with pytest.raises(InvalidArgumentError):
             d.deploy_random(n, terrain, seed=0)
+
+    def test_oversized_deployment_rejected_before_sampling(self):
+        with pytest.raises(SizeLimitError, match=str(MAX_NODES)):
+            d.deploy_random(10**12, 100.0, seed=0)
 
 
 class TestBuildGraph:
@@ -92,6 +147,53 @@ class TestHopTable:
         assert hop[0, 1] == 1
 
 
+class TestBitParallelKernel:
+    """The all-pairs kernel against one deque BFS per source."""
+
+    @given(random_graphs)
+    def test_equals_reference_bfs(self, graph):
+        hop = d.hop_distance_table(graph)
+        assert hop.dtype == np.int64
+        assert np.array_equal(hop, reference_hops(graph))
+
+    @pytest.mark.parametrize("p", DENSITIES)
+    @pytest.mark.parametrize("n", WORD_EDGE_SIZES)
+    def test_word_boundaries(self, n, p):
+        graph = edge_list_graph(n, p, seed=n)
+        assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
+
+    @pytest.mark.parametrize("level_bytes", [1, 4000])
+    def test_block_size_does_not_change_the_table(self, monkeypatch, level_bytes):
+        # one source per block; then blocks of 12, 3 and 2 sources at n = 40, 65, 100
+        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", level_bytes)
+        for seed, n in enumerate([1, 5, 40, 65, 100]):
+            graph = edge_list_graph(n, 0.05, seed)
+            assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
+
+    def test_rgg_spanning_several_blocks(self):
+        graph = d.build_graph(d.deploy_random(1000, 500.0, seed=3), 30.0)
+        assert graph.is_connected
+        hop = d.hop_distance_table(graph)
+        assert np.array_equal(hop, hop.T)
+        assert np.array_equal(hop == 1, graph.adj)
+        # sources 0, 7, 14, ... reach into every block of 16 MB / (128 B x 1000)
+        sources = list(range(0, 1000, 7))
+        assert np.array_equal(hop[sources], reference_hops(graph, sources))
+
+    def test_peak_memory_bounded_on_complete_graph(self):
+        # the int64 table is 32 MB; an unblocked level 2 would gather 1 GB
+        n = 2000
+        graph = d.NetworkGraph(adj=~np.eye(n, dtype=bool))
+        tracemalloc.start()
+        try:
+            hop = d.hop_distance_table(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n
+        assert np.array_equal(hop, 1 - np.eye(n, dtype=np.int64))
+
+
 class TestEuclideanTable:
     def test_coincident_zero(self):
         table = d.euclidean_distance_table(np.array([[2.0, 2.0], [2.0, 2.0]]))
@@ -113,6 +215,10 @@ class TestComponents:
     def test_split_components(self):
         graph = d.graph_from_edges(5, [(0, 1), (2, 3)])
         assert graph.components() == [[0, 1], [2, 3], [4]]
+
+    @given(random_graphs)
+    def test_equal_reference_components(self, graph):
+        assert graph.components() == reference_components(graph)
 
 
 class TestIngestFixture:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
@@ -326,7 +326,6 @@ def small_tables(draw):
 class TestColumnKernelProperties:
     """Each whole-network kernel against the per-node definition."""
 
-    @settings(deadline=None)
     @given(small_tables())
     def test_closeness_is_sum_of_cardinality_differences(self, tables):
         hop, euclid = tables
@@ -340,7 +339,6 @@ class TestColumnKernelProperties:
             ]
             assert closeness_indices(table).tolist() == expected
 
-    @settings(deadline=None)
     @given(small_tables(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
     def test_bands_count_every_other_node_once(self, tables, r):
         _, euclid = tables
@@ -352,7 +350,6 @@ class TestColumnKernelProperties:
         ]
         assert neighbor_bands(euclid, r).tolist() == expected
 
-    @settings(deadline=None)
     @given(small_tables())
     def test_path_columns_are_row_max_and_means(self, tables):
         hop, euclid = tables
