@@ -321,7 +321,10 @@ def run_adjusted(
         return neighbor_partitions(u, graph, metrics, masters, proxies)
 
     def attempt(c: int):
-        """Pick a partner and member set for critical node c, or None."""
+        """Pick a partner and member set for critical node c, or None.
+        A node adjacent to a master never leads: two masters would touch."""
+        if graph.adj[c, sorted(masters)].any():
+            return None
         adjacent_proxy = None
         if c in state.hidden_masters_1:
             own = membership.get(c)

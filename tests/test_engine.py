@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster.cli import main
 from dscluster.engine import PHASE_ADJUSTED, PHASE_FORMATION
 from dscluster.errors import DisconnectedGraphError
 
@@ -364,3 +369,43 @@ class TestRandomisedInvariants:
                         assert graph.adjacent(c.master, c.proxy)
             covered = set().union(*(c.members for c in final.clusters))
             assert covered == set(range(graph.node_count))
+
+
+STRUCTURAL_CHECKS = ("cluster-diameter", "double-star", "partition", "dominance-and-independence")
+
+
+class TestEnginePassesItsVerifier:
+    """On every connected unit-disk graph the engine's final clustering
+    passes the structural checks, and the CLI's own report verifies."""
+
+    @given(
+        n=st.integers(2, 40),
+        range_=st.floats(20.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cluster_then_verify_passes(self, n, range_, seed):
+        graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+        assume(graph.is_connected)
+        tables = d.compute_tables(graph)
+        metrics = d.compute_network_metrics(graph, tables)
+        _, final, _ = d.form_and_adjust(graph, tables, metrics)
+        report = d.run_property_checks(final, graph, tables.hop)
+        assert report.passed, [c.to_dict() for c in report.failures()]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out, text = (Path(tmp, name) for name in ("s.json", "r.json", "v.txt"))
+            scenario.write_text(json.dumps({
+                "node_count": n, "terrain_size": 100.0, "range": range_,
+                "v_max": 0.0, "seed": seed,
+            }))
+            inputs = ["--scenario", str(scenario)]
+            assert main(["cluster", *inputs, "--out", str(out)]) == 0
+            code = main(["verify", *inputs, "--report", str(out), "--out", str(text)])
+            lines = text.read_text().splitlines()
+            perfect = json.loads(out.read_text())["classification"] == "perfect"
+        status = {line.split()[1]: line.split()[0] for line in lines[1:] if line[0] != " "}
+        assert [status[name] for name in STRUCTURAL_CHECKS] == ["pass"] * 4, lines
+        # A perfect report also gets the edge-domination checks, which fail
+        # whenever an edge touches no master or proxy (ROADMAP item 1); every other
+        # report must verify outright.
+        assert code == 0 or perfect, lines
