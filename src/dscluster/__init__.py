@@ -8,13 +8,9 @@ re-affiliation-based maintenance.
 """
 from .engine import (
     CLASS_FAIRLY_PERFECT,
-    CLASS_IMPERFECT,
-    CLASS_PERFECT,
     ClusterRecord,
     ClusterState,
-    NeighborPartitions,
     NodeStatus,
-    classify,
     elect_proxy,
     form_and_adjust,
     master_eligibility,
@@ -22,24 +18,11 @@ from .engine import (
     run_adjusted,
     run_m_dsec,
 )
-from .errors import (
-    ConfigurationError,
-    DisconnectedGraphError,
-    FixtureFormatError,
-    InvalidArgumentError,
-    SchemaError,
-    SizeLimitError,
-    UnreachableNodeError,
-)
 from .fileio import (
     cluster_report,
-    dot_graph,
-    dump_fixture,
     load_bundled_fixture,
     load_fixture,
-    load_scenario,
     metrics_records,
-    simulation_report,
 )
 from .graph import (
     UNREACHABLE,
@@ -55,7 +38,6 @@ from .graph import (
     ingest_fixture,
 )
 from .metrics import (
-    NetworkMetrics,
     WeightConfig,
     closer_euclidean_cardinalities,
     closer_hop_cardinalities,
@@ -69,17 +51,13 @@ from .metrics import (
     path_statistics,
 )
 from .mobility import (
-    MaintenanceEvent,
     Scenario,
-    SimulationResult,
     find_ch,
     hello_refresh,
     run_simulation,
     step_positions,
 )
 from .verify import (
-    CheckResult,
-    PropertyReport,
     check_cluster_diameter,
     check_dominance_and_independence,
     check_double_star,

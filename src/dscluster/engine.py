@@ -23,7 +23,6 @@ a master on its own.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -39,7 +38,6 @@ PHASE_MAINTENANCE = "maintenance"
 
 CLASS_PERFECT = "perfect"
 CLASS_FAIRLY_PERFECT = "fairly-perfect"
-CLASS_IMPERFECT = "imperfect"
 
 
 class NodeStatus(str, Enum):
@@ -113,12 +111,6 @@ class ClusterState:
 
     def proxies(self) -> set[int]:
         return {c.proxy for c in self.clusters if c.proxy is not None}
-
-    def cluster_of(self, node: int) -> ClusterRecord | None:
-        for c in self.clusters:
-            if node in c.members:
-                return c
-        return None
 
     def membership(self) -> dict[int, int]:
         """node -> cluster id; when duplicated, the lowest cluster id wins
@@ -301,9 +293,10 @@ def run_adjusted(
 
     A type-I hidden master pairs with the best non-leader neighbour on the
     far side of its proxy; other critical nodes pair within N'' - N_M.
-    Members pulled into a new cluster leave their old one.  Critical nodes
-    that cannot form a cluster stay slaves if already covered, otherwise
-    become masters on their own.
+    A critical node adjacent to a master never leads a cluster.  Members
+    pulled into a new cluster leave their old one.  Critical nodes that
+    cannot form a cluster stay slaves if already covered, otherwise become
+    masters on their own.
     """
     if not state.critical:
         return state
@@ -422,31 +415,17 @@ def run_adjusted(
     )
 
 
-def classify(initial: ClusterState, adjusted: ClusterState | None = None) -> str:
-    """Categorise the run: perfect (no critical nodes after formation),
-    fairly-perfect (critical nodes all resolved by adjustment), imperfect
-    (never produced by this engine's fallback rules; kept for completeness)."""
-    if not initial.critical:
-        return CLASS_PERFECT
-    if adjusted is None:
-        raise InvalidArgumentError("critical nodes present but adjustment not run")
-    if not adjusted.critical:
-        return CLASS_FAIRLY_PERFECT
-    warnings.warn("imperfect clustering reached; the singleton-master fallback "
-                  "should make this impossible", RuntimeWarning, stacklevel=2)
-    return CLASS_IMPERFECT
-
-
 def form_and_adjust(
     graph: NetworkGraph, tables: DistanceTables, metrics: NetworkMetrics | None
 ) -> tuple[ClusterState, ClusterState, str]:
     """Run formation, then adjustment when critical nodes remain.
 
-    Returns (formation state, final state, classification); for a perfect
-    run the final state is the formation state itself.
+    Returns (formation state, final state, classification): perfect when
+    formation leaves no critical node (the final state is then the
+    formation state itself), otherwise fairly-perfect, because adjustment
+    covers every critical node, as a singleton master if need be.
     """
     initial = run_m_dsec(graph, tables, metrics)
     if not initial.critical:
         return initial, initial, CLASS_PERFECT
-    final = run_adjusted(initial, graph, metrics, tables.hop)
-    return initial, final, classify(initial, final)
+    return initial, run_adjusted(initial, graph, metrics, tables.hop), CLASS_FAIRLY_PERFECT

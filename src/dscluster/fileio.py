@@ -123,23 +123,6 @@ def load_bundled_fixture() -> FixtureBundle:
     return load_fixture(json.loads(text))
 
 
-def dump_fixture(bundle: FixtureBundle) -> dict:
-    """Fixture document for a bundle; re-ingesting reproduces identical
-    tables and overrides."""
-    doc = {
-        "nodes": bundle.graph.node_count,
-        "edges": [[u, v] for u, v in bundle.graph.edges()],
-        "euclid": [[float(x) for x in row] for row in bundle.tables.euclid],
-    }
-    for key, attr in _OVERRIDE_COLUMNS:
-        values = getattr(bundle.overrides, attr)
-        if values is not None:
-            doc[key] = list(values)
-    doc["ns_threshold"] = bundle.config.ns_threshold
-    doc["alphas"] = list(bundle.config.alphas)
-    return doc
-
-
 def load_scenario(source, seed: int | None = None) -> Scenario:
     """Parse a scenario document; ``seed`` overrides the document's seed."""
     doc = _load_doc(source)

@@ -3,7 +3,9 @@
 Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
-ingested verbatim from a fixture's edge list plus Euclidean matrix.  Hop
+ingested verbatim from a fixture's edge list plus Euclidean matrix.  A
+graph built from positions keeps the Euclidean table its adjacency was
+thresholded from, so ``compute_tables`` computes that table once.  Hop
 distances always come from breadth-first search over the adjacency: one
 level-synchronous, bit-parallel BFS over uint64-packed adjacency rows that
 runs from a block of sources at once.  Blocks are sized so that one level
@@ -31,13 +33,14 @@ _LEVEL_BYTES = 16 << 20
 class NetworkGraph:
     """Undirected network topology, immutable once built.
 
-    ``range_`` and ``positions`` are only present in position mode; a graph
-    ingested from a fixture carries the adjacency alone.
+    ``range_`` and ``euclid``, the Euclidean table the adjacency was
+    thresholded from, are only present in position mode; a graph ingested
+    from a fixture carries the adjacency alone.
     """
 
     adj: np.ndarray
     range_: float | None = None
-    positions: np.ndarray | None = None
+    euclid: np.ndarray | None = None
 
     def __post_init__(self):
         adj = np.asarray(self.adj, dtype=bool)
@@ -167,11 +170,10 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     ed(u, v) <= range_ (ties at exactly the range are adjacent)."""
     if range_ <= 0:
         raise InvalidArgumentError(f"transmission range must be positive, got {range_}")
-    pos = np.asarray(positions, dtype=float)
-    euclid = euclidean_distance_table(pos)
+    euclid = euclidean_distance_table(positions)
     adj = euclid <= range_
     np.fill_diagonal(adj, False)
-    return NetworkGraph(adj=adj, range_=float(range_), positions=pos)
+    return NetworkGraph(adj=adj, range_=float(range_), euclid=euclid)
 
 
 def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
@@ -220,14 +222,11 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     return hop
 
 
-def compute_tables(graph: NetworkGraph, euclid: np.ndarray | None = None) -> DistanceTables:
-    """Hop table by BFS plus the Euclidean table (from the graph's own
-    positions unless an explicit matrix is supplied)."""
-    if euclid is None:
-        if graph.positions is None:
-            raise InvalidArgumentError("graph has no positions; supply a euclid matrix")
-        euclid = euclidean_distance_table(graph.positions)
-    return DistanceTables(hop=hop_distance_table(graph), euclid=np.asarray(euclid, dtype=float))
+def compute_tables(graph: NetworkGraph) -> DistanceTables:
+    """Hop table by BFS plus the Euclidean table the graph was built from."""
+    if graph.euclid is None:
+        raise InvalidArgumentError("graph has no Euclidean table; ingest a fixture instead")
+    return DistanceTables(hop=hop_distance_table(graph), euclid=graph.euclid)
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:

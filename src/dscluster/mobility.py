@@ -108,8 +108,6 @@ class SimulationResult:
     events: list[MaintenanceEvent]
     summaries: list[dict]
     positions: np.ndarray
-    graph: NetworkGraph
-    metrics: NetworkMetrics
 
 
 def _reflect(coords: np.ndarray, terrain_size: float) -> np.ndarray:
@@ -171,9 +169,8 @@ def find_ch(
     acknowledgers it becomes a master of a new singleton cluster.  The
     state is updated in place.
     """
-    old = state.cluster_of(node)
-    if old is not None:
-        old.members.discard(node)
+    for cluster in state.clusters:
+        cluster.members.discard(node)
     events = [MaintenanceEvent(time, EVENT_FIND_CH, node)]
     acknowledgers: list[tuple[int, ClusterRecord]] = []
     for cluster in sorted(state.clusters, key=lambda c: c.id):
@@ -241,8 +238,6 @@ class _Simulation:
             events=self.events,
             summaries=self.summaries,
             positions=self.positions,
-            graph=self.graph,
-            metrics=self.metrics,
         )
 
     def _refresh(self, time: float) -> None:
@@ -268,24 +263,21 @@ class _Simulation:
 
         step_events: list[MaintenanceEvent] = []
         if not reclustered:
-            orphans = self._resolve_leader_exits(time)
-            _, slave_exits = hello_refresh(self.positions, s.range_, self.state, time)
-            for event in slave_exits:
-                orphans.append((event.node, event.target))
-            for node, pair in sorted(orphans):
-                step_events.append(
-                    MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, node, pair)
-                )
+            exits = self._resolve_leader_exits(time)
+            exits += hello_refresh(self.positions, s.range_, self.state, time)[1]
+            for exit_event in sorted(exits, key=lambda e: e.node):
+                step_events.append(exit_event)
                 step_events.extend(
-                    find_ch(node, self.state, self.graph, self.metrics, time)
+                    find_ch(exit_event.node, self.state, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
         self._summarise(time, step_events, warnings, reclustered)
 
-    def _resolve_leader_exits(self, time: float) -> list[tuple[int, tuple[int, int | None]]]:
+    def _resolve_leader_exits(self, time: float) -> list[MaintenanceEvent]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
-        clusters whose leaders all left; returns displaced nodes."""
-        orphans: list[tuple[int, tuple[int, int | None]]] = []
+        clusters whose leaders all left; returns a boundary-exit event for
+        every displaced node."""
+        orphans: list[MaintenanceEvent] = []
         dissolved: list[ClusterRecord] = []
         for cluster in sorted(self.state.clusters, key=lambda c: c.id):
             if len(cluster.members) <= 1:
@@ -301,19 +293,19 @@ class _Simulation:
             )
             if master_exited and (cluster.proxy is None or proxy_exited):
                 dissolved.append(cluster)
-                for v in sorted(cluster.members):
-                    orphans.append((v, pair))
+                displaced = sorted(cluster.members)
             elif master_exited:
-                old_master = cluster.master
-                cluster.members.discard(old_master)
+                displaced = [cluster.master]
+                cluster.members.discard(cluster.master)
                 cluster.master = cluster.proxy
                 cluster.proxy = self._elect_maintenance_proxy(cluster)
-                orphans.append((old_master, pair))
             elif proxy_exited:
-                old_proxy = cluster.proxy
-                cluster.members.discard(old_proxy)
+                displaced = [cluster.proxy]
+                cluster.members.discard(cluster.proxy)
                 cluster.proxy = self._elect_maintenance_proxy(cluster)
-                orphans.append((old_proxy, pair))
+            else:
+                continue
+            orphans += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair) for v in displaced]
         for cluster in dissolved:
             self.state.clusters.remove(cluster)
         return orphans

@@ -344,20 +344,6 @@ class TestSimulateCommand:
 
 
 class TestRoundTrips:
-    def test_fixture_dump_and_reingest_identical(self, bundle):
-        doc = d.dump_fixture(bundle)
-        again = d.load_fixture(doc)
-        assert np.array_equal(again.tables.hop, bundle.tables.hop)
-        assert np.array_equal(again.tables.euclid, bundle.tables.euclid)
-        assert np.array_equal(again.graph.adj, bundle.graph.adj)
-        m1 = d.compute_network_metrics(
-            bundle.graph, bundle.tables, bundle.config, bundle.overrides
-        )
-        m2 = d.compute_network_metrics(
-            again.graph, again.tables, again.config, again.overrides
-        )
-        assert d.metrics_records(m1) == d.metrics_records(m2)
-
     def test_report_reingest_reproduces_state(self, bundle, paper_states):
         formation, final, classification = paper_states
         doc = d.cluster_report(formation, final, classification)

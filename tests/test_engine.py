@@ -85,12 +85,6 @@ class TestElectProxy:
         pairs = [(16, 13)]
         assert d.elect_proxy(17, pairs, paper_metrics, bundle.tables.hop) is None
 
-    def test_classify_without_adjustment_raises(self, paper_states):
-        formation, _, _ = paper_states
-        from dscluster.errors import InvalidArgumentError
-        with pytest.raises(InvalidArgumentError):
-            d.classify(formation, None)
-
 
 class TestNeighborPartitions:
     # the roles after formation on the bundled fixture
@@ -344,13 +338,6 @@ class TestClassify:
     def test_reference_is_fairly_perfect(self, paper_states):
         _, _, classification = paper_states
         assert classification == d.CLASS_FAIRLY_PERFECT
-
-    def test_imperfect_branch_flagged(self, paper_states):
-        formation, final, _ = paper_states
-        broken = final.copy()
-        broken.critical = {99}
-        with pytest.warns(RuntimeWarning):
-            assert d.classify(formation, broken) == d.CLASS_IMPERFECT
 
 
 class TestRandomisedInvariants:

@@ -25,6 +25,11 @@ def _state(node_count, clusters):
     )
 
 
+def _cluster_of(state, node):
+    """The cluster holding ``node``, or None."""
+    return next((c for c in state.clusters if node in c.members), None)
+
+
 def _metrics_for(n, edges, weights, ns=None):
     euclid = np.zeros((n, n))
     overrides = d.FixtureOverrides(ns=ns or [0.0] * n, w=weights)
@@ -148,7 +153,7 @@ class TestFindCH:
         graph2 = d.graph_from_edges(5, [(0, 1), (2, 3)])
         events = d.find_ch(4, state, graph2, metrics)
         assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_BECOME_MASTER]
-        new = state.cluster_of(4)
+        new = _cluster_of(state, 4)
         assert new.master == 4 and new.members == {4}
         assert new.id == 3
 
@@ -171,11 +176,11 @@ class TestLeaderExits:
         sim.positions = np.array([[50.0, 50.0], [5.0, 0.0], [8.0, 0.0], [10.0, 0.0]])
         sim.state = _state(4, [(0, 1, {0, 1, 2, 3})])
         sim._refresh(1.0)
-        cluster = sim.state.cluster_of(1)
+        cluster = _cluster_of(sim.state, 1)
         assert cluster.master == 1
         assert cluster.proxy in (2, 3)
         assert cluster.members == {1, 2, 3}
-        wanderer = sim.state.cluster_of(0)
+        wanderer = _cluster_of(sim.state, 0)
         assert wanderer.master == 0 and wanderer.members == {0}
         kinds = [e.kind for e in sim.events]
         assert kinds == [EVENT_BOUNDARY_EXIT, EVENT_FIND_CH, EVENT_BECOME_MASTER]
@@ -186,7 +191,7 @@ class TestLeaderExits:
         sim.positions = np.array([[50.0, 50.0], [60.0, 60.0], [0.0, 0.0], [3.0, 0.0]])
         sim.state = _state(4, [(0, 1, {0, 1, 2, 3})])
         sim._refresh(1.0)
-        owners = {v: sim.state.cluster_of(v) for v in range(4)}
+        owners = {v: _cluster_of(sim.state, v) for v in range(4)}
         assert owners[0].members == {0}
         assert owners[1].members == {1}
         assert owners[2].members == {2, 3}
@@ -202,10 +207,10 @@ class TestLeaderExits:
         sim.positions = np.array([[5.0, 0.0], [50.0, 50.0], [8.0, 0.0], [12.0, 0.0]])
         sim.state = _state(4, [(0, 1, {0, 1, 2, 3})])
         sim._refresh(1.0)
-        cluster = sim.state.cluster_of(0)
+        cluster = _cluster_of(sim.state, 0)
         assert cluster.master == 0
         assert cluster.proxy == 2  # only member adjacent to the master
-        assert sim.state.cluster_of(1).members == {1}
+        assert _cluster_of(sim.state, 1).members == {1}
 
 
 class TestRunSimulation:
