@@ -1,10 +1,13 @@
 """Node mobility and the cluster maintenance loop.
 
 Nodes move with independent random headings and speeds, reflecting off
-the terrain boundary.  At every broadcast interval the neighbourhoods are
-rebuilt from current positions; members that lost contact with both of
-their leaders re-affiliate by polling adjacent masters/proxies (find_CH),
-joining the heaviest acknowledger or becoming masters of their own.
+the terrain boundary.  A step that completes a broadcast interval (counted
+as floor((t + 1e-9) / interval)) rebuilds the neighbourhoods from current
+positions, once however many intervals the step spans.  Every displaced
+node (a leader that lost its cluster, or a member out of reach of both
+its leaders) becomes one boundary-exit event; in node order, each
+re-affiliates by polling adjacent masters/proxies (find_CH), joining the
+heaviest acknowledger or becoming the master of its own cluster.
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
@@ -77,6 +80,17 @@ class Scenario:
             raise InvalidArgumentError("steps must be >= 0")
         if self.seed < 0:
             raise InvalidArgumentError("seed must be >= 0")
+        # distances square coordinate differences; motion scales speeds by dt
+        if not math.isfinite(2.0 * self.terrain_size * self.terrain_size):
+            raise InvalidArgumentError("terrain_size is too large: its squared diagonal overflows")
+        if not math.isfinite(self.v_max * self.dt):
+            raise InvalidArgumentError("v_max * dt must be finite")
+        try:
+            refreshes = self.steps * self.dt / self.broadcast_interval
+        except OverflowError:  # a step count beyond the float range
+            refreshes = math.inf
+        if not math.isfinite(refreshes):
+            raise InvalidArgumentError("steps * dt / broadcast_interval must be finite")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if len(self.alphas) != 6:
             raise InvalidArgumentError("exactly 6 weighing factors required")
@@ -218,17 +232,16 @@ class _Simulation:
     def run(self) -> SimulationResult:
         s = self.scenario
         time = 0.0
-        next_refresh = s.broadcast_interval
+        intervals = 0  # whole broadcast intervals elapsed at the last refresh
         for _ in range(s.steps):
             self.positions = step_positions(
                 self.positions, s.v_max, s.dt, s.terrain_size, self.rng
             )
             time += s.dt
-            if time + 1e-9 < next_refresh:
-                continue
-            while next_refresh <= time + 1e-9:
-                next_refresh += s.broadcast_interval
-            self._refresh(time)
+            elapsed = math.floor((time + 1e-9) / s.broadcast_interval)
+            if elapsed > intervals:
+                intervals = elapsed
+                self._refresh(time)
         return SimulationResult(
             scenario=s,
             formation_state=self.formation,

@@ -1,8 +1,17 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dscluster as d
 from dscluster.errors import DisconnectedGraphError, InvalidArgumentError
+from dscluster import mobility
 from dscluster.mobility import (
     EVENT_ACK,
     EVENT_BECOME_MASTER,
@@ -311,3 +320,48 @@ class TestRunSimulation:
         result = d.run_simulation(sc)
         assert any(s["reclustered"] for s in result.summaries)
         assert all(s["partition_ok"] for s in result.summaries)
+
+
+def _stepwise_refresh_times(dt, interval, steps):
+    """Refresh times of a loop that advances the next refresh time one
+    broadcast interval at a time: the oracle for the simulator's schedule."""
+    time, next_refresh, out = 0.0, interval, []
+    for _ in range(steps):
+        time += dt
+        if time + 1e-9 < next_refresh:
+            continue
+        while next_refresh <= time + 1e-9:
+            next_refresh += interval
+        out.append(time)
+    return out
+
+
+class TestRefreshSchedule:
+    GRID = (0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 3.0, 7.0)
+
+    def test_matches_stepwise_oracle(self, monkeypatch):
+        monkeypatch.setattr(mobility, "step_positions", lambda positions, *_: positions)
+        base = d.Scenario(node_count=2, terrain_size=1.0, range_=10.0, v_max=1.0)
+        sim = _Simulation(base)
+        for dt, interval in itertools.product(self.GRID, self.GRID):
+            times = []
+            sim.scenario = replace(base, dt=dt, broadcast_interval=interval, steps=2000)
+            sim._refresh = times.append
+            sim.run()
+            assert times == _stepwise_refresh_times(dt, interval, 2000), (dt, interval)
+
+    def test_huge_dt_finishes(self, tmp_path):
+        # The stepwise schedule needs dt / interval additions per step and never
+        # ends once they stop changing the float; a hang fails on the timeout.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "node_count": 6, "terrain_size": 12.0, "range": 30.0, "v_max": 1.0,
+            "dt": 1e17, "steps": 2,
+        }))
+        env = dict(os.environ, PYTHONPATH=str(Path(d.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "dscluster.cli", "simulate", "--scenario", str(scenario)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert [s["time"] for s in json.loads(done.stdout)["summaries"]] == [1e17, 2e17]
