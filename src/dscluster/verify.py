@@ -13,7 +13,7 @@ import numpy as np
 
 from .engine import ClusterState, PHASE_FORMATION
 from .errors import InvalidArgumentError, SizeLimitError
-from .graph import UNREACHABLE, NetworkGraph, hop_distance_table
+from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
 #: Brute-force bound for line_graph_domination_number.
 EDGE_LIMIT = 20
@@ -59,15 +59,32 @@ class PropertyReport:
 
 
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
-    """Every cluster's member-induced subgraph has diameter at most 3."""
+    """Every cluster's member-induced subgraph has diameter at most 3.
+
+    One BFS serves every cluster: it runs on the disjoint union of the
+    member-induced subgraphs, laid out cluster by cluster with the edges
+    between different clusters masked out.  A node listed by several
+    clusters appears once per cluster, so the union is refused beyond
+    ``MAX_NODES`` members in total (only overlapping clusters get there).
+    """
+    total = sum(len(cluster.members) for cluster in state.clusters)
+    if total > MAX_NODES:
+        raise SizeLimitError(
+            f"clusters list {total} members in total, more than the {MAX_NODES} "
+            "the diameter check is built for"
+        )
+    order = [v for cluster in state.clusters for v in sorted(cluster.members)]
+    owner = np.repeat(np.arange(len(state.clusters)),
+                      [len(cluster.members) for cluster in state.clusters])
+    same = owner[:, None] == owner[None, :]
+    hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)] & same))
+    too_far = (hop == UNREACHABLE) | (hop > 3)
+    too_far &= same
     witnesses = []
-    for cluster in state.clusters:
-        order = sorted(cluster.members)
-        hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
-        for i, j in np.argwhere((hop == UNREACHABLE) | (hop > 3)):
-            distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
-            witnesses.append({"cluster": cluster.id, "pair": [order[i], order[j]],
-                              "distance": distance})
+    for i, j in np.argwhere(too_far):
+        distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
+        witnesses.append({"cluster": state.clusters[owner[i]].id,
+                          "pair": [order[i], order[j]], "distance": distance})
     return CheckResult("cluster-diameter", not witnesses, witnesses)
 
 

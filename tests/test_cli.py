@@ -195,6 +195,14 @@ MALFORMED = [
     pytest.param("scenario", _scenario_doc(terrain_size=10**400), "terrain_size",
                  id="int-beyond-float-terrain"),
     pytest.param("scenario", _scenario_doc(seed=-1), "seed", id="negative-seed"),
+    pytest.param("scenario", _scenario_doc(terrain_size=1e160, range=1e160), "terrain_size",
+                 id="terrain-diagonal-overflows"),
+    pytest.param("scenario", _scenario_doc(v_max=1e300, dt=1e10), "v_max * dt",
+                 id="v-max-times-dt-overflows"),
+    pytest.param("scenario", _scenario_doc(v_max=0.0, dt=1e300, broadcast_interval=1e-10),
+                 "steps * dt", id="refresh-count-overflows"),
+    pytest.param("scenario", _scenario_doc(steps=10**400), "steps * dt",
+                 id="int-beyond-float-steps"),
     pytest.param("scenario", _scenario_doc(node_count=10**12), str(MAX_NODES),
                  id="huge-node-count"),
     pytest.param("fixture", _path_fixture(edges=[[0, 1], [1, None]]), "edge",
@@ -258,6 +266,37 @@ def test_oversized_scenario_is_refused_before_any_table(command, tmp_path, capsy
         tracemalloc.stop()
     assert capsys.readouterr().err.startswith("error: ")
     assert peak < (MAX_NODES + 1) ** 2  # one n x n table of bools would be this big
+
+
+def test_oversized_overlapping_report_is_refused(tmp_path, capsys):
+    """A report whose clusters list more than MAX_NODES members in total
+    ends in exit 1 before the diameter check allocates its table."""
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc())
+    good = tmp_path / "report.json"
+    assert main(["cluster", "--scenario", scenario, "--out", str(good)]) == 0
+    report = json.loads(good.read_text())
+    everyone = {"id": 1, "master": 0, "proxy": None, "members": list(range(25))}
+    report["clusters"] = [everyone | {"id": i} for i in range(1, MAX_NODES // 25 + 2)]
+    bad = _write(tmp_path, "bad.json", report)
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--scenario", scenario, "--report", bad]) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error: clusters list")
+    assert peak < (MAX_NODES + 1) ** 2  # one n x n table of bools would be this big
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process, and one call's options do not
+    leak into the next."""
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc())
+    assert main(["cluster", "--scenario", scenario, "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("graph clusters {")
+    assert main(["cluster", "--scenario", scenario]) == 0
+    assert "clusters" in json.loads(capsys.readouterr().out)
+    assert d.cli._build_parser() is d.cli._build_parser()
 
 
 class TestVerifyCommand:

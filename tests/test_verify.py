@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.engine import PHASE_ADJUSTED
@@ -20,7 +22,57 @@ def _state(node_count, clusters, phase=PHASE_ADJUSTED):
     )
 
 
+def _per_cluster_diameter_witnesses(state, graph):
+    """One BFS per cluster on its member-induced subgraph: the reference for
+    the single BFS over all clusters."""
+    witnesses = []
+    for cluster in state.clusters:
+        order = sorted(cluster.members)
+        hop = d.hop_distance_table(d.NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
+        for i, j in np.argwhere((hop == d.UNREACHABLE) | (hop > 3)):
+            distance = None if hop[i, j] == d.UNREACHABLE else int(hop[i, j])
+            witnesses.append({"cluster": cluster.id, "pair": [order[i], order[j]],
+                              "distance": distance})
+    return witnesses
+
+
+@st.composite
+def _graph_and_clusters(draw):
+    """A small graph and up to five clusters with any member sets (empty,
+    overlapping, leaders outside) under distinct ids in any order."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    nodes = st.integers(0, n - 1)
+    count = draw(st.integers(0, 5))
+    ids = draw(st.permutations(range(1, count + 1)))
+    clusters = [
+        d.ClusterRecord(id=cid, master=draw(nodes), proxy=None,
+                        members=draw(st.sets(nodes)))
+        for cid in ids
+    ]
+    return d.graph_from_edges(n, edges), clusters
+
+
 class TestClusterDiameter:
+    @given(_graph_and_clusters())
+    def test_single_bfs_matches_per_cluster_reference(self, drawn):
+        graph, clusters = drawn
+        state = d.ClusterState(
+            node_count=graph.node_count, clusters=clusters, critical=set(),
+            hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
+        )
+        expected = _per_cluster_diameter_witnesses(state, graph)
+        check = d.check_cluster_diameter(state, graph)
+        assert check.witnesses == expected
+        assert check.passed == (not expected)
+
+    def test_overlapping_clusters_beyond_the_size_bound_refused(self):
+        graph = d.graph_from_edges(2, [(0, 1)])
+        clusters = [(0, 1, {0, 1})] * (d.graph.MAX_NODES // 2 + 1)
+        with pytest.raises(SizeLimitError):
+            d.check_cluster_diameter(_state(2, clusters), graph)
+
     def test_reference_initial_cluster(self, bundle, paper_states):
         formation, _, _ = paper_states
         check = d.check_cluster_diameter(formation, bundle.graph)
