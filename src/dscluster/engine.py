@@ -293,10 +293,10 @@ def run_adjusted(
 
     A type-I hidden master pairs with the best non-leader neighbour on the
     far side of its proxy; other critical nodes pair within N'' - N_M.
-    A critical node adjacent to a master never leads a cluster.  Members
-    pulled into a new cluster leave their old one.  Critical nodes that
-    cannot form a cluster stay slaves if already covered, otherwise become
-    masters on their own.
+    A critical node adjacent to a master never leads a cluster, so no two
+    masters touch.  Members pulled into a new cluster leave their old one.
+    Critical nodes that cannot form a cluster stay slaves if already
+    covered, otherwise become masters on their own.
     """
     if not state.critical:
         return state
@@ -314,8 +314,7 @@ def run_adjusted(
         return neighbor_partitions(u, graph, metrics, masters, proxies)
 
     def attempt(c: int):
-        """Pick a partner and member set for critical node c, or None.
-        A node adjacent to a master never leads: two masters would touch."""
+        """Pick a partner and member set for critical node c, or None."""
         if graph.adj[c, sorted(masters)].any():
             return None
         adjacent_proxy = None

@@ -67,15 +67,14 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
     clusters appears once per cluster, so the union is refused beyond
     ``MAX_NODES`` members in total (only overlapping clusters get there).
     """
-    total = sum(len(cluster.members) for cluster in state.clusters)
-    if total > MAX_NODES:
+    sizes = [len(cluster.members) for cluster in state.clusters]
+    if sum(sizes) > MAX_NODES:
         raise SizeLimitError(
-            f"clusters list {total} members in total, more than the {MAX_NODES} "
+            f"clusters list {sum(sizes)} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
     order = [v for cluster in state.clusters for v in sorted(cluster.members)]
-    owner = np.repeat(np.arange(len(state.clusters)),
-                      [len(cluster.members) for cluster in state.clusters])
+    owner = np.repeat(np.arange(len(state.clusters)), sizes)
     same = owner[:, None] == owner[None, :]
     hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)] & same))
     too_far = (hop == UNREACHABLE) | (hop > 3)

@@ -15,10 +15,9 @@ Covered:
 - ``simulate`` with v_max 5 over 20 steps, seeds 1 and 2: the report and
   the event NDJSON, both of which include ``become-master`` events.
 
-Every scenario report passes its own ``verify`` (exit 0).  The seed 2
-and 3 goldens were replaced when adjustment stopped promoting a critical
-node adjacent to a master: before that, those reports held adjacent
-masters and ``verify`` exited 2 on them.
+Every scenario report passes its own ``verify`` (exit 0): adjustment
+never promotes a critical node adjacent to a master, so no two masters
+are adjacent.
 """
 import json
 from importlib import resources
