@@ -5,12 +5,14 @@ positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
 ingested verbatim from a fixture's edge list plus Euclidean matrix.  A
 graph built from positions keeps the Euclidean table its adjacency was
-thresholded from, so ``compute_tables`` computes that table once.  Hop
-distances always come from breadth-first search over the adjacency: one
-level-synchronous, bit-parallel BFS over uint64-packed adjacency rows that
-runs from a block of sources at once.  Blocks are sized so that one level
-gathers at most 16 MB of rows: beyond the int64 table, the BFS needs no
-memory that grows with density.
+thresholded from, so ``compute_tables`` computes that table once.  The
+Euclidean table is built from two n x n planes of coordinate differences,
+squared, added and rooted in place, so it needs one plane beyond the
+result.  Hop distances always come from breadth-first search over the
+adjacency: one level-synchronous, bit-parallel BFS over uint64-packed
+adjacency rows that runs from a block of sources at once.  Blocks are sized
+so that one level gathers at most 16 MB of rows: beyond the int64 table,
+the BFS needs no memory that grows with density.
 """
 from __future__ import annotations
 
@@ -156,13 +158,22 @@ def _check_size(n: int) -> None:
 
 
 def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
-    """Pairwise planar Euclidean distances; symmetric with zero diagonal."""
+    """Pairwise planar Euclidean distances; symmetric with zero diagonal.
+
+    Each entry is sqrt(dx * dx + dy * dy), bit for bit the value of
+    ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``, the formula the
+    benchmark's deployment chooser computes too.
+    """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
         raise InvalidArgumentError("positions must be a non-empty (n, 2) array")
     _check_size(pos.shape[0])
-    delta = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=2))
+    x, y = pos.T
+    dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
@@ -184,7 +195,8 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     of (source, node) pairs sorted by source; one level ORs the packed rows
     of each source's frontier nodes (``bitwise_or.reduceat``), masks the
     result with that source's visited set, and the new bits are both the
-    next frontier and the entries at the current distance.  Sources run in
+    next frontier and the entries at the current distance, read off as
+    flat indices of the unpacked bits.  Sources run in
     blocks sized so that one level gathers at most ``_LEVEL_BYTES`` (16 MB)
     of rows, even when every node is on every frontier: working memory
     beyond the table does not depend on density.
@@ -216,7 +228,7 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
             reach &= ~visited[active]
             visited[active] |= reach
             bits = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little")
-            hit, node = np.nonzero(bits)
+            hit, node = np.divmod(np.flatnonzero(bits.view(bool)), n)
             owner = active[hit]
             table[owner, node] = distance
     return hop

@@ -6,7 +6,11 @@ indices), the reciprocals of eccentricity / mean hop distance / mean
 Euclidean distance, and the neighbour-strength value.  Each is computed
 once for the whole network as an array column indexed by node
 (``closeness_indices``, ``path_columns``, ``neighbor_bands``), and
-``NetworkMetrics`` holds the columns.  The per-node functions
+``NetworkMetrics`` holds the columns.  The closeness kernel counts, per
+column of the table, how many entries lie below and level with each entry:
+by histogram for an integer table of at most n + 1 levels, by sort
+otherwise, a fixed number of table entries at a time, so its temporaries
+stay within a fixed size whatever n is.  The per-node functions
 (``hop_closeness_index``, ``path_statistics``, ...) are row views of the
 same kernels.  Fixture-supplied override columns take precedence over
 recomputation.
@@ -22,6 +26,8 @@ from .graph import UNREACHABLE, DistanceTables, FixtureOverrides, NetworkGraph
 
 DEFAULT_ALPHAS = (1 / 6,) * 6
 DEFAULT_NS_THRESHOLD = 100.0
+#: Table entries the closeness kernel counts at once.
+_CLOSENESS_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -103,14 +109,53 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
 
     g(u) sums c(u|v) - c(v|u) over every node v, where c(u|v) counts the
     nodes w with t[u, w] < t[v, w].  Grouped by w instead, g(u) sums
-    #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, and two binary
-    searches in the sorted column w count both for every u at once.
+    #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, which is
+    n - (2 * less + equal) with less and equal counted in column w.
+
+    Columns are counted in blocks of ``_CLOSENESS_BLOCK // n`` at once, so
+    no temporary grows beyond a fixed number of table entries:
+
+    - an integer table whose values, less their minimum, take at most
+      n + 1 levels (every hop table, UNREACHABLE included) is counted by
+      a histogram per column: the running sum of the counts up to a value
+      gives less + equal, and 2 * less + equal is gathered per entry;
+    - any other table is sorted column by column; an entry's tie group
+      in its sorted column starts at index less and ends before index
+      less + equal, both read off the sorted order by running maximum
+      and minimum, and the count is scattered back to the entry's node.
     """
-    columns = np.ascontiguousarray(np.asarray(table).T)
-    n = columns.shape[1]
+    table = np.asarray(table)
+    n = table.shape[0]
+    width = max(1, _CLOSENESS_BLOCK // n)
+    levels = n + 2  # sorted, unless an integer table takes at most n + 1 levels
+    if np.issubdtype(table.dtype, np.integer):
+        low = int(table.min())
+        levels = int(table.max()) - low + 1
     g = np.zeros(n, dtype=np.int64)
-    for column, ordered in zip(columns, np.sort(columns, axis=1)):
-        g += n - np.searchsorted(ordered, column, "right") - np.searchsorted(ordered, column, "left")
+    index = np.arange(n)
+    for start in range(0, n, width):
+        block = table[:, start:start + width]
+        if levels <= n + 1:
+            keys = np.subtract(block, low, dtype=np.int64)
+            keys += np.arange(block.shape[1]) * levels
+            counts = np.bincount(keys.ravel(), minlength=block.shape[1] * levels)
+            below = counts.reshape(-1, levels).cumsum(axis=1).ravel()
+            counted = (below + below - counts)[keys]
+            g += block.shape[1] * n - counted.sum(axis=1)
+        else:
+            order = np.argsort(block.T, axis=1)
+            ordered = np.take_along_axis(block.T, order, axis=1)
+            # bound[:, k]: a tie group ends before sorted index k and another starts at k
+            bound = np.ones((order.shape[0], n + 1), dtype=bool)
+            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=bound[:, 1:-1])
+            first = np.where(bound[:, :-1], index, 0)
+            np.maximum.accumulate(first, axis=1, out=first)
+            last = np.where(bound[:, :0:-1], index[::-1] + 1, n)
+            np.minimum.accumulate(last, axis=1, out=last)
+            first += last[:, ::-1]
+            counted = np.empty_like(order)
+            np.put_along_axis(counted, order, np.subtract(n, first, out=first), axis=1)
+            g += counted.sum(axis=0)
     return g
 
 

@@ -194,7 +194,36 @@ class TestBitParallelKernel:
         assert np.array_equal(hop, 1 - np.eye(n, dtype=np.int64))
 
 
+def reference_euclid(positions):
+    """Pairwise distances by the three-dimensional formula the table must
+    equal bit for bit (perfbench/seeds.py keeps a copy of it to pick
+    connected deployments)."""
+    delta = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt((delta ** 2).sum(axis=2))
+
+
+coordinates = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.just(0.0)
+
+
 class TestEuclideanTable:
+    @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=70))
+    def test_bit_equal_to_reference_formula(self, points):
+        positions = np.array(points)
+        table = d.euclidean_distance_table(positions)
+        assert table.tobytes() == reference_euclid(positions).tobytes()
+
+    def test_peak_memory_two_planes(self):
+        # the result and one more n x n plane; a 3-D difference array needs five
+        n = 2000
+        positions = d.deploy_random(n, 100.0, seed=1)
+        tracemalloc.start()
+        try:
+            d.euclidean_distance_table(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * n * n
+
     def test_coincident_zero(self):
         table = d.euclidean_distance_table(np.array([[2.0, 2.0], [2.0, 2.0]]))
         assert table[0, 1] == 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dscluster.errors import (
     InvalidArgumentError,
     UnreachableNodeError,
 )
+from dscluster import metrics as metrics_module
 from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
 from conftest import random_edge_graph
@@ -298,6 +300,19 @@ class TestComputeNetworkMetrics:
         assert math.isnan(metrics.weight(0))
         assert d.metrics_records(metrics)[0]["w"] is None
 
+    def test_peak_memory_bounded_at_n_1000(self):
+        # the two 8 MB tables already exist; the closeness kernel counts them
+        # in column blocks instead of sorting a whole copy of each
+        graph = d.build_graph(d.deploy_random(1000, 500.0, seed=3), 30.0)
+        tables = d.compute_tables(graph)
+        tracemalloc.start()
+        try:
+            d.compute_network_metrics(graph, tables)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     def test_dump_field_names(self, paper_metrics):
         records = d.metrics_records(paper_metrics)
         expected_keys = [
@@ -323,21 +338,53 @@ def small_tables(draw):
     return hop + hop.T, d.euclidean_distance_table(np.array(points, dtype=float))
 
 
+@st.composite
+def integer_tables(draw):
+    """Square integer tables, not symmetric, shifted far below or above
+    zero, whose values span up to 2n + 2 levels: the closeness kernel
+    counts those spanning at most n + 1 by histogram, the others by sort."""
+    n = draw(st.integers(1, 9))
+    span = draw(st.integers(0, 2 * n + 2))
+    shift = draw(st.integers(-3, 3) | st.integers(-2**62, 2**62))
+    values = draw(st.lists(st.integers(0, span), min_size=n * n, max_size=n * n))
+    return np.array(values, dtype=np.int64).reshape(n, n) + shift
+
+
+@st.composite
+def float_tables(draw):
+    """Square float tables drawn from a few values, so ties are common and
+    -0.0 meets 0.0."""
+    n = draw(st.integers(1, 9))
+    pool = st.sampled_from([-0.0, 0.0, 0.5, 1.0, -2.0, 1e-300, 1e300, math.inf])
+    values = draw(st.lists(pool, min_size=n * n, max_size=n * n))
+    return np.array(values).reshape(n, n)
+
+
+def closeness_by_pairs(table):
+    """g(u) of every node as the sum of c(u|v) - c(v|u) over v != u: the
+    definition the closeness kernel must equal."""
+    n = table.shape[0]
+    return [
+        sum(c_uv - c_vu for v in range(n) if v != u
+            for c_uv, c_vu in [d.closer_hop_cardinalities(u, v, table)])
+        for u in range(n)
+    ]
+
+
 class TestColumnKernelProperties:
     """Each whole-network kernel against the per-node definition."""
 
     @given(small_tables())
     def test_closeness_is_sum_of_cardinality_differences(self, tables):
-        hop, euclid = tables
-        n = hop.shape[0]
-        for table, counter in ((hop, d.closer_hop_cardinalities),
-                               (euclid, d.closer_euclidean_cardinalities)):
-            expected = [
-                sum(c_uv - c_vu for v in range(n) if v != u
-                    for c_uv, c_vu in [counter(u, v, table)])
-                for u in range(n)
-            ]
-            assert closeness_indices(table).tolist() == expected
+        for table in tables:
+            assert closeness_indices(table).tolist() == closeness_by_pairs(table)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @given(table=integer_tables() | float_tables() | small_tables().map(lambda t: t[1]))
+    def test_closeness_in_column_blocks(self, columns, table):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics_module, "_CLOSENESS_BLOCK", columns * table.shape[0])
+            assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
     @given(small_tables(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
     def test_bands_count_every_other_node_once(self, tables, r):
