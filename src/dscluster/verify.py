@@ -73,17 +73,17 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
             f"clusters list {sum(sizes)} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
-    order = [v for cluster in state.clusters for v in sorted(cluster.members)]
+    order = np.array([v for cluster in state.clusters for v in sorted(cluster.members)], dtype=int)
     owner = np.repeat(np.arange(len(state.clusters)), sizes)
     same = owner[:, None] == owner[None, :]
-    hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)] & same))
+    hop = hop_distance_table(NetworkGraph(adj=graph.adj[order][:, order] & same))
     too_far = (hop == UNREACHABLE) | (hop > 3)
     too_far &= same
     witnesses = []
-    for i, j in np.argwhere(too_far):
+    for i, j in zip(*np.divmod(np.flatnonzero(too_far), order.size)):
         distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
         witnesses.append({"cluster": state.clusters[owner[i]].id,
-                          "pair": [order[i], order[j]], "distance": distance})
+                          "pair": [int(order[i]), int(order[j])], "distance": distance})
     return CheckResult("cluster-diameter", not witnesses, witnesses)
 
 
