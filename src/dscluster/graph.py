@@ -196,10 +196,10 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     of each source's frontier nodes (``bitwise_or.reduceat``), masks the
     result with that source's visited set, and the new bits are both the
     next frontier and the entries at the current distance, read off as
-    flat indices of the unpacked bits.  Sources run in
-    blocks sized so that one level gathers at most ``_LEVEL_BYTES`` (16 MB)
-    of rows, even when every node is on every frontier: working memory
-    beyond the table does not depend on density.
+    flat indices of the unpacked bits.  Sources run in blocks sized so that
+    one level gathers at most ``_LEVEL_BYTES`` (16 MB) of rows, even when
+    every node is on every frontier: working memory beyond the table does
+    not depend on density.
     """
     n = graph.node_count
     hop = np.full((n, n), UNREACHABLE, dtype=np.int64)

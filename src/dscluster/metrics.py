@@ -127,26 +127,27 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     table = np.asarray(table)
     n = table.shape[0]
     width = max(1, _CLOSENESS_BLOCK // n)
-    levels = n + 2  # sorted, unless an integer table takes at most n + 1 levels
+    histogram = False
     if np.issubdtype(table.dtype, np.integer):
         low = int(table.min())
         levels = int(table.max()) - low + 1
+        histogram = levels <= n + 1
     g = np.zeros(n, dtype=np.int64)
     index = np.arange(n)
     for start in range(0, n, width):
         block = table[:, start:start + width]
-        if levels <= n + 1:
+        columns = block.shape[1]
+        if histogram:
             keys = np.subtract(block, low, dtype=np.int64)
-            keys += np.arange(block.shape[1]) * levels
-            counts = np.bincount(keys.ravel(), minlength=block.shape[1] * levels)
-            below = counts.reshape(-1, levels).cumsum(axis=1).ravel()
-            counted = (below + below - counts)[keys]
-            g += block.shape[1] * n - counted.sum(axis=1)
+            keys += np.arange(columns) * levels
+            counts = np.bincount(keys.ravel(), minlength=columns * levels)
+            below = counts.reshape(columns, levels).cumsum(axis=1).ravel()
+            g += columns * n - (below + below - counts)[keys].sum(axis=1)
         else:
             order = np.argsort(block.T, axis=1)
             ordered = np.take_along_axis(block.T, order, axis=1)
             # bound[:, k]: a tie group ends before sorted index k and another starts at k
-            bound = np.ones((order.shape[0], n + 1), dtype=bool)
+            bound = np.ones((columns, n + 1), dtype=bool)
             np.not_equal(ordered[:, 1:], ordered[:, :-1], out=bound[:, 1:-1])
             first = np.where(bound[:, :-1], index, 0)
             np.maximum.accumulate(first, axis=1, out=first)

@@ -8,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import metrics as metrics_module
 from dscluster.errors import (
     ConfigurationError,
     InvalidArgumentError,
     UnreachableNodeError,
 )
-from dscluster import metrics as metrics_module
 from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
 from conftest import random_edge_graph
