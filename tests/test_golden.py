@@ -17,7 +17,9 @@ Covered:
 - scenarios n = 300 (terrain 274, seed 1) and n = 1000 (terrain 500,
   seed 3), range 30: ``metrics`` JSON, ``cluster`` JSON and ``verify`` of
   that report, pinned as sha256 digests rather than files.  At these
-  sizes the column-blocked kernels run in several blocks.
+  sizes the column-blocked kernels run in several blocks.  The n = 300
+  scenario is also pinned through ``simulate`` (report and event NDJSON),
+  whose every refresh summary reads a fresh hop table.
 
 Every scenario report passes its own ``verify`` (exit 0): adjustment
 never promotes a critical node adjacent to a master, so no two masters
@@ -94,6 +96,8 @@ LARGE_DIGESTS = {
         "metrics": "fd2d6857810da59a302e1c21a4d521381a097bfb620d23a7cf3caba79af9c279",
         "cluster": "ff5a7493842fbbfd29739e2ece82b6c814fc0e63060554cab0abca101f6853cd",
         "verify": "96a3855efcc0e995983c7373d700f7f86a14d8f56d94bb63babc294c5fc93896",
+        "simulate": "71222048f24503a69bf3cbdd943c8b16985713e1689c2d57f7bb897334f6c359",
+        "events": "3f35e3784091890afd179401e3c927f547160333bcca1980cac6126625ad81eb",
     },
     (1000, 500.0, 3): {
         "metrics": "62882b6827e144ee8b650a88ae45734e0b66a392ad13e34e33f7ba812cb06877",
@@ -107,10 +111,16 @@ LARGE_DIGESTS = {
 def test_large_output_matches_digest(node_count, terrain_size, seed, tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(_scenario_doc(seed, node_count, terrain_size)))
-    report = tmp_path / "cluster"
+    expected = LARGE_DIGESTS[node_count, terrain_size, seed]
+    report, events = tmp_path / "cluster", tmp_path / "events"
+    runs = [("metrics", []), ("cluster", []), ("verify", ["--report", str(report)])]
+    if "simulate" in expected:
+        runs.append(("simulate", ["--events", str(events)]))
     digests = {}
-    for command, extra in (("metrics", []), ("cluster", []), ("verify", ["--report", str(report)])):
+    for command, extra in runs:
         out = tmp_path / command
         assert main([command, "--scenario", str(scenario), *extra, "--out", str(out)]) == 0
         digests[command] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digests == LARGE_DIGESTS[node_count, terrain_size, seed]
+    if events.exists():
+        digests["events"] = hashlib.sha256(events.read_bytes()).hexdigest()
+    assert digests == expected
