@@ -9,10 +9,13 @@ thresholded from, so ``compute_tables`` computes that table once.  The
 Euclidean table is built from two n x n planes of coordinate differences,
 squared, added and rooted in place, so it needs one plane beyond the
 result.  Hop distances always come from breadth-first search over the
-adjacency: one level-synchronous, bit-parallel BFS over uint64-packed
-adjacency rows that runs from a block of sources at once.  Blocks are sized
-so that one level gathers at most 16 MB of rows: beyond the int64 table,
-the BFS needs no memory that grows with density.
+adjacency: one level-synchronous pull BFS from every source at once.  Each
+node keeps the uint64-packed set of sources it has reached, and each level
+ORs into it the sets of its neighbours; the distance at which a bit first
+appears is recorded in a few packed bit planes, one per binary digit, and
+decoded into the int64 table once at the end.  Nodes are taken in chunks
+whose neighbour rows gather at most 16 MB per level, so the working memory
+beyond the table does not grow with density.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ UNREACHABLE = -1
 #: Largest network the dense n x n tables are built for: one float64 table
 #: is 200 MB at this size.
 MAX_NODES = 5000
-#: Packed adjacency rows one BFS level may gather for a block of sources.
+#: Packed source-set rows one BFS level may gather for a chunk of nodes.
 _LEVEL_BYTES = 16 << 20
 
 
@@ -187,50 +190,86 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     return NetworkGraph(adj=adj, range_=float(range_), euclid=euclid)
 
 
-def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
-    """All-pairs hop distances (UNREACHABLE = -1) by a level-synchronous,
-    bit-parallel BFS from a block of sources at once.
+def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
+    """Closed neighbourhoods of consecutive node chunks, for one gather each.
 
-    Adjacency rows are packed into uint64 bitsets.  The frontier is a list
-    of (source, node) pairs sorted by source; one level ORs the packed rows
-    of each source's frontier nodes (``bitwise_or.reduceat``), masks the
-    result with that source's visited set, and the new bits are both the
-    next frontier and the entries at the current distance, read off as
-    flat indices of the unpacked bits.  Sources run in blocks sized so that
-    one level gathers at most ``_LEVEL_BYTES`` (16 MB) of rows, even when
-    every node is on every frontier: working memory beyond the table does
-    not depend on density.
+    Yields ``(rows, nodes, starts)``: the slice of the chunk's nodes, the
+    node ids of their closed neighbourhoods (each node first, then its
+    neighbours) in the narrowest unsigned dtype that holds every id, and
+    where each node's run begins.  A chunk holds as many nodes as fit
+    ``_LEVEL_BYTES`` of gathered rows, and at least one.  Every run is
+    non-empty, so ``reduceat`` never hands an isolated node the row that
+    follows it.
+    """
+    n = adj.shape[0]
+    sizes = np.count_nonzero(adj, axis=1) + 1
+    ends = np.cumsum(sizes)
+    budget = max(1, _LEVEL_BYTES // max(row_bytes, 1))
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    a = 0
+    while a < n:
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        starts = np.zeros(b - a, dtype=np.intp)
+        np.cumsum(sizes[a:b - 1], out=starts[1:])
+        nodes = np.empty(ends[b - 1] - base, dtype=dtype)
+        own = np.zeros(nodes.size, dtype=bool)
+        own[starts] = True
+        nodes[starts] = np.arange(a, b)
+        nodes[~own] = np.flatnonzero(adj[a:b]) % n
+        yield slice(a, b), nodes, starts
+        a = b
+
+
+def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
+    """All-pairs hop distances (UNREACHABLE = -1) by a level-synchronous
+    pull BFS from every source at once.
+
+    ``reach[v]`` is the uint64-packed set of sources within ``d`` hops of
+    ``v``, starting from ``v`` alone.  Because the adjacency is symmetric,
+    one level is ``reach[v] |= OR of reach[u] over the neighbours u of v``:
+    one gather of neighbour rows and one ``bitwise_or.reduceat`` per node
+    chunk (``_LEVEL_BYTES``, 16 MB, of gathered rows at most).  The bits new
+    at level ``d`` are ORed into the packed bit planes of the binary digits
+    of ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
+    BFS stops when every set is full or a level adds nothing.  The planes
+    are then unpacked into an accumulator of the narrowest unsigned dtype
+    that holds D, cast to int64 once, and every pair whose bit is missing
+    from the final set is UNREACHABLE.
     """
     n = graph.node_count
-    hop = np.full((n, n), UNREACHABLE, dtype=np.int64)
     row_bytes = -(-n // 64) * 8
-    packed = np.zeros((n, row_bytes), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(graph.adj, axis=1, bitorder="little")
-    rows = packed.view(np.uint64)
-    block = max(1, _LEVEL_BYTES // max(row_bytes * n, 1))
-    for start in range(0, n, block):
-        table = hop[start:start + block]
-        local = np.arange(table.shape[0])
-        sources = local + start
-        visited = np.zeros((sources.size, row_bytes), dtype=np.uint8)
-        visited[local, sources >> 3] = np.left_shift(1, sources & 7)
-        visited = visited.view(np.uint64)
-        table[local, sources] = 0
-        owner, node = local, sources
-        distance = 0
-        while node.size:
-            distance += 1
-            first = np.ones(owner.size, dtype=bool)
-            np.not_equal(owner[1:], owner[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            active = owner[starts]
-            reach = np.bitwise_or.reduceat(rows[node], starts, axis=0)
-            reach &= ~visited[active]
-            visited[active] |= reach
-            bits = np.unpackbits(reach.view(np.uint8), axis=1, count=n, bitorder="little")
-            hit, node = np.divmod(np.flatnonzero(bits.view(bool)), n)
-            owner = active[hit]
-            table[owner, node] = distance
+    reach = np.zeros((n, row_bytes), dtype=np.uint8)
+    ids = np.arange(n)
+    reach[ids, ids >> 3] = np.left_shift(1, ids & 7)
+    reach = reach.view(np.uint64)
+    full = np.bitwise_or.reduce(reach, axis=0)
+    chunks = list(_neighbour_chunks(graph.adj, row_bytes))
+    planes = []
+    distance = 0
+    while not (reach == full).all():
+        distance += 1
+        grown = np.empty_like(reach)
+        for rows, nodes, starts in chunks:
+            np.bitwise_or.reduceat(reach.take(nodes, axis=0), starts, axis=0, out=grown[rows])
+        fresh = grown ^ reach
+        if not fresh.any():
+            break
+        if distance >> len(planes):
+            planes.append(np.zeros_like(reach))
+        for digit, plane in enumerate(planes):
+            if distance >> digit & 1:
+                plane |= fresh
+        reach = grown
+    del chunks  # the neighbour lists, before the n x n decode
+    acc = np.zeros((n, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    while planes:
+        acc <<= 1
+        acc |= np.unpackbits(planes.pop().view(np.uint8), axis=1, count=n, bitorder="little")
+    hop = acc.astype(np.int64)
+    del acc
+    missing = np.unpackbits((~reach).view(np.uint8), axis=1, count=n, bitorder="little")
+    hop[missing.view(bool)] = UNREACHABLE
     return hop
 
 

@@ -164,7 +164,8 @@ class TestBitParallelKernel:
 
     @pytest.mark.parametrize("level_bytes", [1, 4000])
     def test_block_size_does_not_change_the_table(self, monkeypatch, level_bytes):
-        # one source per block; then blocks of 12, 3 and 2 sources at n = 40, 65, 100
+        # one node per chunk; then chunks of at most 500 and 250 gathered rows
+        # (8- and 16-byte rows), which split n = 65 in two and n = 100 in three
         monkeypatch.setattr(graph_module, "_LEVEL_BYTES", level_bytes)
         for seed, n in enumerate([1, 5, 40, 65, 100]):
             graph = edge_list_graph(n, 0.05, seed)
@@ -176,12 +177,12 @@ class TestBitParallelKernel:
         hop = d.hop_distance_table(graph)
         assert np.array_equal(hop, hop.T)
         assert np.array_equal(hop == 1, graph.adj)
-        # sources 0, 7, 14, ... reach into every block of 16 MB / (128 B x 1000)
+        # rows of every 7th source, spread over the whole deployment
         sources = list(range(0, 1000, 7))
         assert np.array_equal(hop[sources], reference_hops(graph, sources))
 
     def test_peak_memory_bounded_on_complete_graph(self):
-        # the int64 table is 32 MB; an unblocked level 2 would gather 1 GB
+        # the int64 table is 32 MB; one unchunked level would gather 1 GB of rows
         n = 2000
         graph = d.NetworkGraph(adj=~np.eye(n, dtype=bool))
         tracemalloc.start()
@@ -192,6 +193,54 @@ class TestBitParallelKernel:
             tracemalloc.stop()
         assert peak < 2 * 8 * n * n
         assert np.array_equal(hop, 1 - np.eye(n, dtype=np.int64))
+
+    def test_peak_memory_on_the_sparse_rgg(self):
+        # the table, a one-byte distance accumulator and a few packed n x n bit
+        # sets; a neighbour list of whole-graph int64 indices would not fit
+        n = 1000
+        graph = d.build_graph(d.deploy_random(n, 500.0, seed=3), 30.0)
+        tracemalloc.start()
+        try:
+            d.hop_distance_table(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
+    def test_empty_graph_and_empty_cluster_union(self):
+        hop = d.hop_distance_table(d.NetworkGraph(adj=np.zeros((0, 0), dtype=bool)))
+        assert hop.shape == (0, 0) and hop.dtype == np.int64
+        state = d.ClusterState(
+            node_count=3, clusters=[], critical=set(), hidden_masters_1=set(),
+            hidden_masters_2=set(), deferred=set(),
+        )
+        assert d.check_cluster_diameter(state, d.graph_from_edges(3, [(0, 1)])).passed
+
+    @pytest.mark.parametrize("n", [256, 257, 258, 300])
+    def test_paths_beyond_eight_distance_planes(self, n):
+        # diameters 255 to 299 around the one-byte accumulator's limit
+        graph = d.graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        hop = d.hop_distance_table(graph)
+        assert hop.dtype == np.int64
+        assert hop.max() == n - 1
+        assert np.array_equal(hop, reference_hops(graph))
+
+    @pytest.mark.parametrize("level_bytes", [1, 16 << 20])
+    def test_isolated_nodes_keep_their_own_rows(self, monkeypatch, level_bytes):
+        # isolated nodes 0 and 4 sit right before nodes that have neighbours, 9 at the end
+        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", level_bytes)
+        graph = d.graph_from_edges(10, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (3, 5)])
+        hop = d.hop_distance_table(graph)
+        assert np.array_equal(hop, reference_hops(graph))
+        for v in (0, 4, 9):
+            assert np.flatnonzero(hop[v] != d.UNREACHABLE).tolist() == [v]
+
+    def test_chunks_split_mid_graph(self, monkeypatch):
+        # 40-byte rows, so at most 500 gathered rows per chunk
+        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", 20000)
+        graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
+        assert len(list(graph_module._neighbour_chunks(graph.adj, 40))) > 1
+        assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
 
 
 def reference_euclid(positions):
