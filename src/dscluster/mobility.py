@@ -158,14 +158,16 @@ def hello_refresh(
     time: float = 0.0,
 ) -> tuple[NetworkGraph, list[MaintenanceEvent]]:
     """Rebuild adjacency from current positions and report every ordinary
-    member no longer adjacent to its own master or proxy."""
+    member no longer adjacent to its own master or proxy, by one adjacency
+    gather per cluster (ordinary members by leaders)."""
     graph = build_graph(positions, range_)
     events = []
     for cluster in sorted(state.clusters, key=lambda c: c.id):
         pair = (cluster.master, cluster.proxy)
-        for v in sorted(cluster.members - cluster.leaders):
-            if not any(graph.adjacent(v, leader) for leader in cluster.leaders):
-                events.append(MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair))
+        members = np.array(sorted(cluster.members - cluster.leaders), dtype=np.intp)
+        linked = graph.adj[np.ix_(members, sorted(cluster.leaders))].any(axis=1)
+        events += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, int(v), pair)
+                   for v in members[~linked]]
     return graph, events
 
 

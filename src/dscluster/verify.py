@@ -141,19 +141,18 @@ def check_dominance_and_independence(
     and no two masters are adjacent.  The two halves are reported
     separately in ``details`` (motion may be allowed to break master
     independence while dominance must still hold)."""
-    dominance_witnesses = []
-    for cluster in state.clusters:
-        for v in sorted(cluster.members - cluster.leaders):
-            dists = [hop[v, l] for l in cluster.leaders]
-            reachable = [d for d in dists if d != UNREACHABLE]
-            if not reachable or min(reachable) > 2:
-                dominance_witnesses.append({"cluster": cluster.id, "node": v})
-    independence_witnesses = []
+    ordinary = [sorted(cluster.members - cluster.leaders) for cluster in state.clusters]
+    nodes = np.array([v for members in ordinary for v in members], dtype=np.intp)
+    owner = np.repeat(np.arange(len(ordinary)), [len(members) for members in ordinary])
+    leaders = np.array([(c.master, c.master if c.proxy is None else c.proxy)
+                        for c in state.clusters], dtype=np.intp).reshape(-1, 2)[owner]
+    near = hop[nodes[:, None], leaders]
+    dominated = ((near != UNREACHABLE) & (near <= 2)).any(axis=1)
+    dominance_witnesses = [{"cluster": state.clusters[i].id, "node": int(v)}
+                           for i, v in zip(owner[~dominated], nodes[~dominated])]
     masters = sorted(state.masters())
-    for i, a in enumerate(masters):
-        for b in masters[i + 1:]:
-            if graph.adjacent(a, b):
-                independence_witnesses.append({"masters": [a, b]})
+    pairs = np.nonzero(np.triu(graph.adj[np.ix_(masters, masters)], 1))
+    independence_witnesses = [{"masters": [masters[i], masters[j]]} for i, j in zip(*pairs)]
     witnesses = dominance_witnesses + independence_witnesses
     return CheckResult(
         "dominance-and-independence",

@@ -128,6 +128,30 @@ class TestHelloRefresh:
         _, events = d.hello_refresh(positions, 6.0, state)
         assert all(e.node != 0 for e in events)  # 0 still reaches proxy 2
 
+    def test_gathers_match_the_loop_reference(self):
+        # clusters under shuffled ids, with and without proxies, overlapping
+        # and leader-only; exits must come out in (cluster id, node) order
+        rng = np.random.default_rng(11)
+        positions = d.deploy_random(60, 100.0, seed=4)
+        clusters = []
+        for _ in range(12):
+            master, proxy = rng.choice(60, size=2, replace=False).tolist()
+            members = set(rng.choice(60, size=int(rng.integers(0, 15))).tolist())
+            clusters.append((master, None if rng.random() < 0.3 else proxy, members))
+        state = _state(60, clusters)
+        for cluster, cid in zip(state.clusters, rng.permutation(len(clusters)) + 1):
+            cluster.id = int(cid)
+        graph, events = d.hello_refresh(positions, 20.0, state, time=3.0)
+        expected = [
+            mobility.MaintenanceEvent(3.0, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
+            for c in sorted(state.clusters, key=lambda c: c.id)
+            for v in sorted(c.members - c.leaders)
+            if not any(graph.adjacent(v, leader) for leader in c.leaders)
+        ]
+        assert len(expected) > 5
+        assert events == expected
+        assert all(type(e.node) is int for e in events)
+
 
 class TestFindCH:
     def test_single_adjacent_proxy_joins(self):

@@ -54,6 +54,41 @@ def _graph_and_clusters(draw):
     return d.graph_from_edges(n, edges), clusters
 
 
+def _loop_dominance_and_independence(state, graph, hop):
+    """(dominance, independence) witnesses by one scalar lookup per member
+    and leader and one adjacency test per pair of masters: the reference
+    for the gathered check."""
+    dominance = []
+    for cluster in state.clusters:
+        for v in sorted(cluster.members - cluster.leaders):
+            dists = [hop[v, l] for l in cluster.leaders]
+            reachable = [h for h in dists if h != d.UNREACHABLE]
+            if not reachable or min(reachable) > 2:
+                dominance.append({"cluster": cluster.id, "node": v})
+    independence = []
+    masters = sorted(state.masters())
+    for i, a in enumerate(masters):
+        for b in masters[i + 1:]:
+            if graph.adjacent(a, b):
+                independence.append({"masters": [a, b]})
+    return dominance, independence
+
+
+@st.composite
+def _graph_and_led_clusters(draw):
+    """A small, often disconnected graph and up to six clusters whose leaders
+    and members are any nodes: proxy-less, overlapping, sharing masters."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    nodes = st.integers(0, n - 1)
+    clusters = [
+        (draw(nodes), draw(st.none() | nodes), draw(st.sets(nodes)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return d.graph_from_edges(n, edges), _state(n, clusters)
+
+
 class TestClusterDiameter:
     @given(_graph_and_clusters())
     def test_single_bfs_matches_per_cluster_reference(self, drawn):
@@ -170,6 +205,29 @@ class TestPartition:
 
 
 class TestDominanceAndIndependence:
+    @given(_graph_and_led_clusters())
+    def test_gathers_match_the_loop_reference(self, drawn):
+        graph, state = drawn
+        dominance, independence = _loop_dominance_and_independence(
+            state, graph, d.hop_distance_table(graph))
+        check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        assert check.witnesses == dominance + independence
+        assert check.details == {"slave_dominance_ok": not dominance,
+                                 "master_independence_ok": not independence}
+
+    def test_unreachable_overlapping_and_proxy_less_clusters(self):
+        # 0-1-2-3 and 4-5 are separate components; 6 is isolated
+        graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        state = _state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}), (0, None, {0, 3})])
+        check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        assert check.witnesses == [
+            {"cluster": 1, "node": 4}, {"cluster": 2, "node": 3}, {"cluster": 2, "node": 6},
+            {"cluster": 3, "node": 3}, {"masters": [0, 1]},
+        ]
+        dominance, independence = _loop_dominance_and_independence(
+            state, graph, d.hop_distance_table(graph))
+        assert check.witnesses == dominance + independence
+
     def test_reference_final_state(self, bundle, paper_states):
         _, final, _ = paper_states
         check = d.check_dominance_and_independence(
