@@ -198,21 +198,20 @@ def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
     neighbours) in the narrowest unsigned dtype that holds every id, and
     where each node's run begins.  A chunk holds as many nodes as fit
     ``_LEVEL_BYTES`` of gathered rows, and at least one.  Every run is
-    non-empty, so ``reduceat`` never hands an isolated node the row that
-    follows it.
+    non-empty, so ``reduceat`` never hands an isolated node the first row
+    of the next node's run.
     """
     n = adj.shape[0]
     sizes = np.count_nonzero(adj, axis=1) + 1
     ends = np.cumsum(sizes)
+    firsts = ends - sizes
     budget = max(1, _LEVEL_BYTES // max(row_bytes, 1))
     dtype = np.min_scalar_type(max(n - 1, 0))
     a = 0
     while a < n:
-        base = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        starts = np.zeros(b - a, dtype=np.intp)
-        np.cumsum(sizes[a:b - 1], out=starts[1:])
-        nodes = np.empty(ends[b - 1] - base, dtype=dtype)
+        b = max(a + 1, int(np.searchsorted(ends, firsts[a] + budget, side="right")))
+        starts = firsts[a:b] - firsts[a]
+        nodes = np.empty(ends[b - 1] - firsts[a], dtype=dtype)
         own = np.zeros(nodes.size, dtype=bool)
         own[starts] = True
         nodes[starts] = np.arange(a, b)
