@@ -232,9 +232,9 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     at level ``d`` are ORed into the packed bit planes of the binary digits
     of ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
     BFS stops when every set is full or a level adds nothing.  The planes
-    are then unpacked into an accumulator of the narrowest unsigned dtype
-    that holds D, cast to int64 once, and every pair whose bit is missing
-    from the final set is UNREACHABLE.
+    are then unpacked into an accumulator of the narrowest signed dtype
+    that holds D, every pair whose bit is missing from the final set is
+    made UNREACHABLE there, and the accumulator is cast to int64 once.
     """
     n = graph.node_count
     row_bytes = -(-n // 64) * 8
@@ -261,15 +261,18 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
                 plane |= fresh
         reach = grown
     del chunks  # the neighbour lists, before the n x n decode
-    acc = np.zeros((n, n), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    acc = np.zeros((n, n), dtype=np.min_scalar_type(-(1 << len(planes))))
     while planes:
         acc <<= 1
-        acc |= np.unpackbits(planes.pop().view(np.uint8), axis=1, count=n, bitorder="little")
-    hop = acc.astype(np.int64)
-    del acc
-    missing = np.unpackbits((~reach).view(np.uint8), axis=1, count=n, bitorder="little")
-    hop[missing.view(bool)] = UNREACHABLE
-    return hop
+        acc |= _unpack(planes.pop(), n)
+    # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
+    acc -= _unpack(~reach, n)
+    return acc.astype(np.int64)
+
+
+def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of each packed row as 0/1 int8 entries."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
 
 
 def compute_tables(graph: NetworkGraph) -> DistanceTables:

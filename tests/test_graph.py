@@ -216,9 +216,10 @@ class TestBitParallelKernel:
         )
         assert d.check_cluster_diameter(state, d.graph_from_edges(3, [(0, 1)])).passed
 
-    @pytest.mark.parametrize("n", [256, 257, 258, 300])
+    @pytest.mark.parametrize("n", [128, 129, 256, 257, 258, 300])
     def test_paths_beyond_eight_distance_planes(self, n):
-        # diameters 255 to 299 around the one-byte accumulator's limit
+        # diameters around the limits of a one-byte signed accumulator (127)
+        # and of eight distance planes (255)
         graph = d.graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
         hop = d.hop_distance_table(graph)
         assert hop.dtype == np.int64
