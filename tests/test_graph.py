@@ -196,7 +196,7 @@ class TestBitParallelKernel:
 
     def test_peak_memory_on_the_sparse_rgg(self):
         # the table, a one-byte distance accumulator and a few packed n x n bit
-        # sets; a neighbour list of whole-graph int64 indices would not fit
+        # sets; decoding in int64 would need a second table
         n = 1000
         graph = d.build_graph(d.deploy_random(n, 500.0, seed=3), 30.0)
         tracemalloc.start()
