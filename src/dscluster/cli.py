@@ -57,10 +57,9 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(p, scenario_only=False):
-        if not scenario_only:
-            p.add_argument("--fixture", metavar="PATH",
-                           help="fixture document (graph + distance matrices)")
+    def add_input_flags(p):
+        p.add_argument("--fixture", metavar="PATH",
+                       help="fixture document (graph + distance matrices)")
         p.add_argument("--scenario", metavar="PATH",
                         help="scenario document (position mode)")
         p.add_argument("--seed", type=int, default=None,
@@ -156,7 +155,9 @@ def _cmd_verify(args) -> int:
         pairs = [
             (c.master, c.proxy) for c in state.clusters if c.proxy is not None
         ]
-        efficient = check_efficient_edge_domination(pairs, graph)
+        # a non-edge pair is already a double-star failure; count it here too
+        efficient = (all(graph.adjacent(m, p) for m, p in pairs)
+                     and check_efficient_edge_domination(pairs, graph))
         entry = CheckResult(
             "efficient-edge-domination", efficient,
             [] if efficient else [{"pairs": [list(p) for p in pairs]}],

@@ -23,7 +23,7 @@ a master on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -31,10 +31,6 @@ import numpy as np
 from .errors import DisconnectedGraphError, InvalidArgumentError
 from .graph import DistanceTables, NetworkGraph
 from .metrics import NetworkMetrics
-
-PHASE_FORMATION = "formation"
-PHASE_ADJUSTED = "adjusted"
-PHASE_MAINTENANCE = "maintenance"
 
 CLASS_PERFECT = "perfect"
 CLASS_FAIRLY_PERFECT = "fairly-perfect"
@@ -77,12 +73,16 @@ class NeighborPartitions:
 
 @dataclass
 class ClusterState:
-    """Snapshot of the clustering at the end of a phase.
+    """Snapshot of the clustering after formation, adjustment or a
+    maintenance step.
 
     ``hidden_masters_1``/``hidden_masters_2``/``deferred`` record the
     formation outcome and are kept unchanged through adjustment so reports
     can show how the final structure came about.  ``critical`` is the set
-    still awaiting treatment (empty after a completed adjustment).
+    still awaiting treatment.  A non-empty ``critical`` marks a state
+    mid-formation; an empty one means nothing is left to adjust (formation
+    was perfect, or adjustment or maintenance has run), so every node must
+    lie in exactly one cluster.
     """
 
     node_count: int
@@ -91,7 +91,6 @@ class ClusterState:
     hidden_masters_1: set[int]
     hidden_masters_2: set[int]
     deferred: set[int]
-    phase: str = PHASE_FORMATION
     events: list[dict] = field(default_factory=list)
 
     def copy(self) -> "ClusterState":
@@ -102,7 +101,6 @@ class ClusterState:
             hidden_masters_1=set(self.hidden_masters_1),
             hidden_masters_2=set(self.hidden_masters_2),
             deferred=set(self.deferred),
-            phase=self.phase,
             events=list(self.events),
         )
 
@@ -122,8 +120,11 @@ class ClusterState:
         return owner
 
     def statuses(self) -> dict[int, NodeStatus]:
+        """Role of every node.  Hidden masters show as hm1/hm2 only while
+        critical nodes are left; with ``critical`` empty they read as
+        slaves or unclustered nodes."""
         st: dict[int, NodeStatus] = {}
-        formation = self.phase == PHASE_FORMATION
+        formation = bool(self.critical)
         for c in self.clusters:
             for m in c.members:
                 if m == c.master:
@@ -229,7 +230,7 @@ def run_m_dsec(
         return ClusterState(
             node_count=1, clusters=[record], critical=set(),
             hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-            phase=PHASE_FORMATION, events=events,
+            events=events,
         )
     if metrics is None:
         raise InvalidArgumentError("metrics with weights are required for n > 1")
@@ -279,7 +280,7 @@ def run_m_dsec(
     return ClusterState(
         node_count=n, clusters=clusters, critical=critical,
         hidden_masters_1=hm1, hidden_masters_2=hm2, deferred=deferred,
-        phase=PHASE_FORMATION, events=events,
+        events=events,
     )
 
 
@@ -296,7 +297,9 @@ def run_adjusted(
     A critical node adjacent to a master never leads a cluster, so no two
     masters touch.  Members pulled into a new cluster leave their old one.
     Critical nodes that cannot form a cluster stay slaves if already
-    covered, otherwise become masters on their own.
+    covered, otherwise become masters on their own.  The result has an
+    empty ``critical``: nothing is left awaiting treatment, so a node the
+    pass failed to cover fails the partition check.
     """
     if not state.critical:
         return state
@@ -401,17 +404,7 @@ def run_adjusted(
         next_id += 1
 
     clusters = [working[cid] for cid in sorted(working)]
-    covered = set().union(*(c.members for c in clusters)) if clusters else set()
-    return ClusterState(
-        node_count=state.node_count,
-        clusters=clusters,
-        critical=set(range(state.node_count)) - covered,
-        hidden_masters_1=set(state.hidden_masters_1),
-        hidden_masters_2=set(state.hidden_masters_2),
-        deferred=set(state.deferred),
-        phase=PHASE_ADJUSTED,
-        events=events,
-    )
+    return replace(state, clusters=clusters, critical=set(), events=events)
 
 
 def form_and_adjust(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ClusterRecord, ClusterState, PHASE_ADJUSTED, PHASE_FORMATION
+from .engine import ClusterRecord, ClusterState
 from .errors import SchemaError
 from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixture
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
@@ -64,7 +64,7 @@ def _require(doc: dict, key: str, kind, where: str):
         if not _is_number(value):
             raise SchemaError(f"{where}: field '{key}' must be a finite number")
         return float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):  # bool subclasses int
         raise SchemaError(f"{where}: field '{key}' must be {kind.__name__}")
     return value
 
@@ -220,8 +220,6 @@ def state_from_report(report: dict) -> ClusterState:
             id=cid, master=c["master"], proxy=proxy,
             members=nodes(c.get("members"), f"cluster {cid} members"),
         ))
-    classification = report.get("classification", "")
-    phase = PHASE_FORMATION if classification == "perfect" else PHASE_ADJUSTED
     return ClusterState(
         node_count=node_count,
         clusters=clusters,
@@ -229,7 +227,6 @@ def state_from_report(report: dict) -> ClusterState:
         hidden_masters_1=nodes(report.get("hm1", []), "'hm1'"),
         hidden_masters_2=nodes(report.get("hm2", []), "'hm2'"),
         deferred=nodes(report.get("deferred", []), "'deferred'"),
-        phase=phase,
     )
 
 

@@ -64,9 +64,6 @@ class NetworkGraph:
     def neighbors(self, u: int) -> list[int]:
         return [int(v) for v in np.flatnonzero(self.adj[u])]
 
-    def degree(self, u: int) -> int:
-        return int(self.adj[u].sum())
-
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
 

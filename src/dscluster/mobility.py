@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    PHASE_MAINTENANCE,
-    ClusterRecord,
-    ClusterState,
-    form_and_adjust,
-)
+from .engine import ClusterRecord, ClusterState, form_and_adjust
 from .errors import DisconnectedGraphError, InvalidArgumentError
 from .graph import (
     NetworkGraph,
@@ -144,7 +139,7 @@ def step_positions(
     pos = np.asarray(positions, dtype=float)
     n = pos.shape[0]
     headings = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    speeds = rng.uniform(0.0, v_max, size=n) if v_max > 0 else np.zeros(n)
+    speeds = rng.uniform(0.0, v_max, size=n)
     delta = (speeds * dt)[:, None] * np.stack(
         [np.cos(headings), np.sin(headings)], axis=1
     )
@@ -227,7 +222,6 @@ class _Simulation:
             self.graph, tables, self.metrics
         )
         self.state = self.adjusted.copy()
-        self.state.phase = PHASE_MAINTENANCE
         self.events: list[MaintenanceEvent] = []
         self.summaries: list[dict] = []
 
@@ -269,7 +263,6 @@ class _Simulation:
                 if s.force_recluster:
                     _, adjusted, _ = form_and_adjust(self.graph, tables, self.metrics)
                     self.state = adjusted.copy()
-                    self.state.phase = PHASE_MAINTENANCE
                     reclustered = True
             else:
                 warnings.append(

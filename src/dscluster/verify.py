@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ClusterState, PHASE_FORMATION
+from .engine import ClusterState
 from .errors import InvalidArgumentError, SizeLimitError
 from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
@@ -27,14 +27,6 @@ class CheckResult:
     note: str = ""
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "passed": self.passed, "witnesses": self.witnesses}
-        if self.note:
-            out["note"] = self.note
-        if self.details:
-            out["details"] = self.details
-        return out
-
 
 @dataclass
 class PropertyReport:
@@ -45,17 +37,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "radius": self.radius,
-            "diameter": self.diameter,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
@@ -110,9 +91,10 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
 
 
 def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
-    """Cluster member sets are pairwise disjoint.  Once formation is
-    complete (no critical set) or adjustment / maintenance has run, every
-    node must additionally lie in exactly one cluster."""
+    """Cluster member sets are pairwise disjoint.  With an empty critical
+    set (formation left nothing to adjust, or adjustment or maintenance has
+    run) every node must additionally lie in exactly one cluster;
+    mid-formation only critical nodes may lie outside every cluster."""
     witnesses = []
     seen: dict[int, int] = {}
     for cluster in state.clusters:
@@ -121,13 +103,11 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
                 witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
             else:
                 seen[v] = cluster.id
-    coverage_required = state.phase != PHASE_FORMATION or not state.critical
-    if coverage_required:
+    if not state.critical:
         for v in range(state.node_count):
             if v not in seen:
                 witnesses.append({"node": v, "uncovered": True})
     else:
-        # mid-formation, only critical nodes may sit outside every cluster
         uncovered = {v for v in range(state.node_count) if v not in seen}
         for v in sorted(uncovered - state.critical):
             witnesses.append({"node": v, "uncovered_non_critical": True})

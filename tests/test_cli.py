@@ -214,6 +214,12 @@ MALFORMED = [
     pytest.param("report", lambda r: r["clusters"].append(3), "object",
                  id="cluster-not-object"),
     pytest.param("report", lambda r: r.update(hm1=[[1]]), "'hm1'", id="hm1-not-nodes"),
+    pytest.param("scenario", _scenario_doc(node_count=True), "'node_count' must be int",
+                 id="bool-node-count"),
+    pytest.param("scenario", _scenario_doc(steps=True), "'steps' must be int", id="bool-steps"),
+    pytest.param("scenario", _scenario_doc(seed=False), "'seed' must be int", id="bool-seed"),
+    pytest.param("fixture", _path_fixture(nodes=True), "'nodes' must be int", id="bool-nodes"),
+    pytest.param("report", _set_cluster("id", True), "'id' must be int", id="bool-cluster-id"),
 ]
 
 
@@ -319,8 +325,9 @@ class TestVerifyCommand:
                      "--fixture", FIXTURE_PATH]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    def test_perfect_classification_adds_domination_checks(self, tmp_path, capsys):
-        # build a star fixture: perfect single cluster
+    @staticmethod
+    def _star_fixture(tmp_path):
+        """A hub with four unit-range spokes: a perfect single cluster."""
         euclid = np.full((5, 5), 2.0)
         np.fill_diagonal(euclid, 0.0)
         for v in range(1, 5):
@@ -331,7 +338,10 @@ class TestVerifyCommand:
             "euclid": euclid.tolist(),
             "ns_override": [400.0, 100.0, 100.0, 100.0, 100.0],
         }
-        fixture_path = _write(tmp_path, "star.json", fixture)
+        return _write(tmp_path, "star.json", fixture)
+
+    def test_perfect_classification_adds_domination_checks(self, tmp_path, capsys):
+        fixture_path = self._star_fixture(tmp_path)
         report_path = tmp_path / "report.json"
         main(["cluster", "--fixture", fixture_path, "--out", str(report_path)])
         assert json.loads(report_path.read_text())["classification"] == "perfect"
@@ -340,6 +350,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "efficient-edge-domination" in out
         assert "cluster-count-equals-line-graph-domination" in out
+
+    def test_perfect_report_with_non_edge_pair_fails_every_line(self, tmp_path, capsys):
+        """Two leaves as master and proxy are no edge: the perfect-only
+        check fails alongside the double star, and every line prints."""
+        fixture_path = self._star_fixture(tmp_path)
+        report_path = tmp_path / "report.json"
+        main(["cluster", "--fixture", fixture_path, "--out", str(report_path)])
+        doc = json.loads(report_path.read_text())
+        doc["clusters"][0].update(master=1, proxy=2)
+        report_path.write_text(json.dumps(doc))
+        assert main(["verify", "--report", str(report_path),
+                     "--fixture", fixture_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL  double-star" in captured.out
+        assert "witness: {'cluster': 1, 'missing_edge': [1, 2]}" in captured.out
+        assert "FAIL  efficient-edge-domination" in captured.out
+        assert "witness: {'pairs': [[1, 2]]}" in captured.out
+        assert "cluster-count-equals-line-graph-domination" in captured.out
 
 
 class TestSimulateCommand:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.cli import main
-from dscluster.engine import PHASE_ADJUSTED, PHASE_FORMATION
 from dscluster.errors import DisconnectedGraphError
 
 from conftest import connected_rgg_suite
@@ -229,6 +228,11 @@ class TestFormation:
         assert record.proxy == 1
         assert record.members == {0, 1, 2, 3, 4}
         assert formation.critical == set()
+        # no critical node left: hidden masters never show, full coverage is required
+        assert not {"hm1", "hm2"} & {s.value for s in formation.statuses().values()}
+        dropped = formation.copy()
+        dropped.clusters[0].members.discard(4)
+        assert not d.check_partition(dropped, graph).passed
 
     def test_disconnected_refused(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
@@ -295,7 +299,7 @@ class TestTieBreaking:
 class TestAdjustment:
     def test_reference_adjusted_clusters(self, paper_states):
         _, final, _ = paper_states
-        assert final.phase == PHASE_ADJUSTED
+        assert final.critical == set()
         assert _clusters_as_tuples(final) == {
             (3, 1, (0, 1, 2, 3, 4, 5, 22)),
             (18, 16, (16, 17, 18, 19, 21)),
@@ -377,7 +381,7 @@ class TestEnginePassesItsVerifier:
         metrics = d.compute_network_metrics(graph, tables)
         _, final, _ = d.form_and_adjust(graph, tables, metrics)
         report = d.run_property_checks(final, graph, tables.hop)
-        assert report.passed, [c.to_dict() for c in report.failures()]
+        assert report.passed, [c for c in report.checks if not c.passed]
 
         with tempfile.TemporaryDirectory() as tmp:
             scenario, out, text = (Path(tmp, name) for name in ("s.json", "r.json", "v.txt"))

@@ -30,7 +30,6 @@ def _state(node_count, clusters):
     return d.ClusterState(
         node_count=node_count, clusters=records, critical=set(),
         hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-        phase="maintenance",
     )
 
 
@@ -78,6 +77,17 @@ class TestStepPositions:
         pos = d.deploy_random(20, 100.0, seed=1)
         moved = d.step_positions(pos, v_max=0.0, dt=1.0, terrain_size=100.0, rng=rng)
         assert np.array_equal(moved, pos)
+
+    def test_draws_do_not_depend_on_speed(self):
+        """A step makes the same draws at any v_max, so one seed drives
+        comparable trajectories across speeds."""
+        pos = d.deploy_random(20, 100.0, seed=1)
+        states = []
+        for v_max in (0.0, 5.0):
+            rng = np.random.default_rng(3)
+            d.step_positions(pos, v_max=v_max, dt=1.0, terrain_size=100.0, rng=rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]
 
     def test_reflection_keeps_positions_in_bounds(self):
         rng = np.random.default_rng(5)

@@ -4,13 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
-from dscluster.engine import PHASE_ADJUSTED
 from dscluster.errors import InvalidArgumentError, SizeLimitError
 
 from conftest import random_edge_graph
 
 
-def _state(node_count, clusters, phase=PHASE_ADJUSTED):
+def _state(node_count, clusters):
     records = [
         d.ClusterRecord(id=i + 1, master=m, proxy=p, members=set(members))
         for i, (m, p, members) in enumerate(clusters)
@@ -18,7 +17,6 @@ def _state(node_count, clusters, phase=PHASE_ADJUSTED):
     return d.ClusterState(
         node_count=node_count, clusters=records, critical=set(),
         hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-        phase=phase,
     )
 
 
@@ -194,7 +192,7 @@ class TestPartition:
         check = d.check_partition(broken, bundle.graph)
         assert not check.passed
 
-    def test_formation_phase_allows_critical_outside(self, bundle, paper_states):
+    def test_formation_allows_critical_outside(self, bundle, paper_states):
         formation, _, _ = paper_states
         assert d.check_partition(formation, bundle.graph).passed
 
@@ -338,7 +336,6 @@ class TestReport:
         report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
         assert (report.radius, report.diameter) == (6, 7)
         assert report.passed
-        assert report.failures() == []
 
     def test_disconnected_radius_none(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
@@ -347,11 +344,10 @@ class TestReport:
         report = d.run_property_checks(state, graph, hop)
         assert report.radius is None and report.diameter is None
 
-    def test_to_dict_shape(self, bundle, paper_states):
+    def test_check_order(self, bundle, paper_states):
         _, final, _ = paper_states
-        doc = d.run_property_checks(final, bundle.graph, bundle.tables.hop).to_dict()
-        assert set(doc) == {"passed", "radius", "diameter", "checks"}
-        assert [c["name"] for c in doc["checks"]] == [
+        report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
+        assert [c.name for c in report.checks] == [
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
         ]
