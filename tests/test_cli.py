@@ -3,8 +3,8 @@ import math
 import re
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import dscluster as d
@@ -12,6 +12,8 @@ from dscluster.cli import main
 from dscluster.graph import MAX_NODES
 
 FIXTURE_PATH = str(resources.files("dscluster.data").joinpath("paper23.json"))
+#: A hub with four unit-range spokes: a perfect single cluster.
+STAR_PATH = str(Path(__file__).parent / "data" / "star.json")
 
 
 def _scenario_doc(**extra):
@@ -325,28 +327,12 @@ class TestVerifyCommand:
                      "--fixture", FIXTURE_PATH]) == 2
         assert "FAIL" in capsys.readouterr().out
 
-    @staticmethod
-    def _star_fixture(tmp_path):
-        """A hub with four unit-range spokes: a perfect single cluster."""
-        euclid = np.full((5, 5), 2.0)
-        np.fill_diagonal(euclid, 0.0)
-        for v in range(1, 5):
-            euclid[0, v] = euclid[v, 0] = 1.0
-        fixture = {
-            "nodes": 5,
-            "edges": [[0, v] for v in range(1, 5)],
-            "euclid": euclid.tolist(),
-            "ns_override": [400.0, 100.0, 100.0, 100.0, 100.0],
-        }
-        return _write(tmp_path, "star.json", fixture)
-
     def test_perfect_classification_adds_domination_checks(self, tmp_path, capsys):
-        fixture_path = self._star_fixture(tmp_path)
         report_path = tmp_path / "report.json"
-        main(["cluster", "--fixture", fixture_path, "--out", str(report_path)])
+        main(["cluster", "--fixture", STAR_PATH, "--out", str(report_path)])
         assert json.loads(report_path.read_text())["classification"] == "perfect"
         assert main(["verify", "--report", str(report_path),
-                     "--fixture", fixture_path]) == 0
+                     "--fixture", STAR_PATH]) == 0
         out = capsys.readouterr().out
         assert "efficient-edge-domination" in out
         assert "cluster-count-equals-line-graph-domination" in out
@@ -354,14 +340,13 @@ class TestVerifyCommand:
     def test_perfect_report_with_non_edge_pair_fails_every_line(self, tmp_path, capsys):
         """Two leaves as master and proxy are no edge: the perfect-only
         check fails alongside the double star, and every line prints."""
-        fixture_path = self._star_fixture(tmp_path)
         report_path = tmp_path / "report.json"
-        main(["cluster", "--fixture", fixture_path, "--out", str(report_path)])
+        main(["cluster", "--fixture", STAR_PATH, "--out", str(report_path)])
         doc = json.loads(report_path.read_text())
         doc["clusters"][0].update(master=1, proxy=2)
         report_path.write_text(json.dumps(doc))
         assert main(["verify", "--report", str(report_path),
-                     "--fixture", fixture_path]) == 2
+                     "--fixture", STAR_PATH]) == 2
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "FAIL  double-star" in captured.out

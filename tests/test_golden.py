@@ -14,6 +14,15 @@ Covered:
   type-I hidden-master adjustment, pruned clusters and singleton masters.
 - ``simulate`` with v_max 5 over 20 steps, seeds 1 and 2: the report and
   the event NDJSON, both of which include ``become-master`` events.
+  Seed 2 is also run with ``--recompute-weights --force-recluster``:
+  every refresh re-forms the clusters (formation and adjustment during
+  maintenance) except one whose graph is disconnected, which falls back
+  to re-affiliation and logs its events.
+- ``perfect`` reports, whose ``verify`` adds the two perfect-only checks:
+  the scenario n = 9, terrain 100, range 37, seed 71 (both lines FAIL,
+  exit 2: the edge (1, 8) touches no master or proxy) and the
+  hub-with-four-spokes fixture ``tests/data/star.json`` (exit 0).
+  ``cluster`` JSON and ``verify`` of that very report for each.
 - scenarios n = 300 (terrain 274, seed 1) and n = 1000 (terrain 500,
   seed 3), range 30: ``metrics`` JSON, ``cluster`` JSON and ``verify`` of
   that report, pinned as sha256 digests rather than files.  At these
@@ -21,9 +30,10 @@ Covered:
   scenario is also pinned through ``simulate`` (report and event NDJSON),
   whose every refresh summary reads a fresh hop table.
 
-Every scenario report passes its own ``verify`` (exit 0): adjustment
-never promotes a critical node adjacent to a master, so no two masters
-are adjacent.
+Every scenario report passes the four structural checks of its own
+``verify``: adjustment never promotes a critical node adjacent to a
+master, so no two masters are adjacent.  Only the perfect-only checks
+fail, on the n = 9 report.
 """
 import hashlib
 import json
@@ -36,42 +46,54 @@ from dscluster.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FIXTURE = str(resources.files("dscluster.data").joinpath("paper23.json"))
+STAR = str(Path(__file__).parent / "data" / "star.json")
 
 
-def _scenario_doc(seed: int, node_count: int = 40, terrain_size: float = 100.0) -> dict:
+def _scenario_doc(seed: int, node_count: int = 40, terrain_size: float = 100.0,
+                  range_: float = 30.0) -> dict:
     return {
-        "node_count": node_count, "terrain_size": terrain_size, "range": 30.0, "v_max": 5.0,
+        "node_count": node_count, "terrain_size": terrain_size, "range": range_, "v_max": 5.0,
         "broadcast_interval": 1.0, "dt": 1.0, "steps": 20, "seed": seed,
     }
 
 
 def _cases():
-    """(id, argv without inputs/outputs, scenario seed or None, exit code,
-    golden files in the order --out, --events)."""
+    """(id, argv without inputs/outputs, scenario document or None, exit
+    code, golden files in the order --out, --events)."""
     yield "paper23-cluster", ["cluster", "--fixture", FIXTURE], None, 0, ["paper23.cluster.json"]
     yield ("paper23-dot", ["cluster", "--fixture", FIXTURE, "--format", "dot"], None, 0,
            ["paper23.cluster.dot"])
     yield "paper23-metrics", ["metrics", "--fixture", FIXTURE], None, 0, ["paper23.metrics.json"]
     for seed in (1, 2, 3):
         report = f"seed{seed}.cluster.json"
-        yield f"seed{seed}-cluster", ["cluster"], seed, 0, [report]
-        yield f"seed{seed}-dot", ["cluster", "--format", "dot"], seed, 0, [f"seed{seed}.cluster.dot"]
-        yield (f"seed{seed}-verify", ["verify", "--report", str(GOLDEN / report)], seed, 0,
+        doc = _scenario_doc(seed)
+        yield f"seed{seed}-cluster", ["cluster"], doc, 0, [report]
+        yield f"seed{seed}-dot", ["cluster", "--format", "dot"], doc, 0, [f"seed{seed}.cluster.dot"]
+        yield (f"seed{seed}-verify", ["verify", "--report", str(GOLDEN / report)], doc, 0,
                [f"seed{seed}.verify.txt"])
     for seed in (1, 2):
-        yield (f"seed{seed}-simulate", ["simulate"], seed, 0,
+        yield (f"seed{seed}-simulate", ["simulate"], _scenario_doc(seed), 0,
                [f"seed{seed}.simulate.json", f"seed{seed}.events.ndjson"])
+    yield ("seed2-recluster", ["simulate", "--recompute-weights", "--force-recluster"],
+           _scenario_doc(2), 0, ["seed2.recluster.simulate.json", "seed2.recluster.events.ndjson"])
+    perfect9 = _scenario_doc(71, node_count=9, range_=37.0)
+    yield "perfect9-cluster", ["cluster"], perfect9, 0, ["perfect9.cluster.json"]
+    yield ("perfect9-verify", ["verify", "--report", str(GOLDEN / "perfect9.cluster.json")],
+           perfect9, 2, ["perfect9.verify.txt"])
+    yield "star-cluster", ["cluster", "--fixture", STAR], None, 0, ["star.cluster.json"]
+    yield ("star-verify", ["verify", "--fixture", STAR, "--report", str(GOLDEN / "star.cluster.json")],
+           None, 0, ["star.verify.txt"])
 
 
 CASES = list(_cases())
 
 
-def run_case(argv, seed, directory: Path, count: int) -> tuple[int, list[Path]]:
+def run_case(argv, scenario_doc, directory: Path, count: int) -> tuple[int, list[Path]]:
     """Run one case, writing its outputs into ``directory``."""
     argv = list(argv)
-    if seed is not None:
-        scenario = directory / f"seed{seed}.scenario.json"
-        scenario.write_text(json.dumps(_scenario_doc(seed)))
+    if scenario_doc is not None:
+        scenario = directory / "scenario.json"
+        scenario.write_text(json.dumps(scenario_doc))
         argv += ["--scenario", str(scenario)]
     outputs = [directory / f"output{i}" for i in range(count)]
     for flag, path in zip(("--out", "--events"), outputs):
@@ -80,10 +102,10 @@ def run_case(argv, seed, directory: Path, count: int) -> tuple[int, list[Path]]:
 
 
 @pytest.mark.parametrize(
-    "argv, seed, code, goldens", [pytest.param(*c[1:], id=c[0]) for c in CASES]
+    "argv, scenario_doc, code, goldens", [pytest.param(*c[1:], id=c[0]) for c in CASES]
 )
-def test_output_matches_golden(argv, seed, code, goldens, tmp_path):
-    exit_code, outputs = run_case(argv, seed, tmp_path, len(goldens))
+def test_output_matches_golden(argv, scenario_doc, code, goldens, tmp_path):
+    exit_code, outputs = run_case(argv, scenario_doc, tmp_path, len(goldens))
     assert exit_code == code
     for path, name in zip(outputs, goldens):
         assert path.read_bytes() == (GOLDEN / name).read_bytes(), name
