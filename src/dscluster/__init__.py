@@ -11,6 +11,7 @@ from .engine import (
     ClusterRecord,
     ClusterState,
     NodeStatus,
+    classification,
     elect_proxy,
     form_and_adjust,
     master_eligibility,
@@ -64,6 +65,7 @@ from .verify import (
     check_efficient_edge_domination,
     check_partition,
     line_graph_domination_number,
+    perfect_claims,
     run_property_checks,
 )
 

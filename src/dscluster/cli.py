@@ -27,13 +27,7 @@ from .errors import (
 from .graph import build_graph, compute_tables, deploy_random
 from .metrics import WeightConfig, compute_network_metrics
 from .mobility import run_simulation
-from .verify import (
-    EDGE_LIMIT,
-    CheckResult,
-    check_efficient_edge_domination,
-    line_graph_domination_number,
-    run_property_checks,
-)
+from .verify import perfect_claims, run_property_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,11 +119,11 @@ def _cmd_cluster(args) -> int:
     metrics = None
     if graph.node_count > 1:
         metrics = compute_network_metrics(graph, tables, config, overrides)
-    formation, final, classification = form_and_adjust(graph, tables, metrics)
+    formation, final = form_and_adjust(graph, tables, metrics)
     if args.format == "dot":
         fileio.write_text(fileio.dot_graph(final, graph), args.out)
     else:
-        report = fileio.cluster_report(formation, final, classification)
+        report = fileio.cluster_report(formation, final)
         fileio.write_text(fileio.to_json(report), args.out)
     return EXIT_OK
 
@@ -152,24 +146,7 @@ def _cmd_verify(args) -> int:
         )
     report = run_property_checks(state, graph, tables.hop)
     if report_doc.get("classification") == CLASS_PERFECT:
-        pairs = [
-            (c.master, c.proxy) for c in state.clusters if c.proxy is not None
-        ]
-        # a non-edge pair is already a double-star failure; count it here too
-        efficient = (all(graph.adjacent(m, p) for m, p in pairs)
-                     and check_efficient_edge_domination(pairs, graph))
-        entry = CheckResult(
-            "efficient-edge-domination", efficient,
-            [] if efficient else [{"pairs": [list(p) for p in pairs]}],
-        )
-        report.checks.append(entry)
-        if graph.edge_count() <= EDGE_LIMIT:
-            gamma = line_graph_domination_number(graph)
-            report.checks.append(CheckResult(
-                "cluster-count-equals-line-graph-domination",
-                len(pairs) == gamma,
-                [] if len(pairs) == gamma else [{"pairs": len(pairs), "gamma": gamma}],
-            ))
+        report.checks += perfect_claims(state, graph)
     lines = [f"radius={report.radius} diameter={report.diameter}"]
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

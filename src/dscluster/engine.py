@@ -179,7 +179,8 @@ def elect_proxy(
     (the cluster then forms with a master only)."""
     nbrs = np.flatnonzero(hop[master] == 1)
     _, separated = _leader_distances(nbrs, elected_pairs, hop)
-    return max((int(v) for v in nbrs[separated]), key=metrics.rank, default=None)
+    candidates = nbrs[separated].tolist()
+    return max(candidates, key=metrics.rank) if candidates else None
 
 
 def neighbor_partitions(
@@ -214,25 +215,13 @@ def run_m_dsec(
     graph: NetworkGraph, tables: DistanceTables, metrics: NetworkMetrics | None
 ) -> ClusterState:
     """Formation pass: returns clusters, hidden masters, the critical set
-    and the deferred set.  Refuses disconnected graphs."""
+    and the deferred set.  Refuses disconnected graphs.  A lone node needs
+    no weights: it is its own master."""
     components = graph.components()
     if len(components) > 1:
         raise DisconnectedGraphError(components)
     n = graph.node_count
-    if n == 1:
-        # Degenerate network: the lone node is its own master, no weights needed.
-        record = ClusterRecord(id=1, master=0, proxy=None, members={0})
-        events = [
-            {"action": "elect_master", "node": 0},
-            {"action": "form_cluster", "id": 1, "master": 0, "proxy": None,
-             "members": [0], "hidden_masters": []},
-        ]
-        return ClusterState(
-            node_count=1, clusters=[record], critical=set(),
-            hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-            events=events,
-        )
-    if metrics is None:
+    if metrics is None and n > 1:
         raise InvalidArgumentError("metrics with weights are required for n > 1")
 
     hop = tables.hop
@@ -245,7 +234,8 @@ def run_m_dsec(
     pairs: list[tuple[int, int | None]] = []
     events: list[dict] = []
 
-    for x in sorted(range(n), key=metrics.rank, reverse=True):
+    order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
+    for x in order:
         if x in clustered:
             continue
         if not master_eligibility(x, pairs, hop):
@@ -273,10 +263,8 @@ def run_m_dsec(
         })
 
     critical = (set(range(n)) - clustered) | hm1
-    hm2 = {
-        v for v in deferred
-        if v not in clustered and not any(graph.adjacent(v, p) for p in proxies)
-    }
+    proxy_list = sorted(proxies)
+    hm2 = {v for v in deferred if v not in clustered and not graph.adj[v, proxy_list].any()}
     return ClusterState(
         node_count=n, clusters=clusters, critical=critical,
         hidden_masters_1=hm1, hidden_masters_2=hm2, deferred=deferred,
@@ -308,8 +296,7 @@ def run_adjusted(
     membership = state.membership()
     masters = state.masters()
     proxies = state.proxies()
-    unresolved = set(state.critical)
-    leftovers: list[int] = []
+    pending = set(state.critical)  # critical nodes no new cluster has absorbed yet
     events = list(state.events)
     next_id = max(working, default=0) + 1
 
@@ -335,9 +322,8 @@ def run_adjusted(
                 v for v in graph.neighbors(c)
                 if v != adjacent_proxy and v not in masters and v not in proxies
             }
-            still_critical = unresolved | set(leftovers)
             for partner in sorted(base, key=metrics.rank, reverse=True):
-                if partner in still_critical:
+                if partner in pending:
                     if partner in state.hidden_masters_1:
                         extra = partitions(partner).n_dprime
                     else:
@@ -362,12 +348,8 @@ def run_adjusted(
             lost.setdefault(old, []).append(node)
 
     for c in sorted(state.critical, key=metrics.rank, reverse=True):
-        if c not in unresolved:
-            continue
-        unresolved.discard(c)
-        outcome = attempt(c)
+        outcome = attempt(c) if c in pending else None
         if outcome is None:
-            leftovers.append(c)
             continue
         partner, members = outcome
         members -= masters | proxies  # existing leaders are never pulled
@@ -389,11 +371,10 @@ def run_adjusted(
                     "action": "prune_cluster", "id": old_id,
                     "removed": sorted(lost[old_id]),
                 })
-        unresolved -= members
-        leftovers = [v for v in leftovers if v not in members]
+        pending -= members
         next_id += 1
 
-    for c in leftovers:
+    for c in sorted(pending, key=metrics.rank, reverse=True):
         if membership.get(c) is not None:
             continue  # still covered as a slave; nothing left to improve
         record = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
@@ -407,17 +388,18 @@ def run_adjusted(
     return replace(state, clusters=clusters, critical=set(), events=events)
 
 
+def classification(formation: ClusterState) -> str:
+    """Perfect when formation leaves no critical node, otherwise
+    fairly-perfect: adjustment covers every critical node, as a singleton
+    master if need be."""
+    return CLASS_FAIRLY_PERFECT if formation.critical else CLASS_PERFECT
+
+
 def form_and_adjust(
     graph: NetworkGraph, tables: DistanceTables, metrics: NetworkMetrics | None
-) -> tuple[ClusterState, ClusterState, str]:
-    """Run formation, then adjustment when critical nodes remain.
-
-    Returns (formation state, final state, classification): perfect when
-    formation leaves no critical node (the final state is then the
-    formation state itself), otherwise fairly-perfect, because adjustment
-    covers every critical node, as a singleton master if need be.
-    """
+) -> tuple[ClusterState, ClusterState]:
+    """(formation state, final state).  Adjustment returns a formation that
+    left no critical node unchanged, so a perfect formation is its own
+    final state."""
     initial = run_m_dsec(graph, tables, metrics)
-    if not initial.critical:
-        return initial, initial, CLASS_PERFECT
-    return initial, run_adjusted(initial, graph, metrics, tables.hop), CLASS_FAIRLY_PERFECT
+    return initial, run_adjusted(initial, graph, metrics, tables.hop)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ClusterRecord, ClusterState
+from .engine import ClusterRecord, ClusterState, classification
 from .errors import SchemaError
 from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixture
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
@@ -176,11 +176,10 @@ def _cluster_dicts(state: ClusterState) -> list[dict]:
     ]
 
 
-def cluster_report(
-    formation: ClusterState, final: ClusterState, classification: str
-) -> dict:
+def cluster_report(formation: ClusterState, final: ClusterState) -> dict:
     """The cluster report document: final clusters and statuses plus the
-    formation-phase bookkeeping and the full event trail."""
+    formation-phase bookkeeping, the classification and the full event
+    trail."""
     statuses = final.statuses()
     return {
         "clusters": _cluster_dicts(final),
@@ -189,7 +188,7 @@ def cluster_report(
         "hm1": sorted(formation.hidden_masters_1),
         "hm2": sorted(formation.hidden_masters_2),
         "deferred": sorted(formation.deferred),
-        "classification": classification,
+        "classification": classification(formation),
         "events": list(final.events),
     }
 
@@ -252,12 +251,11 @@ def metrics_records(metrics: NetworkMetrics) -> list[dict]:
 
 def simulation_report(result: SimulationResult) -> dict:
     final_statuses = result.final_state.statuses()
+    formation = cluster_report(result.formation_state, result.adjusted_state)
     return {
         "scenario": scenario_to_dict(result.scenario),
-        "classification": result.classification,
-        "formation": cluster_report(
-            result.formation_state, result.adjusted_state, result.classification
-        ),
+        "classification": formation["classification"],
+        "formation": formation,
         "final_clusters": _cluster_dicts(result.final_state),
         "final_statuses": {
             str(v): final_statuses[v].value for v in range(result.final_state.node_count)

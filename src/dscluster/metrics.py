@@ -63,7 +63,6 @@ class NetworkMetrics:
     bands: np.ndarray | None
     ns_values: np.ndarray
     weights: np.ndarray
-    config: WeightConfig
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -275,4 +274,4 @@ def compute_network_metrics(
                 f"node {zero[0]}: weight undefined, its eccentricity, MHD or MED is zero"
             )
         weights = combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
-    return NetworkMetrics(deg, g_h, g_ed, cci, ecc, mhd, med, bands, ns, weights, config)
+    return NetworkMetrics(deg, g_h, g_ed, cci, ecc, mhd, med, bands, ns, weights)

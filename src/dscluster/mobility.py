@@ -113,7 +113,6 @@ class SimulationResult:
     formation_state: ClusterState
     adjusted_state: ClusterState
     final_state: ClusterState
-    classification: str
     events: list[MaintenanceEvent]
     summaries: list[dict]
     positions: np.ndarray
@@ -218,9 +217,7 @@ class _Simulation:
             raise DisconnectedGraphError(self.graph.components())
         tables = compute_tables(self.graph)
         self.metrics = compute_network_metrics(self.graph, tables, self.config)
-        self.formation, self.adjusted, self.classification = form_and_adjust(
-            self.graph, tables, self.metrics
-        )
+        self.formation, self.adjusted = form_and_adjust(self.graph, tables, self.metrics)
         self.state = self.adjusted.copy()
         self.events: list[MaintenanceEvent] = []
         self.summaries: list[dict] = []
@@ -243,7 +240,6 @@ class _Simulation:
             formation_state=self.formation,
             adjusted_state=self.adjusted,
             final_state=self.state,
-            classification=self.classification,
             events=self.events,
             summaries=self.summaries,
             positions=self.positions,
@@ -261,7 +257,7 @@ class _Simulation:
                 if s.recompute_weights:
                     self.metrics = compute_network_metrics(self.graph, tables, self.config)
                 if s.force_recluster:
-                    _, adjusted, _ = form_and_adjust(self.graph, tables, self.metrics)
+                    _, adjusted = form_and_adjust(self.graph, tables, self.metrics)
                     self.state = adjusted.copy()
                     reclustered = True
             else:

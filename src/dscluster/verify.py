@@ -1,8 +1,11 @@
-"""Structural property checks for cluster states.
+"""Property checks for cluster states.
 
 Every check returns a CheckResult whose failures carry concrete witnesses
-(cluster ids, nodes or node pairs).  The edge-domination helpers use
-exhaustive search and are deliberately capped at desk scale.
+(cluster ids, nodes or node pairs); a check passes exactly when it has
+none.  The four structural checks apply to every clustering.  This module
+also owns the paper's two extra claims for a perfect clustering
+(``perfect_claims``); ``line_graph_domination_number``, which one of them
+needs, is an exhaustive search capped at desk scale.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import ClusterState
-from .errors import InvalidArgumentError, SizeLimitError
+from .errors import SizeLimitError
 from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
 #: Brute-force bound for line_graph_domination_number.
@@ -22,10 +25,13 @@ EDGE_LIMIT = 20
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     witnesses: list = field(default_factory=list)
     note: str = ""
     details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass
@@ -65,7 +71,7 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
         distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
         witnesses.append({"cluster": state.clusters[owner[i]].id,
                           "pair": [int(order[i]), int(order[j])], "distance": distance})
-    return CheckResult("cluster-diameter", not witnesses, witnesses)
+    return CheckResult("cluster-diameter", witnesses)
 
 
 def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
@@ -87,7 +93,7 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
             if not (graph.adjacent(v, m) or graph.adjacent(v, p)):
                 witnesses.append({"cluster": cluster.id, "stranded_member": v})
     note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
-    return CheckResult("double-star", not witnesses, witnesses, note)
+    return CheckResult("double-star", witnesses, note)
 
 
 def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
@@ -111,7 +117,7 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
         uncovered = {v for v in range(state.node_count) if v not in seen}
         for v in sorted(uncovered - state.critical):
             witnesses.append({"node": v, "uncovered_non_critical": True})
-    return CheckResult("partition", not witnesses, witnesses)
+    return CheckResult("partition", witnesses)
 
 
 def check_dominance_and_independence(
@@ -133,11 +139,9 @@ def check_dominance_and_independence(
     masters = sorted(state.masters())
     pairs = np.nonzero(np.triu(graph.adj[np.ix_(masters, masters)], 1))
     independence_witnesses = [{"masters": [masters[i], masters[j]]} for i, j in zip(*pairs)]
-    witnesses = dominance_witnesses + independence_witnesses
     return CheckResult(
         "dominance-and-independence",
-        not witnesses,
-        witnesses,
+        dominance_witnesses + independence_witnesses,
         details={
             "slave_dominance_ok": not dominance_witnesses,
             "master_independence_ok": not independence_witnesses,
@@ -148,12 +152,10 @@ def check_dominance_and_independence(
 def check_efficient_edge_domination(
     edge_set: list[tuple[int, int]], graph: NetworkGraph
 ) -> bool:
-    """True iff every edge of the graph shares an endpoint with exactly
-    one edge of ``edge_set`` (an edge dominates itself)."""
-    for u, v in edge_set:
-        if not graph.adjacent(u, v):
-            raise InvalidArgumentError(f"({u}, {v}) is not an edge of the graph")
-    return all(
+    """True iff ``edge_set`` is a set of edges of the graph and every edge
+    of the graph shares an endpoint with exactly one of them (an edge
+    dominates itself)."""
+    return all(graph.adjacent(u, v) for u, v in edge_set) and all(
         sum(1 for u, v in edge_set if a in (u, v) or b in (u, v)) == 1
         for a, b in graph.edges()
     )
@@ -177,6 +179,22 @@ def line_graph_domination_number(graph: NetworkGraph, limit: int = EDGE_LIMIT) -
             if all(a in endpoints or b in endpoints for a, b in edges):
                 return k
     return len(edges)
+
+
+def perfect_claims(state: ClusterState, graph: NetworkGraph) -> list[CheckResult]:
+    """The paper's claims for a perfect clustering: its (master, proxy)
+    edges dominate the graph's edges efficiently, and (on graphs of at
+    most ``EDGE_LIMIT`` edges) there are as many of them as the edge
+    domination number."""
+    pairs = [(c.master, c.proxy) for c in state.clusters if c.proxy is not None]
+    efficient = check_efficient_edge_domination(pairs, graph)
+    checks = [CheckResult("efficient-edge-domination",
+                          [] if efficient else [{"pairs": [list(p) for p in pairs]}])]
+    if graph.edge_count() <= EDGE_LIMIT:
+        gamma = line_graph_domination_number(graph)
+        witnesses = [] if len(pairs) == gamma else [{"pairs": len(pairs), "gamma": gamma}]
+        checks.append(CheckResult("cluster-count-equals-line-graph-domination", witnesses))
+    return checks
 
 
 def graph_radius_diameter(hop: np.ndarray) -> tuple[int | None, int | None]:

@@ -36,7 +36,7 @@ def paper_metrics(bundle):
 
 @pytest.fixture(scope="session")
 def paper_states(bundle, paper_metrics):
-    """(formation state, adjusted state, classification) for the bundled fixture."""
+    """(formation state, adjusted state) for the bundled fixture."""
     return d.form_and_adjust(bundle.graph, bundle.tables, paper_metrics)
 
 

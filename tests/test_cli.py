@@ -398,8 +398,8 @@ class TestSimulateCommand:
 
 class TestRoundTrips:
     def test_report_reingest_reproduces_state(self, bundle, paper_states):
-        formation, final, classification = paper_states
-        doc = d.cluster_report(formation, final, classification)
+        formation, final = paper_states
+        doc = d.cluster_report(formation, final)
         rebuilt = d.fileio.state_from_report(json.loads(json.dumps(doc)))
         assert {
             (c.master, c.proxy, tuple(sorted(c.members))) for c in rebuilt.clusters

@@ -94,7 +94,7 @@ class TestNeighborPartitions:
         return d.neighbor_partitions(u, bundle.graph, metrics, masters, proxies)
 
     def test_roles_are_formation_roles(self, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         assert formation.masters() == self.MASTERS
         assert formation.proxies() == self.PROXIES
 
@@ -171,7 +171,7 @@ class TestSeparationEdgeCases:
 
 class TestFormation:
     def test_reference_clusters(self, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         assert _clusters_as_tuples(formation) == {
             (3, 1, (0, 1, 2, 3, 4, 5, 22)),
             (18, 16, (13, 14, 15, 16, 17, 18, 19, 21)),
@@ -179,7 +179,7 @@ class TestFormation:
         }
 
     def test_reference_bookkeeping(self, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         assert formation.hidden_masters_1 == {11, 13, 14}
         assert formation.critical == {6, 7, 11, 13, 14, 20}
         assert formation.deferred == {6, 7, 11, 13, 20}
@@ -187,11 +187,11 @@ class TestFormation:
         assert formation.hidden_masters_2 == {6, 7, 20}
 
     def test_golden_event_trail(self, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         assert final.events == GOLDEN_EVENTS
 
     def test_statuses(self, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         st = formation.statuses()
         assert st[3] == d.NodeStatus.MASTER
         assert st[16] == d.NodeStatus.PROXY
@@ -218,8 +218,8 @@ class TestFormation:
         overrides = d.FixtureOverrides(ns=[400.0, 100.0, 100.0, 100.0, 100.0])
         graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        formation, final, classification = d.form_and_adjust(graph, tables, metrics)
-        assert classification == "perfect"
+        formation, final = d.form_and_adjust(graph, tables, metrics)
+        assert d.classification(formation) == "perfect"
         assert final is formation
         assert len(formation.clusters) == 1
         record = formation.clusters[0]
@@ -244,7 +244,7 @@ class TestFormation:
 
     def test_deferred_nodes_failed_eligibility(self, bundle, paper_states, paper_metrics):
         # replay the event trail: every deferral really failed the distance test
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         pairs = []
         for event in formation.events:
             if event["action"] == "form_cluster":
@@ -255,7 +255,7 @@ class TestFormation:
                 )
 
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         for c in formation.clusters:
             assert paper_metrics.weight(c.master) >= paper_metrics.weight(c.proxy)
 
@@ -291,14 +291,14 @@ class TestTieBreaking:
             metrics = d.compute_network_metrics(graph, tables)
             a = d.form_and_adjust(graph, tables, metrics)
             b = d.form_and_adjust(graph, tables, metrics)
-            report_a = d.cluster_report(a[0], a[1], a[2])
-            report_b = d.cluster_report(b[0], b[1], b[2])
+            report_a = d.cluster_report(*a)
+            report_b = d.cluster_report(*b)
             assert json.dumps(report_a) == json.dumps(report_b)
 
 
 class TestAdjustment:
     def test_reference_adjusted_clusters(self, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         assert final.critical == set()
         assert _clusters_as_tuples(final) == {
             (3, 1, (0, 1, 2, 3, 4, 5, 22)),
@@ -311,7 +311,7 @@ class TestAdjustment:
         assert final.critical == set()
 
     def test_partition_after_adjustment(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         check = d.check_partition(final, bundle.graph)
         assert check.passed
         assert sum(len(c.members) for c in final.clusters) == 23
@@ -330,7 +330,7 @@ class TestAdjustment:
         assert d.run_adjusted(state, graph, metrics, tables.hop) is state
 
     def test_members_leave_donor_clusters(self, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         owner = final.membership()
         for node in (13, 14, 15):
             assert owner[node] == 4  # pulled out of cluster 2
@@ -340,8 +340,8 @@ class TestAdjustment:
 
 class TestClassify:
     def test_reference_is_fairly_perfect(self, paper_states):
-        _, _, classification = paper_states
-        assert classification == d.CLASS_FAIRLY_PERFECT
+        formation, _ = paper_states
+        assert d.classification(formation) == d.CLASS_FAIRLY_PERFECT
 
 
 class TestRandomisedInvariants:
@@ -349,7 +349,7 @@ class TestRandomisedInvariants:
         for seed, graph in connected_rgg_suite(30, start_seed=500):
             tables = d.compute_tables(graph)
             metrics = d.compute_network_metrics(graph, tables)
-            formation, final, _ = d.form_and_adjust(graph, tables, metrics)
+            formation, final = d.form_and_adjust(graph, tables, metrics)
             for state in (formation, final):
                 seen = set()
                 for c in state.clusters:
@@ -379,7 +379,7 @@ class TestEnginePassesItsVerifier:
         assume(graph.is_connected)
         tables = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, tables)
-        _, final, _ = d.form_and_adjust(graph, tables, metrics)
+        _, final = d.form_and_adjust(graph, tables, metrics)
         report = d.run_property_checks(final, graph, tables.hop)
         assert report.passed, [c for c in report.checks if not c.passed]
 

@@ -81,7 +81,8 @@ def _cases():
     yield ("perfect9-verify", ["verify", "--report", str(GOLDEN / "perfect9.cluster.json")],
            perfect9, 2, ["perfect9.verify.txt"])
     yield "star-cluster", ["cluster", "--fixture", STAR], None, 0, ["star.cluster.json"]
-    yield ("star-verify", ["verify", "--fixture", STAR, "--report", str(GOLDEN / "star.cluster.json")],
+    yield ("star-verify",
+           ["verify", "--fixture", STAR, "--report", str(GOLDEN / "star.cluster.json")],
            None, 0, ["star.verify.txt"])
 
 

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
-from dscluster.errors import InvalidArgumentError, SizeLimitError
+from dscluster.errors import SizeLimitError
 
 from conftest import random_edge_graph
 
@@ -107,7 +107,7 @@ class TestClusterDiameter:
             d.check_cluster_diameter(_state(2, clusters), graph)
 
     def test_reference_initial_cluster(self, bundle, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         check = d.check_cluster_diameter(formation, bundle.graph)
         assert check.passed
 
@@ -145,7 +145,7 @@ class TestClusterDiameter:
 
 class TestDoubleStar:
     def test_reference_pruned_cluster(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         check = d.check_double_star(final, bundle.graph)
         assert check.passed
 
@@ -174,11 +174,11 @@ class TestDoubleStar:
 
 class TestPartition:
     def test_reference_final_state_covers_everything(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         assert d.check_partition(final, bundle.graph).passed
 
     def test_duplicate_membership_detected(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         broken = final.copy()
         broken.clusters[0].members.add(20)
         check = d.check_partition(broken, bundle.graph)
@@ -186,14 +186,14 @@ class TestPartition:
         assert any(w.get("node") == 20 and "clusters" in w for w in check.witnesses)
 
     def test_uncovered_node_detected(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         broken = final.copy()
         broken.clusters[-1].members.discard(20)
         check = d.check_partition(broken, bundle.graph)
         assert not check.passed
 
     def test_formation_allows_critical_outside(self, bundle, paper_states):
-        formation, _, _ = paper_states
+        formation, _ = paper_states
         assert d.check_partition(formation, bundle.graph).passed
 
     def test_empty_state_vacuous(self):
@@ -227,7 +227,7 @@ class TestDominanceAndIndependence:
         assert check.witnesses == dominance + independence
 
     def test_reference_final_state(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         check = d.check_dominance_and_independence(
             final, bundle.graph, bundle.tables.hop
         )
@@ -238,7 +238,7 @@ class TestDominanceAndIndependence:
         }
 
     def test_reference_masters_pairwise_far(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         masters = sorted(final.masters())
         assert masters == [3, 6, 9, 13, 18, 20]
         hop = bundle.tables.hop
@@ -247,7 +247,7 @@ class TestDominanceAndIndependence:
                 assert hop[a, b] >= 2
 
     def test_reference_members_within_two_hops(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         hop = bundle.tables.hop
         for c in final.clusters:
             for v in c.members - c.leaders:
@@ -288,9 +288,9 @@ class TestEfficientEdgeDomination:
         assert not d.check_efficient_edge_domination([(0, 1), (1, 2)], graph)
 
     def test_non_edge_rejected(self):
+        # a pair that is no edge of G makes the set no edge set of G
         graph = d.graph_from_edges(3, [(0, 1)])
-        with pytest.raises(InvalidArgumentError):
-            d.check_efficient_edge_domination([(0, 2)], graph)
+        assert not d.check_efficient_edge_domination([(0, 2)], graph)
 
     def test_agrees_with_naive_counter(self):
         rng = np.random.default_rng(99)
@@ -332,7 +332,7 @@ class TestLineGraphDominationNumber:
 
 class TestReport:
     def test_radius_and_diameter(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
         assert (report.radius, report.diameter) == (6, 7)
         assert report.passed
@@ -345,7 +345,7 @@ class TestReport:
         assert report.radius is None and report.diameter is None
 
     def test_check_order(self, bundle, paper_states):
-        _, final, _ = paper_states
+        _, final = paper_states
         report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
         assert [c.name for c in report.checks] == [
             "cluster-diameter", "double-star", "partition",
