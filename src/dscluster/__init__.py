@@ -65,7 +65,6 @@ from .verify import (
     check_efficient_edge_domination,
     check_partition,
     line_graph_domination_number,
-    perfect_claims,
     run_property_checks,
 )
 
