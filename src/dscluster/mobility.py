@@ -3,9 +3,17 @@
 Nodes move with independent random headings and speeds, reflecting off
 the terrain boundary.  A step that completes a broadcast interval (counted
 as floor((t + 1e-9) / interval)) rebuilds the neighbourhoods from current
-positions, once however many intervals the step spans.  Every displaced
-node (a leader that lost its cluster, or a member out of reach of both
-its leaders) becomes one boundary-exit event; in node order, each
+positions, once however many intervals the step spans.  A leader with no
+neighbour left among its cluster's members has exited, and so has a proxy
+no longer adjacent to a master that stays: the proxy is the master's
+substitute, so losing the (master, proxy) edge is a leader failure.  An
+exited master hands over to its proxy, an exited proxy is re-elected
+among the master's neighbours, and a cluster with no leader left
+dissolves.  Every cluster thus keeps its (master, proxy) edge, and with
+every member adjacent to a leader it stays a double star of diameter at
+most 3.  Every displaced node (an exited leader, a member of a dissolved
+cluster, or a member out of reach of both its leaders) becomes one
+boundary-exit event; in node order, each
 re-affiliates by polling adjacent masters/proxies (find_CH), joining the
 heaviest acknowledger or becoming the master of its own cluster.
 Clusters are never re-formed from scratch unless explicitly requested:
@@ -291,9 +299,11 @@ class _Simulation:
                 self.graph.adjacent(cluster.master, v)
                 for v in cluster.members - {cluster.master}
             )
-            proxy_exited = cluster.proxy is not None and not any(
-                self.graph.adjacent(cluster.proxy, v)
-                for v in cluster.members - {cluster.proxy}
+            # a proxy cut off from a master that stays is no substitute for it
+            proxy_exited = cluster.proxy is not None and (
+                not any(self.graph.adjacent(cluster.proxy, v)
+                        for v in cluster.members - {cluster.proxy})
+                or not (master_exited or self.graph.adjacent(cluster.master, cluster.proxy))
             )
             if master_exited and (cluster.proxy is None or proxy_exited):
                 dissolved.append(cluster)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.errors import DisconnectedGraphError, InvalidArgumentError
@@ -354,6 +356,34 @@ class TestRunSimulation:
         result = d.run_simulation(sc)
         assert any(s["reclustered"] for s in result.summaries)
         assert all(s["partition_ok"] for s in result.summaries)
+
+
+class TestMaintenanceKeepsDoubleStars:
+    """After every refresh each cluster is a double star (or a star) of
+    diameter at most 3 and the clusters partition the nodes.  Only master
+    independence may break: drifting masters that meet are logged, and
+    re-clustering them is deferred."""
+
+    @given(
+        n=st.integers(2, 60),
+        range_=st.floats(20.0, 50.0),
+        v_max=st.floats(0.0, 10.0),
+        steps=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_summary_passes_the_structural_checks(self, n, range_, v_max, steps, seed):
+        scenario = d.Scenario(node_count=n, terrain_size=100.0, range_=range_, v_max=v_max,
+                              steps=steps, seed=seed)
+        try:
+            result = d.run_simulation(scenario)
+        except DisconnectedGraphError:
+            reject()
+        for summary in result.summaries:
+            checks = summary["checks"]
+            assert checks["partition"], summary
+            assert checks["double-star"], summary
+            assert checks["cluster-diameter"], summary
+            assert summary["slave_dominance_ok"], summary
 
 
 def _stepwise_refresh_times(dt, interval, steps):
