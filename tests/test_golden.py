@@ -23,11 +23,12 @@ Covered:
   exit 2: the edge (1, 8) touches no master or proxy) and the
   hub-with-four-spokes fixture ``tests/data/star.json`` (exit 0).
   ``cluster`` JSON and ``verify`` of that very report for each.
-- scenarios n = 300 (terrain 274, seed 1) and n = 1000 (terrain 500,
+- scenarios n = 300 (terrain 274, seeds 1-3) and n = 1000 (terrain 500,
   seed 3), range 30: ``metrics`` JSON, ``cluster`` JSON and ``verify`` of
   that report, pinned as sha256 digests rather than files.  At these
   sizes the column-blocked kernels run in several blocks.  The n = 300
-  scenario is also pinned through ``simulate`` (report and event NDJSON),
+  scenarios are also pinned through ``simulate`` (report and event
+  NDJSON): three maintenance trajectories of hundreds of events each,
   whose every refresh summary reads a fresh hop table.
 
 Every scenario report passes the four structural checks of its own
@@ -119,8 +120,22 @@ LARGE_DIGESTS = {
         "metrics": "fd2d6857810da59a302e1c21a4d521381a097bfb620d23a7cf3caba79af9c279",
         "cluster": "ff5a7493842fbbfd29739e2ece82b6c814fc0e63060554cab0abca101f6853cd",
         "verify": "96a3855efcc0e995983c7373d700f7f86a14d8f56d94bb63babc294c5fc93896",
-        "simulate": "71222048f24503a69bf3cbdd943c8b16985713e1689c2d57f7bb897334f6c359",
-        "events": "3f35e3784091890afd179401e3c927f547160333bcca1980cac6126625ad81eb",
+        "simulate": "31a67646cc04bf19809744ce215e90f18abb64edd5fc4b88db13aef217344a2d",
+        "events": "a5f39e5f300d582c28e0486b53ad8f298d8eb4d5865bb5384e8199653d048bab",
+    },
+    (300, 274.0, 2): {
+        "metrics": "99c398811842c4927cbae81388828ac331c6a3fa822df407fe1773a48b2614c7",
+        "cluster": "2878aac21fa9bf3a17f1decd32b8b0e2cdb5f1aa8da4ae3bea21f83fbd08771a",
+        "verify": "d5c9a6be21cfbb919abcebeb12162c0a3ed2285e4c3d6867b09a57e5f7ff8412",
+        "simulate": "4f722908dcfbc4312c20a0f1ef5db744f9118e9c25ec65df1becfbd9d0607426",
+        "events": "d4fff47e437940a26ff798b2bc83a3d7c539d1d9be3b4976b0a29e5ed1c53729",
+    },
+    (300, 274.0, 3): {
+        "metrics": "1a02fc53caa1651ae172ab844e0c330b0cc92f9eaebeb1f0d153c2af2b5f9062",
+        "cluster": "b6d26bfe47b20fbdc5a25f7084e90fb92e11e6f35dc5a47d3a97c45cb4e4feb8",
+        "verify": "1b0bd2c7b14166f502da90f10496d6cf4d9343c2274a4036a2a85e9c97ed4cf1",
+        "simulate": "393cacc7633f6815ea5c73b6a3836dbe928ba305298b8639ee90b76478c9df94",
+        "events": "91bbb7bfb0c0a1217305070ee4dbfea81de6c3af1518af100db8a5faef47dde1",
     },
     (1000, 500.0, 3): {
         "metrics": "62882b6827e144ee8b650a88ae45734e0b66a392ad13e34e33f7ba812cb06877",
