@@ -52,6 +52,7 @@ from .metrics import (
     path_statistics,
 )
 from .mobility import (
+    ClusterIndex,
     Scenario,
     find_ch,
     hello_refresh,

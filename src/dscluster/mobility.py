@@ -15,7 +15,10 @@ most 3.  Every displaced node (an exited leader, a member of a dissolved
 cluster, or a member out of reach of both its leaders) becomes one
 boundary-exit event; in node order, each
 re-affiliates by polling adjacent masters/proxies (find_CH), joining the
-heaviest acknowledger or becoming the master of its own cluster.
+heaviest acknowledger or becoming the master of its own cluster.  Each
+refresh reads the clusters through one ``ClusterIndex``, so the exits,
+the hello check and find_CH are gathers over the members and leaders
+rather than scans of every cluster.
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
@@ -40,7 +43,7 @@ from .graph import (
     sample_positions,
 )
 from .metrics import DEFAULT_ALPHAS, NetworkMetrics, WeightConfig, compute_network_metrics
-from .verify import run_property_checks
+from .verify import member_columns, run_property_checks
 
 EVENT_BOUNDARY_EXIT = "boundary-exit"
 EVENT_FIND_CH = "find-ch"
@@ -153,61 +156,137 @@ def step_positions(
     return _reflect(pos + delta, terrain_size)
 
 
+class ClusterIndex:
+    """The clusters of a state by ascending id, as arrays.
+
+    ``leaders`` holds each cluster's (master, proxy) pair, with the master
+    again for no proxy; ``members`` lists the ordinary members (neither
+    master nor proxy) cluster by cluster, sorted, and ``owner`` the
+    position of each one's cluster.  ``leader_ids`` lists every cluster's
+    distinct leaders in ascending order, cluster by cluster, and
+    ``leader_owner`` their positions.  Maintenance builds one index per
+    refresh and keeps it and the state current together: leader changes,
+    dissolved clusters, nodes leaving and joining, and new clusters.
+    """
+
+    def __init__(self, state: ClusterState):
+        self.state = state
+        self.clusters = sorted(state.clusters, key=lambda c: c.id)
+        nodes, owner, self.leaders = member_columns(self.clusters)
+        ordinary = (nodes != self.leaders[owner, 0]) & (nodes != self.leaders[owner, 1])
+        self.members, self.owner = nodes[ordinary], owner[ordinary]
+        self._list_leaders()
+
+    def _list_leaders(self) -> None:
+        ordered = np.sort(self.leaders, axis=1)
+        distinct = np.ones(ordered.shape, dtype=bool)
+        distinct[:, 1] = ordered[:, 0] != ordered[:, 1]
+        self.leader_ids, self.leader_owner = ordered[distinct], np.nonzero(distinct)[0]
+
+    def set_leaders(self, position: int, master: int, proxy: int | None) -> None:
+        """Install new leaders; a member elected proxy stops being ordinary."""
+        cluster = self.clusters[position]
+        cluster.master, cluster.proxy = master, proxy
+        self.leaders[position] = (master, master if proxy is None else proxy)
+        keep = (self.owner != position) | (self.members != proxy)
+        self.members, self.owner = self.members[keep], self.owner[keep]
+        self._list_leaders()
+
+    def dissolve(self, positions: list[int]) -> None:
+        """Remove the clusters at ``positions`` from the index and the state."""
+        if not positions:
+            return
+        gone = np.zeros(len(self.clusters), dtype=bool)
+        gone[positions] = True
+        for position in positions:
+            self.state.clusters.remove(self.clusters[position])
+        self.clusters = [c for c, g in zip(self.clusters, gone) if not g]
+        self.leaders = self.leaders[~gone]
+        keep = ~gone[self.owner]
+        self.members, self.owner = self.members[keep], (np.cumsum(~gone) - 1)[self.owner[keep]]
+        self._list_leaders()
+
+    def discard(self, node: int) -> None:
+        """Take ``node`` out of every cluster that lists it."""
+        for position in self.leader_owner[self.leader_ids == node].tolist():
+            self.clusters[position].members.discard(node)
+        listed = self.members == node
+        if listed.any():
+            for position in self.owner[listed].tolist():
+                self.clusters[position].members.discard(node)
+            self.members, self.owner = self.members[~listed], self.owner[~listed]
+
+    def join(self, node: int, position: int) -> None:
+        """Add ``node`` as an ordinary member of the cluster at ``position``."""
+        cluster = self.clusters[position]
+        cluster.members.add(node)
+        if node in (cluster.master, cluster.proxy):
+            return
+        start, end = np.searchsorted(self.owner, position), np.searchsorted(self.owner, position + 1)
+        at = start + np.searchsorted(self.members[start:end], node)
+        self.members = np.concatenate((self.members[:at], [node], self.members[at:]))
+        self.owner = np.concatenate((self.owner[:at], [position], self.owner[at:]))
+
+    def found(self, master: int) -> None:
+        """Open a singleton cluster led by ``master`` under the next free id."""
+        position = len(self.clusters)
+        cluster = ClusterRecord(id=self.clusters[-1].id + 1 if self.clusters else 1,
+                                master=master, proxy=None, members={master})
+        self.state.clusters.append(cluster)
+        self.clusters.append(cluster)
+        self.leaders = np.concatenate((self.leaders, [[master, master]]))
+        self.leader_ids = np.append(self.leader_ids, master)
+        self.leader_owner = np.append(self.leader_owner, position)
+
+
 def hello_refresh(
     positions: np.ndarray,
     range_: float,
-    state: ClusterState,
+    index: ClusterIndex,
     time: float = 0.0,
 ) -> tuple[NetworkGraph, list[MaintenanceEvent]]:
     """Rebuild adjacency from current positions and report every ordinary
-    member no longer adjacent to its own master or proxy, by one adjacency
-    gather per cluster (ordinary members by leaders)."""
+    member no longer adjacent to its own master or proxy, in (cluster id,
+    node) order, by one adjacency gather of the members against their
+    clusters' leaders."""
     graph = build_graph(positions, range_)
-    events = []
-    for cluster in sorted(state.clusters, key=lambda c: c.id):
-        pair = (cluster.master, cluster.proxy)
-        members = np.array(sorted(cluster.members - cluster.leaders), dtype=np.intp)
-        linked = graph.adj[np.ix_(members, sorted(cluster.leaders))].any(axis=1)
-        events += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, int(v), pair)
-                   for v in members[~linked]]
+    linked = graph.adj[index.members[:, None], index.leaders[index.owner]].any(axis=1)
+    events = [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
+              for v, c in zip(index.members[~linked].tolist(),
+                              [index.clusters[i] for i in index.owner[~linked]])]
     return graph, events
 
 
 def find_ch(
     node: int,
-    state: ClusterState,
+    index: ClusterIndex,
     graph: NetworkGraph,
     metrics: NetworkMetrics,
     time: float = 0.0,
 ) -> list[MaintenanceEvent]:
     """Re-affiliation for a node that left its cluster's reach.
 
-    Every master/proxy adjacent to the node acknowledges; the node joins
-    the top-ranked acknowledger (``NetworkMetrics.rank``).  With no
+    Every master/proxy adjacent to the node acknowledges (one gather of
+    the node's adjacency row at every leader); the node joins the
+    top-ranked acknowledger (``NetworkMetrics.rank``).  With no
     acknowledgers it becomes a master of a new singleton cluster.  The
-    state is updated in place.
+    state and the index are updated in place.
     """
-    for cluster in state.clusters:
-        cluster.members.discard(node)
+    index.discard(node)
     events = [MaintenanceEvent(time, EVENT_FIND_CH, node)]
-    acknowledgers: list[tuple[int, ClusterRecord]] = []
-    for cluster in sorted(state.clusters, key=lambda c: c.id):
-        for leader in sorted(cluster.leaders):
-            if graph.adjacent(node, leader):
-                acknowledgers.append((leader, cluster))
-    for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
-        events.append(
-            MaintenanceEvent(time, EVENT_ACK, node, (cluster.master, cluster.proxy))
-        )
+    heard = np.flatnonzero(graph.adj[node, index.leader_ids])
+    acknowledgers = list(zip(index.leader_ids[heard].tolist(),
+                             index.leader_owner[heard].tolist()))
+    for leader, position in sorted(acknowledgers, key=lambda t: t[0]):
+        cluster = index.clusters[position]
+        events.append(MaintenanceEvent(time, EVENT_ACK, node, (cluster.master, cluster.proxy)))
     if acknowledgers:
-        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
-        cluster.members.add(node)
-        events.append(
-            MaintenanceEvent(time, EVENT_JOIN, node, (cluster.master, cluster.proxy))
-        )
+        leader, position = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+        index.join(node, position)
+        cluster = index.clusters[position]
+        events.append(MaintenanceEvent(time, EVENT_JOIN, node, (cluster.master, cluster.proxy)))
     else:
-        new_id = max((c.id for c in state.clusters), default=0) + 1
-        state.clusters.append(ClusterRecord(id=new_id, master=node, proxy=None, members={node}))
+        index.found(node)
         events.append(MaintenanceEvent(time, EVENT_BECOME_MASTER, node))
     return events
 
@@ -275,61 +354,64 @@ class _Simulation:
 
         step_events: list[MaintenanceEvent] = []
         if not reclustered:
-            exits = self._resolve_leader_exits(time)
-            exits += hello_refresh(self.positions, s.range_, self.state, time)[1]
+            index = ClusterIndex(self.state)
+            exits = self._resolve_leader_exits(index, time)
+            exits += hello_refresh(self.positions, s.range_, index, time)[1]
             for exit_event in sorted(exits, key=lambda e: e.node):
                 step_events.append(exit_event)
                 step_events.extend(
-                    find_ch(exit_event.node, self.state, self.graph, self.metrics, time)
+                    find_ch(exit_event.node, index, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
         self._summarise(time, step_events, warnings, reclustered)
 
-    def _resolve_leader_exits(self, time: float) -> list[MaintenanceEvent]:
+    def _resolve_leader_exits(self, index: ClusterIndex, time: float) -> list[MaintenanceEvent]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
         clusters whose leaders all left; returns a boundary-exit event for
-        every displaced node."""
+        every displaced node.
+
+        A leader has exited when no other member of its cluster is adjacent
+        to it; a proxy has also exited when it lost its edge to a master
+        that stays.  Both are read for every cluster at once from one
+        gather of the ordinary members against their leaders.  Clusters
+        of one member are left alone.
+        """
+        adj = self.graph.adj
+        count = len(index.clusters)
+        members, owner = index.members, index.owner  # as gathered, before any election
+        led = np.array([c.proxy is not None for c in index.clusters], dtype=bool)
+        linked = led & adj[index.leaders[:, 0], index.leaders[:, 1]]
+        touch = adj[members[:, None], index.leaders[owner]]
+        heard = [np.bincount(owner, weights=touch[:, i], minlength=count) > 0 for i in (0, 1)]
+        master_exited = ~(linked | heard[0])
+        proxy_exited = led & ~linked & (~master_exited | ~heard[1])
+        crowded = led | (np.bincount(owner, minlength=count) > 0)
         orphans: list[MaintenanceEvent] = []
-        dissolved: list[ClusterRecord] = []
-        for cluster in sorted(self.state.clusters, key=lambda c: c.id):
-            if len(cluster.members) <= 1:
-                continue
+        dissolved = []
+        for position in np.flatnonzero(crowded & (master_exited | proxy_exited)).tolist():
+            cluster = index.clusters[position]
             pair = (cluster.master, cluster.proxy)
-            master_exited = not any(
-                self.graph.adjacent(cluster.master, v)
-                for v in cluster.members - {cluster.master}
-            )
-            # a proxy cut off from a master that stays is no substitute for it
-            proxy_exited = cluster.proxy is not None and (
-                not any(self.graph.adjacent(cluster.proxy, v)
-                        for v in cluster.members - {cluster.proxy})
-                or not (master_exited or self.graph.adjacent(cluster.master, cluster.proxy))
-            )
-            if master_exited and (cluster.proxy is None or proxy_exited):
-                dissolved.append(cluster)
+            rows = slice(*np.searchsorted(owner, [position, position + 1]))
+            if master_exited[position] and (cluster.proxy is None or proxy_exited[position]):
+                dissolved.append(position)
                 displaced = sorted(cluster.members)
-            elif master_exited:
+            elif master_exited[position]:
                 displaced = [cluster.master]
                 cluster.members.discard(cluster.master)
-                cluster.master = cluster.proxy
-                cluster.proxy = self._elect_maintenance_proxy(cluster)
-            elif proxy_exited:
+                proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 1]])
+                index.set_leaders(position, cluster.proxy, proxy)
+            else:
                 displaced = [cluster.proxy]
                 cluster.members.discard(cluster.proxy)
-                cluster.proxy = self._elect_maintenance_proxy(cluster)
-            else:
-                continue
+                proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 0]])
+                index.set_leaders(position, cluster.master, proxy)
             orphans += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair) for v in displaced]
-        for cluster in dissolved:
-            self.state.clusters.remove(cluster)
+        index.dissolve(dissolved)
         return orphans
 
-    def _elect_maintenance_proxy(self, cluster: ClusterRecord) -> int | None:
-        candidates = [
-            v for v in cluster.members - {cluster.master}
-            if self.graph.adjacent(v, cluster.master)
-        ]
-        return max(candidates, key=self.metrics.rank, default=None)
+    def _elect_maintenance_proxy(self, candidates: np.ndarray) -> int | None:
+        """The top-ranked of the members adjacent to the (new) master."""
+        return max(candidates.tolist(), key=self.metrics.rank, default=None)
 
     def _summarise(
         self,

@@ -2,7 +2,12 @@
 
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
-none.  The four structural checks apply to every clustering.  This module
+none.  The four structural checks apply to every clustering.  They read
+the clusters as member columns (``member_columns``) and work on arrays
+the size of the clusters: gathers of adjacency or hop entries at
+(member, leader) pairs, a ``bincount`` of listings, and per-cluster
+adjacency blocks for the diameter bound.  None of them builds an n x n
+array; only the dominance check reads the caller's hop table.  This module
 also owns the paper's two extra claims for a perfect clustering
 (``perfect_claims``); ``line_graph_domination_number``, which one of them
 needs, is an exhaustive search capped at desk scale.
@@ -14,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ClusterState
+from .engine import ClusterRecord, ClusterState
 from .errors import SizeLimitError
-from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
+from .graph import MAX_NODES, UNREACHABLE, NetworkGraph
 
 #: Brute-force bound for line_graph_domination_number.
 EDGE_LIMIT = 20
@@ -45,32 +50,100 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
+def member_columns(clusters: list[ClusterRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clusters as columns: every cluster's members, sorted, concatenated
+    in list order; the list position of each one's cluster; and every
+    cluster's (master, proxy) pair, with the master again for no proxy."""
+    sizes = [len(c.members) for c in clusters]
+    nodes = np.fromiter(itertools.chain.from_iterable(sorted(c.members) for c in clusters),
+                        dtype=np.intp, count=sum(sizes))
+    owner = np.repeat(np.arange(len(clusters)), sizes)
+    leaders = np.array([[c.master for c in clusters],
+                        [c.master if c.proxy is None else c.proxy for c in clusters]],
+                       dtype=np.intp).reshape(2, -1).T
+    return nodes, owner, leaders
+
+
+def _hops_beyond(step: np.ndarray, pairs: np.ndarray, bound: int) -> dict[int, np.ndarray]:
+    """The blocks of a (g, k, k) stack with a pair of ``pairs`` more than
+    ``bound`` hops apart, each with a k x k table holding the exact distance
+    of every such pair, UNREACHABLE for a disconnected one, and 0 elsewhere.
+
+    ``step`` holds the blocks' closed adjacency A + I as float32 0/1
+    entries.  The pairs within d hops are the non-zero entries of its d-th
+    boolean power; each power is taken by ``matmul`` and clamped back to
+    1, so every entry stays an exact small integer.  Past ``bound`` hops a
+    level is taken only for the blocks that still have unreached pairs, and
+    a block that reaches nothing new at a level never will.
+    """
+    reach = step
+    for _ in range(bound - 1):
+        reach = reach @ step
+        np.minimum(reach, 1, out=reach)
+    unreached = pairs & (reach == 0)
+    live = np.flatnonzero(unreached.reshape(len(step), -1).any(axis=1))
+    reach, unreached = reach[live], unreached[live]
+    tables = {int(b): np.where(far, UNREACHABLE, 0) for b, far in zip(live, unreached)}
+    level = bound
+    while live.size:
+        level += 1
+        reach = reach @ step[live]
+        np.minimum(reach, 1, out=reach)
+        newly = unreached & (reach > 0)
+        for b, found in zip(live, newly):
+            tables[int(b)][found] = level
+        unreached &= ~newly
+        going = newly.any(axis=(1, 2)) & unreached.any(axis=(1, 2))
+        live, reach, unreached = live[going], reach[going], unreached[going]
+    return tables
+
+
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every cluster's member-induced subgraph has diameter at most 3.
 
-    One BFS serves every cluster: it runs on the disjoint union of the
-    member-induced subgraphs, laid out cluster by cluster with the edges
-    between different clusters masked out.  A node listed by several
-    clusters appears once per cluster, so the union is refused beyond
-    ``MAX_NODES`` members in total (only overlapping clusters get there).
+    Distances stay inside a cluster, so the check works on one k x k block
+    of the adjacency per cluster of k members and never on an n x n table.
+    Clusters are grouped into power-of-two size buckets, and each bucket is
+    gathered as one (g, k, k) stack padded to its largest cluster, so the
+    padding at most quadruples a block and one large cluster does not
+    inflate the small ones.  Reach by hops comes from boolean powers of
+    A + I (``_hops_beyond``); past 3 hops only the failing clusters go on,
+    until every witness pair has its exact distance, or None when it is
+    disconnected inside the cluster.  Witnesses come in cluster list order,
+    then by the sorted positions of the pair's members.  A node listed by
+    several clusters is gathered once per cluster, so the clusters are
+    refused beyond ``MAX_NODES`` members in total (only overlapping
+    clusters get there).
     """
-    sizes = [len(cluster.members) for cluster in state.clusters]
-    if sum(sizes) > MAX_NODES:
+    sizes = np.array([len(cluster.members) for cluster in state.clusters], dtype=np.intp)
+    if sizes.sum() > MAX_NODES:
         raise SizeLimitError(
-            f"clusters list {sum(sizes)} members in total, more than the {MAX_NODES} "
+            f"clusters list {sizes.sum()} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
-    order = np.array([v for cluster in state.clusters for v in sorted(cluster.members)], dtype=int)
-    owner = np.repeat(np.arange(len(state.clusters)), sizes)
-    same = owner[:, None] == owner[None, :]
-    hop = hop_distance_table(NetworkGraph(adj=graph.adj[order][:, order] & same))
-    too_far = (hop == UNREACHABLE) | (hop > 3)
-    too_far &= same
+    nodes, owner, _ = member_columns(state.clusters)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    # bucket b >= 1 holds the sizes 2^(b-1) + 1 .. 2^b; clusters of one member have no pair
+    buckets = np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.intp)
+    failing: dict[int, np.ndarray] = {}
+    for bucket in np.flatnonzero(np.bincount(buckets)[1:]) + 1:
+        which = np.flatnonzero(buckets == bucket)
+        k = int(sizes[which].max())
+        valid = np.arange(k) < sizes[which, None]
+        rows = np.zeros(valid.shape, dtype=np.intp)
+        rows[valid] = nodes[buckets[owner] == bucket]
+        pairs = valid[:, :, None] & valid[:, None, :]
+        step = (graph.adj[rows[:, :, None], rows[:, None, :]] & pairs).astype(np.float32)
+        step[:, np.arange(k), np.arange(k)] = 1
+        for b, table in _hops_beyond(step, pairs, 3).items():
+            failing[int(which[b])] = table
     witnesses = []
-    for i, j in zip(*np.divmod(np.flatnonzero(too_far), order.size)):
-        distance = None if hop[i, j] == UNREACHABLE else int(hop[i, j])
-        witnesses.append({"cluster": state.clusters[owner[i]].id,
-                          "pair": [int(order[i]), int(order[j])], "distance": distance})
+    for i in sorted(failing):
+        table, order = failing[i], nodes[starts[i]:starts[i + 1]]
+        for a, b in np.argwhere(table):
+            witnesses.append({"cluster": state.clusters[i].id,
+                              "pair": [int(order[a]), int(order[b])],
+                              "distance": None if table[a, b] == UNREACHABLE else int(table[a, b])})
     return CheckResult("cluster-diameter", witnesses)
 
 
@@ -78,20 +151,22 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """A spanning double star embeds in every two-leader cluster: the
     (master, proxy) edge exists and every other member is adjacent to one
     of them, so that edge dominates every spoke.  Clusters without a proxy
-    pass vacuously (a plain star)."""
-    witnesses = []
-    starless = 0
-    for cluster in state.clusters:
-        if cluster.proxy is None:
-            starless += 1
-            continue
-        m, p = cluster.master, cluster.proxy
-        if not graph.adjacent(m, p):
-            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
-            continue
-        for v in sorted(cluster.members - {m, p}):
-            if not (graph.adjacent(v, m) or graph.adjacent(v, p)):
-                witnesses.append({"cluster": cluster.id, "stranded_member": v})
+    pass vacuously (a plain star).  Both halves are gathers over the
+    clusters' member columns."""
+    nodes, owner, leaders = member_columns(state.clusters)
+    led = np.array([cluster.proxy is not None for cluster in state.clusters], dtype=bool)
+    missing = led & ~graph.adj[leaders[:, 0], leaders[:, 1]]
+    ordinary = (nodes != leaders[owner, 0]) & (nodes != leaders[owner, 1])
+    listed = ordinary & led[owner] & ~missing[owner]
+    stranded = listed & ~graph.adj[nodes[:, None], leaders[owner]].any(axis=1)
+    # one witness per cluster without its (m, p) edge, else one per stranded
+    # member; a stable sort by cluster position merges the two in list order
+    found = [(i, {"cluster": state.clusters[i].id, "missing_edge": leaders[i].tolist()})
+             for i in np.flatnonzero(missing)]
+    found += [(i, {"cluster": state.clusters[i].id, "stranded_member": int(v)})
+              for i, v in zip(owner[stranded], nodes[stranded])]
+    witnesses = [w for _, w in sorted(found, key=lambda t: t[0])]
+    starless = int((~led).sum())
     note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
@@ -100,23 +175,27 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Cluster member sets are pairwise disjoint.  With an empty critical
     set (formation left nothing to adjust, or adjustment or maintenance has
     run) every node must additionally lie in exactly one cluster;
-    mid-formation only critical nodes may lie outside every cluster."""
+    mid-formation only critical nodes may lie outside every cluster.
+    Listings are counted by one ``bincount``; only the members listed more
+    than once are then visited, in cluster order, and each repeat is
+    reported against the first cluster that listed the node."""
+    nodes, owner, _ = member_columns(state.clusters)
+    counts = np.bincount(nodes, minlength=state.node_count)
+    repeated = counts[nodes] > 1
     witnesses = []
-    seen: dict[int, int] = {}
-    for cluster in state.clusters:
-        for v in sorted(cluster.members):
-            if v in seen:
-                witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
-            else:
-                seen[v] = cluster.id
+    first: dict[int, int] = {}
+    for v, i in zip(nodes[repeated].tolist(), owner[repeated].tolist()):
+        cid = state.clusters[i].id
+        if v in first:
+            witnesses.append({"node": v, "clusters": [first[v], cid]})
+        else:
+            first[v] = cid
+    uncovered = np.flatnonzero(counts[:state.node_count] == 0).tolist()
     if not state.critical:
-        for v in range(state.node_count):
-            if v not in seen:
-                witnesses.append({"node": v, "uncovered": True})
+        witnesses += [{"node": v, "uncovered": True} for v in uncovered]
     else:
-        uncovered = {v for v in range(state.node_count) if v not in seen}
-        for v in sorted(uncovered - state.critical):
-            witnesses.append({"node": v, "uncovered_non_critical": True})
+        witnesses += [{"node": v, "uncovered_non_critical": True}
+                      for v in uncovered if v not in state.critical]
     return CheckResult("partition", witnesses)
 
 
@@ -127,12 +206,10 @@ def check_dominance_and_independence(
     and no two masters are adjacent.  The two halves are reported
     separately in ``details`` (motion may be allowed to break master
     independence while dominance must still hold)."""
-    ordinary = [sorted(cluster.members - cluster.leaders) for cluster in state.clusters]
-    nodes = np.array([v for members in ordinary for v in members], dtype=np.intp)
-    owner = np.repeat(np.arange(len(ordinary)), [len(members) for members in ordinary])
-    leaders = np.array([(c.master, c.master if c.proxy is None else c.proxy)
-                        for c in state.clusters], dtype=np.intp).reshape(-1, 2)[owner]
-    near = hop[nodes[:, None], leaders]
+    nodes, owner, leaders = member_columns(state.clusters)
+    ordinary = (nodes != leaders[owner, 0]) & (nodes != leaders[owner, 1])
+    nodes, owner = nodes[ordinary], owner[ordinary]
+    near = hop[nodes[:, None], leaders[owner]]
     dominated = ((near != UNREACHABLE) & (near <= 2)).any(axis=1)
     dominance_witnesses = [{"cluster": state.clusters[i].id, "node": int(v)}
                            for i, v in zip(owner[~dominated], nodes[~dominated])]

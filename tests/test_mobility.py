@@ -118,7 +118,7 @@ class TestHelloRefresh:
 
     def test_no_movement_no_events(self):
         state = _state(4, self.CLUSTERS)
-        graph, events = d.hello_refresh(self.POSITIONS, 6.0, state)
+        graph, events = d.hello_refresh(self.POSITIONS, 6.0, d.ClusterIndex(state))
         assert events == []
         assert graph.adjacent(0, 1)
 
@@ -126,7 +126,7 @@ class TestHelloRefresh:
         state = _state(4, self.CLUSTERS)
         positions = self.POSITIONS.copy()
         positions[3] = [60.0, 60.0]
-        _, events = d.hello_refresh(positions, 6.0, state, time=2.0)
+        _, events = d.hello_refresh(positions, 6.0, d.ClusterIndex(state), time=2.0)
         assert len(events) == 1
         assert events[0].kind == EVENT_BOUNDARY_EXIT
         assert events[0].node == 3
@@ -137,7 +137,7 @@ class TestHelloRefresh:
         state = _state(4, self.CLUSTERS)
         positions = self.POSITIONS.copy()
         positions[1] = [70.0, 70.0]  # the master leaves instead
-        _, events = d.hello_refresh(positions, 6.0, state)
+        _, events = d.hello_refresh(positions, 6.0, d.ClusterIndex(state))
         assert all(e.node != 0 for e in events)  # 0 still reaches proxy 2
 
     def test_gathers_match_the_loop_reference(self):
@@ -153,7 +153,7 @@ class TestHelloRefresh:
         state = _state(60, clusters)
         for cluster, cid in zip(state.clusters, rng.permutation(len(clusters)) + 1):
             cluster.id = int(cid)
-        graph, events = d.hello_refresh(positions, 20.0, state, time=3.0)
+        graph, events = d.hello_refresh(positions, 20.0, d.ClusterIndex(state), time=3.0)
         expected = [
             mobility.MaintenanceEvent(3.0, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
             for c in sorted(state.clusters, key=lambda c: c.id)
@@ -170,7 +170,7 @@ class TestFindCH:
         edges = [(0, 1), (2, 3), (3, 4), (1, 2)]
         graph, metrics = _metrics_for(5, edges, [10.0, 5.0, 8.0, 4.0, 0.0])
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
-        events = d.find_ch(4, state, graph, metrics, time=1.0)
+        events = d.find_ch(4, d.ClusterIndex(state), graph, metrics, time=1.0)
         assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_ACK, EVENT_JOIN]
         assert events[-1].target == (2, 3)
         assert 4 in state.clusters[1].members
@@ -182,7 +182,7 @@ class TestFindCH:
             5, edges, [52.96, 30.0, 40.0, 43.96, 0.0]
         )
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
-        events = d.find_ch(4, state, graph, metrics)
+        events = d.find_ch(4, d.ClusterIndex(state), graph, metrics)
         acks = [e for e in events if e.kind == EVENT_ACK]
         assert len(acks) == 2
         assert events[-1].kind == EVENT_JOIN
@@ -196,11 +196,157 @@ class TestFindCH:
         # 4 touches only member 1... no wait, 1 is a proxy; use a custom state
         state = _state(5, [(0, None, {0, 1}), (2, 3, {2, 3})])
         graph2 = d.graph_from_edges(5, [(0, 1), (2, 3)])
-        events = d.find_ch(4, state, graph2, metrics)
+        events = d.find_ch(4, d.ClusterIndex(state), graph2, metrics)
         assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_BECOME_MASTER]
         new = _cluster_of(state, 4)
         assert new.master == 4 and new.members == {4}
         assert new.id == 3
+
+
+def _loop_find_ch(node, state, graph, metrics, time):
+    """find_CH by scanning every cluster and testing every leader: the
+    reference for the indexed version."""
+    for cluster in state.clusters:
+        cluster.members.discard(node)
+    events = [mobility.MaintenanceEvent(time, EVENT_FIND_CH, node)]
+    acknowledgers = []
+    for cluster in sorted(state.clusters, key=lambda c: c.id):
+        for leader in sorted(cluster.leaders):
+            if graph.adjacent(node, leader):
+                acknowledgers.append((leader, cluster))
+    for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
+        events.append(mobility.MaintenanceEvent(time, EVENT_ACK, node,
+                                                (cluster.master, cluster.proxy)))
+    if acknowledgers:
+        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+        cluster.members.add(node)
+        events.append(mobility.MaintenanceEvent(time, EVENT_JOIN, node,
+                                                (cluster.master, cluster.proxy)))
+    else:
+        new_id = max((c.id for c in state.clusters), default=0) + 1
+        state.clusters.append(d.ClusterRecord(id=new_id, master=node, proxy=None,
+                                              members={node}))
+        events.append(mobility.MaintenanceEvent(time, EVENT_BECOME_MASTER, node))
+    return events
+
+
+def _loop_resolve_leader_exits(state, graph, metrics, time):
+    """Leader exits by one adjacency test per member of every cluster: the
+    reference for the gathered version."""
+    def elect(cluster):
+        candidates = [v for v in cluster.members - {cluster.master}
+                      if graph.adjacent(v, cluster.master)]
+        return max(candidates, key=metrics.rank, default=None)
+
+    orphans, dissolved = [], []
+    for cluster in sorted(state.clusters, key=lambda c: c.id):
+        if len(cluster.members) <= 1:
+            continue
+        pair = (cluster.master, cluster.proxy)
+        master_exited = not any(graph.adjacent(cluster.master, v)
+                                for v in cluster.members - {cluster.master})
+        proxy_exited = cluster.proxy is not None and (
+            not any(graph.adjacent(cluster.proxy, v) for v in cluster.members - {cluster.proxy})
+            or not (master_exited or graph.adjacent(cluster.master, cluster.proxy))
+        )
+        if master_exited and (cluster.proxy is None or proxy_exited):
+            dissolved.append(cluster)
+            displaced = sorted(cluster.members)
+        elif master_exited:
+            displaced = [cluster.master]
+            cluster.members.discard(cluster.master)
+            cluster.master = cluster.proxy
+            cluster.proxy = elect(cluster)
+        elif proxy_exited:
+            displaced = [cluster.proxy]
+            cluster.members.discard(cluster.proxy)
+            cluster.proxy = elect(cluster)
+        else:
+            continue
+        orphans += [mobility.MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair)
+                    for v in displaced]
+    for cluster in dissolved:
+        state.clusters.remove(cluster)
+    return orphans
+
+
+def _records(state):
+    return [(c.id, c.master, c.proxy, sorted(c.members)) for c in state.clusters]
+
+
+def _assert_index_current(index):
+    """The index kept up to date equals one built afresh from its state."""
+    fresh = d.ClusterIndex(index.state)
+    assert [c.id for c in index.clusters] == [c.id for c in fresh.clusters]
+    for name in ("leaders", "members", "owner", "leader_ids", "leader_owner"):
+        assert getattr(index, name).tolist() == getattr(fresh, name).tolist(), name
+
+
+@st.composite
+def _maintained_network(draw, disjoint):
+    """A sparse graph of up to 40 nodes (a broken path along a random order
+    plus chords), rank weights with ties, and up to eight clusters under
+    shuffled ids.  Disjoint clusters are maintenance states: each is a run
+    of that order led by members, proxy-less ones and singletons included.
+    Otherwise clusters are any node sets, overlapping, with leaders inside
+    or outside them."""
+    n = draw(st.integers(2, 40))
+    nodes = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    kept = draw(st.lists(st.integers(0, 4), min_size=n - 1, max_size=n - 1))
+    chords = draw(st.lists(st.tuples(nodes, nodes), max_size=n // 3))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in
+                    [(order[i], order[i + 1]) for i, keep in enumerate(kept) if keep] + chords
+                    if u != v})
+    weights = draw(st.lists(st.integers(0, 5).map(float), min_size=n, max_size=n))
+    # ranks come from the weights alone; metrics need a connected graph
+    _, metrics = _metrics_for(n, list(zip(order, order[1:])), weights)
+    graph = d.graph_from_edges(n, edges)
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=7)))
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])][:draw(st.integers(0, 8))]
+    clusters = []
+    for cid, group in zip(draw(st.permutations(range(1, len(groups) + 1))), groups):
+        if disjoint:
+            master = draw(st.sampled_from(group))
+            proxy = draw(st.none() | st.sampled_from(group).filter(lambda v: v != master)) \
+                if len(group) > 1 else None
+            members = set(group)
+        else:
+            members = draw(st.sets(nodes, max_size=12))
+            master, proxy = draw(nodes), draw(st.none() | nodes)
+        clusters.append(d.ClusterRecord(id=cid, master=master, proxy=proxy, members=members))
+    state = _state(n, [])
+    state.clusters = clusters
+    return graph, metrics, state
+
+
+class TestIndexedMaintenance:
+    """The index-driven maintenance steps against their per-cluster loops."""
+
+    @given(_maintained_network(disjoint=True))
+    def test_leader_exits_match_the_loop_reference(self, drawn):
+        graph, metrics, state = drawn
+        reference = state.copy()
+        expected = _loop_resolve_leader_exits(reference, graph, metrics, 2.0)
+        sim = _Simulation.__new__(_Simulation)
+        sim.graph, sim.metrics, sim.state = graph, metrics, state
+        index = d.ClusterIndex(state)
+        assert sim._resolve_leader_exits(index, 2.0) == expected
+        assert _records(state) == _records(reference)
+        _assert_index_current(index)
+
+    @given(st.booleans().flatmap(_maintained_network), st.data())
+    def test_find_ch_matches_the_loop_reference(self, drawn, data):
+        graph, metrics, state = drawn
+        exits = data.draw(st.lists(st.integers(0, state.node_count - 1), unique=True,
+                                   max_size=6))
+        reference = state.copy()
+        index = d.ClusterIndex(state)
+        for node in exits:
+            expected = _loop_find_ch(node, reference, graph, metrics, 1.0)
+            assert d.find_ch(node, index, graph, metrics, 1.0) == expected
+            assert _records(state) == _records(reference)
+            _assert_index_current(index)
 
 
 class TestLeaderExits:

@@ -1,3 +1,7 @@
+import resource
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +9,7 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.errors import SizeLimitError
+from dscluster.mobility import _Simulation
 
 from conftest import random_edge_graph
 
@@ -32,6 +37,125 @@ def _per_cluster_diameter_witnesses(state, graph):
             witnesses.append({"cluster": cluster.id, "pair": [order[i], order[j]],
                               "distance": distance})
     return witnesses
+
+
+def _union_bfs_diameter_witnesses(state, graph):
+    """One BFS over the disjoint union of the member-induced subgraphs, laid
+    out cluster by cluster with the edges between clusters masked out: the
+    earlier implementation, kept as the reference for the block check."""
+    sizes = [len(cluster.members) for cluster in state.clusters]
+    order = np.array([v for cluster in state.clusters for v in sorted(cluster.members)], dtype=int)
+    owner = np.repeat(np.arange(len(state.clusters)), sizes)
+    same = owner[:, None] == owner[None, :]
+    hop = d.hop_distance_table(d.NetworkGraph(adj=graph.adj[order][:, order] & same))
+    too_far = ((hop == d.UNREACHABLE) | (hop > 3)) & same
+    witnesses = []
+    for i, j in zip(*np.divmod(np.flatnonzero(too_far), order.size)):
+        distance = None if hop[i, j] == d.UNREACHABLE else int(hop[i, j])
+        witnesses.append({"cluster": state.clusters[owner[i]].id,
+                          "pair": [int(order[i]), int(order[j])], "distance": distance})
+    return witnesses
+
+
+def _loop_double_star(state, graph):
+    """(witnesses, proxy-less count) by one adjacency test per member: the
+    reference for the gathered check."""
+    witnesses = []
+    starless = 0
+    for cluster in state.clusters:
+        if cluster.proxy is None:
+            starless += 1
+            continue
+        m, p = cluster.master, cluster.proxy
+        if not graph.adjacent(m, p):
+            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
+            continue
+        for v in sorted(cluster.members - {m, p}):
+            if not (graph.adjacent(v, m) or graph.adjacent(v, p)):
+                witnesses.append({"cluster": cluster.id, "stranded_member": v})
+    return witnesses, starless
+
+
+def _loop_partition(state):
+    """Partition witnesses by walking every member of every cluster: the
+    reference for the bincount check."""
+    witnesses = []
+    seen = {}
+    for cluster in state.clusters:
+        for v in sorted(cluster.members):
+            if v in seen:
+                witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
+            else:
+                seen[v] = cluster.id
+    uncovered = [v for v in range(state.node_count) if v not in seen]
+    if not state.critical:
+        return witnesses + [{"node": v, "uncovered": True} for v in uncovered]
+    return witnesses + [{"node": v, "uncovered_non_critical": True}
+                        for v in uncovered if v not in state.critical]
+
+
+@st.composite
+def _long_clusters(draw):
+    """A sparse graph of up to 48 nodes, mostly one path along a random node
+    order plus a few chords, and up to six clusters of up to about 20
+    members, each a stretch of that path plus a few stray nodes.  So the
+    clusters span several size buckets, distances inside them run past 3
+    hops and some pairs are disconnected; clusters may overlap, lack a
+    proxy, be singletons or empty, and carry leaders outside their
+    members, under shuffled ids.  A proxy is often a neighbour of its
+    master.  Some nodes may be critical."""
+    n = draw(st.integers(2, 48))
+    nodes = st.integers(0, n - 1)
+    order = draw(st.permutations(range(n)))
+    kept = draw(st.lists(st.integers(0, 5), min_size=n - 1, max_size=n - 1))
+    chords = draw(st.lists(st.tuples(nodes, nodes), max_size=n // 6))
+    edges = {(min(u, v), max(u, v)) for u, v in
+             [(order[i], order[i + 1]) for i, keep in enumerate(kept) if keep] + chords
+             if u != v}
+    count = draw(st.integers(0, 6))
+    clusters = []
+    for cid in draw(st.permutations(range(1, count + 1))):
+        start = draw(st.integers(0, n - 1))
+        stretch = order[start:start + draw(st.integers(0, 20))]
+        members = set(stretch) | draw(st.sets(nodes, max_size=3))
+        inside = st.sampled_from(sorted(members)) if members else nodes
+        master = draw(inside | nodes)
+        touching = sorted({u + v - master for u, v in edges if master in (u, v)})
+        near = st.sampled_from(touching) if touching else inside
+        clusters.append(d.ClusterRecord(id=cid, master=master,
+                                        proxy=draw(st.none() | near | inside | nodes),
+                                        members=members))
+    state = d.ClusterState(
+        node_count=n, clusters=clusters, critical=draw(st.sets(nodes, max_size=3)),
+        hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
+    )
+    return d.graph_from_edges(n, sorted(edges)), state
+
+
+@contextmanager
+def _address_space_cap(headroom):
+    """Cap this process's address space at its present size plus
+    ``headroom`` bytes, so that an allocation far past a memory bound fails
+    with MemoryError instead of exhausting the machine."""
+    with open("/proc/self/status") as status:
+        size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom if hard == resource.RLIM_INFINITY else min(hard, size + headroom)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _peak_bytes(check, *args):
+    """Peak traced allocation of one call."""
+    tracemalloc.start()
+    try:
+        check(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
@@ -100,6 +224,59 @@ class TestClusterDiameter:
         assert check.witnesses == expected
         assert check.passed == (not expected)
 
+    @given(_long_clusters())
+    def test_blocks_match_the_union_bfs_reference(self, drawn):
+        graph, state = drawn
+        expected = _union_bfs_diameter_witnesses(state, graph)
+        assert expected == _per_cluster_diameter_witnesses(state, graph)
+        assert d.check_cluster_diameter(state, graph).witnesses == expected
+
+    def test_exact_distances_across_size_buckets(self):
+        # clusters of 2, 3, 5, 9 and 17 members fill five size buckets; the
+        # 5- and 9-member paths run to 4 and 8 hops, and the 17-member
+        # cluster is a 7-node path plus ten isolated members
+        edges, clusters, start = [], [], 0
+        for size, path in ((2, 2), (3, 3), (5, 5), (9, 9), (17, 7)):
+            members = list(range(start, start + size))
+            edges += list(zip(members[:path - 1], members[1:path]))
+            clusters.append((members[0], None, set(members)))
+            start += size
+        graph = d.graph_from_edges(start, edges)
+        state = _state(start, clusters)
+        for cluster, cid in zip(state.clusters, (4, 2, 5, 1, 3)):
+            cluster.id = cid
+        witnesses = d.check_cluster_diameter(state, graph).witnesses
+        assert witnesses == _union_bfs_diameter_witnesses(state, graph)
+        distances = {w["distance"] for w in witnesses}
+        assert distances == {4, 5, 6, 7, 8, None}
+        # in cluster list order, whatever the ids
+        assert list(dict.fromkeys(w["cluster"] for w in witnesses)) == [5, 1, 3]
+
+    def test_rgg_clustering_peaks_below_two_megabytes(self):
+        # the n = 1000 scenario of the golden digests: about 130 clusters of
+        # up to 16 members, where an n x n hop table alone takes 8 MB
+        sim = _Simulation(d.Scenario(node_count=1000, terrain_size=500.0, range_=30.0,
+                                     v_max=0.0, seed=3))
+        assert d.check_cluster_diameter(sim.state, sim.graph).passed
+        assert _peak_bytes(d.check_cluster_diameter, sim.state, sim.graph) < 2_000_000
+
+    def test_one_large_cluster_does_not_pad_the_small_ones(self):
+        # a 1500-member star and 1000 two-member clusters: the blocks hold
+        # sum(k^2) = 2.254e6 pairs, one stack padded to 1500 would hold 2.3e9
+        star = set(range(1500))
+        edges = [(0, v) for v in range(1, 1500)]
+        clusters = [(0, 1, star)]
+        for u in range(1500, 3500, 2):
+            edges.append((u, u + 1))
+            clusters.append((u, u + 1, {u, u + 1}))
+        graph = d.graph_from_edges(3500, edges)
+        state = _state(3500, clusters)
+        pairs = 1500 ** 2 + 1000 * 2 ** 2
+        with _address_space_cap(1 << 30):
+            peak = _peak_bytes(d.check_cluster_diameter, state, graph)
+        assert d.check_cluster_diameter(state, graph).passed
+        assert peak < 20 * pairs
+
     def test_overlapping_clusters_beyond_the_size_bound_refused(self):
         graph = d.graph_from_edges(2, [(0, 1)])
         clusters = [(0, 1, {0, 1})] * (d.graph.MAX_NODES // 2 + 1)
@@ -149,6 +326,15 @@ class TestDoubleStar:
         check = d.check_double_star(final, bundle.graph)
         assert check.passed
 
+    @given(_long_clusters())
+    def test_gathers_match_the_loop_reference(self, drawn):
+        graph, state = drawn
+        witnesses, starless = _loop_double_star(state, graph)
+        check = d.check_double_star(state, graph)
+        assert check.witnesses == witnesses
+        assert (starless > 0) == ("without a proxy" in check.note)
+        assert check.note.startswith(f"{starless} ") or not starless
+
     def test_missing_proxy_vacuous_with_note(self):
         graph = d.graph_from_edges(2, [(0, 1)])
         state = _state(2, [(0, None, {0, 1})])
@@ -176,6 +362,11 @@ class TestPartition:
     def test_reference_final_state_covers_everything(self, bundle, paper_states):
         _, final = paper_states
         assert d.check_partition(final, bundle.graph).passed
+
+    @given(_long_clusters())
+    def test_bincount_matches_the_loop_reference(self, drawn):
+        graph, state = drawn
+        assert d.check_partition(state, graph).witnesses == _loop_partition(state)
 
     def test_duplicate_membership_detected(self, bundle, paper_states):
         _, final = paper_states
