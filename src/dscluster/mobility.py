@@ -222,7 +222,7 @@ class ClusterIndex:
         cluster.members.add(node)
         if node in (cluster.master, cluster.proxy):
             return
-        start, end = np.searchsorted(self.owner, position), np.searchsorted(self.owner, position + 1)
+        start, end = np.searchsorted(self.owner, [position, position + 1])
         at = start + np.searchsorted(self.members[start:end], node)
         self.members = np.concatenate((self.members[:at], [node], self.members[at:]))
         self.owner = np.concatenate((self.owner[:at], [position], self.owner[at:]))

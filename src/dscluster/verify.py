@@ -141,9 +141,9 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
     for i in sorted(failing):
         table, order = failing[i], nodes[starts[i]:starts[i + 1]]
         for a, b in np.argwhere(table):
+            distance = None if table[a, b] == UNREACHABLE else int(table[a, b])
             witnesses.append({"cluster": state.clusters[i].id,
-                              "pair": [int(order[a]), int(order[b])],
-                              "distance": None if table[a, b] == UNREACHABLE else int(table[a, b])})
+                              "pair": [int(order[a]), int(order[b])], "distance": distance})
     return CheckResult("cluster-diameter", witnesses)
 
 
@@ -275,8 +275,9 @@ def perfect_claims(state: ClusterState, graph: NetworkGraph) -> list[CheckResult
 
 
 def graph_radius_diameter(hop: np.ndarray) -> tuple[int | None, int | None]:
-    """(radius, diameter) from a hop table; None when disconnected."""
-    if hop.shape[0] == 0 or np.any(hop == UNREACHABLE):
+    """(radius, diameter) from a hop table; None when disconnected.
+    UNREACHABLE is the table's only negative entry, so its minimum tells."""
+    if hop.shape[0] == 0 or hop.min() == UNREACHABLE:
         return None, None
     ecc = hop.max(axis=1)
     return int(ecc.min()), int(ecc.max())
