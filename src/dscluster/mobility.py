@@ -43,7 +43,7 @@ from .graph import (
     sample_positions,
 )
 from .metrics import DEFAULT_ALPHAS, NetworkMetrics, WeightConfig, compute_network_metrics
-from .verify import member_columns, run_property_checks
+from .verify import leader_pairs, member_columns, ordinary_members, run_property_checks
 
 EVENT_BOUNDARY_EXIT = "boundary-exit"
 EVENT_FIND_CH = "find-ch"
@@ -172,9 +172,8 @@ class ClusterIndex:
     def __init__(self, state: ClusterState):
         self.state = state
         self.clusters = sorted(state.clusters, key=lambda c: c.id)
-        nodes, owner, self.leaders = member_columns(self.clusters)
-        ordinary = (nodes != self.leaders[owner, 0]) & (nodes != self.leaders[owner, 1])
-        self.members, self.owner = nodes[ordinary], owner[ordinary]
+        self.members, self.owner = member_columns([ordinary_members(c) for c in self.clusters])
+        self.leaders = leader_pairs(self.clusters)
         self._list_leaders()
 
     def _list_leaders(self) -> None:

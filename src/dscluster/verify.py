@@ -3,11 +3,12 @@
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
 none.  The four structural checks apply to every clustering.  They read
-the clusters as member columns (``member_columns``) and work on arrays
-the size of the clusters: gathers of adjacency or hop entries at
-(member, leader) pairs, a ``bincount`` of listings, and per-cluster
-adjacency blocks for the diameter bound.  None of them builds an n x n
-array; only the dominance check reads the caller's hop table.  This module
+the clusters as node columns (``member_columns``, ``leader_pairs``) and
+work on arrays the size of the clusters: gathers of adjacency or hop
+entries at (member, leader) pairs, a ``bincount`` of listings, and
+per-cluster adjacency blocks for the diameter bound.  None of them builds
+an n x n array; only the dominance check reads the caller's hop table.
+This module
 also owns the paper's two extra claims for a perfect clustering
 (``perfect_claims``); ``line_graph_domination_number``, which one of them
 needs, is an exhaustive search capped at desk scale.
@@ -50,24 +51,30 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
-def member_columns(clusters: list[ClusterRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The clusters as columns: every cluster's members, sorted, concatenated
-    in list order; the list position of each one's cluster; and every
-    cluster's (master, proxy) pair, with the master again for no proxy."""
-    sizes = [len(c.members) for c in clusters]
-    nodes = np.fromiter(itertools.chain.from_iterable(sorted(c.members) for c in clusters),
-                        dtype=np.intp, count=sum(sizes))
-    owner = np.repeat(np.arange(len(clusters)), sizes)
-    leaders = np.array([[c.master for c in clusters],
-                        [c.master if c.proxy is None else c.proxy for c in clusters]],
-                       dtype=np.intp).reshape(2, -1).T
-    return nodes, owner, leaders
+def member_columns(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Node lists as two columns: the nodes concatenated in list order, and
+    the list position of each one's list."""
+    sizes = [len(group) for group in groups]
+    nodes = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=sum(sizes))
+    return nodes, np.repeat(np.arange(len(groups)), sizes)
 
 
-def _hops_beyond(step: np.ndarray, pairs: np.ndarray, bound: int) -> dict[int, np.ndarray]:
-    """The blocks of a (g, k, k) stack with a pair of ``pairs`` more than
-    ``bound`` hops apart, each with a k x k table holding the exact distance
-    of every such pair, UNREACHABLE for a disconnected one, and 0 elsewhere.
+def ordinary_members(cluster: ClusterRecord) -> list[int]:
+    """The members that are neither master nor proxy, sorted."""
+    return sorted(cluster.members - {cluster.master, cluster.proxy})
+
+
+def leader_pairs(clusters: list[ClusterRecord]) -> np.ndarray:
+    """Every cluster's (master, proxy) pair, with the master again for no proxy."""
+    return np.array([[c.master for c in clusters],
+                     [c.master if c.proxy is None else c.proxy for c in clusters]],
+                    dtype=np.intp).reshape(2, -1).T
+
+
+def _hops_beyond(step: np.ndarray, bound: int) -> dict[int, np.ndarray]:
+    """The blocks of a (g, k, k) stack with a pair more than ``bound`` hops
+    apart, each with a k x k table holding the exact distance of every such
+    pair, UNREACHABLE for a disconnected one, and 0 elsewhere.
 
     ``step`` holds the blocks' closed adjacency A + I as float32 0/1
     entries.  The pairs within d hops are the non-zero entries of its d-th
@@ -80,7 +87,7 @@ def _hops_beyond(step: np.ndarray, pairs: np.ndarray, bound: int) -> dict[int, n
     for _ in range(bound - 1):
         reach = reach @ step
         np.minimum(reach, 1, out=reach)
-    unreached = pairs & (reach == 0)
+    unreached = reach == 0
     live = np.flatnonzero(unreached.reshape(len(step), -1).any(axis=1))
     reach, unreached = reach[live], unreached[live]
     tables = {int(b): np.where(far, UNREACHABLE, 0) for b, far in zip(live, unreached)}
@@ -103,17 +110,23 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
 
     Distances stay inside a cluster, so the check works on one k x k block
     of the adjacency per cluster of k members and never on an n x n table.
-    Clusters are grouped into power-of-two size buckets, and each bucket is
-    gathered as one (g, k, k) stack padded to its largest cluster, so the
-    padding at most quadruples a block and one large cluster does not
-    inflate the small ones.  Reach by hops comes from boolean powers of
-    A + I (``_hops_beyond``); past 3 hops only the failing clusters go on,
-    until every witness pair has its exact distance, or None when it is
-    disconnected inside the cluster.  Witnesses come in cluster list order,
-    then by the sorted positions of the pair's members.  A node listed by
-    several clusters is gathered once per cluster, so the clusters are
-    refused beyond ``MAX_NODES`` members in total (only overlapping
-    clusters get there).
+    A cluster that holds both its leaders, adjacent to each other (or one
+    master), with every other member adjacent to one of them spans their
+    (double) star, so no two members are more than 3 hops apart and it
+    needs no block.  The other clusters are grouped into power-of-two size
+    buckets (2-4, 5-8, 9-16, ...), and each bucket is gathered as one
+    (g, k, k) stack padded to its largest cluster, so the padding at most
+    quadruples a block and one large cluster does not inflate the small
+    ones.  A shorter cluster is padded with copies of its last member: a
+    copy has that member's neighbours, so it shortens no path between
+    members, and only the members' own rows and columns are read back.
+    Reach by hops comes from boolean powers of A + I (``_hops_beyond``);
+    past 3 hops only the failing clusters go on, until every witness pair
+    has its exact distance, or None when it is disconnected inside the
+    cluster.  Witnesses come in cluster list order, then by the sorted
+    positions of the pair's members.  A node listed by several clusters is
+    gathered once per cluster, so the clusters are refused beyond
+    ``MAX_NODES`` members in total (only overlapping clusters get there).
     """
     sizes = np.array([len(cluster.members) for cluster in state.clusters], dtype=np.intp)
     if sizes.sum() > MAX_NODES:
@@ -121,25 +134,32 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
             f"clusters list {sizes.sum()} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
-    nodes, owner, _ = member_columns(state.clusters)
-    starts = np.concatenate(([0], np.cumsum(sizes)))
-    # bucket b >= 1 holds the sizes 2^(b-1) + 1 .. 2^b; clusters of one member have no pair
-    buckets = np.ceil(np.log2(np.maximum(sizes, 1))).astype(np.intp)
+    nodes, owner = member_columns([sorted(cluster.members) for cluster in state.clusters])
+    ends = np.cumsum(sizes)
+    count, leaders = len(state.clusters), leader_pairs(state.clusters)
+    own = nodes[:, None] == leaders[owner]
+    near = (own | graph.adj[nodes[:, None], leaders[owner]]).any(axis=1)
+    starred = ((np.bincount(owner, own[:, 0], count) > 0)
+               & (np.bincount(owner, own[:, 1], count) > 0)
+               & (graph.adj[leaders[:, 0], leaders[:, 1]] | (leaders[:, 0] == leaders[:, 1]))
+               & (np.bincount(owner, ~near, count) == 0))
+    # bucket 2 holds the sizes 2 to 4 and bucket b > 2 the sizes 2^(b-1) + 1 to
+    # 2^b; starred clusters and clusters of one member stay out, in bucket 0
+    buckets = np.ceil(np.log2(np.maximum(sizes, 3))).astype(np.intp) * ((sizes > 1) & ~starred)
     failing: dict[int, np.ndarray] = {}
     for bucket in np.flatnonzero(np.bincount(buckets)[1:]) + 1:
         which = np.flatnonzero(buckets == bucket)
         k = int(sizes[which].max())
-        valid = np.arange(k) < sizes[which, None]
-        rows = np.zeros(valid.shape, dtype=np.intp)
-        rows[valid] = nodes[buckets[owner] == bucket]
-        pairs = valid[:, :, None] & valid[:, None, :]
-        step = (graph.adj[rows[:, :, None], rows[:, None, :]] & pairs).astype(np.float32)
+        last = ends[which, None] - 1
+        rows = nodes[np.minimum(last - sizes[which, None] + 1 + np.arange(k), last)]
+        step = graph.adj[rows[:, :, None], rows[:, None, :]].astype(np.float32)
         step[:, np.arange(k), np.arange(k)] = 1
-        for b, table in _hops_beyond(step, pairs, 3).items():
-            failing[int(which[b])] = table
+        for b, table in _hops_beyond(step, 3).items():
+            size = sizes[which[b]]
+            failing[int(which[b])] = table[:size, :size]
     witnesses = []
     for i in sorted(failing):
-        table, order = failing[i], nodes[starts[i]:starts[i + 1]]
+        table, order = failing[i], nodes[ends[i] - sizes[i]:ends[i]]
         for a, b in np.argwhere(table):
             distance = None if table[a, b] == UNREACHABLE else int(table[a, b])
             witnesses.append({"cluster": state.clusters[i].id,
@@ -151,22 +171,21 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """A spanning double star embeds in every two-leader cluster: the
     (master, proxy) edge exists and every other member is adjacent to one
     of them, so that edge dominates every spoke.  Clusters without a proxy
-    pass vacuously (a plain star).  Both halves are gathers over the
-    clusters' member columns."""
-    nodes, owner, leaders = member_columns(state.clusters)
+    pass vacuously (a plain star).  Both halves are gathers, of the leader
+    pairs and of the ordinary members against their leaders."""
+    nodes, owner = member_columns([ordinary_members(c) for c in state.clusters])
+    leaders = leader_pairs(state.clusters)
     led = np.array([cluster.proxy is not None for cluster in state.clusters], dtype=bool)
-    missing = led & ~graph.adj[leaders[:, 0], leaders[:, 1]]
-    ordinary = (nodes != leaders[owner, 0]) & (nodes != leaders[owner, 1])
-    listed = ordinary & led[owner] & ~missing[owner]
-    stranded = listed & ~graph.adj[nodes[:, None], leaders[owner]].any(axis=1)
+    linked = graph.adj[leaders[:, 0], leaders[:, 1]]
+    stranded = (led & linked)[owner] & ~graph.adj[nodes[:, None], leaders[owner]].any(axis=1)
     # one witness per cluster without its (m, p) edge, else one per stranded
     # member; a stable sort by cluster position merges the two in list order
     found = [(i, {"cluster": state.clusters[i].id, "missing_edge": leaders[i].tolist()})
-             for i in np.flatnonzero(missing)]
-    found += [(i, {"cluster": state.clusters[i].id, "stranded_member": int(v)})
-              for i, v in zip(owner[stranded], nodes[stranded])]
+             for i in np.flatnonzero(led & ~linked).tolist()]
+    found += [(i, {"cluster": state.clusters[i].id, "stranded_member": v})
+              for i, v in zip(owner[stranded].tolist(), nodes[stranded].tolist())]
     witnesses = [w for _, w in sorted(found, key=lambda t: t[0])]
-    starless = int((~led).sum())
+    starless = len(led) - int(led.sum())
     note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
@@ -179,7 +198,7 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     Listings are counted by one ``bincount``; only the members listed more
     than once are then visited, in cluster order, and each repeat is
     reported against the first cluster that listed the node."""
-    nodes, owner, _ = member_columns(state.clusters)
+    nodes, owner = member_columns([sorted(cluster.members) for cluster in state.clusters])
     counts = np.bincount(nodes, minlength=state.node_count)
     repeated = counts[nodes] > 1
     witnesses = []
@@ -206,13 +225,11 @@ def check_dominance_and_independence(
     and no two masters are adjacent.  The two halves are reported
     separately in ``details`` (motion may be allowed to break master
     independence while dominance must still hold)."""
-    nodes, owner, leaders = member_columns(state.clusters)
-    ordinary = (nodes != leaders[owner, 0]) & (nodes != leaders[owner, 1])
-    nodes, owner = nodes[ordinary], owner[ordinary]
-    near = hop[nodes[:, None], leaders[owner]]
+    nodes, owner = member_columns([ordinary_members(c) for c in state.clusters])
+    near = hop[nodes[:, None], leader_pairs(state.clusters)[owner]]
     dominated = ((near != UNREACHABLE) & (near <= 2)).any(axis=1)
-    dominance_witnesses = [{"cluster": state.clusters[i].id, "node": int(v)}
-                           for i, v in zip(owner[~dominated], nodes[~dominated])]
+    dominance_witnesses = [{"cluster": state.clusters[i].id, "node": v}
+                           for i, v in zip(owner[~dominated].tolist(), nodes[~dominated].tolist())]
     masters = sorted(state.masters())
     pairs = np.nonzero(np.triu(graph.adj[np.ix_(masters, masters)], 1))
     independence_witnesses = [{"masters": [masters[i], masters[j]]} for i, j in zip(*pairs)]

@@ -232,9 +232,10 @@ class TestClusterDiameter:
         assert d.check_cluster_diameter(state, graph).witnesses == expected
 
     def test_exact_distances_across_size_buckets(self):
-        # clusters of 2, 3, 5, 9 and 17 members fill five size buckets; the
-        # 5- and 9-member paths run to 4 and 8 hops, and the 17-member
-        # cluster is a 7-node path plus ten isolated members
+        # clusters of 3, 5, 9 and 17 members fill four size buckets (the
+        # 2-member one is its master's star and needs no block); the 5- and
+        # 9-member paths run to 4 and 8 hops, and the 17-member cluster is a
+        # 7-node path plus ten isolated members
         edges, clusters, start = [], [], 0
         for size, path in ((2, 2), (3, 3), (5, 5), (9, 9), (17, 7)):
             members = list(range(start, start + size))
@@ -252,6 +253,20 @@ class TestClusterDiameter:
         # in cluster list order, whatever the ids
         assert list(dict.fromkeys(w["cluster"] for w in witnesses)) == [5, 1, 3]
 
+    @pytest.mark.parametrize("master, proxy, extra", [
+        (1, 4, []),  # every member touches 1 or 4, but the leaders do not touch
+        (5, None, [(5, v) for v in range(5)]),  # the master touches all but is no member
+        (5, 0, [(5, v) for v in range(5)]),  # so does a master beside a member proxy
+        (0, 5, [(5, v) for v in range(5)]),  # the proxy touches all but is no member
+    ])
+    def test_a_star_counts_only_inside_the_cluster(self, master, proxy, extra):
+        # members 0..4 form a path, 4 hops end to end inside the cluster
+        graph = d.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)] + extra)
+        state = _state(6, [(master, proxy, {0, 1, 2, 3, 4})])
+        witnesses = d.check_cluster_diameter(state, graph).witnesses
+        assert witnesses == _union_bfs_diameter_witnesses(state, graph)
+        assert {"cluster": 1, "pair": [0, 4], "distance": 4} in witnesses
+
     def test_rgg_clustering_peaks_below_two_megabytes(self):
         # the n = 1000 scenario of the golden digests: about 130 clusters of
         # up to 16 members, where an n x n hop table alone takes 8 MB
@@ -262,15 +277,16 @@ class TestClusterDiameter:
 
     def test_one_large_cluster_does_not_pad_the_small_ones(self):
         # a 1500-member star and 1000 two-member clusters: the blocks hold
-        # sum(k^2) = 2.254e6 pairs, one stack padded to 1500 would hold 2.3e9
-        star = set(range(1500))
+        # sum(k^2) = 2.254e6 pairs, one stack padded to 1500 would hold 2.3e9.
+        # Every master lies outside its cluster (node 3500), so no cluster
+        # passes as its leaders' star and every one is measured by blocks.
         edges = [(0, v) for v in range(1, 1500)]
-        clusters = [(0, 1, star)]
+        clusters = [(3500, None, set(range(1500)))]
         for u in range(1500, 3500, 2):
             edges.append((u, u + 1))
-            clusters.append((u, u + 1, {u, u + 1}))
-        graph = d.graph_from_edges(3500, edges)
-        state = _state(3500, clusters)
+            clusters.append((3500, None, {u, u + 1}))
+        graph = d.graph_from_edges(3501, edges)
+        state = _state(3501, clusters)
         pairs = 1500 ** 2 + 1000 * 2 ** 2
         with _address_space_cap(1 << 30):
             peak = _peak_bytes(d.check_cluster_diameter, state, graph)
