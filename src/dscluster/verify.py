@@ -2,13 +2,13 @@
 
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
-none.  The four structural checks apply to every clustering.  They read
-the clusters as node columns (``member_columns``, ``leader_pairs``) and
-work on arrays the size of the clusters: gathers of adjacency or hop
-entries at (member, leader) pairs, a ``bincount`` of listings, and
-per-cluster adjacency blocks for the diameter bound.  None of them builds
-an n x n array; only the dominance check reads the caller's hop table.
-This module
+none.  The four structural checks apply to every clustering, and none
+of them builds an n x n array.  The diameter bound and the dominance
+check read the clusters as node columns (``member_columns``,
+``leader_pairs``) and gather adjacency or hop entries at (member, leader)
+pairs; the diameter bound then measures only the clusters that are not
+their leaders' star, each on its own adjacency block, and the dominance
+check is the only one that reads the caller's hop table.  This module
 also owns the paper's two extra claims for a perfect clustering
 (``perfect_claims``); ``line_graph_domination_number``, which one of them
 needs, is an exhaustive search capped at desk scale.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import ClusterRecord, ClusterState
 from .errors import SizeLimitError
-from .graph import MAX_NODES, UNREACHABLE, NetworkGraph
+from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
 #: Brute-force bound for line_graph_domination_number.
 EDGE_LIMIT = 20
@@ -71,62 +71,21 @@ def leader_pairs(clusters: list[ClusterRecord]) -> np.ndarray:
                     dtype=np.intp).reshape(2, -1).T
 
 
-def _hops_beyond(step: np.ndarray, bound: int) -> dict[int, np.ndarray]:
-    """The blocks of a (g, k, k) stack with a pair more than ``bound`` hops
-    apart, each with a k x k table holding the exact distance of every such
-    pair, UNREACHABLE for a disconnected one, and 0 elsewhere.
-
-    ``step`` holds the blocks' closed adjacency A + I as float32 0/1
-    entries.  The pairs within d hops are the non-zero entries of its d-th
-    boolean power; each power is taken by ``matmul`` and clamped back to
-    1, so every entry stays an exact small integer.  Past ``bound`` hops a
-    level is taken only for the blocks that still have unreached pairs, and
-    a block that reaches nothing new at a level never will.
-    """
-    reach = step
-    for _ in range(bound - 1):
-        reach = reach @ step
-        np.minimum(reach, 1, out=reach)
-    unreached = reach == 0
-    live = np.flatnonzero(unreached.reshape(len(step), -1).any(axis=1))
-    reach, unreached = reach[live], unreached[live]
-    tables = {int(b): np.where(far, UNREACHABLE, 0) for b, far in zip(live, unreached)}
-    level = bound
-    while live.size:
-        level += 1
-        reach = reach @ step[live]
-        np.minimum(reach, 1, out=reach)
-        newly = unreached & (reach > 0)
-        for b, found in zip(live, newly):
-            tables[int(b)][found] = level
-        unreached &= ~newly
-        going = newly.any(axis=(1, 2)) & unreached.any(axis=(1, 2))
-        live, reach, unreached = live[going], reach[going], unreached[going]
-    return tables
-
-
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every cluster's member-induced subgraph has diameter at most 3.
 
-    Distances stay inside a cluster, so the check works on one k x k block
-    of the adjacency per cluster of k members and never on an n x n table.
-    A cluster that holds both its leaders, adjacent to each other (or one
-    master), with every other member adjacent to one of them spans their
-    (double) star, so no two members are more than 3 hops apart and it
-    needs no block.  The other clusters are grouped into power-of-two size
-    buckets (2-4, 5-8, 9-16, ...), and each bucket is gathered as one
-    (g, k, k) stack padded to its largest cluster, so the padding at most
-    quadruples a block and one large cluster does not inflate the small
-    ones.  A shorter cluster is padded with copies of its last member: a
-    copy has that member's neighbours, so it shortens no path between
-    members, and only the members' own rows and columns are read back.
-    Reach by hops comes from boolean powers of A + I (``_hops_beyond``);
-    past 3 hops only the failing clusters go on, until every witness pair
-    has its exact distance, or None when it is disconnected inside the
-    cluster.  Witnesses come in cluster list order, then by the sorted
-    positions of the pair's members.  A node listed by several clusters is
-    gathered once per cluster, so the clusters are refused beyond
-    ``MAX_NODES`` members in total (only overlapping clusters get there).
+    Distances stay inside a cluster, so the check never builds an n x n
+    table.  A cluster that holds both its leaders, adjacent to each other
+    (or one master), with every other member adjacent to one of them spans
+    their (double) star, so no two members are more than 3 hops apart; that
+    is read for every cluster at once from gathers and ``bincount``s.  Each
+    other cluster of k > 1 members gets one ``hop_distance_table`` on its
+    own k x k adjacency block, which gives every witness pair its exact
+    distance, or None when it is disconnected inside the cluster.  Witnesses
+    come in cluster list order, then by the sorted positions of the pair's
+    members.  A node listed by several clusters is gathered once per
+    cluster, so the clusters are refused beyond ``MAX_NODES`` members in
+    total (only overlapping clusters get there).
     """
     sizes = np.array([len(cluster.members) for cluster in state.clusters], dtype=np.intp)
     if sizes.sum() > MAX_NODES:
@@ -135,7 +94,6 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
             "the diameter check is built for"
         )
     nodes, owner = member_columns([sorted(cluster.members) for cluster in state.clusters])
-    ends = np.cumsum(sizes)
     count, leaders = len(state.clusters), leader_pairs(state.clusters)
     own = nodes[:, None] == leaders[owner]
     near = (own | graph.adj[nodes[:, None], leaders[owner]]).any(axis=1)
@@ -143,25 +101,13 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
                & (np.bincount(owner, own[:, 1], count) > 0)
                & (graph.adj[leaders[:, 0], leaders[:, 1]] | (leaders[:, 0] == leaders[:, 1]))
                & (np.bincount(owner, ~near, count) == 0))
-    # bucket 2 holds the sizes 2 to 4 and bucket b > 2 the sizes 2^(b-1) + 1 to
-    # 2^b; starred clusters and clusters of one member stay out, in bucket 0
-    buckets = np.ceil(np.log2(np.maximum(sizes, 3))).astype(np.intp) * ((sizes > 1) & ~starred)
-    failing: dict[int, np.ndarray] = {}
-    for bucket in np.flatnonzero(np.bincount(buckets)[1:]) + 1:
-        which = np.flatnonzero(buckets == bucket)
-        k = int(sizes[which].max())
-        last = ends[which, None] - 1
-        rows = nodes[np.minimum(last - sizes[which, None] + 1 + np.arange(k), last)]
-        step = graph.adj[rows[:, :, None], rows[:, None, :]].astype(np.float32)
-        step[:, np.arange(k), np.arange(k)] = 1
-        for b, table in _hops_beyond(step, 3).items():
-            size = sizes[which[b]]
-            failing[int(which[b])] = table[:size, :size]
+    ends = np.cumsum(sizes)
     witnesses = []
-    for i in sorted(failing):
-        table, order = failing[i], nodes[ends[i] - sizes[i]:ends[i]]
-        for a, b in np.argwhere(table):
-            distance = None if table[a, b] == UNREACHABLE else int(table[a, b])
+    for i in np.flatnonzero((sizes > 1) & ~starred).tolist():
+        order = nodes[ends[i] - sizes[i]:ends[i]]
+        hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
+        for a, b in np.argwhere((hop == UNREACHABLE) | (hop > 3)).tolist():
+            distance = None if hop[a, b] == UNREACHABLE else int(hop[a, b])
             witnesses.append({"cluster": state.clusters[i].id,
                               "pair": [int(order[a]), int(order[b])], "distance": distance})
     return CheckResult("cluster-diameter", witnesses)
@@ -171,21 +117,20 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """A spanning double star embeds in every two-leader cluster: the
     (master, proxy) edge exists and every other member is adjacent to one
     of them, so that edge dominates every spoke.  Clusters without a proxy
-    pass vacuously (a plain star).  Both halves are gathers, of the leader
-    pairs and of the ordinary members against their leaders."""
-    nodes, owner = member_columns([ordinary_members(c) for c in state.clusters])
-    leaders = leader_pairs(state.clusters)
-    led = np.array([cluster.proxy is not None for cluster in state.clusters], dtype=bool)
-    linked = graph.adj[leaders[:, 0], leaders[:, 1]]
-    stranded = (led & linked)[owner] & ~graph.adj[nodes[:, None], leaders[owner]].any(axis=1)
-    # one witness per cluster without its (m, p) edge, else one per stranded
-    # member; a stable sort by cluster position merges the two in list order
-    found = [(i, {"cluster": state.clusters[i].id, "missing_edge": leaders[i].tolist()})
-             for i in np.flatnonzero(led & ~linked).tolist()]
-    found += [(i, {"cluster": state.clusters[i].id, "stranded_member": v})
-              for i, v in zip(owner[stranded].tolist(), nodes[stranded].tolist())]
-    witnesses = [w for _, w in sorted(found, key=lambda t: t[0])]
-    starless = len(led) - int(led.sum())
+    pass vacuously (a plain star)."""
+    witnesses = []
+    starless = 0
+    for cluster in state.clusters:
+        if cluster.proxy is None:
+            starless += 1
+            continue
+        m, p = cluster.master, cluster.proxy
+        if not graph.adjacent(m, p):
+            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
+            continue
+        for v in sorted(cluster.members - {m, p}):
+            if not (graph.adjacent(v, m) or graph.adjacent(v, p)):
+                witnesses.append({"cluster": cluster.id, "stranded_member": v})
     note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
@@ -194,27 +139,23 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Cluster member sets are pairwise disjoint.  With an empty critical
     set (formation left nothing to adjust, or adjustment or maintenance has
     run) every node must additionally lie in exactly one cluster;
-    mid-formation only critical nodes may lie outside every cluster.
-    Listings are counted by one ``bincount``; only the members listed more
-    than once are then visited, in cluster order, and each repeat is
-    reported against the first cluster that listed the node."""
-    nodes, owner = member_columns([sorted(cluster.members) for cluster in state.clusters])
-    counts = np.bincount(nodes, minlength=state.node_count)
-    repeated = counts[nodes] > 1
+    mid-formation only critical nodes may lie outside every cluster."""
     witnesses = []
-    first: dict[int, int] = {}
-    for v, i in zip(nodes[repeated].tolist(), owner[repeated].tolist()):
-        cid = state.clusters[i].id
-        if v in first:
-            witnesses.append({"node": v, "clusters": [first[v], cid]})
-        else:
-            first[v] = cid
-    uncovered = np.flatnonzero(counts[:state.node_count] == 0).tolist()
+    seen: dict[int, int] = {}
+    for cluster in state.clusters:
+        for v in sorted(cluster.members):
+            if v in seen:
+                witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
+            else:
+                seen[v] = cluster.id
     if not state.critical:
-        witnesses += [{"node": v, "uncovered": True} for v in uncovered]
+        for v in range(state.node_count):
+            if v not in seen:
+                witnesses.append({"node": v, "uncovered": True})
     else:
-        witnesses += [{"node": v, "uncovered_non_critical": True}
-                      for v in uncovered if v not in state.critical]
+        uncovered = {v for v in range(state.node_count) if v not in seen}
+        for v in sorted(uncovered - state.critical):
+            witnesses.append({"node": v, "uncovered_non_critical": True})
     return CheckResult("partition", witnesses)
 
 
