@@ -165,8 +165,12 @@ class ClusterIndex:
     position of each one's cluster.  ``leader_ids`` lists every cluster's
     distinct leaders in ascending order, cluster by cluster, and
     ``leader_owner`` their positions.  Maintenance builds one index per
-    refresh and keeps it and the state current together: leader changes,
-    dissolved clusters, nodes leaving and joining, and new clusters.
+    refresh and updates it with the state.  Leader changes and dissolved
+    clusters update every column, since the hello check reads the members
+    after the exits are resolved; from then on only find_CH reads the
+    index, and each node passes through it once per refresh, so a join
+    or a departure changes the cluster's member set alone, and a new
+    cluster extends the leader columns.
     """
 
     def __init__(self, state: ClusterState):
@@ -206,25 +210,15 @@ class ClusterIndex:
         self._list_leaders()
 
     def discard(self, node: int) -> None:
-        """Take ``node`` out of every cluster that lists it."""
-        for position in self.leader_owner[self.leader_ids == node].tolist():
+        """Take ``node`` out of every cluster that the index lists it in."""
+        listed = np.concatenate((self.leader_owner[self.leader_ids == node],
+                                 self.owner[self.members == node]))
+        for position in listed.tolist():
             self.clusters[position].members.discard(node)
-        listed = self.members == node
-        if listed.any():
-            for position in self.owner[listed].tolist():
-                self.clusters[position].members.discard(node)
-            self.members, self.owner = self.members[~listed], self.owner[~listed]
 
     def join(self, node: int, position: int) -> None:
-        """Add ``node`` as an ordinary member of the cluster at ``position``."""
-        cluster = self.clusters[position]
-        cluster.members.add(node)
-        if node in (cluster.master, cluster.proxy):
-            return
-        start, end = np.searchsorted(self.owner, [position, position + 1])
-        at = start + np.searchsorted(self.members[start:end], node)
-        self.members = np.concatenate((self.members[:at], [node], self.members[at:]))
-        self.owner = np.concatenate((self.owner[:at], [position], self.owner[at:]))
+        """Add ``node`` to the cluster at ``position``."""
+        self.clusters[position].members.add(node)
 
     def found(self, master: int) -> None:
         """Open a singleton cluster led by ``master`` under the next free id."""
