@@ -249,10 +249,10 @@ class TestClusterDiameter:
         assert d.check_cluster_diameter(sim.state, sim.graph).passed
         assert _peak_bytes(d.check_cluster_diameter, sim.state, sim.graph) < 2_000_000
 
-    def test_one_large_cluster_does_not_pad_the_small_ones(self):
+    def test_memory_follows_the_cluster_sizes(self):
         # a 1500-member star and 1000 two-member clusters: their own blocks
         # hold sum(k^2) = 2.254e6 pairs, where the union of the clusters
-        # holds 1.2e7 and one stack padded to 1500 members 2.3e9.  Every
+        # holds 1.2e7 and 1001 blocks of the largest size 2.3e9.  Every
         # master lies outside its cluster (node 3500), so no cluster passes
         # as its leaders' star and every one gets its own hop table.
         edges = [(0, v) for v in range(1, 1500)]
