@@ -22,7 +22,6 @@ from .engine import (
 from .fileio import (
     cluster_report,
     load_bundled_fixture,
-    load_fixture,
     metrics_records,
 )
 from .graph import (
@@ -40,8 +39,6 @@ from .graph import (
 )
 from .metrics import (
     WeightConfig,
-    closer_euclidean_cardinalities,
-    closer_hop_cardinalities,
     combine_weight,
     combined_closeness_index,
     compute_network_metrics,
@@ -52,7 +49,6 @@ from .metrics import (
     path_statistics,
 )
 from .mobility import (
-    ClusterIndex,
     Scenario,
     find_ch,
     hello_refresh,

@@ -79,19 +79,6 @@ class NetworkMetrics:
         return self.weight(node), self.ns(node), -node
 
 
-def closer_hop_cardinalities(u: int, v: int, table: np.ndarray) -> tuple[int, int]:
-    """(c(u|v), c(v|u)): how many nodes are strictly closer to u than to v
-    in a hop (or Euclidean) table, and vice versa.  Every node counts,
-    including u and v; ties belong to neither side."""
-    if u == v:
-        raise InvalidArgumentError(f"nodes must be distinct, got u == v == {u}")
-    return int(np.sum(table[u] < table[v])), int(np.sum(table[v] < table[u]))
-
-
-#: The same count over the Euclidean table.
-closer_euclidean_cardinalities = closer_hop_cardinalities
-
-
 def _reachable(hop: np.ndarray) -> np.ndarray:
     """``hop`` itself once no pair in it is UNREACHABLE."""
     pairs = np.argwhere(hop == UNREACHABLE)

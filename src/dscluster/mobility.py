@@ -15,10 +15,11 @@ most 3.  Every displaced node (an exited leader, a member of a dissolved
 cluster, or a member out of reach of both its leaders) becomes one
 boundary-exit event; in node order, each
 re-affiliates by polling adjacent masters/proxies (find_CH), joining the
-heaviest acknowledger or becoming the master of its own cluster.  Each
-refresh reads the clusters through one ``ClusterIndex``, so the exits,
-the hello check and find_CH are gathers over the members and leaders
-rather than scans of every cluster.
+heaviest acknowledger or becoming the master of its own cluster.  The
+exits and the hello check read every cluster at once from one gather of
+the ordinary members against their clusters' leaders, and find_CH from
+one gather of the node's adjacency row at every leader; maintenance
+edits the cluster records of the state in place.
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
@@ -156,86 +157,10 @@ def step_positions(
     return _reflect(pos + delta, terrain_size)
 
 
-class ClusterIndex:
-    """The clusters of a state by ascending id, as arrays.
-
-    ``leaders`` holds each cluster's (master, proxy) pair, with the master
-    again for no proxy; ``members`` lists the ordinary members (neither
-    master nor proxy) cluster by cluster, sorted, and ``owner`` the
-    position of each one's cluster.  ``leader_ids`` lists every cluster's
-    distinct leaders in ascending order, cluster by cluster, and
-    ``leader_owner`` their positions.  Maintenance builds one index per
-    refresh and updates it with the state.  Leader changes and dissolved
-    clusters update every column, since the hello check reads the members
-    after the exits are resolved; from then on only find_CH reads the
-    index, and each node passes through it once per refresh, so a join
-    or a departure changes the cluster's member set alone, and a new
-    cluster extends the leader columns.
-    """
-
-    def __init__(self, state: ClusterState):
-        self.state = state
-        self.clusters = sorted(state.clusters, key=lambda c: c.id)
-        self.members, self.owner = member_columns([ordinary_members(c) for c in self.clusters])
-        self.leaders = leader_pairs(self.clusters)
-        self._list_leaders()
-
-    def _list_leaders(self) -> None:
-        ordered = np.sort(self.leaders, axis=1)
-        distinct = np.ones(ordered.shape, dtype=bool)
-        distinct[:, 1] = ordered[:, 0] != ordered[:, 1]
-        self.leader_ids, self.leader_owner = ordered[distinct], np.nonzero(distinct)[0]
-
-    def set_leaders(self, position: int, master: int, proxy: int | None) -> None:
-        """Install new leaders; a member elected proxy stops being ordinary."""
-        cluster = self.clusters[position]
-        cluster.master, cluster.proxy = master, proxy
-        self.leaders[position] = (master, master if proxy is None else proxy)
-        keep = (self.owner != position) | (self.members != proxy)
-        self.members, self.owner = self.members[keep], self.owner[keep]
-        self._list_leaders()
-
-    def dissolve(self, positions: list[int]) -> None:
-        """Remove the clusters at ``positions`` from the index and the state."""
-        if not positions:
-            return
-        gone = np.zeros(len(self.clusters), dtype=bool)
-        gone[positions] = True
-        for position in positions:
-            self.state.clusters.remove(self.clusters[position])
-        self.clusters = [c for c, g in zip(self.clusters, gone) if not g]
-        self.leaders = self.leaders[~gone]
-        keep = ~gone[self.owner]
-        self.members, self.owner = self.members[keep], (np.cumsum(~gone) - 1)[self.owner[keep]]
-        self._list_leaders()
-
-    def discard(self, node: int) -> None:
-        """Take ``node`` out of every cluster that the index lists it in."""
-        listed = np.concatenate((self.leader_owner[self.leader_ids == node],
-                                 self.owner[self.members == node]))
-        for position in listed.tolist():
-            self.clusters[position].members.discard(node)
-
-    def join(self, node: int, position: int) -> None:
-        """Add ``node`` to the cluster at ``position``."""
-        self.clusters[position].members.add(node)
-
-    def found(self, master: int) -> None:
-        """Open a singleton cluster led by ``master`` under the next free id."""
-        position = len(self.clusters)
-        cluster = ClusterRecord(id=self.clusters[-1].id + 1 if self.clusters else 1,
-                                master=master, proxy=None, members={master})
-        self.state.clusters.append(cluster)
-        self.clusters.append(cluster)
-        self.leaders = np.concatenate((self.leaders, [[master, master]]))
-        self.leader_ids = np.append(self.leader_ids, master)
-        self.leader_owner = np.append(self.leader_owner, position)
-
-
 def hello_refresh(
     positions: np.ndarray,
     range_: float,
-    index: ClusterIndex,
+    state: ClusterState,
     time: float = 0.0,
 ) -> tuple[NetworkGraph, list[MaintenanceEvent]]:
     """Rebuild adjacency from current positions and report every ordinary
@@ -243,16 +168,18 @@ def hello_refresh(
     node) order, by one adjacency gather of the members against their
     clusters' leaders."""
     graph = build_graph(positions, range_)
-    linked = graph.adj[index.members[:, None], index.leaders[index.owner]].any(axis=1)
+    clusters = sorted(state.clusters, key=lambda c: c.id)
+    members, owner = member_columns([ordinary_members(c) for c in clusters])
+    linked = graph.adj[members[:, None], leader_pairs(clusters)[owner]].any(axis=1)
     events = [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
-              for v, c in zip(index.members[~linked].tolist(),
-                              [index.clusters[i] for i in index.owner[~linked]])]
+              for v, c in zip(members[~linked].tolist(),
+                              [clusters[i] for i in owner[~linked].tolist()])]
     return graph, events
 
 
 def find_ch(
     node: int,
-    index: ClusterIndex,
+    state: ClusterState,
     graph: NetworkGraph,
     metrics: NetworkMetrics,
     time: float = 0.0,
@@ -260,26 +187,30 @@ def find_ch(
     """Re-affiliation for a node that left its cluster's reach.
 
     Every master/proxy adjacent to the node acknowledges (one gather of
-    the node's adjacency row at every leader); the node joins the
+    the node's adjacency row at every cluster's leaders, in cluster id
+    order and ascending node order within a cluster); the node joins the
     top-ranked acknowledger (``NetworkMetrics.rank``).  With no
     acknowledgers it becomes a master of a new singleton cluster.  The
-    state and the index are updated in place.
+    state is updated in place.
     """
-    index.discard(node)
+    for cluster in state.clusters:
+        cluster.members.discard(node)
     events = [MaintenanceEvent(time, EVENT_FIND_CH, node)]
-    heard = np.flatnonzero(graph.adj[node, index.leader_ids])
-    acknowledgers = list(zip(index.leader_ids[heard].tolist(),
-                             index.leader_owner[heard].tolist()))
-    for leader, position in sorted(acknowledgers, key=lambda t: t[0]):
-        cluster = index.clusters[position]
+    clusters = sorted(state.clusters, key=lambda c: c.id)
+    leaders = np.sort(leader_pairs(clusters), axis=1)
+    heard = graph.adj[node, leaders]
+    heard[:, 1] &= leaders[:, 0] != leaders[:, 1]  # a proxy-less cluster lists its master twice
+    rows, columns = np.nonzero(heard)
+    acknowledgers = list(zip(leaders[rows, columns].tolist(), [clusters[i] for i in rows.tolist()]))
+    for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
         events.append(MaintenanceEvent(time, EVENT_ACK, node, (cluster.master, cluster.proxy)))
     if acknowledgers:
-        leader, position = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
-        index.join(node, position)
-        cluster = index.clusters[position]
+        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+        cluster.members.add(node)
         events.append(MaintenanceEvent(time, EVENT_JOIN, node, (cluster.master, cluster.proxy)))
     else:
-        index.found(node)
+        new_id = clusters[-1].id + 1 if clusters else 1
+        state.clusters.append(ClusterRecord(id=new_id, master=node, proxy=None, members={node}))
         events.append(MaintenanceEvent(time, EVENT_BECOME_MASTER, node))
     return events
 
@@ -347,18 +278,17 @@ class _Simulation:
 
         step_events: list[MaintenanceEvent] = []
         if not reclustered:
-            index = ClusterIndex(self.state)
-            exits = self._resolve_leader_exits(index, time)
-            exits += hello_refresh(self.positions, s.range_, index, time)[1]
+            exits = self._resolve_leader_exits(time)
+            exits += hello_refresh(self.positions, s.range_, self.state, time)[1]
             for exit_event in sorted(exits, key=lambda e: e.node):
                 step_events.append(exit_event)
                 step_events.extend(
-                    find_ch(exit_event.node, index, self.graph, self.metrics, time)
+                    find_ch(exit_event.node, self.state, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
         self._summarise(time, step_events, warnings, reclustered)
 
-    def _resolve_leader_exits(self, index: ClusterIndex, time: float) -> list[MaintenanceEvent]:
+    def _resolve_leader_exits(self, time: float) -> list[MaintenanceEvent]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
         clusters whose leaders all left; returns a boundary-exit event for
         every displaced node.
@@ -370,36 +300,35 @@ class _Simulation:
         of one member are left alone.
         """
         adj = self.graph.adj
-        count = len(index.clusters)
-        members, owner = index.members, index.owner  # as gathered, before any election
-        led = np.array([c.proxy is not None for c in index.clusters], dtype=bool)
-        linked = led & adj[index.leaders[:, 0], index.leaders[:, 1]]
-        touch = adj[members[:, None], index.leaders[owner]]
+        clusters = sorted(self.state.clusters, key=lambda c: c.id)
+        count = len(clusters)
+        members, owner = member_columns([ordinary_members(c) for c in clusters])
+        leaders = leader_pairs(clusters)
+        led = np.array([c.proxy is not None for c in clusters], dtype=bool)
+        linked = led & adj[leaders[:, 0], leaders[:, 1]]
+        touch = adj[members[:, None], leaders[owner]]
         heard = [np.bincount(owner, weights=touch[:, i], minlength=count) > 0 for i in (0, 1)]
         master_exited = ~(linked | heard[0])
         proxy_exited = led & ~linked & (~master_exited | ~heard[1])
         crowded = led | (np.bincount(owner, minlength=count) > 0)
         orphans: list[MaintenanceEvent] = []
-        dissolved = []
         for position in np.flatnonzero(crowded & (master_exited | proxy_exited)).tolist():
-            cluster = index.clusters[position]
+            cluster = clusters[position]
             pair = (cluster.master, cluster.proxy)
             rows = slice(*np.searchsorted(owner, [position, position + 1]))
             if master_exited[position] and (cluster.proxy is None or proxy_exited[position]):
-                dissolved.append(position)
+                self.state.clusters.remove(cluster)
                 displaced = sorted(cluster.members)
             elif master_exited[position]:
                 displaced = [cluster.master]
                 cluster.members.discard(cluster.master)
-                proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 1]])
-                index.set_leaders(position, cluster.proxy, proxy)
+                cluster.master = cluster.proxy
+                cluster.proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 1]])
             else:
                 displaced = [cluster.proxy]
                 cluster.members.discard(cluster.proxy)
-                proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 0]])
-                index.set_leaders(position, cluster.master, proxy)
+                cluster.proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 0]])
             orphans += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair) for v in displaced]
-        index.dissolve(dissolved)
         return orphans
 
     def _elect_maintenance_proxy(self, candidates: np.ndarray) -> int | None:

@@ -196,13 +196,13 @@ def check_efficient_edge_domination(
     )
 
 
-def line_graph_domination_number(graph: NetworkGraph, limit: int = EDGE_LIMIT) -> int:
+def line_graph_domination_number(graph: NetworkGraph) -> int:
     """Minimum size of an edge set dominating every edge, by exhaustive
     search in increasing subset size.  Refuses graphs with more than
-    ``limit`` edges."""
+    ``EDGE_LIMIT`` edges."""
     edges = graph.edges()
-    if len(edges) > limit:
-        raise SizeLimitError(f"{len(edges)} edges exceeds brute-force bound {limit}")
+    if len(edges) > EDGE_LIMIT:
+        raise SizeLimitError(f"{len(edges)} edges exceeds brute-force bound {EDGE_LIMIT}")
     if not edges:
         return 0
     for k in range(1, len(edges) + 1):

@@ -23,16 +23,26 @@ def _tables_for(graph):
     return d.hop_distance_table(graph)
 
 
+def closer_cardinalities(u, v, table):
+    """(c(u|v), c(v|u)): how many nodes are strictly closer to u than to v
+    in a hop or Euclidean table, and vice versa.  Every node counts,
+    including u and v; ties belong to neither side.  The closeness
+    reference that the column kernel must equal."""
+    if u == v:
+        raise InvalidArgumentError(f"nodes must be distinct, got u == v == {u}")
+    return int(np.sum(table[u] < table[v])), int(np.sum(table[v] < table[u]))
+
+
 class TestCloserCardinalities:
     def test_three_node_path(self):
         hop = _tables_for(d.graph_from_edges(3, [(0, 1), (1, 2)]))
         # only each endpoint is strictly closer to itself; the middle ties
-        assert d.closer_hop_cardinalities(0, 2, hop) == (1, 1)
+        assert closer_cardinalities(0, 2, hop) == (1, 1)
 
     def test_same_node_rejected(self):
         hop = _tables_for(d.graph_from_edges(2, [(0, 1)]))
         with pytest.raises(InvalidArgumentError):
-            d.closer_hop_cardinalities(1, 1, hop)
+            closer_cardinalities(1, 1, hop)
 
     def test_tie_accounting_sums_to_n(self):
         rng = np.random.default_rng(7)
@@ -45,23 +55,20 @@ class TestCloserCardinalities:
             )
             for u in range(n):
                 for v in range(u + 1, n):
-                    for table, counter in (
-                        (hop, d.closer_hop_cardinalities),
-                        (euclid, d.closer_euclidean_cardinalities),
-                    ):
-                        c_uv, c_vu = counter(u, v, table)
+                    for table in (hop, euclid):
+                        c_uv, c_vu = closer_cardinalities(u, v, table)
                         ties = int(np.sum(table[u] == table[v]))
                         assert c_uv + c_vu + ties == n
 
     def test_collinear_euclidean(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         euclid = d.euclidean_distance_table(positions)
-        assert d.closer_euclidean_cardinalities(0, 2, euclid) == (2, 1)
+        assert closer_cardinalities(0, 2, euclid) == (2, 1)
 
     def test_coincident_nodes_all_tie(self):
         positions = np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 0.0]])
         euclid = d.euclidean_distance_table(positions)
-        assert d.closer_euclidean_cardinalities(0, 1, euclid) == (0, 0)
+        assert closer_cardinalities(0, 1, euclid) == (0, 0)
 
 
 class TestClosenessIndices:
@@ -366,7 +373,7 @@ def closeness_by_pairs(table):
     n = table.shape[0]
     return [
         sum(c_uv - c_vu for v in range(n) if v != u
-            for c_uv, c_vu in [d.closer_hop_cardinalities(u, v, table)])
+            for c_uv, c_vu in [closer_cardinalities(u, v, table)])
         for u in range(n)
     ]
 

@@ -118,7 +118,7 @@ class TestHelloRefresh:
 
     def test_no_movement_no_events(self):
         state = _state(4, self.CLUSTERS)
-        graph, events = d.hello_refresh(self.POSITIONS, 6.0, d.ClusterIndex(state))
+        graph, events = d.hello_refresh(self.POSITIONS, 6.0, state)
         assert events == []
         assert graph.adjacent(0, 1)
 
@@ -126,7 +126,7 @@ class TestHelloRefresh:
         state = _state(4, self.CLUSTERS)
         positions = self.POSITIONS.copy()
         positions[3] = [60.0, 60.0]
-        _, events = d.hello_refresh(positions, 6.0, d.ClusterIndex(state), time=2.0)
+        _, events = d.hello_refresh(positions, 6.0, state, time=2.0)
         assert len(events) == 1
         assert events[0].kind == EVENT_BOUNDARY_EXIT
         assert events[0].node == 3
@@ -137,7 +137,7 @@ class TestHelloRefresh:
         state = _state(4, self.CLUSTERS)
         positions = self.POSITIONS.copy()
         positions[1] = [70.0, 70.0]  # the master leaves instead
-        _, events = d.hello_refresh(positions, 6.0, d.ClusterIndex(state))
+        _, events = d.hello_refresh(positions, 6.0, state)
         assert all(e.node != 0 for e in events)  # 0 still reaches proxy 2
 
     def test_gathers_match_the_loop_reference(self):
@@ -153,7 +153,7 @@ class TestHelloRefresh:
         state = _state(60, clusters)
         for cluster, cid in zip(state.clusters, rng.permutation(len(clusters)) + 1):
             cluster.id = int(cid)
-        graph, events = d.hello_refresh(positions, 20.0, d.ClusterIndex(state), time=3.0)
+        graph, events = d.hello_refresh(positions, 20.0, state, time=3.0)
         expected = [
             mobility.MaintenanceEvent(3.0, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
             for c in sorted(state.clusters, key=lambda c: c.id)
@@ -170,7 +170,7 @@ class TestFindCH:
         edges = [(0, 1), (2, 3), (3, 4), (1, 2)]
         graph, metrics = _metrics_for(5, edges, [10.0, 5.0, 8.0, 4.0, 0.0])
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
-        events = d.find_ch(4, d.ClusterIndex(state), graph, metrics, time=1.0)
+        events = d.find_ch(4, state, graph, metrics, time=1.0)
         assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_ACK, EVENT_JOIN]
         assert events[-1].target == (2, 3)
         assert 4 in state.clusters[1].members
@@ -182,7 +182,7 @@ class TestFindCH:
             5, edges, [52.96, 30.0, 40.0, 43.96, 0.0]
         )
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
-        events = d.find_ch(4, d.ClusterIndex(state), graph, metrics)
+        events = d.find_ch(4, state, graph, metrics)
         acks = [e for e in events if e.kind == EVENT_ACK]
         assert len(acks) == 2
         assert events[-1].kind == EVENT_JOIN
@@ -196,7 +196,7 @@ class TestFindCH:
         # 4 touches only member 1... no wait, 1 is a proxy; use a custom state
         state = _state(5, [(0, None, {0, 1}), (2, 3, {2, 3})])
         graph2 = d.graph_from_edges(5, [(0, 1), (2, 3)])
-        events = d.find_ch(4, d.ClusterIndex(state), graph2, metrics)
+        events = d.find_ch(4, state, graph2, metrics)
         assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_BECOME_MASTER]
         new = _cluster_of(state, 4)
         assert new.master == 4 and new.members == {4}
@@ -205,7 +205,7 @@ class TestFindCH:
 
 def _loop_find_ch(node, state, graph, metrics, time):
     """find_CH by scanning every cluster and testing every leader: the
-    reference for the indexed version."""
+    reference for the gathered version."""
     for cluster in state.clusters:
         cluster.members.discard(node)
     events = [mobility.MaintenanceEvent(time, EVENT_FIND_CH, node)]
@@ -274,16 +274,6 @@ def _records(state):
     return [(c.id, c.master, c.proxy, sorted(c.members)) for c in state.clusters]
 
 
-def _assert_index_current(index, columns=("leaders", "members", "owner", "leader_ids",
-                                           "leader_owner")):
-    """The index kept up to date equals one built afresh from its state in
-    its clusters and the given columns."""
-    fresh = d.ClusterIndex(index.state)
-    assert [c.id for c in index.clusters] == [c.id for c in fresh.clusters]
-    for name in columns:
-        assert getattr(index, name).tolist() == getattr(fresh, name).tolist(), name
-
-
 @st.composite
 def _maintained_network(draw, disjoint):
     """A sparse graph of up to 40 nodes (a broken path along a random order
@@ -322,8 +312,8 @@ def _maintained_network(draw, disjoint):
     return graph, metrics, state
 
 
-class TestIndexedMaintenance:
-    """The index-driven maintenance steps against their per-cluster loops."""
+class TestGatheredMaintenance:
+    """The gathered maintenance steps against their per-cluster loops."""
 
     @given(_maintained_network(disjoint=True))
     def test_leader_exits_match_the_loop_reference(self, drawn):
@@ -332,10 +322,8 @@ class TestIndexedMaintenance:
         expected = _loop_resolve_leader_exits(reference, graph, metrics, 2.0)
         sim = _Simulation.__new__(_Simulation)
         sim.graph, sim.metrics, sim.state = graph, metrics, state
-        index = d.ClusterIndex(state)
-        assert sim._resolve_leader_exits(index, 2.0) == expected
+        assert sim._resolve_leader_exits(2.0) == expected
         assert _records(state) == _records(reference)
-        _assert_index_current(index)
 
     @given(st.booleans().flatmap(_maintained_network), st.data())
     def test_find_ch_matches_the_loop_reference(self, drawn, data):
@@ -343,13 +331,10 @@ class TestIndexedMaintenance:
         exits = data.draw(st.lists(st.integers(0, state.node_count - 1), unique=True,
                                    max_size=6))
         reference = state.copy()
-        index = d.ClusterIndex(state)
         for node in exits:
             expected = _loop_find_ch(node, reference, graph, metrics, 1.0)
-            assert d.find_ch(node, index, graph, metrics, 1.0) == expected
+            assert d.find_ch(node, state, graph, metrics, 1.0) == expected
             assert _records(state) == _records(reference)
-            # find_CH reads only the leader columns; joins leave the member columns as built
-            _assert_index_current(index, ("leaders", "leader_ids", "leader_owner"))
 
 
 class TestLeaderExits:
@@ -505,6 +490,20 @@ class TestRunSimulation:
         result = d.run_simulation(sc)
         assert any(s["reclustered"] for s in result.summaries)
         assert all(s["partition_ok"] for s in result.summaries)
+
+    def test_force_recluster_falls_back_to_maintenance_when_disconnected(self):
+        # the first five refreshes find the graph disconnected, the last three re-form
+        sc = d.Scenario(node_count=15, terrain_size=100, range_=35, v_max=10,
+                        steps=8, seed=1, force_recluster=True)
+        summaries = d.run_simulation(sc).summaries
+        warned = [s for s in summaries if s["warnings"]]
+        assert warned
+        for s in warned:
+            assert s["warnings"] == [
+                "graph disconnected at refresh: weights kept, re-clustering skipped"]
+            assert not s["reclustered"]
+        assert any(s["event_count"] for s in warned)
+        assert all(s["partition_ok"] for s in summaries)
 
 
 class TestMaintenanceKeepsDoubleStars:
