@@ -24,7 +24,7 @@ from .errors import (
     SchemaError,
     SizeLimitError,
 )
-from .graph import build_graph, compute_tables, deploy_random
+from .graph import build_graph, compute_tables, deploy_random, require_connected
 from .metrics import WeightConfig, compute_network_metrics
 from .mobility import run_simulation
 from .verify import perfect_claims, run_property_checks
@@ -107,10 +107,9 @@ def _load_inputs(args):
         config = WeightConfig(scenario.alphas, scenario.ns_threshold)
     else:
         raise _UsageError("one of --fixture or --scenario is required")
-    if not graph.is_connected:
-        raise DisconnectedGraphError(graph.components())
     if tables is None:
         tables = compute_tables(graph)
+    require_connected(graph, tables.hop)
     return graph, tables, overrides, config
 
 

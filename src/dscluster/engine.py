@@ -28,8 +28,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InvalidArgumentError
-from .graph import DistanceTables, NetworkGraph
+from .errors import InvalidArgumentError
+from .graph import DistanceTables, NetworkGraph, require_connected
 from .metrics import NetworkMetrics
 
 CLASS_PERFECT = "perfect"
@@ -217,9 +217,7 @@ def run_m_dsec(
     """Formation pass: returns clusters, hidden masters, the critical set
     and the deferred set.  Refuses disconnected graphs.  A lone node needs
     no weights: it is its own master."""
-    components = graph.components()
-    if len(components) > 1:
-        raise DisconnectedGraphError(components)
+    require_connected(graph, tables.hop)
     n = graph.node_count
     if metrics is None and n > 1:
         raise InvalidArgumentError("metrics with weights are required for n > 1")

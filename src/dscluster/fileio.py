@@ -4,19 +4,29 @@ Documents are plain JSON with fixed field names and stable key order so
 emitted reports are byte-comparable across runs.  The package bundles
 ``paper23.json``, a 23-node reference topology with published distance
 matrices and per-node score columns, used as the canonical worked example.
+
+``to_json`` writes the bytes of ``json.dumps(doc, indent=2)`` without its
+pure-Python indenting encoder.  ``write_text`` rewrites a file in place
+instead of truncating it first: on a file system mounted with online
+discard, a truncated file's blocks are discarded, then allocated and
+flushed again, which made writing a small report take six to ten times as
+long.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
 
 from .engine import ClusterRecord, ClusterState, classification
-from .errors import SchemaError
+from .errors import InvalidArgumentError, SchemaError
 from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixture
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
 from .mobility import MaintenanceEvent, Scenario, SimulationResult
@@ -304,14 +314,69 @@ def dot_graph(state: ClusterState, graph: NetworkGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The types of a list of plain ints, which ``to_json`` joins in one call.
+_PLAIN_INT = {int}
+
+
+def _json_text(value, indent: str) -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at ``indent``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == _PLAIN_INT:
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_text(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, v in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_quote(key)}: {_json_text(v, inner)}")
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def to_json(doc) -> str:
-    """Stable, human-readable JSON with a trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Stable, human-readable JSON: exactly what ``json.dumps(doc, indent=2)``
+    writes, plus a trailing newline.  Only str keys are accepted."""
+    return _json_text(doc, "") + "\n"
 
 
 def write_text(text: str, path: str | None) -> None:
-    """Write to a file, or stdout when no path is given."""
+    """Write to a file, or stdout when no path is given.
+
+    A file is written over in place, then cut to the written length (see
+    the module docstring).  Only a regular file is cut: a device such as
+    ``/dev/null`` or a FIFO has no length to set.
+    """
     if path is None:
         print(text, end="")
-    else:
-        Path(path).write_text(text)
+        return
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="locale") as out:  # as Path.write_text encodes
+            out.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                out.truncate()
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {path}: {exc}") from exc

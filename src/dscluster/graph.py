@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FixtureFormatError, InvalidArgumentError, SizeLimitError
+from .errors import DisconnectedGraphError, FixtureFormatError, InvalidArgumentError, SizeLimitError
 
 #: Sentinel hop distance for node pairs with no connecting path.
 UNREACHABLE = -1
@@ -277,6 +277,14 @@ def compute_tables(graph: NetworkGraph) -> DistanceTables:
     if graph.euclid is None:
         raise InvalidArgumentError("graph has no Euclidean table; ingest a fixture instead")
     return DistanceTables(hop=hop_distance_table(graph), euclid=graph.euclid)
+
+
+def require_connected(graph: NetworkGraph, hop: np.ndarray) -> None:
+    """Refuse a disconnected graph, read off its hop table: the graph is
+    connected iff node 0 reaches every node.  The components are listed
+    only for the refusal."""
+    if (hop[:1] == UNREACHABLE).any():
+        raise DisconnectedGraphError(graph.components())
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:

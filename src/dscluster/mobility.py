@@ -35,12 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ClusterRecord, ClusterState, form_and_adjust
-from .errors import DisconnectedGraphError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .graph import (
     NetworkGraph,
     build_graph,
     compute_tables,
     hop_distance_table,
+    require_connected,
     sample_positions,
 )
 from .metrics import DEFAULT_ALPHAS, NetworkMetrics, WeightConfig, compute_network_metrics
@@ -224,9 +225,8 @@ class _Simulation:
             self.rng, scenario.node_count, scenario.terrain_size
         )
         self.graph = build_graph(self.positions, scenario.range_)
-        if not self.graph.is_connected:
-            raise DisconnectedGraphError(self.graph.components())
         tables = compute_tables(self.graph)
+        require_connected(self.graph, tables.hop)
         self.metrics = compute_network_metrics(self.graph, tables, self.config)
         self.formation, self.adjusted = form_and_adjust(self.graph, tables, self.metrics)
         self.state = self.adjusted.copy()

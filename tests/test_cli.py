@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 from importlib import resources
@@ -254,13 +255,29 @@ class TestDisconnectedInput:
         assert "disconnected" in err
         assert "component" in err
 
-    @pytest.mark.parametrize("command", ["cluster", "metrics"])
+    @pytest.mark.parametrize("command", ["cluster", "metrics", "verify"])
     def test_disconnected_fixture_is_refused(self, command, tmp_path, capsys):
         fixture = _write(tmp_path, "fixture.json", _path_fixture(edges=[[0, 1], [1, 2]]))
-        assert main([command, "--fixture", fixture]) == 3
+        report = ["--report", _write(tmp_path, "report.json", {})] if command == "verify" else []
+        assert main([command, "--fixture", fixture, *report]) == 3
         err = capsys.readouterr().err
         assert "disconnected: 4 components" in err
         assert "component 1: [0, 1, 2]" in err
+
+    def test_verify_lists_the_same_components(self, tmp_path, capsys):
+        """``verify`` refuses a disconnected scenario with exit 3 and one line
+        per component of the deployed graph, as ``cluster`` does."""
+        doc = _scenario_doc(node_count=10, terrain_size=500.0) | {"range": 10.0}
+        scenario = _write(tmp_path, "scenario.json", doc)
+        graph = d.build_graph(d.deploy_random(10, 500.0, doc["seed"]), 10.0)
+        expected = [f"  component {i}: {c}" for i, c in enumerate(graph.components(), 1)]
+        assert len(expected) > 1
+        errors = []
+        for argv in (["cluster"], ["verify", "--report", _write(tmp_path, "r.json", {})]):
+            assert main([*argv, "--scenario", scenario]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].splitlines()[1:] == expected
 
 
 @pytest.mark.parametrize("command", ["cluster", "simulate"])
@@ -394,6 +411,53 @@ class TestSimulateCommand:
                      "--force-recluster", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert any(s["reclustered"] for s in report["summaries"])
+
+
+def _writing_calls(tmp_path, target):
+    """(argv, expected written target) for every command that writes a file."""
+    scenario = _write(tmp_path, "scenario.json", _scenario_doc(steps=2))
+    report = tmp_path / "report.json"
+    assert main(["cluster", "--scenario", scenario, "--out", str(report)]) == 0
+    return [
+        ["cluster", "--scenario", scenario, "--out", target],
+        ["verify", "--scenario", scenario, "--report", str(report), "--out", target],
+        ["simulate", "--scenario", scenario, "--out", str(tmp_path / "sim.json"),
+         "--events", target],
+    ]
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("where", ["missing/dir/x.json", "."])
+    def test_unwritable_output_is_a_typed_error(self, where, tmp_path, capsys):
+        target = str(tmp_path / where)
+        for argv in _writing_calls(tmp_path, target):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    def test_devnull_output(self, tmp_path, capsys):
+        for argv in _writing_calls(tmp_path, os.devnull):
+            assert main(argv) == 0, argv
+
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        """An output path that holds a longer file ends with the command's
+        bytes alone; a missing one is created."""
+        fresh = tmp_path / "fresh.json"
+        assert main(["cluster", "--fixture", FIXTURE_PATH, "--out", str(fresh)]) == 0
+        stale = tmp_path / "stale.json"
+        stale.write_text("x" * (len(fresh.read_bytes()) * 3))
+        assert main(["cluster", "--fixture", FIXTURE_PATH, "--out", str(stale)]) == 0
+        assert stale.read_bytes() == fresh.read_bytes()
+
+    def test_simulate_events_beside_out_rewritten(self, tmp_path):
+        scenario = _write(tmp_path, "scenario.json", _scenario_doc(steps=30, v_max=8.0))
+        out = tmp_path / "sim.json"
+        events = tmp_path / "sim.json.events.ndjson"
+        events.write_text("stale\n" * 10000)
+        assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        lines = events.read_text().splitlines()
+        assert lines and [json.loads(line) for line in lines] == report["maintenance_events"]
 
 
 class TestRoundTrips:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster import graph as graph_module
-from dscluster.errors import FixtureFormatError, InvalidArgumentError, SizeLimitError
+from dscluster.errors import (
+    DisconnectedGraphError,
+    FixtureFormatError,
+    InvalidArgumentError,
+    SizeLimitError,
+)
 from dscluster.graph import MAX_NODES
 
 from conftest import random_edge_graph
@@ -298,6 +303,18 @@ class TestComponents:
     @given(random_graphs)
     def test_equal_reference_components(self, graph):
         assert graph.components() == reference_components(graph)
+
+    @given(random_graphs)
+    def test_hop_row_zero_decides_connectivity(self, graph):
+        """``require_connected`` refuses exactly the graphs of more than one
+        component, and lists them."""
+        components = reference_components(graph)
+        if len(components) == 1:
+            graph_module.require_connected(graph, d.hop_distance_table(graph))
+        else:
+            with pytest.raises(DisconnectedGraphError) as err:
+                graph_module.require_connected(graph, d.hop_distance_table(graph))
+            assert err.value.components == components
 
 
 class TestIngestFixture:
