@@ -160,11 +160,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = fileio.load_scenario(args.scenario, seed=args.seed)
-    if args.recompute_weights:
-        scenario = replace(scenario, recompute_weights=True)
-    if args.force_recluster:
-        scenario = replace(scenario, force_recluster=True)
+    scenario = replace(fileio.load_scenario(args.scenario, seed=args.seed),
+                       recompute_weights=args.recompute_weights,
+                       force_recluster=args.force_recluster)
     result = run_simulation(scenario)
     fileio.write_text(fileio.to_json(fileio.simulation_report(result)), args.out)
     events_path = args.events
@@ -188,11 +186,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SchemaError, FixtureFormatError, InvalidArgumentError, SizeLimitError,
-            ConfigurationError) as exc:
+    except (_UsageError, SchemaError, FixtureFormatError, InvalidArgumentError,
+            SizeLimitError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DisconnectedGraphError as exc:

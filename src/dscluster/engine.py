@@ -40,8 +40,6 @@ class NodeStatus(str, Enum):
     MASTER = "master"
     PROXY = "proxy"
     SLAVE = "slave"
-    HIDDEN_MASTER_I = "hm1"
-    HIDDEN_MASTER_II = "hm2"
     UNCLUSTERED = "unclustered"
 
 
@@ -79,10 +77,9 @@ class ClusterState:
     ``hidden_masters_1``/``hidden_masters_2``/``deferred`` record the
     formation outcome and are kept unchanged through adjustment so reports
     can show how the final structure came about.  ``critical`` is the set
-    still awaiting treatment.  A non-empty ``critical`` marks a state
-    mid-formation; an empty one means nothing is left to adjust (formation
-    was perfect, or adjustment or maintenance has run), so every node must
-    lie in exactly one cluster.
+    still awaiting treatment; it matters only to adjustment, which empties
+    it, and to ``classification``.  Statuses and the property checks read
+    every state as a complete clustering.
     """
 
     node_count: int
@@ -120,28 +117,18 @@ class ClusterState:
         return owner
 
     def statuses(self) -> dict[int, NodeStatus]:
-        """Role of every node.  Hidden masters show as hm1/hm2 only while
-        critical nodes are left; with ``critical`` empty they read as
-        slaves or unclustered nodes."""
+        """Role of every node: master, proxy or slave of the cluster that
+        lists it, or unclustered."""
         st: dict[int, NodeStatus] = {}
-        formation = bool(self.critical)
         for c in self.clusters:
             for m in c.members:
                 if m == c.master:
                     st[m] = NodeStatus.MASTER
                 elif m == c.proxy:
                     st[m] = NodeStatus.PROXY
-                elif formation and m in self.hidden_masters_1:
-                    st[m] = NodeStatus.HIDDEN_MASTER_I
                 else:
                     st[m] = NodeStatus.SLAVE
-        for v in range(self.node_count):
-            if v not in st:
-                if formation and v in self.hidden_masters_2:
-                    st[v] = NodeStatus.HIDDEN_MASTER_II
-                else:
-                    st[v] = NodeStatus.UNCLUSTERED
-        return st
+        return {v: st.get(v, NodeStatus.UNCLUSTERED) for v in range(self.node_count)}
 
 
 def _leader_distances(

@@ -29,7 +29,7 @@ from .engine import ClusterRecord, ClusterState, classification
 from .errors import InvalidArgumentError, SchemaError
 from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixture
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
-from .mobility import MaintenanceEvent, Scenario, SimulationResult
+from .mobility import Scenario, SimulationResult
 
 BUNDLED_FIXTURE = "paper23.json"
 #: (fixture key, FixtureOverrides field) of the per-node override columns.
@@ -159,21 +159,6 @@ def load_scenario(source, seed: int | None = None) -> Scenario:
     return Scenario(**kwargs)
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "node_count": scenario.node_count,
-        "terrain_size": scenario.terrain_size,
-        "range": scenario.range_,
-        "v_max": scenario.v_max,
-        "broadcast_interval": scenario.broadcast_interval,
-        "dt": scenario.dt,
-        "steps": scenario.steps,
-        "ns_threshold": scenario.ns_threshold,
-        "alphas": list(scenario.alphas),
-        "seed": scenario.seed,
-    }
-
-
 def _cluster_dicts(state: ClusterState) -> list[dict]:
     return [
         {
@@ -212,8 +197,7 @@ def state_from_report(report: dict) -> ClusterState:
 
     def nodes(values, label: str) -> set[int]:
         if not isinstance(values, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and 0 <= v < node_count
-            for v in values
+            type(v) is int and 0 <= v < node_count for v in values
         ):
             raise SchemaError(f"{where}: {label} must list nodes in 0..{node_count - 1}")
         return set(values)
@@ -260,32 +244,42 @@ def metrics_records(metrics: NetworkMetrics) -> list[dict]:
 
 
 def simulation_report(result: SimulationResult) -> dict:
+    scenario = result.scenario
     final_statuses = result.final_state.statuses()
     formation = cluster_report(result.formation_state, result.adjusted_state)
     return {
-        "scenario": scenario_to_dict(result.scenario),
+        "scenario": {
+            "node_count": scenario.node_count,
+            "terrain_size": scenario.terrain_size,
+            "range": scenario.range_,
+            "v_max": scenario.v_max,
+            "broadcast_interval": scenario.broadcast_interval,
+            "dt": scenario.dt,
+            "steps": scenario.steps,
+            "ns_threshold": scenario.ns_threshold,
+            "alphas": list(scenario.alphas),
+            "seed": scenario.seed,
+        },
         "classification": formation["classification"],
         "formation": formation,
         "final_clusters": _cluster_dicts(result.final_state),
         "final_statuses": {
             str(v): final_statuses[v].value for v in range(result.final_state.node_count)
         },
-        "maintenance_events": [e.to_dict() for e in result.events],
+        "maintenance_events": result.events,
         "summaries": result.summaries,
     }
 
 
-def events_ndjson(events: list[MaintenanceEvent]) -> str:
+def events_ndjson(events: list[dict]) -> str:
     """Newline-delimited JSON records, one maintenance event per line."""
-    return "".join(json.dumps(e.to_dict()) + "\n" for e in events)
+    return "".join(json.dumps(e) + "\n" for e in events)
 
 
 _STATUS_ATTRS = {
     "master": '[shape=doublecircle, style=bold]',
     "proxy": '[shape=box, style=bold]',
     "slave": '[style=filled, fillcolor=lightgray]',
-    "hm1": '[style="filled,dashed", fillcolor=lightgray]',
-    "hm2": '[style=dashed]',
     "unclustered": '[style=dotted]',
 }
 

@@ -94,10 +94,6 @@ class NetworkGraph:
             out.append(np.flatnonzero(comp).tolist())
         return out
 
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components()) == 1
-
 
 @dataclass(frozen=True)
 class DistanceTables:

@@ -19,13 +19,16 @@ heaviest acknowledger or becoming the master of its own cluster.  The
 exits and the hello check read every cluster at once from one gather of
 the ordinary members against their clusters' leaders, and find_CH from
 one gather of the node's adjacency row at every leader; maintenance
-edits the cluster records of the state in place.
+edits the cluster records of the state in place.  Every event is kept as
+the record reports and NDJSON lines write: a dict of time, kind, node and
+the [master, proxy] target it concerns (None for none).
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
 Weights are those computed at formation time; the global distance tables
 behind them are not refreshed during maintenance unless the scenario asks
-for recomputation.
+for recomputation; a refresh that does so reads connectivity off its new
+hop table and keeps maintaining a disconnected graph.
 """
 from __future__ import annotations
 
@@ -37,6 +40,7 @@ import numpy as np
 from .engine import ClusterRecord, ClusterState, form_and_adjust
 from .errors import InvalidArgumentError
 from .graph import (
+    UNREACHABLE,
     NetworkGraph,
     build_graph,
     compute_tables,
@@ -99,25 +103,7 @@ class Scenario:
             refreshes = math.inf
         if not math.isfinite(refreshes):
             raise InvalidArgumentError("steps * dt / broadcast_interval must be finite")
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.alphas) != 6:
-            raise InvalidArgumentError("exactly 6 weighing factors required")
-
-
-@dataclass(frozen=True)
-class MaintenanceEvent:
-    time: float
-    kind: str
-    node: int
-    target: tuple[int, int | None] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "node": self.node,
-            "target": None if self.target is None else list(self.target),
-        }
+        object.__setattr__(self, "alphas", WeightConfig(self.alphas).alphas)
 
 
 @dataclass
@@ -126,9 +112,15 @@ class SimulationResult:
     formation_state: ClusterState
     adjusted_state: ClusterState
     final_state: ClusterState
-    events: list[MaintenanceEvent]
+    events: list[dict]
     summaries: list[dict]
     positions: np.ndarray
+
+
+def _event(time: float, kind: str, node: int, *target: int | None) -> dict:
+    """One maintenance event as reports and NDJSON lines write it; the
+    target is the [master, proxy] pair the event concerns, if any."""
+    return {"time": time, "kind": kind, "node": node, "target": list(target) or None}
 
 
 def _reflect(coords: np.ndarray, terrain_size: float) -> np.ndarray:
@@ -163,7 +155,7 @@ def hello_refresh(
     range_: float,
     state: ClusterState,
     time: float = 0.0,
-) -> tuple[NetworkGraph, list[MaintenanceEvent]]:
+) -> tuple[NetworkGraph, list[dict]]:
     """Rebuild adjacency from current positions and report every ordinary
     member no longer adjacent to its own master or proxy, in (cluster id,
     node) order, by one adjacency gather of the members against their
@@ -172,7 +164,7 @@ def hello_refresh(
     clusters = sorted(state.clusters, key=lambda c: c.id)
     members, owner = member_columns([ordinary_members(c) for c in clusters])
     linked = graph.adj[members[:, None], leader_pairs(clusters)[owner]].any(axis=1)
-    events = [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
+    events = [_event(time, EVENT_BOUNDARY_EXIT, v, c.master, c.proxy)
               for v, c in zip(members[~linked].tolist(),
                               [clusters[i] for i in owner[~linked].tolist()])]
     return graph, events
@@ -184,7 +176,7 @@ def find_ch(
     graph: NetworkGraph,
     metrics: NetworkMetrics,
     time: float = 0.0,
-) -> list[MaintenanceEvent]:
+) -> list[dict]:
     """Re-affiliation for a node that left its cluster's reach.
 
     Every master/proxy adjacent to the node acknowledges (one gather of
@@ -196,7 +188,7 @@ def find_ch(
     """
     for cluster in state.clusters:
         cluster.members.discard(node)
-    events = [MaintenanceEvent(time, EVENT_FIND_CH, node)]
+    events = [_event(time, EVENT_FIND_CH, node)]
     clusters = sorted(state.clusters, key=lambda c: c.id)
     leaders = np.sort(leader_pairs(clusters), axis=1)
     heard = graph.adj[node, leaders]
@@ -204,15 +196,15 @@ def find_ch(
     rows, columns = np.nonzero(heard)
     acknowledgers = list(zip(leaders[rows, columns].tolist(), [clusters[i] for i in rows.tolist()]))
     for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
-        events.append(MaintenanceEvent(time, EVENT_ACK, node, (cluster.master, cluster.proxy)))
+        events.append(_event(time, EVENT_ACK, node, cluster.master, cluster.proxy))
     if acknowledgers:
         leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
         cluster.members.add(node)
-        events.append(MaintenanceEvent(time, EVENT_JOIN, node, (cluster.master, cluster.proxy)))
+        events.append(_event(time, EVENT_JOIN, node, cluster.master, cluster.proxy))
     else:
         new_id = clusters[-1].id + 1 if clusters else 1
         state.clusters.append(ClusterRecord(id=new_id, master=node, proxy=None, members={node}))
-        events.append(MaintenanceEvent(time, EVENT_BECOME_MASTER, node))
+        events.append(_event(time, EVENT_BECOME_MASTER, node))
     return events
 
 
@@ -230,7 +222,7 @@ class _Simulation:
         self.metrics = compute_network_metrics(self.graph, tables, self.config)
         self.formation, self.adjusted = form_and_adjust(self.graph, tables, self.metrics)
         self.state = self.adjusted.copy()
-        self.events: list[MaintenanceEvent] = []
+        self.events: list[dict] = []
         self.summaries: list[dict] = []
 
     def run(self) -> SimulationResult:
@@ -263,8 +255,8 @@ class _Simulation:
         reclustered = False
 
         if s.recompute_weights or s.force_recluster:
-            if self.graph.is_connected:
-                tables = compute_tables(self.graph)
+            tables = compute_tables(self.graph)
+            if (tables.hop[0] != UNREACHABLE).all():
                 if s.recompute_weights:
                     self.metrics = compute_network_metrics(self.graph, tables, self.config)
                 if s.force_recluster:
@@ -276,19 +268,19 @@ class _Simulation:
                     "graph disconnected at refresh: weights kept, re-clustering skipped"
                 )
 
-        step_events: list[MaintenanceEvent] = []
+        step_events: list[dict] = []
         if not reclustered:
             exits = self._resolve_leader_exits(time)
             exits += hello_refresh(self.positions, s.range_, self.state, time)[1]
-            for exit_event in sorted(exits, key=lambda e: e.node):
+            for exit_event in sorted(exits, key=lambda e: e["node"]):
                 step_events.append(exit_event)
                 step_events.extend(
-                    find_ch(exit_event.node, self.state, self.graph, self.metrics, time)
+                    find_ch(exit_event["node"], self.state, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
         self._summarise(time, step_events, warnings, reclustered)
 
-    def _resolve_leader_exits(self, time: float) -> list[MaintenanceEvent]:
+    def _resolve_leader_exits(self, time: float) -> list[dict]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
         clusters whose leaders all left; returns a boundary-exit event for
         every displaced node.
@@ -311,7 +303,7 @@ class _Simulation:
         master_exited = ~(linked | heard[0])
         proxy_exited = led & ~linked & (~master_exited | ~heard[1])
         crowded = led | (np.bincount(owner, minlength=count) > 0)
-        orphans: list[MaintenanceEvent] = []
+        orphans: list[dict] = []
         for position in np.flatnonzero(crowded & (master_exited | proxy_exited)).tolist():
             cluster = clusters[position]
             pair = (cluster.master, cluster.proxy)
@@ -328,7 +320,7 @@ class _Simulation:
                 displaced = [cluster.proxy]
                 cluster.members.discard(cluster.proxy)
                 cluster.proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 0]])
-            orphans += [MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair) for v in displaced]
+            orphans += [_event(time, EVENT_BOUNDARY_EXIT, v, *pair) for v in displaced]
         return orphans
 
     def _elect_maintenance_proxy(self, candidates: np.ndarray) -> int | None:
@@ -338,23 +330,19 @@ class _Simulation:
     def _summarise(
         self,
         time: float,
-        step_events: list[MaintenanceEvent],
+        step_events: list[dict],
         warnings: list[str],
         reclustered: bool,
     ) -> None:
         hop_now = hop_distance_table(self.graph)
-        report = run_property_checks(self.state, self.graph, hop_now)
-        dominance = next(
-            c for c in report.checks if c.name == "dominance-and-independence"
-        )
+        checks = {c.name: c for c in run_property_checks(self.state, self.graph, hop_now).checks}
+        dominance = checks["dominance-and-independence"]
         if not dominance.details["master_independence_ok"]:
             warnings.append("adjacent masters after motion (re-clustering deferred)")
         self.summaries.append({
             "time": time,
-            "checks": {c.name: c.passed for c in report.checks},
-            "partition_ok": next(
-                c.passed for c in report.checks if c.name == "partition"
-            ),
+            "checks": {name: c.passed for name, c in checks.items()},
+            "partition_ok": checks["partition"].passed,
             "slave_dominance_ok": dominance.details["slave_dominance_ok"],
             "master_independence_ok": dominance.details["master_independence_ok"],
             "event_count": len(step_events),

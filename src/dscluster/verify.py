@@ -114,13 +114,17 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
 
 
 def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
-    """A spanning double star embeds in every two-leader cluster: the
-    (master, proxy) edge exists and every other member is adjacent to one
-    of them, so that edge dominates every spoke.  Clusters without a proxy
-    pass vacuously (a plain star)."""
+    """A spanning double star embeds in every two-leader cluster: both
+    leaders are members, the (master, proxy) edge exists and every other
+    member is adjacent to one of them, so that edge dominates every spoke.
+    Clusters without a proxy pass vacuously (a plain star) once they hold
+    their master."""
     witnesses = []
     starless = 0
     for cluster in state.clusters:
+        if not cluster.leaders <= cluster.members:
+            witnesses += [{"cluster": cluster.id, "leader_outside": v}
+                          for v in sorted(cluster.leaders - cluster.members)]
         if cluster.proxy is None:
             starless += 1
             continue
@@ -136,10 +140,10 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
 
 
 def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
-    """Cluster member sets are pairwise disjoint.  With an empty critical
-    set (formation left nothing to adjust, or adjustment or maintenance has
-    run) every node must additionally lie in exactly one cluster;
-    mid-formation only critical nodes may lie outside every cluster."""
+    """Every node lies in exactly one cluster: member sets are pairwise
+    disjoint and cover the nodes.  The state is read as a complete
+    clustering whatever its critical set, so a formation state's critical
+    nodes outside every cluster are witnesses too."""
     witnesses = []
     seen: dict[int, int] = {}
     for cluster in state.clusters:
@@ -148,14 +152,9 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
                 witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
             else:
                 seen[v] = cluster.id
-    if not state.critical:
-        for v in range(state.node_count):
-            if v not in seen:
-                witnesses.append({"node": v, "uncovered": True})
-    else:
-        uncovered = {v for v in range(state.node_count) if v not in seen}
-        for v in sorted(uncovered - state.critical):
-            witnesses.append({"node": v, "uncovered_non_critical": True})
+    for v in range(state.node_count):
+        if v not in seen:
+            witnesses.append({"node": v, "uncovered": True})
     return CheckResult("partition", witnesses)
 
 

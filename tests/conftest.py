@@ -52,7 +52,7 @@ def connected_rgg_suite(count, n_low=5, n_high=40, terrain=100.0,
         r = ranges[seed % len(ranges)]
         positions = d.deploy_random(n, terrain, seed)
         graph = d.build_graph(positions, r)
-        if not graph.is_connected:
+        if len(graph.components()) != 1:
             continue
         produced += 1
         yield seed, graph

@@ -196,8 +196,10 @@ class TestFormation:
         assert st[3] == d.NodeStatus.MASTER
         assert st[16] == d.NodeStatus.PROXY
         assert st[0] == d.NodeStatus.SLAVE
-        assert st[13] == d.NodeStatus.HIDDEN_MASTER_I
-        assert st[20] == d.NodeStatus.HIDDEN_MASTER_II
+        # statuses read every state as a complete clustering: the type-I
+        # hidden master 13 is a slave, the deferred node 20 unclustered
+        assert st[13] == d.NodeStatus.SLAVE
+        assert st[20] == d.NodeStatus.UNCLUSTERED
 
     def test_single_node(self):
         graph = d.build_graph(np.array([[5.0, 5.0]]), range_=10.0)
@@ -376,7 +378,7 @@ class TestEnginePassesItsVerifier:
     )
     def test_cluster_then_verify_passes(self, n, range_, seed):
         graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
-        assume(graph.is_connected)
+        assume(len(graph.components()) == 1)
         tables = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, tables)
         _, final = d.form_and_adjust(graph, tables, metrics)

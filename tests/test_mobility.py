@@ -12,8 +12,8 @@ from hypothesis import given, reject
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import fileio, mobility
 from dscluster.errors import DisconnectedGraphError, InvalidArgumentError
-from dscluster import mobility
 from dscluster.mobility import (
     EVENT_ACK,
     EVENT_BECOME_MASTER,
@@ -38,6 +38,11 @@ def _state(node_count, clusters):
 def _cluster_of(state, node):
     """The cluster holding ``node``, or None."""
     return next((c for c in state.clusters if node in c.members), None)
+
+
+def _event(time, kind, node, target=None):
+    """A maintenance event record as the references build it."""
+    return {"time": time, "kind": kind, "node": node, "target": target}
 
 
 def _metrics_for(n, edges, weights, ns=None):
@@ -128,17 +133,17 @@ class TestHelloRefresh:
         positions[3] = [60.0, 60.0]
         _, events = d.hello_refresh(positions, 6.0, state, time=2.0)
         assert len(events) == 1
-        assert events[0].kind == EVENT_BOUNDARY_EXIT
-        assert events[0].node == 3
-        assert events[0].target == (1, 2)
-        assert events[0].time == 2.0
+        assert events[0]["kind"] == EVENT_BOUNDARY_EXIT
+        assert events[0]["node"] == 3
+        assert events[0]["target"] == [1, 2]
+        assert events[0]["time"] == 2.0
 
     def test_member_still_touching_proxy_not_reported(self):
         state = _state(4, self.CLUSTERS)
         positions = self.POSITIONS.copy()
         positions[1] = [70.0, 70.0]  # the master leaves instead
         _, events = d.hello_refresh(positions, 6.0, state)
-        assert all(e.node != 0 for e in events)  # 0 still reaches proxy 2
+        assert all(e["node"] != 0 for e in events)  # 0 still reaches proxy 2
 
     def test_gathers_match_the_loop_reference(self):
         # clusters under shuffled ids, with and without proxies, overlapping
@@ -155,14 +160,14 @@ class TestHelloRefresh:
             cluster.id = int(cid)
         graph, events = d.hello_refresh(positions, 20.0, state, time=3.0)
         expected = [
-            mobility.MaintenanceEvent(3.0, EVENT_BOUNDARY_EXIT, v, (c.master, c.proxy))
+            _event(3.0, EVENT_BOUNDARY_EXIT, v, [c.master, c.proxy])
             for c in sorted(state.clusters, key=lambda c: c.id)
             for v in sorted(c.members - c.leaders)
             if not any(graph.adjacent(v, leader) for leader in c.leaders)
         ]
         assert len(expected) > 5
         assert events == expected
-        assert all(type(e.node) is int for e in events)
+        assert all(type(e["node"]) is int for e in events)
 
 
 class TestFindCH:
@@ -171,8 +176,8 @@ class TestFindCH:
         graph, metrics = _metrics_for(5, edges, [10.0, 5.0, 8.0, 4.0, 0.0])
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
         events = d.find_ch(4, state, graph, metrics, time=1.0)
-        assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_ACK, EVENT_JOIN]
-        assert events[-1].target == (2, 3)
+        assert [e["kind"] for e in events] == [EVENT_FIND_CH, EVENT_ACK, EVENT_JOIN]
+        assert events[-1]["target"] == [2, 3]
         assert 4 in state.clusters[1].members
 
     def test_heavier_acknowledger_wins(self):
@@ -183,10 +188,10 @@ class TestFindCH:
         )
         state = _state(5, [(0, 1, {0, 1}), (2, 3, {2, 3})])
         events = d.find_ch(4, state, graph, metrics)
-        acks = [e for e in events if e.kind == EVENT_ACK]
+        acks = [e for e in events if e["kind"] == EVENT_ACK]
         assert len(acks) == 2
-        assert events[-1].kind == EVENT_JOIN
-        assert events[-1].target == (0, 1)
+        assert events[-1]["kind"] == EVENT_JOIN
+        assert events[-1]["target"] == [0, 1]
         assert 4 in state.clusters[0].members
 
     def test_isolated_node_becomes_master(self):
@@ -197,7 +202,7 @@ class TestFindCH:
         state = _state(5, [(0, None, {0, 1}), (2, 3, {2, 3})])
         graph2 = d.graph_from_edges(5, [(0, 1), (2, 3)])
         events = d.find_ch(4, state, graph2, metrics)
-        assert [e.kind for e in events] == [EVENT_FIND_CH, EVENT_BECOME_MASTER]
+        assert [e["kind"] for e in events] == [EVENT_FIND_CH, EVENT_BECOME_MASTER]
         new = _cluster_of(state, 4)
         assert new.master == 4 and new.members == {4}
         assert new.id == 3
@@ -208,25 +213,23 @@ def _loop_find_ch(node, state, graph, metrics, time):
     reference for the gathered version."""
     for cluster in state.clusters:
         cluster.members.discard(node)
-    events = [mobility.MaintenanceEvent(time, EVENT_FIND_CH, node)]
+    events = [_event(time, EVENT_FIND_CH, node)]
     acknowledgers = []
     for cluster in sorted(state.clusters, key=lambda c: c.id):
         for leader in sorted(cluster.leaders):
             if graph.adjacent(node, leader):
                 acknowledgers.append((leader, cluster))
     for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
-        events.append(mobility.MaintenanceEvent(time, EVENT_ACK, node,
-                                                (cluster.master, cluster.proxy)))
+        events.append(_event(time, EVENT_ACK, node, [cluster.master, cluster.proxy]))
     if acknowledgers:
         leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
         cluster.members.add(node)
-        events.append(mobility.MaintenanceEvent(time, EVENT_JOIN, node,
-                                                (cluster.master, cluster.proxy)))
+        events.append(_event(time, EVENT_JOIN, node, [cluster.master, cluster.proxy]))
     else:
         new_id = max((c.id for c in state.clusters), default=0) + 1
         state.clusters.append(d.ClusterRecord(id=new_id, master=node, proxy=None,
                                               members={node}))
-        events.append(mobility.MaintenanceEvent(time, EVENT_BECOME_MASTER, node))
+        events.append(_event(time, EVENT_BECOME_MASTER, node))
     return events
 
 
@@ -242,7 +245,7 @@ def _loop_resolve_leader_exits(state, graph, metrics, time):
     for cluster in sorted(state.clusters, key=lambda c: c.id):
         if len(cluster.members) <= 1:
             continue
-        pair = (cluster.master, cluster.proxy)
+        pair = [cluster.master, cluster.proxy]
         master_exited = not any(graph.adjacent(cluster.master, v)
                                 for v in cluster.members - {cluster.master})
         proxy_exited = cluster.proxy is not None and (
@@ -263,8 +266,7 @@ def _loop_resolve_leader_exits(state, graph, metrics, time):
             cluster.proxy = elect(cluster)
         else:
             continue
-        orphans += [mobility.MaintenanceEvent(time, EVENT_BOUNDARY_EXIT, v, pair)
-                    for v in displaced]
+        orphans += [_event(time, EVENT_BOUNDARY_EXIT, v, pair) for v in displaced]
     for cluster in dissolved:
         state.clusters.remove(cluster)
     return orphans
@@ -361,7 +363,7 @@ class TestLeaderExits:
         assert cluster.members == {1, 2, 3}
         wanderer = _cluster_of(sim.state, 0)
         assert wanderer.master == 0 and wanderer.members == {0}
-        kinds = [e.kind for e in sim.events]
+        kinds = [e["kind"] for e in sim.events]
         assert kinds == [EVENT_BOUNDARY_EXIT, EVENT_FIND_CH, EVENT_BECOME_MASTER]
         assert sim.summaries[-1]["partition_ok"]
 
@@ -376,8 +378,8 @@ class TestLeaderExits:
         assert owners[2].members == {2, 3}
         assert owners[2].master == 2
         # node 3 re-affiliated with the freshly declared master 2
-        joins = [e for e in sim.events if e.kind == EVENT_JOIN]
-        assert [(e.node, e.target) for e in joins] == [(3, (2, None))]
+        joins = [e for e in sim.events if e["kind"] == EVENT_JOIN]
+        assert [(e["node"], e["target"]) for e in joins] == [(3, [2, None])]
         assert sim.summaries[-1]["partition_ok"]
         assert sim.summaries[-1]["slave_dominance_ok"]
 
@@ -430,7 +432,7 @@ class TestRunSimulation:
                         steps=40, seed=11)
         a = d.run_simulation(sc)
         b = d.run_simulation(sc)
-        assert [e.to_dict() for e in a.events] == [e.to_dict() for e in b.events]
+        assert a.events == b.events
         assert a.summaries == b.summaries
         assert np.array_equal(a.positions, b.positions)
 
@@ -468,13 +470,13 @@ class TestRunSimulation:
         sc = d.Scenario(node_count=30, terrain_size=100, range_=35, v_max=6,
                         steps=50, seed=11)
         result = d.run_simulation(sc)
-        times = [e.time for e in result.events]
+        times = [e["time"] for e in result.events]
         assert times == sorted(times)
         # per refresh instant, displaced nodes appear in ascending id order
         by_time = {}
         for e in result.events:
-            if e.kind == EVENT_BOUNDARY_EXIT:
-                by_time.setdefault(e.time, []).append(e.node)
+            if e["kind"] == EVENT_BOUNDARY_EXIT:
+                by_time.setdefault(e["time"], []).append(e["node"])
         for nodes in by_time.values():
             assert nodes == sorted(nodes)
 
@@ -490,6 +492,32 @@ class TestRunSimulation:
         result = d.run_simulation(sc)
         assert any(s["reclustered"] for s in result.summaries)
         assert all(s["partition_ok"] for s in result.summaries)
+
+    def test_force_recluster_reads_connectivity_off_the_hop_table(self, monkeypatch):
+        calls = []
+        components = d.NetworkGraph.components
+
+        def counted(graph):
+            calls.append(graph.node_count)
+            return components(graph)
+
+        monkeypatch.setattr(d.NetworkGraph, "components", counted)
+        sc = d.Scenario(node_count=20, terrain_size=100, range_=40, v_max=4,
+                        steps=10, seed=12, force_recluster=True)
+        summaries = d.run_simulation(sc).summaries
+        assert len(summaries) == 10 and all(s["reclustered"] for s in summaries)
+        assert calls == []
+
+    def test_events_are_the_records_written(self):
+        sc = d.Scenario(node_count=30, terrain_size=100, range_=35, v_max=5,
+                        steps=20, seed=11)
+        result = d.run_simulation(sc)
+        assert result.events
+        assert all(type(e) is dict and list(e) == ["time", "kind", "node", "target"]
+                   for e in result.events)
+        lines = fileio.events_ndjson(result.events).splitlines()
+        assert [json.loads(line) for line in lines] == \
+            fileio.simulation_report(result)["maintenance_events"]
 
     def test_force_recluster_falls_back_to_maintenance_when_disconnected(self):
         # the first five refreshes find the graph disconnected, the last three re-form

@@ -339,6 +339,21 @@ class TestDoubleStar:
         assert not check.passed
         assert {"cluster": 1, "missing_edge": [0, 2]} in check.witnesses
 
+    def test_leader_outside_its_cluster_fails(self):
+        # node 1 leads cluster 1 while cluster 2 lists it as a slave; every
+        # other check passes on this state
+        graph = d.graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
+        state = _state(5, [(1, 2, {0, 2}), (4, 3, {1, 3, 4})])
+        report = d.run_property_checks(state, graph, d.hop_distance_table(graph))
+        assert {c.name: c.witnesses for c in report.checks if not c.passed} == {
+            "double-star": [{"cluster": 1, "leader_outside": 1}]}
+
+    def test_proxyless_master_outside_its_cluster_fails(self):
+        graph = d.graph_from_edges(2, [(0, 1)])
+        state = _state(2, [(0, None, {1})])
+        check = d.check_double_star(state, graph)
+        assert check.witnesses == [{"cluster": 1, "leader_outside": 0}]
+
 
 class TestPartition:
     def test_reference_final_state_covers_everything(self, bundle, paper_states):
@@ -360,9 +375,12 @@ class TestPartition:
         check = d.check_partition(broken, bundle.graph)
         assert not check.passed
 
-    def test_formation_allows_critical_outside(self, bundle, paper_states):
+    def test_formation_state_leaves_critical_nodes_uncovered(self, bundle, paper_states):
+        # the check reads every state as a complete clustering, so the
+        # deferred nodes formation left outside every cluster are witnesses
         formation, _ = paper_states
-        assert d.check_partition(formation, bundle.graph).passed
+        check = d.check_partition(formation, bundle.graph)
+        assert check.witnesses == [{"node": v, "uncovered": True} for v in (6, 7, 20)]
 
     def test_empty_state_vacuous(self):
         state = _state(0, [])
