@@ -258,15 +258,13 @@ def run_m_dsec(
 
 
 def run_adjusted(
-    state: ClusterState,
-    graph: NetworkGraph,
-    metrics: NetworkMetrics,
-    hop: np.ndarray,
+    state: ClusterState, graph: NetworkGraph, metrics: NetworkMetrics
 ) -> ClusterState:
     """Adjustment pass over the critical nodes, in rank order.
 
     A type-I hidden master pairs with the best non-leader neighbour on the
-    far side of its proxy; other critical nodes pair within N'' - N_M.
+    far side of the proxy it touches (after formation it always touches
+    one, its own cluster's); other critical nodes pair within N'' - N_M.
     A critical node adjacent to a master never leads a cluster, so no two
     masters touch.  Members pulled into a new cluster leave their old one.
     Critical nodes that cannot form a cluster stay slaves if already
@@ -292,21 +290,9 @@ def run_adjusted(
         """Pick a partner and member set for critical node c, or None."""
         if graph.adj[c, sorted(masters)].any():
             return None
-        adjacent_proxy = None
-        if c in state.hidden_masters_1:
-            own = membership.get(c)
-            own_proxy = working[own].proxy if own is not None else None
-            if own_proxy is not None and graph.adjacent(c, own_proxy):
-                adjacent_proxy = own_proxy
-            else:
-                nearby = sorted(v for v in graph.neighbors(c) if v in proxies)
-                adjacent_proxy = nearby[0] if nearby else None
         own = partitions(c)
-        if adjacent_proxy is not None:
-            base = {
-                v for v in graph.neighbors(c)
-                if v != adjacent_proxy and v not in masters and v not in proxies
-            }
+        if c in state.hidden_masters_1 and graph.adj[c, sorted(proxies)].any():
+            base = {v for v in graph.neighbors(c) if v not in masters and v not in proxies}
             for partner in sorted(base, key=metrics.rank, reverse=True):
                 if partner in pending:
                     if partner in state.hidden_masters_1:
@@ -326,12 +312,6 @@ def run_adjusted(
         mate = partitions(partner)
         return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
 
-    def detach(node: int, lost: dict[int, list[int]]) -> None:
-        old = membership.get(node)
-        if old is not None:
-            working[old].members.discard(node)
-            lost.setdefault(old, []).append(node)
-
     for c in sorted(state.critical, key=metrics.rank, reverse=True):
         outcome = attempt(c) if c in pending else None
         if outcome is None:
@@ -340,7 +320,10 @@ def run_adjusted(
         members -= masters | proxies  # existing leaders are never pulled
         lost: dict[int, list[int]] = {}
         for m in sorted(members):
-            detach(m, lost)
+            old = membership.get(m)
+            if old is not None:
+                working[old].members.discard(m)
+                lost.setdefault(old, []).append(m)
             membership[m] = next_id
         record = ClusterRecord(id=next_id, master=c, proxy=partner, members=members)
         working[next_id] = record
@@ -351,21 +334,16 @@ def run_adjusted(
             "proxy": partner, "members": sorted(members),
         })
         for old_id in sorted(lost):
-            if old_id != next_id:
-                events.append({
-                    "action": "prune_cluster", "id": old_id,
-                    "removed": sorted(lost[old_id]),
-                })
+            events.append({
+                "action": "prune_cluster", "id": old_id, "removed": sorted(lost[old_id]),
+            })
         pending -= members
         next_id += 1
 
     for c in sorted(pending, key=metrics.rank, reverse=True):
         if membership.get(c) is not None:
             continue  # still covered as a slave; nothing left to improve
-        record = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
-        working[next_id] = record
-        membership[c] = next_id
-        masters.add(c)
+        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
         events.append({"action": "singleton_master", "id": next_id, "node": c})
         next_id += 1
 
@@ -387,4 +365,4 @@ def form_and_adjust(
     left no critical node unchanged, so a perfect formation is its own
     final state."""
     initial = run_m_dsec(graph, tables, metrics)
-    return initial, run_adjusted(initial, graph, metrics, tables.hop)
+    return initial, run_adjusted(initial, graph, metrics)

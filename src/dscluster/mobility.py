@@ -28,7 +28,8 @@ drifting masters that become adjacent are only logged.
 Weights are those computed at formation time; the global distance tables
 behind them are not refreshed during maintenance unless the scenario asks
 for recomputation; a refresh that does so reads connectivity off its new
-hop table and keeps maintaining a disconnected graph.
+hop table and keeps maintaining a disconnected graph.  Every refresh, in
+every mode, builds one hop table, which its summary's checks read.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ from .errors import InvalidArgumentError
 from .graph import (
     UNREACHABLE,
     NetworkGraph,
+    _check_size,
     build_graph,
     compute_tables,
     hop_distance_table,
@@ -78,6 +80,7 @@ class Scenario:
     def __post_init__(self):
         if self.node_count < 1:
             raise InvalidArgumentError("node_count must be >= 1")
+        _check_size(self.node_count)
         if self.terrain_size <= 0:
             raise InvalidArgumentError("terrain_size must be positive")
         if self.range_ <= 0:
@@ -181,7 +184,7 @@ def find_ch(
 
     Every master/proxy adjacent to the node acknowledges (one gather of
     the node's adjacency row at every cluster's leaders, in cluster id
-    order and ascending node order within a cluster); the node joins the
+    order; acknowledgements are logged by leader id); the node joins the
     top-ranked acknowledger (``NetworkMetrics.rank``).  With no
     acknowledgers it becomes a master of a new singleton cluster.  The
     state is updated in place.
@@ -190,7 +193,7 @@ def find_ch(
         cluster.members.discard(node)
     events = [_event(time, EVENT_FIND_CH, node)]
     clusters = sorted(state.clusters, key=lambda c: c.id)
-    leaders = np.sort(leader_pairs(clusters), axis=1)
+    leaders = leader_pairs(clusters)
     heard = graph.adj[node, leaders]
     heard[:, 1] &= leaders[:, 0] != leaders[:, 1]  # a proxy-less cluster lists its master twice
     rows, columns = np.nonzero(heard)
@@ -256,17 +259,19 @@ class _Simulation:
 
         if s.recompute_weights or s.force_recluster:
             tables = compute_tables(self.graph)
-            if (tables.hop[0] != UNREACHABLE).all():
+            hop = tables.hop
+            if (hop[0] != UNREACHABLE).all():
                 if s.recompute_weights:
                     self.metrics = compute_network_metrics(self.graph, tables, self.config)
                 if s.force_recluster:
-                    _, adjusted = form_and_adjust(self.graph, tables, self.metrics)
-                    self.state = adjusted.copy()
+                    self.state = form_and_adjust(self.graph, tables, self.metrics)[1]
                     reclustered = True
             else:
                 warnings.append(
                     "graph disconnected at refresh: weights kept, re-clustering skipped"
                 )
+        else:
+            hop = hop_distance_table(self.graph)
 
         step_events: list[dict] = []
         if not reclustered:
@@ -278,7 +283,7 @@ class _Simulation:
                     find_ch(exit_event["node"], self.state, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
-        self._summarise(time, step_events, warnings, reclustered)
+        self._summarise(time, hop, step_events, warnings, reclustered)
 
     def _resolve_leader_exits(self, time: float) -> list[dict]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
@@ -330,12 +335,12 @@ class _Simulation:
     def _summarise(
         self,
         time: float,
+        hop: np.ndarray,
         step_events: list[dict],
         warnings: list[str],
         reclustered: bool,
     ) -> None:
-        hop_now = hop_distance_table(self.graph)
-        checks = {c.name: c for c in run_property_checks(self.state, self.graph, hop_now).checks}
+        checks = {c.name: c for c in run_property_checks(self.state, self.graph, hop).checks}
         dominance = checks["dominance-and-independence"]
         if not dominance.details["master_independence_ok"]:
             warnings.append("adjacent masters after motion (re-clustering deferred)")

@@ -293,6 +293,17 @@ def test_oversized_scenario_is_refused_before_any_table(command, tmp_path, capsy
     assert peak < (MAX_NODES + 1) ** 2  # one n x n table of bools would be this big
 
 
+@pytest.mark.parametrize("command", ["cluster", "simulate"])
+def test_scenario_too_big_for_any_array_is_one_error_line(command, tmp_path, capsys):
+    """The scenario refuses a node count beyond the table bound itself, so
+    ``simulate`` never draws positions numpy cannot allocate."""
+    n = 2**62
+    scenario = _write(tmp_path, "big.json", _scenario_doc(node_count=n, steps=1))
+    assert main([command, "--scenario", scenario]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {n} nodes exceed the limit of {MAX_NODES} for dense n x n tables\n")
+
+
 def test_oversized_overlapping_report_is_refused(tmp_path, capsys):
     """A report whose clusters list more than MAX_NODES members in total
     ends in exit 1 before the diameter check allocates its table."""

@@ -329,7 +329,7 @@ class TestAdjustment:
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         state = d.run_m_dsec(graph, tables, metrics)
         assert state.critical == set()
-        assert d.run_adjusted(state, graph, metrics, tables.hop) is state
+        assert d.run_adjusted(state, graph, metrics) is state
 
     def test_members_leave_donor_clusters(self, paper_states):
         _, final = paper_states
@@ -362,6 +362,35 @@ class TestRandomisedInvariants:
                         assert graph.adjacent(c.master, c.proxy)
             covered = set().union(*(c.members for c in final.clusters))
             assert covered == set(range(graph.node_count))
+
+
+def _hidden_masters_touch_their_proxy(graph, formation, final):
+    """Adjustment tests only whether a type-I hidden master touches some
+    proxy, because formation puts each one in N'(y) of the proxy y of the
+    cluster that lists it, and no proxy is lost during adjustment.  Returns
+    how many hidden masters were seen."""
+    listed = set()
+    for c in formation.clusters:
+        for v in formation.hidden_masters_1 & c.members:
+            assert c.proxy is not None and graph.adjacent(v, c.proxy)
+            listed.add(v)
+    assert listed == formation.hidden_masters_1
+    assert formation.proxies() <= final.proxies()
+    return len(listed)
+
+
+class TestAdjustmentPreconditions:
+    def test_paper_fixture(self, bundle, paper_states):
+        assert _hidden_masters_touch_their_proxy(bundle.graph, *paper_states) > 0
+
+    def test_random_geometric_graphs(self):
+        seen = 0
+        for seed, graph in connected_rgg_suite(40, start_seed=700):
+            tables = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, tables)
+            seen += _hidden_masters_touch_their_proxy(
+                graph, *d.form_and_adjust(graph, tables, metrics))
+        assert seen > 0
 
 
 STRUCTURAL_CHECKS = ("cluster-diameter", "double-star", "partition", "dominance-and-independence")

@@ -508,6 +508,24 @@ class TestRunSimulation:
         assert len(summaries) == 10 and all(s["reclustered"] for s in summaries)
         assert calls == []
 
+    @pytest.mark.parametrize("flag", ["recompute_weights", "force_recluster"])
+    def test_flagged_refresh_builds_one_hop_table(self, flag, monkeypatch):
+        """A refresh that recomputes its tables hands their hop table to the
+        summary: one table at t = 0 and one per refresh."""
+        calls = []
+        for module in (d.graph, mobility):
+            table = module.hop_distance_table
+
+            def counted(graph, table=table):
+                calls.append(graph.node_count)
+                return table(graph)
+
+            monkeypatch.setattr(module, "hop_distance_table", counted)
+        sc = d.Scenario(node_count=40, terrain_size=100, range_=30, v_max=5,
+                        steps=20, seed=1, **{flag: True})
+        assert len(d.run_simulation(sc).summaries) == 20
+        assert len(calls) == 21
+
     def test_events_are_the_records_written(self):
         sc = d.Scenario(node_count=30, terrain_size=100, range_=35, v_max=5,
                         steps=20, seed=11)

@@ -1,0 +1,81 @@
+"""Source hygiene, checked on the AST since no linter is a dependency:
+every name a module imports and every parameter a function takes in
+``src/dscluster`` is read somewhere."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dscluster"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+# all four structural checks take (state, graph), whether or not they read the graph
+UNREAD_PARAMETERS_ALLOWED = {("verify.py", "check_partition", "graph")}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names loaded anywhere under ``node``, quoted annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        annotations = []
+        if isinstance(sub, ast.arg):
+            annotations.append(sub.annotation)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(sub.returns)
+        elif isinstance(sub, ast.AnnAssign):
+            annotations.append(sub.annotation)
+        for note in annotations:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _read_names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def _unread_imports(path: Path) -> list[str]:
+    tree = _tree(path)
+    read = _read_names(tree)
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unread.append(f"{path.name}:{node.lineno} {bound}")
+    return unread
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    unread = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = set().union(*(_read_names(stmt) for stmt in node.body))
+        for param in params:
+            if param is None or param.arg in ("self", "cls") or param.arg in read:
+                continue
+            if (path.name, node.name, param.arg) not in UNREAD_PARAMETERS_ALLOWED:
+                unread.append(f"{path.name}:{node.lineno} {node.name}({param.arg})")
+    return unread
+
+
+def test_sources_found():
+    assert {"engine.py", "mobility.py", "verify.py"} <= {p.name for p in SOURCES}
+
+
+def test_every_imported_name_is_read():
+    """``__init__.py`` imports to re-export, so it is left out."""
+    unread = [hit for path in SOURCES if path.name != "__init__.py"
+              for hit in _unread_imports(path)]
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    unread = [hit for path in SOURCES for hit in _unread_parameters(path)]
+    assert unread == []
