@@ -431,3 +431,62 @@ class TestEnginePassesItsVerifier:
         # whenever an edge touches no master or proxy (ROADMAP item 1); every other
         # report must verify outright.
         assert code == 0 or perfect, lines
+
+
+def _clustering(state, label):
+    """(clusters as (id, master, proxy, members), deferred, critical) with
+    every node renamed by ``label``."""
+    rename = label.__getitem__
+    clusters = [
+        (c.id, rename(c.master), None if c.proxy is None else rename(c.proxy),
+         sorted(map(rename, c.members)))
+        for c in state.clusters
+    ]
+    return clusters, sorted(map(rename, state.deferred)), sorted(map(rename, state.critical))
+
+
+@st.composite
+def relabelled_deployments(draw):
+    """(positions, perm) of a connected deployment (terrain 100, range 30):
+    n and a starting seed are drawn, and seeds are walked upward to the
+    first connected one."""
+    n = draw(st.integers(10, 60))
+    seed = draw(st.integers(1, 10**6))
+    while True:
+        positions = d.deploy_random(n, 100.0, seed)
+        if len(d.build_graph(positions, 30.0).components()) == 1:
+            break
+        seed += 1
+    return positions, np.array(draw(st.permutations(range(n))))
+
+
+class TestRelabelling:
+    """The weights are permutation-equivariant and ids only break exact
+    ties, so clustering ``positions[perm]`` gives the formation and final
+    clusters of ``positions`` with every node v renamed to its new index."""
+
+    @staticmethod
+    def _states(positions):
+        graph = d.build_graph(positions, 30.0)
+        tables = d.compute_tables(graph)
+        metrics = d.compute_network_metrics(graph, tables)
+        return metrics.weights, d.form_and_adjust(graph, tables, metrics)
+
+    def test_clusters_follow_the_nodes(self):
+        runs, ties = [], []
+
+        @given(relabelled_deployments())
+        def check(deployment):
+            positions, perm = deployment
+            weights, states = self._states(positions)
+            runs.append(len(positions))
+            if len(np.unique(weights)) < len(weights):
+                ties.append(len(positions))  # ids break this tie: no oracle
+                return
+            new_label = np.argsort(perm)  # node perm[i] is node i after relabelling
+            _, relabelled = self._states(positions[perm])
+            for state, other in zip(states, relabelled):
+                assert _clustering(other, range(len(perm))) == _clustering(state, new_label)
+
+        check()
+        assert len(ties) * 10 <= len(runs), (len(ties), len(runs))
