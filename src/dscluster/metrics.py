@@ -6,14 +6,20 @@ indices), the reciprocals of eccentricity / mean hop distance / mean
 Euclidean distance, and the neighbour-strength value.  Each is computed
 once for the whole network as an array column indexed by node
 (``closeness_indices``, ``path_columns``, ``neighbor_bands``), and
-``NetworkMetrics`` holds the columns.  The closeness kernel counts, per
-column of the table, how many entries lie below and level with each entry:
-by histogram for an integer table of at most n + 1 levels, by sort
-otherwise, a fixed number of table entries at a time, so its temporaries
-stay within a fixed size whatever n is.  The per-node functions
-(``hop_closeness_index``, ``path_statistics``, ...) are row views of the
-same kernels.  Fixture-supplied override columns take precedence over
-recomputation.
+``NetworkMetrics`` holds the columns.
+
+The closeness kernel counts, per column of the table, how many entries lie
+below and level with each entry: by histogram for an integer table of at
+most n + 1 levels, otherwise by sort.  In a sorted column, position k
+counts n - 1 - 2k, and every member of a tie group [a, b) counts n - a - b
+instead; the counts go back to their nodes through one float64
+``bincount`` per block of columns, exact because every partial sum is at
+most n * n < 2**53 in size.  It works a fixed number of table entries at a
+time, so its temporaries stay within a fixed size whatever n is.
+
+The per-node functions (``hop_closeness_index``, ``path_statistics``, ...)
+are row views of the same kernels.  Fixture-supplied override columns take
+precedence over recomputation.
 """
 from __future__ import annotations
 
@@ -80,9 +86,11 @@ class NetworkMetrics:
 
 
 def _reachable(hop: np.ndarray) -> np.ndarray:
-    """``hop`` itself once no pair in it is UNREACHABLE."""
-    pairs = np.argwhere(hop == UNREACHABLE)
-    if pairs.size:
+    """``hop`` itself once no pair in it is UNREACHABLE.  UNREACHABLE is the
+    table's only negative entry, so its minimum tells; the pairs are listed
+    only for the error message."""
+    if hop.size and hop.min() == UNREACHABLE:
+        pairs = np.argwhere(hop == UNREACHABLE)
         u = pairs[0, 0]
         raise UnreachableNodeError(
             f"node {u} cannot reach nodes {pairs[pairs[:, 0] == u, 1][:5].tolist()}"
@@ -105,10 +113,15 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
       n + 1 levels (every hop table, UNREACHABLE included) is counted by
       a histogram per column: the running sum of the counts up to a value
       gives less + equal, and 2 * less + equal is gathered per entry;
-    - any other table is sorted column by column; an entry's tie group
-      in its sorted column starts at index less and ends before index
-      less + equal, both read off the sorted order by running maximum
-      and minimum, and the count is scattered back to the entry's node.
+    - any other table is sorted column by column, each column copied into
+      a contiguous row first (the table need not be symmetric).  Without
+      ties, the entry at sorted position k has less = k and equal = 1, so
+      it counts n - 1 - 2k.  A tie group fills positions [a, b) and each
+      member counts n - a - b, the mean of the counts of its two ends; the
+      groups are found from the few positions whose sorted value equals
+      the next one.  One weighted ``bincount`` over the sort order per
+      block sends the counts back to their nodes; it sums in float64,
+      which is exact here because |g(u)| <= n * n < 2**53.
     """
     table = np.asarray(table)
     n = table.shape[0]
@@ -130,19 +143,22 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
             below = counts.reshape(columns, levels).cumsum(axis=1).ravel()
             g += columns * n - (below + below - counts)[keys].sum(axis=1)
         else:
-            order = np.argsort(block.T, axis=1)
-            ordered = np.take_along_axis(block.T, order, axis=1)
-            # bound[:, k]: a tie group ends before sorted index k and another starts at k
-            bound = np.ones((columns, n + 1), dtype=bool)
-            np.not_equal(ordered[:, 1:], ordered[:, :-1], out=bound[:, 1:-1])
-            first = np.where(bound[:, :-1], index, 0)
-            np.maximum.accumulate(first, axis=1, out=first)
-            last = np.where(bound[:, :0:-1], index[::-1] + 1, n)
-            np.minimum.accumulate(last, axis=1, out=last)
-            first += last[:, ::-1]
-            counted = np.empty_like(order)
-            np.put_along_axis(counted, order, np.subtract(n, first, out=first), axis=1)
-            g += counted.sum(axis=0)
+            rows = np.ascontiguousarray(block.T)
+            order = rows.argsort(axis=1)
+            ordered = rows.take(order + index[:columns, None] * n)
+            counted = np.tile(n - 1 - 2 * index, columns)
+            # tied: flat sorted positions equal to their right-hand neighbour
+            same = np.zeros((columns, n), dtype=bool)
+            np.equal(ordered[:, 1:], ordered[:, :-1], out=same[:, :-1])
+            tied = np.flatnonzero(same)
+            starts = np.diff(tied, prepend=-2) != 1
+            first = tied[starts]
+            last = tied[np.diff(tied, append=-2) != 1] + 1
+            # a group [a, b) counts n - a - b, the mean of its end positions' counts
+            share = (counted[first] + counted[last]) // 2
+            counted[tied] = share[np.cumsum(starts) - 1]
+            counted[last] = share
+            g += np.bincount(order.ravel(), weights=counted, minlength=n).astype(np.int64)
     return g
 
 

@@ -393,6 +393,15 @@ class TestColumnKernelProperties:
             patch.setattr(metrics_module, "_CLOSENESS_BLOCK", columns * table.shape[0])
             assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
+    def test_closeness_sort_equals_histogram_at_block_scale(self):
+        # an n = 300 hop table spans several default-size column blocks; cast
+        # to float it takes the sort branch, whose thousands of tie groups
+        # must count as the histogram branch counts the integer table
+        graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
+        hop = d.compute_tables(graph).hop
+        assert hop.size > 2 * metrics_module._CLOSENESS_BLOCK
+        assert closeness_indices(hop.astype(float)).tolist() == closeness_indices(hop).tolist()
+
     @given(small_tables(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
     def test_bands_count_every_other_node_once(self, tables, r):
         _, euclid = tables
