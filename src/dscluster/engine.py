@@ -10,9 +10,14 @@ neighbours adjacent to some master.
 Formation walks the nodes in rank order.  The first master is the
 top-ranked node; every later master must sit exactly 3 hops from one
 previously elected master or proxy while staying at least 3 hops from all
-of them, which keeps clusters from overlapping.  Each cluster is the
-elected pair plus both leaders' unclaimed neighbours, so a double star
-(the (m, p) edge plus one spoke per member) always embeds in it.
+of them, which keeps clusters from overlapping.  Both conditions read one
+int64 column, ``near``: each node's least hop distance to the masters and
+proxies elected so far, lowered with ``np.minimum`` by the hop row of each
+new leader.  A later master needs ``near`` exactly 3 and a proxy at least
+3; an UNREACHABLE (-1) entry keeps ``near`` at -1, too close for either.
+Each cluster is the elected pair plus both leaders' unclaimed neighbours,
+so a double star (the (m, p) edge plus one spoke per member) always embeds
+in it.
 
 Nodes that fail the distance conditions are deferred; deferred nodes plus
 type-I hidden masters (the members of a proxy's N') form the critical
@@ -131,42 +136,20 @@ class ClusterState:
         return {v: st.get(v, NodeStatus.UNCLUSTERED) for v in range(self.node_count)}
 
 
-def _leader_distances(
-    nodes, elected_pairs: list[tuple[int, int | None]], hop: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """hop[nodes, leaders] over every elected master and proxy, and per
-    node whether it keeps >= 3 hops to all of them (UNREACHABLE counts as
-    too close).  A pair's missing proxy imposes no constraint."""
-    leaders = [x for pair in elected_pairs for x in pair if x is not None]
-    dist = hop.take(nodes, axis=0).take(leaders, axis=1)
-    return dist, (dist >= 3).all(axis=1)
-
-
-def master_eligibility(
-    candidate: int, elected_pairs: list[tuple[int, int | None]], hop: np.ndarray
-) -> bool:
-    """Distance conditions for a subsequent master.
-
-    Eligible iff the candidate is >= 3 hops from every elected master and
-    proxy, and exactly 3 hops from at least one of them.  The first master
-    (no elected pairs yet) is unconditionally eligible.
-    """
-    dist, separated = _leader_distances([candidate], elected_pairs, hop)
-    return not elected_pairs or bool(separated[0] and (dist == 3).any())
+def master_eligibility(candidate: int, near: np.ndarray) -> bool:
+    """Distance conditions for a master after the first: at least 3 hops
+    from every elected master and proxy and exactly 3 from one of them,
+    which is ``near[candidate] == 3`` (see ``run_m_dsec``)."""
+    return bool(near[candidate] == 3)
 
 
 def elect_proxy(
-    master: int,
-    elected_pairs: list[tuple[int, int | None]],
-    metrics: NetworkMetrics,
-    hop: np.ndarray,
+    master: int, near: np.ndarray, metrics: NetworkMetrics, hop: np.ndarray
 ) -> int | None:
     """Top-ranked neighbour of the master that keeps >= 3 hops to every
-    previously elected master and proxy; None when no neighbour qualifies
-    (the cluster then forms with a master only)."""
-    nbrs = np.flatnonzero(hop[master] == 1)
-    _, separated = _leader_distances(nbrs, elected_pairs, hop)
-    candidates = nbrs[separated].tolist()
+    previously elected master and proxy (``near`` at least 3); None when no
+    neighbour qualifies (the cluster then forms with a master only)."""
+    candidates = np.flatnonzero((hop[master] == 1) & (near >= 3)).tolist()
     return max(candidates, key=metrics.rank) if candidates else None
 
 
@@ -187,14 +170,14 @@ def neighbor_partitions(
     """
     w_u = metrics.weight(u)
     nbrs = graph.neighbors(u)
-    near = graph.adj.take(nbrs, axis=0).take(sorted(masters), axis=1).any(axis=1)
+    by_master = graph.adj.take(nbrs, axis=0).take(sorted(masters), axis=1).any(axis=1)
     return NeighborPartitions(
         n_prime=frozenset(v for v in nbrs if metrics.weight(v) > w_u and v not in masters),
         n_dprime=frozenset(
             v for v in nbrs
             if v not in masters and v not in proxies and metrics.weight(v) < w_u
         ),
-        n_m=frozenset(v for v, hit in zip(nbrs, near) if hit),
+        n_m=frozenset(v for v, hit in zip(nbrs, by_master) if hit),
     )
 
 
@@ -210,36 +193,38 @@ def run_m_dsec(
         raise InvalidArgumentError("metrics with weights are required for n > 1")
 
     hop = tables.hop
+    # see the module docstring; nothing is elected yet, so no node is near
+    near = np.full(n, np.iinfo(np.int64).max)
     clustered: set[int] = set()
     deferred: set[int] = set()
     hm1: set[int] = set()
     masters: set[int] = set()
     proxies: set[int] = set()
     clusters: list[ClusterRecord] = []
-    pairs: list[tuple[int, int | None]] = []
     events: list[dict] = []
 
     order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
     for x in order:
         if x in clustered:
             continue
-        if not master_eligibility(x, pairs, hop):
+        if clusters and not master_eligibility(x, near):
             deferred.add(x)
             events.append({"action": "defer", "node": x})
             continue
         events.append({"action": "elect_master", "node": x})
         masters.add(x)
-        y = elect_proxy(x, pairs, metrics, hop)
+        y = elect_proxy(x, near, metrics, hop)
         members = {x} | (set(graph.neighbors(x)) - clustered)
+        np.minimum(near, hop[x], out=near)
         hidden: frozenset[int] = frozenset()
         if y is not None:
             events.append({"action": "elect_proxy", "node": y, "master": x})
             proxies.add(y)
             members |= {y} | (set(graph.neighbors(y)) - clustered)
+            np.minimum(near, hop[y], out=near)
             hidden = neighbor_partitions(y, graph, metrics, masters, proxies).n_prime & members
         record = ClusterRecord(id=len(clusters) + 1, master=x, proxy=y, members=members)
         clusters.append(record)
-        pairs.append((x, y))
         hm1.update(hidden)
         clustered.update(members)
         events.append({

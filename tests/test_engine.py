@@ -48,41 +48,56 @@ def _clusters_as_tuples(state):
     }
 
 
+def near_column(pairs, hop):
+    """Formation's ``near`` column once ``pairs`` are elected: the least hop
+    distance to any elected master or proxy, unbounded before the first."""
+    leaders = [x for pair in pairs for x in pair if x is not None]
+    return hop[leaders].min(axis=0, initial=np.iinfo(np.int64).max)
+
+
 class TestMasterEligibility:
-    def test_first_master_unconditional(self, bundle):
-        assert d.master_eligibility(3, [], bundle.tables.hop)
+    def test_first_master_unconditional(self, bundle, paper_metrics):
+        # before any election no node is 3 hops from a leader, so formation
+        # elects the top-ranked node without asking
+        assert not d.master_eligibility(3, near_column([], bundle.tables.hop))
+        assert max(range(23), key=paper_metrics.rank) == 3
+        formation = d.run_m_dsec(bundle.graph, bundle.tables, paper_metrics)
+        assert formation.events[0] == {"action": "elect_master", "node": 3}
 
     def test_exactly_three_to_proxy(self, bundle):
         # node 18 against pair (3, 1): 4 hops to the master, 3 to the proxy
-        assert d.master_eligibility(18, [(3, 1)], bundle.tables.hop)
+        assert d.master_eligibility(18, near_column([(3, 1)], bundle.tables.hop))
 
     def test_no_exact_three_deferred(self, bundle):
         # node 13 against pair (3, 1): 6 and 5 hops, never exactly 3
-        assert not d.master_eligibility(13, [(3, 1)], bundle.tables.hop)
+        assert not d.master_eligibility(13, near_column([(3, 1)], bundle.tables.hop))
 
     def test_adjacent_to_master_rejected(self, bundle):
-        assert not d.master_eligibility(0, [(3, 1)], bundle.tables.hop)
+        assert not d.master_eligibility(0, near_column([(3, 1)], bundle.tables.hop))
 
     def test_missing_proxy_ignored(self, bundle):
         hop = bundle.tables.hop
-        assert not d.master_eligibility(18, [(3, None)], hop)  # d=4, no exact 3
+        assert not d.master_eligibility(18, near_column([(3, None)], hop))  # d=4, no exact 3
         assert hop[8, 3] == 3
-        assert d.master_eligibility(8, [(3, None)], hop)
+        assert d.master_eligibility(8, near_column([(3, None)], hop))
 
 
 class TestElectProxy:
     def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_metrics):
-        assert d.elect_proxy(3, [], paper_metrics, bundle.tables.hop) == 1
+        hop = bundle.tables.hop
+        assert d.elect_proxy(3, near_column([], hop), paper_metrics, hop) == 1
 
     def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_metrics):
+        hop = bundle.tables.hop
         # neighbour 11 outweighs 10 but sits 2 hops from proxy 16
         pairs = [(3, 1), (18, 16)]
-        assert d.elect_proxy(9, pairs, paper_metrics, bundle.tables.hop) == 10
+        assert d.elect_proxy(9, near_column(pairs, hop), paper_metrics, hop) == 10
 
     def test_no_qualifying_neighbor(self, bundle, paper_metrics):
+        hop = bundle.tables.hop
         # 17's only neighbour (18) sits 1 hop from the elected master 16
         pairs = [(16, 13)]
-        assert d.elect_proxy(17, pairs, paper_metrics, bundle.tables.hop) is None
+        assert d.elect_proxy(17, near_column(pairs, hop), paper_metrics, hop) is None
 
 
 class TestNeighborPartitions:
@@ -147,26 +162,26 @@ class TestSeparationEdgeCases:
 
     def test_unreachable_leader_is_too_close(self, path7):
         hop, _ = path7
-        assert d.master_eligibility(3, [(0, None)], hop)
+        assert d.master_eligibility(3, near_column([(0, None)], hop))
         self._cut(hop, 3, 0)
-        assert not d.master_eligibility(3, [(0, None)], hop)
+        assert not d.master_eligibility(3, near_column([(0, None)], hop))
 
     def test_unreachable_proxy_is_too_close(self, path7):
         hop, _ = path7
-        assert d.master_eligibility(6, [(0, 3)], hop)
+        assert d.master_eligibility(6, near_column([(0, 3)], hop))
         self._cut(hop, 6, 0)
-        assert not d.master_eligibility(6, [(0, 3)], hop)
+        assert not d.master_eligibility(6, near_column([(0, 3)], hop))
 
     def test_proxy_none_imposes_nothing(self, path7):
         hop, metrics = path7
         # 4 outweighs 2 but sits 2 hops from master 6; 2 sits 4 hops away
-        assert d.elect_proxy(3, [], metrics, hop) == 4
-        assert d.elect_proxy(3, [(6, None)], metrics, hop) == 2
+        assert d.elect_proxy(3, near_column([], hop), metrics, hop) == 4
+        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, hop) == 2
 
     def test_unreachable_candidate_skipped(self, path7):
         hop, metrics = path7
         self._cut(hop, 2, 6)
-        assert d.elect_proxy(3, [(6, None)], metrics, hop) is None
+        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, hop) is None
 
 
 class TestFormation:
@@ -253,7 +268,7 @@ class TestFormation:
                 pairs.append((event["master"], event["proxy"]))
             elif event["action"] == "defer":
                 assert not d.master_eligibility(
-                    event["node"], pairs, bundle.tables.hop
+                    event["node"], near_column(pairs, bundle.tables.hop)
                 )
 
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
