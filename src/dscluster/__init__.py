@@ -21,7 +21,6 @@ from .engine import (
 )
 from .fileio import (
     cluster_report,
-    load_bundled_fixture,
     metrics_records,
 )
 from .graph import (

@@ -19,7 +19,6 @@ import math
 import os
 import stat
 from dataclasses import dataclass
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixtur
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
 from .mobility import Scenario, SimulationResult
 
-BUNDLED_FIXTURE = "paper23.json"
 #: (fixture key, FixtureOverrides field) of the per-node override columns.
 _OVERRIDE_COLUMNS = (
     ("ns_override", "ns"), ("gh_override", "g_h"), ("ged_override", "g_ed"),
@@ -125,12 +123,6 @@ def load_fixture(source) -> FixtureBundle:
     )
     graph, tables, overrides = ingest_fixture(edges, np.array(euclid, dtype=float), overrides)
     return FixtureBundle(graph=graph, tables=tables, overrides=overrides, config=config)
-
-
-def load_bundled_fixture() -> FixtureBundle:
-    """The 23-node reference fixture shipped with the package."""
-    text = resources.files("dscluster.data").joinpath(BUNDLED_FIXTURE).read_text()
-    return load_fixture(json.loads(text))
 
 
 def load_scenario(source, seed: int | None = None) -> Scenario:

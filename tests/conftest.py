@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 import dscluster as d
+from dscluster.fileio import load_fixture
 
 DATA = Path(__file__).parent / "data"
 
@@ -24,7 +26,8 @@ def reference():
 
 @pytest.fixture(scope="session")
 def bundle():
-    return d.load_bundled_fixture()
+    """The 23-node reference fixture shipped with the package."""
+    return load_fixture(str(resources.files("dscluster.data").joinpath("paper23.json")))
 
 
 @pytest.fixture(scope="session")

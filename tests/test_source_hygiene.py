@@ -1,6 +1,7 @@
 """Source hygiene, checked on the AST since no linter is a dependency:
 every name a module imports and every parameter a function takes in
-``src/dscluster`` is read somewhere."""
+``src/dscluster`` is read somewhere, and every module-level function is
+called (or otherwise referenced) by some module of ``src/dscluster``."""
 import ast
 from pathlib import Path
 
@@ -9,6 +10,16 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 
 # all four structural checks take (state, graph), whether or not they read the graph
 UNREAD_PARAMETERS_ALLOWED = {("verify.py", "check_partition", "graph")}
+
+# module-level functions that no module of the package calls, each with its reason
+UNCALLED_FUNCTIONS_ALLOWED = {
+    # row views of the metric kernels, wrapped as spans by perfbench/tracing.py
+    ("metrics.py", "hop_closeness_index"): "a benchmark boundary",
+    ("metrics.py", "euclidean_closeness_index"): "a benchmark boundary",
+    ("metrics.py", "path_statistics"): "a benchmark boundary",
+    ("metrics.py", "neighbor_categories"): "a benchmark boundary",
+    ("cli.py", "main"): "the entry point of the dscluster console script",
+}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -79,3 +90,40 @@ def test_every_imported_name_is_read():
 def test_every_parameter_is_read():
     unread = [hit for path in SOURCES for hit in _unread_parameters(path)]
     assert unread == []
+
+
+def _is_script_block(stmt: ast.stmt) -> bool:
+    """``if __name__ == "__main__":``, which runs a module as a script."""
+    test = getattr(stmt, "test", None)
+    return (isinstance(stmt, ast.If) and isinstance(test, ast.Compare)
+            and isinstance(test.left, ast.Name) and test.left.id == "__name__")
+
+
+def _uncalled_functions() -> set[tuple[str, str]]:
+    """Module-level functions that no module except ``__init__.py`` (which
+    imports to re-export) names, as a name or as a module attribute,
+    outside the function's own body and outside a script block."""
+    defined, named = set(), set()
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add((path.name, stmt.name))
+            if path.name == "__init__.py" or _is_script_block(stmt):
+                continue
+            names = {sub.id if isinstance(sub, ast.Name) else sub.attr
+                     for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                     or isinstance(sub, ast.Attribute)}
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(stmt.name)
+            named |= names
+    return {(module, name) for module, name in defined if name not in named}
+
+
+def test_every_function_is_called():
+    assert _uncalled_functions() - UNCALLED_FUNCTIONS_ALLOWED.keys() == set()
+
+
+def test_every_allowed_uncalled_function_exists_uncalled():
+    # an entry whose function is gone or now called is stale
+    assert UNCALLED_FUNCTIONS_ALLOWED.keys() - _uncalled_functions() == set()
