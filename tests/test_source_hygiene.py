@@ -94,9 +94,7 @@ def test_every_parameter_is_read():
 
 def _is_script_block(stmt: ast.stmt) -> bool:
     """``if __name__ == "__main__":``, which runs a module as a script."""
-    test = getattr(stmt, "test", None)
-    return (isinstance(stmt, ast.If) and isinstance(test, ast.Compare)
-            and isinstance(test.left, ast.Name) and test.left.id == "__name__")
+    return isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
 
 
 def _uncalled_functions() -> set[tuple[str, str]]:
@@ -112,7 +110,7 @@ def _uncalled_functions() -> set[tuple[str, str]]:
                 continue
             names = {sub.id if isinstance(sub, ast.Name) else sub.attr
                      for sub in ast.walk(stmt)
-                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+                     if (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
                      or isinstance(sub, ast.Attribute)}
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 names.discard(stmt.name)
