@@ -15,7 +15,6 @@ from .engine import (
     elect_proxy,
     form_and_adjust,
     master_eligibility,
-    neighbor_partitions,
     run_adjusted,
     run_m_dsec,
 )

@@ -1,11 +1,14 @@
 """Cluster formation and adjustment.
 
 Every election follows one order, ``NetworkMetrics.rank``: higher weight,
-then higher NS, then the lower node id.  Critical nodes are handled in
-terms of three neighbourhood sets of a node u (``neighbor_partitions``):
-N'(u), its heavier neighbours that are not masters; N''(u), its lighter
-neighbours that are neither masters nor proxies; and N_M(u), its
-neighbours adjacent to some master.
+then higher NS, then the lower node id.  Both passes keep roles as boolean
+node columns and read each neighbourhood as a masked row of ``graph.adj``.
+Critical nodes are handled in terms of three neighbourhood sets of a node
+u: N'(u) = ``adj[u] & ~is_master & (weights > weights[u])``, its heavier
+non-masters; N''(u) = ``adj[u] & ~(is_master | is_proxy) & (weights <
+weights[u])``, its lighter non-leaders; and N_M(u) = ``adj[u] &
+near_master``, its neighbours adjacent to a master, where ``near_master``
+is ORed with ``adj[m]`` whenever m becomes a master.
 
 Formation walks the nodes in rank order.  The first master is the
 top-ranked node; every later master must sit exactly 3 hops from one
@@ -63,15 +66,6 @@ class ClusterRecord:
     @property
     def leaders(self) -> set[int]:
         return {self.master} if self.proxy is None else {self.master, self.proxy}
-
-
-@dataclass(frozen=True)
-class NeighborPartitions:
-    """N'(u), N''(u) and N_M(u) of one node u (see the module docstring)."""
-
-    n_prime: frozenset[int]
-    n_dprime: frozenset[int]
-    n_m: frozenset[int]
 
 
 @dataclass
@@ -144,41 +138,24 @@ def master_eligibility(candidate: int, near: np.ndarray) -> bool:
 
 
 def elect_proxy(
-    master: int, near: np.ndarray, metrics: NetworkMetrics, hop: np.ndarray
+    master: int, near: np.ndarray, metrics: NetworkMetrics, graph: NetworkGraph
 ) -> int | None:
     """Top-ranked neighbour of the master that keeps >= 3 hops to every
     previously elected master and proxy (``near`` at least 3); None when no
     neighbour qualifies (the cluster then forms with a master only)."""
-    candidates = np.flatnonzero((hop[master] == 1) & (near >= 3)).tolist()
+    candidates = np.flatnonzero(graph.adj[master] & (near >= 3)).tolist()
     return max(candidates, key=metrics.rank) if candidates else None
 
 
-def neighbor_partitions(
-    u: int,
-    graph: NetworkGraph,
-    metrics: NetworkMetrics,
-    masters: set[int],
-    proxies: set[int],
-) -> NeighborPartitions:
-    """The paper's three neighbourhood sets of ``u`` against the given
-    masters and proxies.
+def _column(n: int, nodes) -> np.ndarray:
+    """Boolean node column, set at ``nodes``."""
+    column = np.zeros(n, dtype=bool)
+    column[list(nodes)] = True
+    return column
 
-    N' (heavier non-masters) inside a proxy's cluster are its type-I
-    hidden masters; N'' (lighter non-leaders) is where adjustment draws a
-    partner and members; N_M (neighbours of masters) is what adjustment
-    must leave alone.
-    """
-    w_u = metrics.weight(u)
-    nbrs = graph.neighbors(u)
-    by_master = graph.adj.take(nbrs, axis=0).take(sorted(masters), axis=1).any(axis=1)
-    return NeighborPartitions(
-        n_prime=frozenset(v for v in nbrs if metrics.weight(v) > w_u and v not in masters),
-        n_dprime=frozenset(
-            v for v in nbrs
-            if v not in masters and v not in proxies and metrics.weight(v) < w_u
-        ),
-        n_m=frozenset(v for v, hit in zip(nbrs, by_master) if hit),
-    )
+
+def _nodes(column: np.ndarray) -> set[int]:
+    return set(np.flatnonzero(column).tolist())
 
 
 def run_m_dsec(
@@ -192,52 +169,53 @@ def run_m_dsec(
     if metrics is None and n > 1:
         raise InvalidArgumentError("metrics with weights are required for n > 1")
 
-    hop = tables.hop
+    hop, adj = tables.hop, graph.adj
     # see the module docstring; nothing is elected yet, so no node is near
     near = np.full(n, np.iinfo(np.int64).max)
-    clustered: set[int] = set()
-    deferred: set[int] = set()
-    hm1: set[int] = set()
-    masters: set[int] = set()
-    proxies: set[int] = set()
+    free = np.ones(n, dtype=bool)  # in no cluster yet
+    is_master, is_proxy, hm1, deferred = np.zeros((4, n), dtype=bool)
     clusters: list[ClusterRecord] = []
     events: list[dict] = []
 
     order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
     for x in order:
-        if x in clustered:
+        if not free[x]:
             continue
         if clusters and not master_eligibility(x, near):
-            deferred.add(x)
+            deferred[x] = True
             events.append({"action": "defer", "node": x})
             continue
         events.append({"action": "elect_master", "node": x})
-        masters.add(x)
-        y = elect_proxy(x, near, metrics, hop)
-        members = {x} | (set(graph.neighbors(x)) - clustered)
+        is_master[x] = True
+        y = elect_proxy(x, near, metrics, graph)
+        members = free & adj[x]
+        members[x] = True
         np.minimum(near, hop[x], out=near)
-        hidden: frozenset[int] = frozenset()
+        hidden = []
         if y is not None:
             events.append({"action": "elect_proxy", "node": y, "master": x})
-            proxies.add(y)
-            members |= {y} | (set(graph.neighbors(y)) - clustered)
+            is_proxy[y] = True
+            members |= free & adj[y]
+            members[y] = True
             np.minimum(near, hop[y], out=near)
-            hidden = neighbor_partitions(y, graph, metrics, masters, proxies).n_prime & members
-        record = ClusterRecord(id=len(clusters) + 1, master=x, proxy=y, members=members)
+            # N'(y) inside the cluster
+            hidden = np.flatnonzero(
+                members & adj[y] & ~is_master & (metrics.weights > metrics.weights[y])
+            ).tolist()
+            hm1[hidden] = True
+        listed = np.flatnonzero(members).tolist()
+        record = ClusterRecord(id=len(clusters) + 1, master=x, proxy=y, members=set(listed))
         clusters.append(record)
-        hm1.update(hidden)
-        clustered.update(members)
+        free &= ~members
         events.append({
             "action": "form_cluster", "id": record.id, "master": x, "proxy": y,
-            "members": sorted(members), "hidden_masters": sorted(hidden),
+            "members": listed, "hidden_masters": hidden,
         })
 
-    critical = (set(range(n)) - clustered) | hm1
-    proxy_list = sorted(proxies)
-    hm2 = {v for v in deferred if v not in clustered and not graph.adj[v, proxy_list].any()}
+    hm2 = deferred & free & ~adj[:, is_proxy].any(axis=1)
     return ClusterState(
-        node_count=n, clusters=clusters, critical=critical,
-        hidden_masters_1=hm1, hidden_masters_2=hm2, deferred=deferred,
+        node_count=n, clusters=clusters, critical=_nodes(free | hm1),
+        hidden_masters_1=_nodes(hm1), hidden_masters_2=_nodes(hm2), deferred=_nodes(deferred),
         events=events,
     )
 
@@ -260,74 +238,71 @@ def run_adjusted(
     if not state.critical:
         return state
 
+    n, adj, weights = state.node_count, graph.adj, metrics.weights
     working: dict[int, ClusterRecord] = {c.id: c.copy() for c in state.clusters}
     membership = state.membership()
-    masters = state.masters()
-    proxies = state.proxies()
-    pending = set(state.critical)  # critical nodes no new cluster has absorbed yet
+    owner = np.zeros(n, dtype=np.int64)  # cluster id of each node; formation ids start at 1
+    owner[list(membership)] = list(membership.values())
+    is_master = _column(n, state.masters())
+    is_proxy = _column(n, state.proxies())
+    near_master = adj[:, is_master].any(axis=1)
+    hm1 = _column(n, state.hidden_masters_1)
+    pending = _column(n, state.critical)  # critical nodes no new cluster has absorbed yet
     events = list(state.events)
     next_id = max(working, default=0) + 1
 
-    def partitions(u: int) -> NeighborPartitions:
-        return neighbor_partitions(u, graph, metrics, masters, proxies)
+    def ranked(column: np.ndarray) -> list[int]:
+        return sorted(np.flatnonzero(column).tolist(), key=metrics.rank, reverse=True)
+
+    def lighter(u: int) -> np.ndarray:
+        """N''(u)."""
+        return adj[u] & ~(is_master | is_proxy) & (weights < weights[u])
 
     def attempt(c: int):
-        """Pick a partner and member set for critical node c, or None."""
-        if graph.adj[c, sorted(masters)].any():
+        """Pick a partner and member column for critical node c, or None."""
+        if near_master[c]:
             return None
-        own = partitions(c)
-        if c in state.hidden_masters_1 and graph.adj[c, sorted(proxies)].any():
-            base = {v for v in graph.neighbors(c) if v not in masters and v not in proxies}
-            for partner in sorted(base, key=metrics.rank, reverse=True):
-                if partner in pending:
-                    if partner in state.hidden_masters_1:
-                        extra = partitions(partner).n_dprime
-                    else:
-                        extra = set(graph.neighbors(partner))
-                    return partner, {c, partner} | base | extra
-                # partner is an ordinary member: unusable if it touches a master
-                if partner in own.n_m:
-                    continue
-                return partner, {c, partner} | base | partitions(partner).n_dprime
+        if hm1[c] and (adj[c] & is_proxy).any():
+            base = adj[c] & ~(is_master | is_proxy)
+            for partner in ranked(base):
+                if pending[partner]:
+                    extra = lighter(partner) if hm1[partner] else adj[partner]
+                elif near_master[partner]:
+                    continue  # an ordinary member that touches a master is unusable
+                else:
+                    extra = lighter(partner)
+                return partner, base | extra
             return None
-        pool = own.n_dprime - own.n_m
-        if not pool:
+        pool = lighter(c) & ~near_master
+        if not pool.any():
             return None
-        partner = max(pool, key=metrics.rank)
-        mate = partitions(partner)
-        return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
+        partner = ranked(pool)[0]
+        return partner, pool | (lighter(partner) & ~near_master)
 
-    for c in sorted(state.critical, key=metrics.rank, reverse=True):
-        outcome = attempt(c) if c in pending else None
+    for c in ranked(pending):
+        outcome = attempt(c) if pending[c] else None
         if outcome is None:
             continue
         partner, members = outcome
-        members -= masters | proxies  # existing leaders are never pulled
-        lost: dict[int, list[int]] = {}
-        for m in sorted(members):
-            old = membership.get(m)
-            if old is not None:
-                working[old].members.discard(m)
-                lost.setdefault(old, []).append(m)
-            membership[m] = next_id
-        record = ClusterRecord(id=next_id, master=c, proxy=partner, members=members)
-        working[next_id] = record
-        masters.add(c)
-        proxies.add(partner)
+        members[[c, partner]] = True
+        members &= ~(is_master | is_proxy)  # existing leaders are never pulled
+        listed = np.flatnonzero(members).tolist()
+        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=partner, members=set(listed))
         events.append({
             "action": "adjust_cluster", "id": next_id, "master": c,
-            "proxy": partner, "members": sorted(members),
+            "proxy": partner, "members": listed,
         })
-        for old_id in sorted(lost):
-            events.append({
-                "action": "prune_cluster", "id": old_id, "removed": sorted(lost[old_id]),
-            })
-        pending -= members
+        for old_id in sorted(set(owner[members].tolist()) - {0}):  # 0: in no cluster
+            removed = np.flatnonzero(members & (owner == old_id)).tolist()
+            working[old_id].members.difference_update(removed)
+            events.append({"action": "prune_cluster", "id": old_id, "removed": removed})
+        owner[members] = next_id
+        is_master[c] = is_proxy[partner] = True
+        near_master |= adj[c]
+        pending &= ~members
         next_id += 1
 
-    for c in sorted(pending, key=metrics.rank, reverse=True):
-        if membership.get(c) is not None:
-            continue  # still covered as a slave; nothing left to improve
+    for c in ranked(pending & (owner == 0)):
         working[next_id] = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
         events.append({"action": "singleton_master", "id": next_id, "node": c})
         next_id += 1

@@ -194,11 +194,14 @@ def state_from_report(report: dict) -> ClusterState:
             raise SchemaError(f"{where}: {label} must list nodes in 0..{node_count - 1}")
         return set(values)
 
-    clusters = []
+    clusters, ids = [], set()
     for c in clusters_doc:
         if not isinstance(c, dict):
             raise SchemaError(f"{where}: every cluster must be an object")
         cid = _require(c, "id", int, where)
+        if cid in ids:
+            raise SchemaError(f"{where}: cluster id {cid} is repeated")
+        ids.add(cid)
         proxy = c.get("proxy")
         nodes([c.get("master")] + ([] if proxy is None else [proxy]), f"cluster {cid} leaders")
         clusters.append(ClusterRecord(

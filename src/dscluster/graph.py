@@ -61,12 +61,6 @@ class NetworkGraph:
     def node_count(self) -> int:
         return self.adj.shape[0]
 
-    def neighbors(self, u: int) -> list[int]:
-        return [int(v) for v in np.flatnonzero(self.adj[u])]
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges once, as (u, v) with u < v, in lexicographic order."""
         iu, iv = np.nonzero(np.triu(self.adj, k=1))

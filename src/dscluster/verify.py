@@ -117,23 +117,23 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """A spanning double star embeds in every two-leader cluster: both
     leaders are members, the (master, proxy) edge exists and every other
     member is adjacent to one of them, so that edge dominates every spoke.
-    Clusters without a proxy pass vacuously (a plain star) once they hold
-    their master."""
+    A cluster without a proxy has no edge to check: it passes in star form,
+    its master among its members and every other member adjacent to it."""
     witnesses = []
     starless = 0
     for cluster in state.clusters:
         if not cluster.leaders <= cluster.members:
             witnesses += [{"cluster": cluster.id, "leader_outside": v}
                           for v in sorted(cluster.leaders - cluster.members)]
-        if cluster.proxy is None:
-            starless += 1
-            continue
         m, p = cluster.master, cluster.proxy
-        if not graph.adjacent(m, p):
+        if p is None:
+            starless += 1
+            p = m
+        elif not graph.adj[m, p]:
             witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
             continue
         for v in sorted(cluster.members - {m, p}):
-            if not (graph.adjacent(v, m) or graph.adjacent(v, p)):
+            if not (graph.adj[v, m] or graph.adj[v, p]):
                 witnesses.append({"cluster": cluster.id, "stranded_member": v})
     note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
     return CheckResult("double-star", witnesses, note)
@@ -189,7 +189,7 @@ def check_efficient_edge_domination(
     """True iff ``edge_set`` is a set of edges of the graph and every edge
     of the graph shares an endpoint with exactly one of them (an edge
     dominates itself)."""
-    return all(graph.adjacent(u, v) for u, v in edge_set) and all(
+    return all(graph.adj[u, v] for u, v in edge_set) and all(
         sum(1 for u, v in edge_set if a in (u, v) or b in (u, v)) == 1
         for a, b in graph.edges()
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.fileio import load_fixture
@@ -68,3 +69,17 @@ def random_edge_graph(rng, n_low=2, n_high=7, p=0.5):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return d.graph_from_edges(n, edges)
+
+
+@st.composite
+def connected_deployments(draw, n_low, n_high, range_low=20.0, range_high=50.0,
+                          terrain=100.0):
+    """(n, range, seed) of a connected ``deploy_random`` deployment: n, the
+    range and a starting seed are drawn, and seeds are walked upward to the
+    first connected one."""
+    n = draw(st.integers(n_low, n_high))
+    range_ = draw(st.floats(range_low, range_high))
+    seed = draw(st.integers(1, 10**6))
+    while len(d.build_graph(d.deploy_random(n, terrain, seed), range_).components()) != 1:
+        seed += 1
+    return n, range_, seed

@@ -176,6 +176,11 @@ def _set_cluster(key, value):
     return mutate
 
 
+def _one_cluster_id(report):
+    for cluster in report["clusters"]:
+        cluster["id"] = 1
+
+
 NAN_COLUMN = [1.0, math.nan, 3.0, 0.5, 4.0, 2.0]
 OVERRIDE_KEYS = ("ns_override", "gh_override", "ged_override", "weight_override")
 
@@ -223,6 +228,7 @@ MALFORMED = [
     pytest.param("scenario", _scenario_doc(seed=False), "'seed' must be int", id="bool-seed"),
     pytest.param("fixture", _path_fixture(nodes=True), "'nodes' must be int", id="bool-nodes"),
     pytest.param("report", _set_cluster("id", True), "'id' must be int", id="bool-cluster-id"),
+    pytest.param("report", _one_cluster_id, "cluster id 1 is repeated", id="repeated-cluster-id"),
 ]
 
 

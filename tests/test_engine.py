@@ -1,17 +1,19 @@
 import json
 import tempfile
+from collections import Counter, namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.cli import main
 from dscluster.errors import DisconnectedGraphError
 
-from conftest import connected_rgg_suite
+from conftest import connected_deployments, connected_rgg_suite
 
 # step-by-step election/adjustment trail on the bundled 23-node fixture
 GOLDEN_EVENTS = [
@@ -84,29 +86,128 @@ class TestMasterEligibility:
 
 class TestElectProxy:
     def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_metrics):
-        hop = bundle.tables.hop
-        assert d.elect_proxy(3, near_column([], hop), paper_metrics, hop) == 1
+        near = near_column([], bundle.tables.hop)
+        assert d.elect_proxy(3, near, paper_metrics, bundle.graph) == 1
 
     def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_metrics):
-        hop = bundle.tables.hop
         # neighbour 11 outweighs 10 but sits 2 hops from proxy 16
-        pairs = [(3, 1), (18, 16)]
-        assert d.elect_proxy(9, near_column(pairs, hop), paper_metrics, hop) == 10
+        near = near_column([(3, 1), (18, 16)], bundle.tables.hop)
+        assert d.elect_proxy(9, near, paper_metrics, bundle.graph) == 10
 
     def test_no_qualifying_neighbor(self, bundle, paper_metrics):
-        hop = bundle.tables.hop
         # 17's only neighbour (18) sits 1 hop from the elected master 16
-        pairs = [(16, 13)]
-        assert d.elect_proxy(17, near_column(pairs, hop), paper_metrics, hop) is None
+        near = near_column([(16, 13)], bundle.tables.hop)
+        assert d.elect_proxy(17, near, paper_metrics, bundle.graph) is None
+
+
+Partitions = namedtuple("Partitions", "n_prime n_dprime n_m")
+
+
+def _neighbors(graph, u):
+    return np.flatnonzero(graph.adj[u]).tolist()
+
+
+def reference_partitions(u, graph, metrics, masters, proxies):
+    """N'(u), N''(u) and N_M(u) against the given masters and proxies, as
+    sets built one neighbour at a time: the reference for the engine's
+    adjacency masks (see the ``engine`` module docstring)."""
+    w_u = metrics.weight(u)
+    nbrs = _neighbors(graph, u)
+    return Partitions(
+        n_prime={v for v in nbrs if metrics.weight(v) > w_u and v not in masters},
+        n_dprime={v for v in nbrs
+                  if v not in masters and v not in proxies and metrics.weight(v) < w_u},
+        n_m={v for v in nbrs if any(graph.adj[v, m] for m in masters)},
+    )
+
+
+def reference_run_adjusted(state, graph, metrics, branches):
+    """Adjustment on sets of nodes and a node -> cluster id dict, one
+    neighbourhood set at a time: the reference for ``run_adjusted``.
+    ``branches`` counts the critical nodes that reach the type-I
+    hidden-master branch."""
+    if not state.critical:
+        return state
+
+    working = {c.id: c.copy() for c in state.clusters}
+    membership = state.membership()
+    masters = state.masters()
+    proxies = state.proxies()
+    pending = set(state.critical)
+    events = list(state.events)
+    next_id = max(working, default=0) + 1
+
+    def partitions(u):
+        return reference_partitions(u, graph, metrics, masters, proxies)
+
+    def attempt(c):
+        if any(graph.adj[c, m] for m in masters):
+            return None
+        own = partitions(c)
+        if c in state.hidden_masters_1 and any(graph.adj[c, p] for p in proxies):
+            branches["hidden-master"] += 1
+            base = {v for v in _neighbors(graph, c) if v not in masters and v not in proxies}
+            for partner in sorted(base, key=metrics.rank, reverse=True):
+                if partner in pending:
+                    if partner in state.hidden_masters_1:
+                        extra = partitions(partner).n_dprime
+                    else:
+                        extra = set(_neighbors(graph, partner))
+                    return partner, {c, partner} | base | extra
+                if partner in own.n_m:
+                    continue
+                return partner, {c, partner} | base | partitions(partner).n_dprime
+            return None
+        pool = own.n_dprime - own.n_m
+        if not pool:
+            return None
+        partner = max(pool, key=metrics.rank)
+        mate = partitions(partner)
+        return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
+
+    for c in sorted(state.critical, key=metrics.rank, reverse=True):
+        outcome = attempt(c) if c in pending else None
+        if outcome is None:
+            continue
+        partner, members = outcome
+        members -= masters | proxies
+        lost = {}
+        for m in sorted(members):
+            old = membership.get(m)
+            if old is not None:
+                working[old].members.discard(m)
+                lost.setdefault(old, []).append(m)
+            membership[m] = next_id
+        working[next_id] = d.ClusterRecord(id=next_id, master=c, proxy=partner, members=members)
+        masters.add(c)
+        proxies.add(partner)
+        events.append({"action": "adjust_cluster", "id": next_id, "master": c,
+                       "proxy": partner, "members": sorted(members)})
+        for old_id in sorted(lost):
+            events.append({"action": "prune_cluster", "id": old_id, "removed": lost[old_id]})
+        pending -= members
+        next_id += 1
+
+    for c in sorted(pending, key=metrics.rank, reverse=True):
+        if membership.get(c) is not None:
+            continue
+        working[next_id] = d.ClusterRecord(id=next_id, master=c, proxy=None, members={c})
+        events.append({"action": "singleton_master", "id": next_id, "node": c})
+        next_id += 1
+
+    clusters = [working[cid] for cid in sorted(working)]
+    return replace(state, clusters=clusters, critical=set(), events=events)
 
 
 class TestNeighborPartitions:
+    """The reference sets on the bundled fixture."""
+
     # the roles after formation on the bundled fixture
     MASTERS = {3, 9, 18}
     PROXIES = {1, 10, 16}
 
     def _parts(self, u, bundle, metrics, masters=MASTERS, proxies=PROXIES):
-        return d.neighbor_partitions(u, bundle.graph, metrics, masters, proxies)
+        return reference_partitions(u, bundle.graph, metrics, masters, proxies)
 
     def test_roles_are_formation_roles(self, paper_states):
         formation, _ = paper_states
@@ -124,7 +225,7 @@ class TestNeighborPartitions:
 
     def test_all_leader_neighbors_empty(self, bundle, paper_metrics):
         parts = self._parts(17, bundle, paper_metrics)
-        assert parts.n_dprime == frozenset()
+        assert parts.n_dprime == set()
 
     def test_near_master_set(self, bundle, paper_metrics):
         parts = self._parts(6, bundle, paper_metrics)
@@ -135,10 +236,45 @@ class TestNeighborPartitions:
         # weight and N_M is empty
         parts = self._parts(16, bundle, paper_metrics, set(), set())
         w = paper_metrics.weight
-        nbrs = bundle.graph.neighbors(16)
+        nbrs = _neighbors(bundle.graph, 16)
         assert parts.n_prime == {v for v in nbrs if w(v) > w(16)}
         assert parts.n_dprime == {v for v in nbrs if w(v) < w(16)}
-        assert parts.n_m == frozenset()
+        assert parts.n_m == set()
+
+
+class TestMasksMatchTheSetReference:
+    """Formation's type-I hidden masters are N'(proxy) inside the new
+    cluster, and adjustment on masks returns the clusters and events of
+    the set-based reference on the same formation state."""
+
+    def test_random_geometric_graphs(self):
+        branches = Counter()
+
+        # a type-I hidden master whose partner is a deferred node: the partner
+        # brings all its neighbours (about 1 draw in 500 reaches this)
+        @example((30, 31.944357319022107, 76867))
+        @given(connected_deployments(5, 60))
+        def check(deployment):
+            n, range_, seed = deployment
+            graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+            tables = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, tables)
+            formation = d.run_m_dsec(graph, tables, metrics)
+            masters = set()
+            for event in formation.events:
+                if event["action"] == "elect_master":
+                    masters.add(event["node"])
+                elif event["action"] == "form_cluster" and event["proxy"] is not None:
+                    n_prime = reference_partitions(event["proxy"], graph, metrics, masters, set())
+                    assert event["hidden_masters"] == sorted(n_prime.n_prime & set(event["members"]))
+            expected = reference_run_adjusted(formation, graph, metrics, branches)
+            final = d.run_adjusted(formation, graph, metrics)
+            assert _clustering(final, range(n)) == _clustering(expected, range(n))
+            assert final.events == expected.events
+            branches["prune"] += any(e["action"] == "prune_cluster" for e in final.events)
+
+        check()
+        assert branches["hidden-master"] > 0 and branches["prune"] > 0, branches
 
 
 class TestSeparationEdgeCases:
@@ -154,34 +290,34 @@ class TestSeparationEdgeCases:
         overrides = d.FixtureOverrides(ns=[0.0] * n, w=weights)
         graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        return tables.hop.copy(), metrics
+        return tables.hop.copy(), metrics, graph
 
     @staticmethod
     def _cut(hop, u, v):
         hop[u, v] = hop[v, u] = d.UNREACHABLE
 
     def test_unreachable_leader_is_too_close(self, path7):
-        hop, _ = path7
+        hop, _, _ = path7
         assert d.master_eligibility(3, near_column([(0, None)], hop))
         self._cut(hop, 3, 0)
         assert not d.master_eligibility(3, near_column([(0, None)], hop))
 
     def test_unreachable_proxy_is_too_close(self, path7):
-        hop, _ = path7
+        hop, _, _ = path7
         assert d.master_eligibility(6, near_column([(0, 3)], hop))
         self._cut(hop, 6, 0)
         assert not d.master_eligibility(6, near_column([(0, 3)], hop))
 
     def test_proxy_none_imposes_nothing(self, path7):
-        hop, metrics = path7
+        hop, metrics, graph = path7
         # 4 outweighs 2 but sits 2 hops from master 6; 2 sits 4 hops away
-        assert d.elect_proxy(3, near_column([], hop), metrics, hop) == 4
-        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, hop) == 2
+        assert d.elect_proxy(3, near_column([], hop), metrics, graph) == 4
+        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, graph) == 2
 
     def test_unreachable_candidate_skipped(self, path7):
-        hop, metrics = path7
+        hop, metrics, graph = path7
         self._cut(hop, 2, 6)
-        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, hop) is None
+        assert d.elect_proxy(3, near_column([(6, None)], hop), metrics, graph) is None
 
 
 class TestFormation:
@@ -374,7 +510,7 @@ class TestRandomisedInvariants:
                     seen |= c.members
                     assert c.master in c.members
                     if c.proxy is not None:
-                        assert graph.adjacent(c.master, c.proxy)
+                        assert graph.adj[c.master, c.proxy]
             covered = set().union(*(c.members for c in final.clusters))
             assert covered == set(range(graph.node_count))
 
@@ -387,7 +523,7 @@ def _hidden_masters_touch_their_proxy(graph, formation, final):
     listed = set()
     for c in formation.clusters:
         for v in formation.hidden_masters_1 & c.members:
-            assert c.proxy is not None and graph.adjacent(v, c.proxy)
+            assert c.proxy is not None and graph.adj[v, c.proxy]
             listed.add(v)
     assert listed == formation.hidden_masters_1
     assert formation.proxies() <= final.proxies()
@@ -462,17 +598,10 @@ def _clustering(state, label):
 
 @st.composite
 def relabelled_deployments(draw):
-    """(positions, perm) of a connected deployment (terrain 100, range 30):
-    n and a starting seed are drawn, and seeds are walked upward to the
-    first connected one."""
-    n = draw(st.integers(10, 60))
-    seed = draw(st.integers(1, 10**6))
-    while True:
-        positions = d.deploy_random(n, 100.0, seed)
-        if len(d.build_graph(positions, 30.0).components()) == 1:
-            break
-        seed += 1
-    return positions, np.array(draw(st.permutations(range(n))))
+    """(positions, perm) of a connected deployment (terrain 100, range 30)
+    and a permutation of its nodes."""
+    n, _, seed = draw(connected_deployments(10, 60, 30.0, 30.0))
+    return d.deploy_random(n, 100.0, seed), np.array(draw(st.permutations(range(n))))
 
 
 class TestRelabelling:

@@ -101,11 +101,11 @@ class TestDeployRandom:
 class TestBuildGraph:
     def test_exact_range_is_adjacent(self):
         graph = d.build_graph(np.array([[0.0, 0.0], [10.0, 0.0]]), range_=10.0)
-        assert graph.adjacent(0, 1)
+        assert graph.adj[0, 1]
 
     def test_beyond_range_not_adjacent(self):
         graph = d.build_graph(np.array([[0.0, 0.0], [10.0 + 1e-9, 0.0]]), range_=10.0)
-        assert not graph.adjacent(0, 1)
+        assert not graph.adj[0, 1]
 
     def test_matches_pairwise_distance_oracle(self):
         pos = d.deploy_random(10, 100.0, seed=5)
@@ -113,7 +113,7 @@ class TestBuildGraph:
         for u in range(10):
             for v in range(u + 1, 10):
                 expected = math.hypot(*(pos[u] - pos[v])) <= 30.0
-                assert graph.adjacent(u, v) == expected
+                assert graph.adj[u, v] == expected
 
     def test_bad_range(self):
         with pytest.raises(InvalidArgumentError):

@@ -23,6 +23,8 @@ from dscluster.mobility import (
     _Simulation,
 )
 
+from conftest import connected_deployments
+
 
 def _state(node_count, clusters):
     records = [
@@ -125,7 +127,7 @@ class TestHelloRefresh:
         state = _state(4, self.CLUSTERS)
         graph, events = d.hello_refresh(self.POSITIONS, 6.0, state)
         assert events == []
-        assert graph.adjacent(0, 1)
+        assert graph.adj[0, 1]
 
     def test_displaced_member_reported_once(self):
         state = _state(4, self.CLUSTERS)
@@ -163,7 +165,7 @@ class TestHelloRefresh:
             _event(3.0, EVENT_BOUNDARY_EXIT, v, [c.master, c.proxy])
             for c in sorted(state.clusters, key=lambda c: c.id)
             for v in sorted(c.members - c.leaders)
-            if not any(graph.adjacent(v, leader) for leader in c.leaders)
+            if not any(graph.adj[v, leader] for leader in c.leaders)
         ]
         assert len(expected) > 5
         assert events == expected
@@ -217,7 +219,7 @@ def _loop_find_ch(node, state, graph, metrics, time):
     acknowledgers = []
     for cluster in sorted(state.clusters, key=lambda c: c.id):
         for leader in sorted(cluster.leaders):
-            if graph.adjacent(node, leader):
+            if graph.adj[node, leader]:
                 acknowledgers.append((leader, cluster))
     for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
         events.append(_event(time, EVENT_ACK, node, [cluster.master, cluster.proxy]))
@@ -238,7 +240,7 @@ def _loop_resolve_leader_exits(state, graph, metrics, time):
     reference for the gathered version."""
     def elect(cluster):
         candidates = [v for v in cluster.members - {cluster.master}
-                      if graph.adjacent(v, cluster.master)]
+                      if graph.adj[v, cluster.master]]
         return max(candidates, key=metrics.rank, default=None)
 
     orphans, dissolved = [], []
@@ -246,11 +248,11 @@ def _loop_resolve_leader_exits(state, graph, metrics, time):
         if len(cluster.members) <= 1:
             continue
         pair = [cluster.master, cluster.proxy]
-        master_exited = not any(graph.adjacent(cluster.master, v)
+        master_exited = not any(graph.adj[cluster.master, v]
                                 for v in cluster.members - {cluster.master})
         proxy_exited = cluster.proxy is not None and (
-            not any(graph.adjacent(cluster.proxy, v) for v in cluster.members - {cluster.proxy})
-            or not (master_exited or graph.adjacent(cluster.master, cluster.proxy))
+            not any(graph.adj[cluster.proxy, v] for v in cluster.members - {cluster.proxy})
+            or not (master_exited or graph.adj[cluster.master, cluster.proxy])
         )
         if master_exited and (cluster.proxy is None or proxy_exited):
             dissolved.append(cluster)
@@ -578,6 +580,22 @@ class TestMaintenanceKeepsDoubleStars:
             assert checks["double-star"], summary
             assert checks["cluster-diameter"], summary
             assert summary["slave_dominance_ok"], summary
+
+
+class TestNoMotionNoMaintenance:
+    """With ``v_max`` 0 nothing moves, so every refresh finds the adjusted
+    clustering intact: no maintenance event is logged, and the final
+    clusters are the formation report's adjusted clusters."""
+
+    @given(connected_deployments(20, 80))
+    def test_static_network_keeps_its_clusters(self, deployment):
+        n, range_, seed = deployment
+        scenario = d.Scenario(node_count=n, terrain_size=100.0, range_=range_, v_max=0.0,
+                              steps=3, seed=seed)
+        report = fileio.simulation_report(d.run_simulation(scenario))
+        assert report["maintenance_events"] == []
+        assert [s["event_count"] for s in report["summaries"]] == [0, 0, 0]
+        assert report["final_clusters"] == report["formation"]["clusters"]
 
 
 def _stepwise_refresh_times(dt, interval, steps):

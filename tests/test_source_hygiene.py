@@ -1,12 +1,14 @@
 """Source hygiene, checked on the AST since no linter is a dependency:
 every name a module imports and every parameter a function takes in
-``src/dscluster`` is read somewhere, and every module-level function is
-called (or otherwise referenced) by some module of ``src/dscluster``."""
+``src/dscluster`` is read somewhere, every module-level function is
+called (or otherwise referenced) by some module of ``src/dscluster``, and
+every package export is used by some test."""
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dscluster"
 SOURCES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.rglob("*.py"))
 
 # all four structural checks take (state, graph), whether or not they read the graph
 UNREAD_PARAMETERS_ALLOWED = {("verify.py", "check_partition", "graph")}
@@ -125,3 +127,16 @@ def test_every_function_is_called():
 def test_every_allowed_uncalled_function_exists_uncalled():
     # an entry whose function is gone or now called is stale
     assert UNCALLED_FUNCTIONS_ALLOWED.keys() - _uncalled_functions() == set()
+
+
+def test_every_export_is_used_by_a_test():
+    """No public API that nothing uses: every name ``__init__.py`` imports
+    is reached as ``d.<name>`` in some test file."""
+    exported = {alias.asname or alias.name
+                for node in ast.walk(_tree(PACKAGE / "__init__.py"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    reached = {node.attr for path in TESTS for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "d"}
+    assert exported, "no exports found"
+    assert exported - reached == set()

@@ -1,5 +1,8 @@
+import ast
+import json
 import resource
 import tracemalloc
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -8,10 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster.cli import main
 from dscluster.errors import SizeLimitError
 from dscluster.mobility import _Simulation
 
-from conftest import random_edge_graph
+from conftest import connected_deployments, random_edge_graph
 
 
 def _state(node_count, clusters):
@@ -154,7 +158,7 @@ def _loop_dominance_and_independence(state, graph, hop):
     masters = sorted(state.masters())
     for i, a in enumerate(masters):
         for b in masters[i + 1:]:
-            if graph.adjacent(a, b):
+            if graph.adj[a, b]:
                 independence.append({"masters": [a, b]})
     return dominance, independence
 
@@ -537,3 +541,116 @@ class TestReport:
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
         ]
+
+
+def _leaders(cluster):
+    """A report cluster's master and proxy."""
+    return [cluster["master"]] + ([] if cluster["proxy"] is None else [cluster["proxy"]])
+
+
+def _drop_member(clusters, adj, data):
+    cluster = data.draw(st.sampled_from(clusters))
+    node = data.draw(st.sampled_from(cluster["members"]))
+    cluster["members"].remove(node)
+    return node, cluster["id"]
+
+
+def _list_member_twice(clusters, adj, data):
+    """List a member of one cluster in another as well."""
+    if len(clusters) < 2:
+        return None
+    source, target = data.draw(st.permutations(clusters))[:2]
+    node = data.draw(st.sampled_from(source["members"]))
+    target["members"].append(node)
+    return node, target["id"]
+
+
+def _strand_slave(clusters, adj, data):
+    """Move a slave into another cluster, next to none of its leaders."""
+    moves = [(v, source, target) for source in clusters for target in clusters
+             for v in source["members"]
+             if target is not source and v not in _leaders(source)
+             and not adj[v, _leaders(target)].any()]
+    if not moves:
+        return None
+    node, source, target = data.draw(st.sampled_from(moves))
+    source["members"].remove(node)
+    target["members"].append(node)
+    return node, target["id"]
+
+
+def _distant_proxy(clusters, adj, data):
+    """Make a member that the master does not touch the proxy."""
+    swaps = [(v, cluster) for cluster in clusters if cluster["proxy"] is not None
+             for v in cluster["members"] if not adj[cluster["master"], v]]
+    if not swaps:
+        return None
+    node, cluster = data.draw(st.sampled_from(swaps))
+    cluster["proxy"] = node
+    return node, cluster["id"]
+
+
+CORRUPTIONS = (_drop_member, _list_member_twice, _strand_slave, _distant_proxy)
+
+
+def _named(witness):
+    """(nodes, cluster ids) that one verify witness names."""
+    nodes = {witness.get(key) for key in ("node", "stranded_member", "leader_outside")}
+    nodes |= {*witness.get("pair", []), *witness.get("missing_edge", []),
+              *witness.get("masters", [])}
+    clusters = {witness.get("cluster"), *witness.get("clusters", [])}
+    return nodes - {None}, clusters - {None}
+
+
+STRUCTURAL_CHECKS = ("cluster-diameter", "double-star", "partition", "dominance-and-independence")
+
+
+class TestEveryCorruptionIsCaught:
+    """Each single edit of an engine report makes ``verify`` exit 2 with a
+    witness of a structural check that names the edited node or cluster.
+
+    The engine's reports pass the four structural checks.  A perfect report
+    may still exit 2 on the perfect-only claims (ROADMAP item 2); for it the
+    exit code says nothing, and the witness alone must show the edit."""
+
+    def test_single_edits_fail_with_a_witness(self, tmp_path):
+        applied = Counter()
+        scenario, report_path, text = (tmp_path / name for name in ("s.json", "r.json", "v.txt"))
+
+        def verify(report):
+            """verify's exit code and the witnesses of its structural checks."""
+            report_path.write_text(json.dumps(report))
+            code = main(["verify", "--scenario", str(scenario), "--report", str(report_path),
+                         "--out", str(text)])
+            witnesses = []
+            for line in text.read_text().splitlines()[1:]:
+                if not line.startswith(" "):
+                    structural = line.split()[1] in STRUCTURAL_CHECKS
+                elif structural:
+                    witnesses.append(ast.literal_eval(line.split("witness: ", 1)[1]))
+            return code, witnesses
+
+        @given(connected_deployments(5, 60), st.data())
+        def check(deployment, data):
+            n, range_, seed = deployment
+            scenario.write_text(json.dumps({"node_count": n, "terrain_size": 100.0,
+                                            "range": range_, "v_max": 0.0, "seed": seed}))
+            assert main(["cluster", "--scenario", str(scenario), "--out", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            code, witnesses = verify(report)
+            assert witnesses == [] and (code == 0 or report["classification"] == "perfect")
+            adj = d.build_graph(d.deploy_random(n, 100.0, seed), range_).adj
+            for corrupt in CORRUPTIONS:
+                edited = json.loads(json.dumps(report))
+                target = corrupt(edited["clusters"], adj, data)
+                if target is None:
+                    continue
+                applied[corrupt.__name__] += 1
+                node, cluster = target
+                code, witnesses = verify(edited)
+                assert code == 2, (corrupt.__name__, target)
+                assert any(node in nodes or cluster in ids
+                           for nodes, ids in map(_named, witnesses)), (corrupt.__name__, witnesses)
+
+        check()
+        assert set(applied) == {corrupt.__name__ for corrupt in CORRUPTIONS}, applied
