@@ -57,9 +57,7 @@ from .verify import (
     check_cluster_diameter,
     check_dominance_and_independence,
     check_double_star,
-    check_efficient_edge_domination,
     check_partition,
-    line_graph_domination_number,
     run_property_checks,
 )
 

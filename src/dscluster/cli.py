@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
         )
     report = run_property_checks(state, graph, tables.hop)
     if report_doc.get("classification") == CLASS_PERFECT:
-        report.checks += perfect_claims(state, graph)
+        report.checks.append(perfect_claims(state, graph))
     lines = [f"radius={report.radius} diameter={report.diameter}"]
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

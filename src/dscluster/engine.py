@@ -312,10 +312,12 @@ def run_adjusted(
 
 
 def classification(formation: ClusterState) -> str:
-    """Perfect when formation leaves no critical node, otherwise
-    fairly-perfect: adjustment covers every critical node, as a singleton
-    master if need be."""
-    return CLASS_FAIRLY_PERFECT if formation.critical else CLASS_PERFECT
+    """Perfect when formation leaves no critical node and every cluster of
+    two or more members has a proxy, so every cluster is a double star
+    (``verify.perfect_claims``); otherwise fairly-perfect: adjustment
+    covers every critical node, as a singleton master if need be."""
+    proxyless = any(c.proxy is None and len(c.members) > 1 for c in formation.clusters)
+    return CLASS_FAIRLY_PERFECT if formation.critical or proxyless else CLASS_PERFECT
 
 
 def form_and_adjust(

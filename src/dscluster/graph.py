@@ -66,9 +66,6 @@ class NetworkGraph:
         iu, iv = np.nonzero(np.triu(self.adj, k=1))
         return [(int(u), int(v)) for u, v in zip(iu, iv)]
 
-    def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, ordered by least node.
 

@@ -368,8 +368,8 @@ class TestVerifyCommand:
         assert main(["verify", "--report", str(report_path),
                      "--fixture", STAR_PATH]) == 0
         out = capsys.readouterr().out
-        assert "efficient-edge-domination" in out
-        assert "cluster-count-equals-line-graph-domination" in out
+        assert "pass  efficient-edge-domination" in out
+        assert "line-graph" not in out  # the count claim has no line of its own
 
     def test_perfect_report_with_non_edge_pair_fails_every_line(self, tmp_path, capsys):
         """Two leaves as master and proxy are no edge: the perfect-only
@@ -386,9 +386,50 @@ class TestVerifyCommand:
         assert "FAIL  double-star" in captured.out
         assert "witness: {'cluster': 1, 'missing_edge': [1, 2]}" in captured.out
         assert "FAIL  efficient-edge-domination" in captured.out
-        assert "witness: {'pairs': [[1, 2]]}" in captured.out
-        assert "cluster-count-equals-line-graph-domination" in captured.out
+        assert captured.out.count("witness: {'cluster': 1, 'missing_edge': [1, 2]}") == 2
 
+
+    @staticmethod
+    def _cluster_then_verify(tmp_path, doc, edit):
+        """Cluster a scenario, apply ``edit`` to the report, verify it:
+        (the unedited report, verify's exit code, its output)."""
+        scenario = _write(tmp_path, "scenario.json", doc)
+        report_path = tmp_path / "report.json"
+        assert main(["cluster", "--scenario", scenario, "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        edited = json.loads(report_path.read_text())
+        edit(edited)
+        out = tmp_path / "verify.txt"
+        code = main(["verify", "--scenario", scenario,
+                     "--report", _write(tmp_path, "edited.json", edited), "--out", str(out)])
+        return report, code, out.read_text()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda r: None, id="as-written"),
+        pytest.param(lambda r: r.update(classification="fairly-perfect", critical=[1]),
+                     id="relabelled-fairly-perfect"),
+    ])
+    def test_perfect9_verdict_does_not_hang_on_its_label(self, edit, tmp_path):
+        """n 9, range 37, seed 71: a perfect clustering with two adjacent
+        slaves, (1, 8), passes as written and relabelled alike."""
+        doc = _scenario_doc(node_count=9, terrain_size=100.0, range=37.0, seed=71)
+        report, code, out = self._cluster_then_verify(tmp_path, doc, edit)
+        assert report["classification"] == "perfect"
+        assert code == 0 and "FAIL" not in out
+
+    def test_proxyless_formation_is_fairly_perfect(self, tmp_path):
+        """n 5, range 45, seed 199: formation leaves no critical node, but
+        cluster 2 (master 2, members {0, 2}) has no proxy.  The engine labels
+        it fairly-perfect and it verifies; labelled perfect, it fails."""
+        doc = _scenario_doc(node_count=5, terrain_size=100.0, range=45.0, seed=199)
+        report, code, out = self._cluster_then_verify(
+            tmp_path, doc, lambda r: r.update(classification="perfect"))
+        assert report["classification"] == "fairly-perfect" and report["critical"] == []
+        assert code == 2
+        assert "FAIL  efficient-edge-domination" in out
+        assert "witness: {'cluster': 2, 'no_proxy': [0, 2]}" in out
+        assert main(["verify", "--scenario", _write(tmp_path, "scenario.json", doc),
+                     "--report", str(tmp_path / "report.json")]) == 0
 
 class TestSimulateCommand:
     def test_deterministic_end_to_end(self, tmp_path):

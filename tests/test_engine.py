@@ -575,13 +575,11 @@ class TestEnginePassesItsVerifier:
             assert main(["cluster", *inputs, "--out", str(out)]) == 0
             code = main(["verify", *inputs, "--report", str(out), "--out", str(text)])
             lines = text.read_text().splitlines()
-            perfect = json.loads(out.read_text())["classification"] == "perfect"
         status = {line.split()[1]: line.split()[0] for line in lines[1:] if line[0] != " "}
         assert [status[name] for name in STRUCTURAL_CHECKS] == ["pass"] * 4, lines
-        # A perfect report also gets the edge-domination checks, which fail
-        # whenever an edge touches no master or proxy (ROADMAP item 1); every other
-        # report must verify outright.
-        assert code == 0 or perfect, lines
+        # a perfect report also gets efficient-edge-domination, which the
+        # engine's perfect label guarantees
+        assert code == 0, lines
 
 
 def _clustering(state, label):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import resource
 import tracemalloc
@@ -14,6 +15,7 @@ import dscluster as d
 from dscluster.cli import main
 from dscluster.errors import SizeLimitError
 from dscluster.mobility import _Simulation
+from dscluster.verify import perfect_claims
 
 from conftest import connected_deployments, random_edge_graph
 
@@ -464,23 +466,63 @@ class TestDominanceAndIndependence:
         assert {"cluster": 1, "node": 4} in check.witnesses
 
 
+#: Brute-force bound for the reference line_graph_domination_number.
+EDGE_LIMIT = 20
+
+
+def check_efficient_edge_domination(edge_set, graph):
+    """True iff ``edge_set`` is a set of edges of the graph and every edge
+    of the graph shares an endpoint with exactly one of them (an edge
+    dominates itself): the claim as stated, the reference for
+    ``perfect_claims``."""
+    return all(graph.adj[u, v] for u, v in edge_set) and all(
+        sum(1 for u, v in edge_set if a in (u, v) or b in (u, v)) == 1
+        for a, b in graph.edges()
+    )
+
+
+def line_graph_domination_number(graph):
+    """Minimum size of an edge set dominating every edge, by exhaustive
+    search in increasing subset size.  Refuses graphs with more than
+    ``EDGE_LIMIT`` edges."""
+    edges = graph.edges()
+    if len(edges) > EDGE_LIMIT:
+        raise SizeLimitError(f"{len(edges)} edges exceeds brute-force bound {EDGE_LIMIT}")
+    for k in range(len(edges) + 1):
+        for subset in itertools.combinations(edges, k):
+            endpoints = {v for edge in subset for v in edge}
+            if all(a in endpoints or b in endpoints for a, b in edges):
+                return k
+
+
+def double_star_union(state, graph):
+    """H: each (master, proxy) edge plus each member's edges to its own
+    leaders, as a graph on all the nodes."""
+    edges = set()
+    for cluster in state.clusters:
+        for v in cluster.members:
+            edges |= {tuple(sorted((v, leader))) for leader in cluster.leaders
+                      if graph.adj[v, leader]}
+    return d.graph_from_edges(state.node_count, sorted(edges))
+
+
 class TestEfficientEdgeDomination:
     def test_single_edge_dominates_itself(self):
         graph = d.graph_from_edges(2, [(0, 1)])
-        assert d.check_efficient_edge_domination([(0, 1)], graph)
+        assert check_efficient_edge_domination([(0, 1)], graph)
 
     def test_middle_edge_of_path_four(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert d.check_efficient_edge_domination([(1, 2)], graph)
+        assert check_efficient_edge_domination([(1, 2)], graph)
 
     def test_double_domination_rejected(self):
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert not d.check_efficient_edge_domination([(0, 1), (1, 2)], graph)
+        assert not check_efficient_edge_domination([(0, 1), (1, 2)], graph)
 
     def test_non_edge_rejected(self):
         # a pair that is no edge of G makes the set no edge set of G
         graph = d.graph_from_edges(3, [(0, 1)])
-        assert not d.check_efficient_edge_domination([(0, 2)], graph)
+        assert not check_efficient_edge_domination([(0, 2)], graph)
 
     def test_agrees_with_naive_counter(self):
         rng = np.random.default_rng(99)
@@ -495,29 +537,72 @@ class TestEfficientEdgeDomination:
                 sum(1 for (u, v) in picks if a in (u, v) or b in (u, v)) == 1
                 for (a, b) in edges
             )
-            assert d.check_efficient_edge_domination(picks, graph) == naive
+            assert check_efficient_edge_domination(picks, graph) == naive
 
 
 class TestLineGraphDominationNumber:
     def test_single_edge(self):
-        assert d.line_graph_domination_number(d.graph_from_edges(2, [(0, 1)])) == 1
+        assert line_graph_domination_number(d.graph_from_edges(2, [(0, 1)])) == 1
 
     def test_path_four(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert d.line_graph_domination_number(graph) == 1
+        assert line_graph_domination_number(graph) == 1
 
     def test_two_disjoint_edges(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
-        assert d.line_graph_domination_number(graph) == 2
+        assert line_graph_domination_number(graph) == 2
 
     def test_empty_graph(self):
-        assert d.line_graph_domination_number(d.graph_from_edges(3, [])) == 0
+        assert line_graph_domination_number(d.graph_from_edges(3, [])) == 0
 
     def test_size_limit(self):
         edges = [(0, v) for v in range(1, 22)]
         graph = d.graph_from_edges(22, edges)
         with pytest.raises(SizeLimitError):
-            d.line_graph_domination_number(graph)
+            line_graph_domination_number(graph)
+
+
+class TestPerfectClaims:
+    """``perfect_claims`` gives the verdict of both claims read literally on
+    H, the union of the double stars, by the references above."""
+
+    def test_proxyless_star_fails_and_singleton_passes(self):
+        graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        state = _state(5, [(1, 0, {0, 1, 2}), (3, None, {3, 4})])
+        assert perfect_claims(state, graph).witnesses == [{"cluster": 2, "no_proxy": [3, 4]}]
+        state = _state(5, [(1, 0, {0, 1, 2}), (3, 4, {3, 4})])
+        assert perfect_claims(state, graph).passed
+        state = _state(3, [(1, 0, {0, 1}), (2, None, {2})])
+        assert perfect_claims(state, d.graph_from_edges(3, [(0, 1), (1, 2)])).passed
+
+    def test_pair_that_is_no_edge_fails(self):
+        graph = d.graph_from_edges(3, [(0, 1), (1, 2)])
+        state = _state(3, [(0, 2, {0, 1, 2})])
+        assert perfect_claims(state, graph).witnesses == [{"cluster": 1, "missing_edge": [0, 2]}]
+        assert not check_efficient_edge_domination([(0, 2)], double_star_union(state, graph))
+
+    def test_agrees_with_the_literal_claims_on_h(self):
+        verdicts = Counter()
+
+        @given(connected_deployments(3, 14, 35.0, 60.0))
+        def check(deployment):
+            n, range_, seed = deployment
+            graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+            tables = d.compute_tables(graph)
+            # the engine's final clustering passes partition and double-star
+            _, state = d.form_and_adjust(graph, tables, d.compute_network_metrics(graph, tables))
+            h = double_star_union(state, graph)
+            if len(h.edges()) > EDGE_LIMIT:
+                return
+            pairs = [(c.master, c.proxy) for c in state.clusters if c.proxy is not None]
+            literal = (check_efficient_edge_domination(pairs, h)
+                       and len(pairs) == line_graph_domination_number(h))
+            verdict = perfect_claims(state, graph).passed
+            assert verdict == literal, (n, range_, seed)
+            verdicts[verdict] += 1
+
+        check()
+        assert verdicts[True] and verdicts[False], verdicts
 
 
 class TestReport:
@@ -609,9 +694,8 @@ class TestEveryCorruptionIsCaught:
     """Each single edit of an engine report makes ``verify`` exit 2 with a
     witness of a structural check that names the edited node or cluster.
 
-    The engine's reports pass the four structural checks.  A perfect report
-    may still exit 2 on the perfect-only claims (ROADMAP item 2); for it the
-    exit code says nothing, and the witness alone must show the edit."""
+    The engine's reports pass every check, the perfect-only claim included,
+    so the exit code and the witness both show the edit."""
 
     def test_single_edits_fail_with_a_witness(self, tmp_path):
         applied = Counter()
@@ -638,7 +722,7 @@ class TestEveryCorruptionIsCaught:
             assert main(["cluster", "--scenario", str(scenario), "--out", str(report_path)]) == 0
             report = json.loads(report_path.read_text())
             code, witnesses = verify(report)
-            assert witnesses == [] and (code == 0 or report["classification"] == "perfect")
+            assert (code, witnesses) == (0, [])
             adj = d.build_graph(d.deploy_random(n, 100.0, seed), range_).adj
             for corrupt in CORRUPTIONS:
                 edited = json.loads(json.dumps(report))
