@@ -18,11 +18,11 @@ Covered:
   every refresh re-forms the clusters (formation and adjustment during
   maintenance) except one whose graph is disconnected, which falls back
   to re-affiliation and logs its events.
-- ``perfect`` reports, whose ``verify`` adds the two perfect-only checks:
-  the scenario n = 9, terrain 100, range 37, seed 71 (both lines FAIL,
-  exit 2: the edge (1, 8) touches no master or proxy) and the
-  hub-with-four-spokes fixture ``tests/data/star.json`` (exit 0).
-  ``cluster`` JSON and ``verify`` of that very report for each.
+- ``perfect`` reports, whose ``verify`` adds the perfect-only check
+  ``efficient-edge-domination``: the scenario n = 9, terrain 100, range 37,
+  seed 71, whose adjacent slaves 1 and 8 no double star joins, and the
+  hub-with-four-spokes fixture ``tests/data/star.json``.  ``cluster`` JSON
+  and ``verify`` of that very report for each.
 - scenarios n = 300 (terrain 274, seeds 1-3) and n = 1000 (terrain 500,
   seed 3), range 30: ``metrics`` JSON, ``cluster`` JSON and ``verify`` of
   that report, pinned as sha256 digests rather than files.  At these
@@ -31,10 +31,9 @@ Covered:
   NDJSON): three maintenance trajectories of hundreds of events each,
   whose every refresh summary reads a fresh hop table.
 
-Every scenario report passes the four structural checks of its own
-``verify``: adjustment never promotes a critical node adjacent to a
-master, so no two masters are adjacent.  Only the perfect-only checks
-fail, on the n = 9 report.
+Every golden ``verify`` exits 0: adjustment never promotes a critical
+node adjacent to a master, so no two masters are adjacent, and the engine
+labels perfect only a formation whose clusters are all double stars.
 """
 import hashlib
 import json
@@ -80,7 +79,7 @@ def _cases():
     perfect9 = _scenario_doc(71, node_count=9, range_=37.0)
     yield "perfect9-cluster", ["cluster"], perfect9, 0, ["perfect9.cluster.json"]
     yield ("perfect9-verify", ["verify", "--report", str(GOLDEN / "perfect9.cluster.json")],
-           perfect9, 2, ["perfect9.verify.txt"])
+           perfect9, 0, ["perfect9.verify.txt"])
     yield "star-cluster", ["cluster", "--fixture", STAR], None, 0, ["star.cluster.json"]
     yield ("star-verify",
            ["verify", "--fixture", STAR, "--report", str(GOLDEN / "star.cluster.json")],
