@@ -114,8 +114,8 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """A spanning double star embeds in every two-leader cluster: both
     leaders are members, the (master, proxy) edge exists and every other
     member is adjacent to one of them, so that edge dominates every spoke.
-    A cluster without a proxy has no edge to check: it passes in star form,
-    its master among its members and every other member adjacent to it."""
+    A cluster without a proxy is checked as a star: its master among its
+    members and every other member adjacent to it."""
     witnesses = []
     starless = 0
     for cluster in state.clusters:
@@ -132,7 +132,7 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
         for v in sorted(cluster.members - {m, p}):
             if not (graph.adj[v, m] or graph.adj[v, p]):
                 witnesses.append({"cluster": cluster.id, "stranded_member": v})
-    note = f"{starless} cluster(s) without a proxy: star form, vacuous pass" if starless else ""
+    note = f"{starless} cluster(s) without a proxy, checked as stars" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
 

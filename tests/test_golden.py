@@ -118,28 +118,28 @@ LARGE_DIGESTS = {
     (300, 274.0, 1): {
         "metrics": "fd2d6857810da59a302e1c21a4d521381a097bfb620d23a7cf3caba79af9c279",
         "cluster": "ff5a7493842fbbfd29739e2ece82b6c814fc0e63060554cab0abca101f6853cd",
-        "verify": "96a3855efcc0e995983c7373d700f7f86a14d8f56d94bb63babc294c5fc93896",
+        "verify": "cf5d5346091f64e00633f5a38811e381461d475763ba6792c74c85273d0fda14",
         "simulate": "31a67646cc04bf19809744ce215e90f18abb64edd5fc4b88db13aef217344a2d",
         "events": "a5f39e5f300d582c28e0486b53ad8f298d8eb4d5865bb5384e8199653d048bab",
     },
     (300, 274.0, 2): {
         "metrics": "99c398811842c4927cbae81388828ac331c6a3fa822df407fe1773a48b2614c7",
         "cluster": "2878aac21fa9bf3a17f1decd32b8b0e2cdb5f1aa8da4ae3bea21f83fbd08771a",
-        "verify": "d5c9a6be21cfbb919abcebeb12162c0a3ed2285e4c3d6867b09a57e5f7ff8412",
+        "verify": "6d882d4e79a2339c57f190c570b4756802ddc52bd30257f96683f0af30c096c1",
         "simulate": "4f722908dcfbc4312c20a0f1ef5db744f9118e9c25ec65df1becfbd9d0607426",
         "events": "d4fff47e437940a26ff798b2bc83a3d7c539d1d9be3b4976b0a29e5ed1c53729",
     },
     (300, 274.0, 3): {
         "metrics": "1a02fc53caa1651ae172ab844e0c330b0cc92f9eaebeb1f0d153c2af2b5f9062",
         "cluster": "b6d26bfe47b20fbdc5a25f7084e90fb92e11e6f35dc5a47d3a97c45cb4e4feb8",
-        "verify": "1b0bd2c7b14166f502da90f10496d6cf4d9343c2274a4036a2a85e9c97ed4cf1",
+        "verify": "13e12c741506179a1d65a30f3a6f0312614887d4f07521a20afa3a5590798418",
         "simulate": "393cacc7633f6815ea5c73b6a3836dbe928ba305298b8639ee90b76478c9df94",
         "events": "91bbb7bfb0c0a1217305070ee4dbfea81de6c3af1518af100db8a5faef47dde1",
     },
     (1000, 500.0, 3): {
         "metrics": "62882b6827e144ee8b650a88ae45734e0b66a392ad13e34e33f7ba812cb06877",
         "cluster": "9c7aab14490f4df0a3852a9e506364979b26a401e49462dc066304c937580f85",
-        "verify": "a68bddeb56daa3309020820ff3c6ba25ede9569e8402027df3c9f323bca54dce",
+        "verify": "e6e357eef3628a5c1e718628f1f9c842200645137ce7a9cb050b2218c2112a10",
     },
 }
 
