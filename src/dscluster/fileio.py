@@ -187,12 +187,16 @@ def state_from_report(report: dict) -> ClusterState:
     statuses = _require(report, "statuses", dict, where)
     node_count = len(statuses)
 
-    def nodes(values, label: str) -> set[int]:
+    def nodes(values, label: str, distinct: bool = True) -> set[int]:
         if not isinstance(values, list) or not all(
             type(v) is int and 0 <= v < node_count for v in values
         ):
             raise SchemaError(f"{where}: {label} must list nodes in 0..{node_count - 1}")
-        return set(values)
+        unique = set(values)
+        if distinct and len(unique) < len(values):
+            repeated = next(v for i, v in enumerate(values) if v in values[:i])
+            raise SchemaError(f"{where}: node {repeated} is repeated in {label}")
+        return unique
 
     clusters, ids = [], set()
     for c in clusters_doc:
@@ -203,7 +207,9 @@ def state_from_report(report: dict) -> ClusterState:
             raise SchemaError(f"{where}: cluster id {cid} is repeated")
         ids.add(cid)
         proxy = c.get("proxy")
-        nodes([c.get("master")] + ([] if proxy is None else [proxy]), f"cluster {cid} leaders")
+        # a proxy that is its own master fails double-star; it is no schema error
+        nodes([c.get("master")] + ([] if proxy is None else [proxy]), f"cluster {cid} leaders",
+              distinct=False)
         clusters.append(ClusterRecord(
             id=cid, master=c["master"], proxy=proxy,
             members=nodes(c.get("members"), f"cluster {cid} members"),

@@ -229,6 +229,10 @@ MALFORMED = [
     pytest.param("fixture", _path_fixture(nodes=True), "'nodes' must be int", id="bool-nodes"),
     pytest.param("report", _set_cluster("id", True), "'id' must be int", id="bool-cluster-id"),
     pytest.param("report", _one_cluster_id, "cluster id 1 is repeated", id="repeated-cluster-id"),
+    pytest.param("report", lambda r: r["clusters"][0]["members"].append(r["clusters"][0]["master"]),
+                 "is repeated in cluster", id="repeated-member"),
+    pytest.param("report", lambda r: r.update(deferred=[2, 2]),
+                 "node 2 is repeated in 'deferred'", id="repeated-deferred"),
 ]
 
 
