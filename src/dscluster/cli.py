@@ -94,6 +94,8 @@ def _load_inputs(args):
     if fixture and args.scenario:
         raise _UsageError("--fixture and --scenario are mutually exclusive")
     if fixture:
+        if args.seed is not None:
+            raise _UsageError("--seed applies only to --scenario")
         bundle = fileio.load_fixture(fixture)
         graph, tables, overrides = bundle.graph, bundle.tables, bundle.overrides
         config = bundle.config

@@ -137,6 +137,15 @@ class TestUsageErrors:
         assert main(["cluster", "--fixture", FIXTURE_PATH,
                      "--scenario", scenario]) == 1
 
+    @pytest.mark.parametrize("command", ["cluster", "metrics", "verify"])
+    def test_seed_with_fixture_is_refused(self, command, tmp_path, capsys):
+        """A fixture has no seed, so ``--seed`` would change nothing."""
+        report = tmp_path / "report.json"
+        assert main(["cluster", "--fixture", FIXTURE_PATH, "--out", str(report)]) == 0
+        extra = ["--report", str(report)] if command == "verify" else []
+        assert main([command, "--fixture", FIXTURE_PATH, "--seed", "3", *extra]) == 1
+        assert capsys.readouterr().err == "error: --seed applies only to --scenario\n"
+
     def test_missing_input(self, capsys):
         assert main(["cluster"]) == 1
 
