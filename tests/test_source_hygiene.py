@@ -1,9 +1,11 @@
 """Source hygiene, checked on the AST since no linter is a dependency:
 every name a module imports and every parameter a function takes in
 ``src/dscluster`` is read somewhere, every module-level function is
-called (or otherwise referenced) by some module of ``src/dscluster``, and
-every package export is used by some test."""
+called (or otherwise referenced) by some module of ``src/dscluster``, every
+method or property of a package class is read as an attribute by some
+module, and every package export is used by some test."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dscluster"
@@ -21,6 +23,11 @@ UNCALLED_FUNCTIONS_ALLOWED = {
     ("metrics.py", "path_statistics"): "a benchmark boundary",
     ("metrics.py", "neighbor_categories"): "a benchmark boundary",
     ("cli.py", "main"): "the entry point of the dscluster console script",
+}
+
+# methods and properties that no module of the package reads, each with its reason
+UNREAD_METHODS_ALLOWED = {
+    ("cli.py", "_Parser", "error"): "overrides the argparse method that parse_args calls",
 }
 
 
@@ -127,6 +134,39 @@ def test_every_function_is_called():
 def test_every_allowed_uncalled_function_exists_uncalled():
     # an entry whose function is gone or now called is stale
     assert UNCALLED_FUNCTIONS_ALLOWED.keys() - _uncalled_functions() == set()
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def _unread_methods() -> set[tuple[str, str, str]]:
+    """Methods and properties of package classes, dunders aside, whose
+    name no module reads as an attribute (``x.name``) outside their own
+    body.  Names are matched alone, so a method named like an attribute
+    read elsewhere (numpy's ``.size``, say) counts as read."""
+    trees = {path.name: _tree(path) for path in SOURCES}
+    reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unread = set()
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+                        and reads[stmt.name] == _attribute_reads(stmt)[stmt.name]):
+                    unread.add((module, cls.name, stmt.name))
+    return unread
+
+
+def test_every_method_is_read():
+    assert _unread_methods() - UNREAD_METHODS_ALLOWED.keys() == set()
+
+
+def test_every_allowed_unread_method_exists_unread():
+    # an entry whose method is gone or now read is stale
+    assert UNREAD_METHODS_ALLOWED.keys() - _unread_methods() == set()
 
 
 def test_every_export_is_used_by_a_test():
