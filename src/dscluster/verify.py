@@ -25,6 +25,7 @@ from .engine import ClusterRecord, ClusterState
 from .errors import SizeLimitError
 from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
+
 @dataclass
 class CheckResult:
     name: str
@@ -197,6 +198,8 @@ def perfect_claims(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     a star or a double star, so the edge domination number is the count
     of clusters with two or more members, which equals the count of pairs
     under the same condition; the count claim needs no line of its own.
+    Only a report labelled perfect is held to this: a fairly-perfect
+    clustering may keep a proxy-less cluster of several members.
     Witnesses name each proxy-less cluster of two or more members and
     each pair that is no edge; one pass over the clusters, whatever the
     size of the graph.
