@@ -7,10 +7,13 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import dscluster as d
 from dscluster.cli import main
 from dscluster.graph import MAX_NODES
+
+from conftest import connected_deployments
 
 FIXTURE_PATH = str(resources.files("dscluster.data").joinpath("paper23.json"))
 #: A hub with four unit-range spokes: a perfect single cluster.
@@ -574,3 +577,46 @@ class TestRoundTrips:
             (c.master, c.proxy, tuple(sorted(c.members))) for c in final.clusters
         }
 
+
+class TestFixtureMatchesScenario:
+    """The two input modes agree: a fixture made of a scenario's graph, its
+    Euclidean table and its NS column as ``ns_override`` gives the
+    scenario's ``cluster`` report and ``verify`` output byte for byte."""
+
+    @staticmethod
+    def _outputs(workdir, flag, doc):
+        """(report bytes, verify exit code, verify output bytes) of one input."""
+        source = _write(workdir, "input.json", doc)
+        report, checked = workdir / "report.json", workdir / "verify.txt"
+        assert main(["cluster", flag, source, "--out", str(report)]) == 0
+        code = main(["verify", flag, source, "--report", str(report), "--out", str(checked)])
+        return report.read_bytes(), code, checked.read_bytes()
+
+    def _agree(self, workdir, n, terrain, range_, seed) -> bool:
+        """Whether the draw is connected; a connected one must agree."""
+        graph = d.build_graph(d.deploy_random(n, terrain, seed), range_)
+        if len(graph.components()) != 1:
+            return False
+        ns = d.compute_network_metrics(graph, d.compute_tables(graph)).ns_values
+        fixture = {"nodes": n, "edges": [list(e) for e in graph.edges()],
+                   "euclid": graph.euclid.tolist(), "ns_override": ns.tolist()}
+        scenario = _scenario_doc(node_count=n, terrain_size=terrain, range=range_, seed=seed)
+        expected = self._outputs(workdir, "--scenario", scenario)
+        assert expected[1] == 0
+        assert self._outputs(workdir, "--fixture", fixture) == expected
+        return True
+
+    @pytest.mark.parametrize("n, terrain, range_, seeds, connected", [
+        (40, 100.0, 30.0, range(1, 40), 33),
+        (300, 274.0, 30.0, [1], 1),
+        (9, 100.0, 37.0, [71], 1),
+        (5, 100.0, 45.0, [199], 1),
+    ], ids=["n40-seeds-1-39", "n300", "n9-seed71", "n5-seed199"])
+    def test_listed_draws(self, n, terrain, range_, seeds, connected, tmp_path):
+        assert sum(self._agree(tmp_path, n, terrain, range_, seed) for seed in seeds) == connected
+
+    @settings(max_examples=30)
+    @given(connected_deployments(2, 60))
+    def test_connected_draws(self, tmp_path_factory, draw):
+        n, range_, seed = draw
+        assert self._agree(tmp_path_factory.mktemp("oracle"), n, 100.0, range_, seed)
