@@ -1,6 +1,6 @@
 """Weighted master/proxy clustering for homogeneous ad hoc networks.
 
-Builds unit-disk network graphs (or ingests explicit fixtures), scores
+Builds unit-disk network graphs (or loads them from fixtures), scores
 every node from six graph parameters, elects non-overlapping double-star
 clusters led by (master, proxy) pairs, repairs critical nodes, verifies
 the structural properties of the result, and simulates mobility with
@@ -33,7 +33,6 @@ from .graph import (
     euclidean_distance_table,
     graph_from_edges,
     hop_distance_table,
-    ingest_fixture,
 )
 from .metrics import (
     WeightConfig,

@@ -97,20 +97,18 @@ def _load_inputs(args):
         if args.seed is not None:
             raise _UsageError("--seed applies only to --scenario")
         bundle = fileio.load_fixture(fixture)
-        graph, tables, overrides = bundle.graph, bundle.tables, bundle.overrides
-        config = bundle.config
+        graph, overrides, config = bundle.graph, bundle.overrides, bundle.config
     elif args.scenario:
         scenario = fileio.load_scenario(args.scenario, seed=args.seed)
         positions = deploy_random(
             scenario.node_count, scenario.terrain_size, scenario.seed
         )
         graph = build_graph(positions, scenario.range_)
-        tables, overrides = None, None
+        overrides = None
         config = WeightConfig(scenario.alphas, scenario.ns_threshold)
     else:
         raise _UsageError("one of --fixture or --scenario is required")
-    if tables is None:
-        tables = compute_tables(graph)
+    tables = compute_tables(graph)
     require_connected(graph, tables.hop)
     return graph, tables, overrides, config
 

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import ClusterRecord, ClusterState, classification
-from .errors import InvalidArgumentError, SchemaError
-from .graph import DistanceTables, FixtureOverrides, NetworkGraph, ingest_fixture
+from .errors import FixtureFormatError, InvalidArgumentError, SchemaError
+from .graph import FixtureOverrides, NetworkGraph, graph_from_edges
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
 from .mobility import Scenario, SimulationResult
 
@@ -40,7 +40,6 @@ _OVERRIDE_COLUMNS = (
 @dataclass(frozen=True)
 class FixtureBundle:
     graph: NetworkGraph
-    tables: DistanceTables
     overrides: FixtureOverrides
     config: WeightConfig
 
@@ -97,11 +96,14 @@ def _load_doc(source) -> dict:
 
 
 def load_fixture(source) -> FixtureBundle:
-    """Parse a fixture document (path or dict) into graph, tables,
-    overrides and weight configuration."""
+    """Parse and check a fixture document (path or dict): its graph, which
+    carries the fixture's Euclidean matrix as given, the override columns
+    and the weight configuration."""
     doc = _load_doc(source)
     where = "fixture"
     n = _require(doc, "nodes", int, where)
+    if n < 1:
+        raise SchemaError(f"{where}: field 'nodes' must be at least 1, got {n}")
     edges = _require(doc, "edges", list, where)
     euclid = _require(doc, "euclid", list, where)
     for edge in edges:
@@ -121,8 +123,17 @@ def load_fixture(source) -> FixtureBundle:
         ns_threshold=_require(doc, "ns_threshold", float, where)
         if "ns_threshold" in doc else DEFAULT_NS_THRESHOLD,
     )
-    graph, tables, overrides = ingest_fixture(edges, np.array(euclid, dtype=float), overrides)
-    return FixtureBundle(graph=graph, tables=tables, overrides=overrides, config=config)
+    table = np.array(euclid, dtype=float)
+    if not np.array_equal(table, table.T):
+        bad = np.argwhere(table != table.T)[0]
+        raise FixtureFormatError(f"euclid matrix is asymmetric at ({bad[0]}, {bad[1]})")
+    if table.diagonal().any():
+        raise FixtureFormatError("euclid matrix must have a zero diagonal")
+    if (table < 0.0).any():
+        raise FixtureFormatError("euclid matrix has negative entries")
+    graph = NetworkGraph(adj=graph_from_edges(n, edges).adj, euclid=table)
+    overrides.validate(n)
+    return FixtureBundle(graph=graph, overrides=overrides, config=config)
 
 
 def load_scenario(source, seed: int | None = None) -> Scenario:

@@ -3,9 +3,9 @@
 Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
-ingested verbatim from a fixture's edge list plus Euclidean matrix.  A
-graph built from positions keeps the Euclidean table its adjacency was
-thresholded from, so ``compute_tables`` computes that table once.  The
+loaded from a fixture's edge list and Euclidean matrix, both taken
+verbatim (``fileio.load_fixture``).  Either way the graph carries its
+Euclidean table, so ``compute_tables`` adds only the hop table.  The
 Euclidean table is built from two n x n planes of coordinate differences,
 squared, added and rooted in place, so it needs one plane beyond the
 result.  Hop distances always come from breadth-first search over the
@@ -38,9 +38,9 @@ _LEVEL_BYTES = 16 << 20
 class NetworkGraph:
     """Undirected network topology, immutable once built.
 
-    ``range_`` and ``euclid``, the Euclidean table the adjacency was
-    thresholded from, are only present in position mode; a graph ingested
-    from a fixture carries the adjacency alone.
+    ``range_`` is only present in position mode.  ``euclid`` is the
+    Euclidean table: the one the adjacency was thresholded from, or a
+    fixture's matrix.  A graph from a bare edge list has none.
     """
 
     adj: np.ndarray
@@ -262,7 +262,8 @@ def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
 def compute_tables(graph: NetworkGraph) -> DistanceTables:
     """Hop table by BFS plus the Euclidean table the graph was built from."""
     if graph.euclid is None:
-        raise InvalidArgumentError("graph has no Euclidean table; ingest a fixture instead")
+        raise InvalidArgumentError(
+            "graph has no Euclidean table: build it from positions or load a fixture")
     return DistanceTables(hop=hop_distance_table(graph), euclid=graph.euclid)
 
 
@@ -289,39 +290,3 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:
         adj[u, v] = adj[v, u] = True
     return NetworkGraph(adj=adj)
 
-
-def ingest_fixture(
-    edges: list[tuple[int, int]],
-    euclid: np.ndarray,
-    overrides: FixtureOverrides | None = None,
-) -> tuple[NetworkGraph, DistanceTables, FixtureOverrides]:
-    """Build graph and tables from fixture data taken verbatim.
-
-    The adjacency is used as given (no range thresholding), the hop table
-    is recomputed by BFS, and the Euclidean matrix is validated and kept.
-    Malformed input raises FixtureFormatError.
-    """
-    euclid = np.asarray(euclid, dtype=float)
-    if euclid.ndim != 2 or euclid.shape[0] != euclid.shape[1]:
-        raise FixtureFormatError(f"euclid matrix must be square, got shape {euclid.shape}")
-    n = euclid.shape[0]
-    if n < 1:
-        raise FixtureFormatError("euclid matrix is empty")
-    if not np.isfinite(euclid).all():
-        bad = np.argwhere(~np.isfinite(euclid))[0]
-        raise FixtureFormatError(f"euclid matrix has a non-finite entry at ({bad[0]}, {bad[1]})")
-    if not np.array_equal(euclid, euclid.T):
-        bad = np.argwhere(euclid != euclid.T)[0]
-        raise FixtureFormatError(
-            f"euclid matrix is asymmetric at ({bad[0]}, {bad[1]})"
-        )
-    if np.any(euclid.diagonal() != 0.0):
-        raise FixtureFormatError("euclid matrix must have a zero diagonal")
-    if np.any(euclid < 0.0):
-        raise FixtureFormatError("euclid matrix has negative entries")
-
-    graph = graph_from_edges(n, edges)
-    tables = DistanceTables(hop=hop_distance_table(graph), euclid=euclid)
-    overrides = overrides or FixtureOverrides()
-    overrides.validate(n)
-    return graph, tables, overrides

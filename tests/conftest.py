@@ -32,16 +32,30 @@ def bundle():
 
 
 @pytest.fixture(scope="session")
-def paper_metrics(bundle):
+def paper_tables(bundle):
+    """Hop and Euclidean tables of the bundled fixture."""
+    return d.compute_tables(bundle.graph)
+
+
+@pytest.fixture(scope="session")
+def paper_metrics(bundle, paper_tables):
     return d.compute_network_metrics(
-        bundle.graph, bundle.tables, bundle.config, bundle.overrides
+        bundle.graph, paper_tables, bundle.config, bundle.overrides
     )
 
 
 @pytest.fixture(scope="session")
-def paper_states(bundle, paper_metrics):
+def paper_states(bundle, paper_tables, paper_metrics):
     """(formation state, adjusted state) for the bundled fixture."""
-    return d.form_and_adjust(bundle.graph, bundle.tables, paper_metrics)
+    return d.form_and_adjust(bundle.graph, paper_tables, paper_metrics)
+
+
+def fixture_inputs(edges, euclid, overrides=None):
+    """(graph, tables, overrides) of a fixture's edge list and Euclidean
+    matrix, both taken verbatim, as ``load_fixture`` builds its graph."""
+    euclid = np.asarray(euclid, dtype=float)
+    graph = d.NetworkGraph(adj=d.graph_from_edges(len(euclid), edges).adj, euclid=euclid)
+    return graph, d.compute_tables(graph), overrides or d.FixtureOverrides()
 
 
 def connected_rgg_suite(count, n_low=5, n_high=40, terrain=100.0,

@@ -13,7 +13,7 @@ import dscluster as d
 from dscluster.cli import main
 from dscluster.errors import DisconnectedGraphError
 
-from conftest import connected_deployments, connected_rgg_suite
+from conftest import connected_deployments, connected_rgg_suite, fixture_inputs
 
 # step-by-step election/adjustment trail on the bundled 23-node fixture
 GOLDEN_EVENTS = [
@@ -58,45 +58,45 @@ def near_column(pairs, hop):
 
 
 class TestMasterEligibility:
-    def test_first_master_unconditional(self, bundle, paper_metrics):
+    def test_first_master_unconditional(self, bundle, paper_tables, paper_metrics):
         # before any election no node is 3 hops from a leader, so formation
         # elects the top-ranked node without asking
-        assert not d.master_eligibility(3, near_column([], bundle.tables.hop))
+        assert not d.master_eligibility(3, near_column([], paper_tables.hop))
         assert max(range(23), key=paper_metrics.rank) == 3
-        formation = d.run_m_dsec(bundle.graph, bundle.tables, paper_metrics)
+        formation = d.run_m_dsec(bundle.graph, paper_tables, paper_metrics)
         assert formation.events[0] == {"action": "elect_master", "node": 3}
 
-    def test_exactly_three_to_proxy(self, bundle):
+    def test_exactly_three_to_proxy(self, paper_tables):
         # node 18 against pair (3, 1): 4 hops to the master, 3 to the proxy
-        assert d.master_eligibility(18, near_column([(3, 1)], bundle.tables.hop))
+        assert d.master_eligibility(18, near_column([(3, 1)], paper_tables.hop))
 
-    def test_no_exact_three_deferred(self, bundle):
+    def test_no_exact_three_deferred(self, paper_tables):
         # node 13 against pair (3, 1): 6 and 5 hops, never exactly 3
-        assert not d.master_eligibility(13, near_column([(3, 1)], bundle.tables.hop))
+        assert not d.master_eligibility(13, near_column([(3, 1)], paper_tables.hop))
 
-    def test_adjacent_to_master_rejected(self, bundle):
-        assert not d.master_eligibility(0, near_column([(3, 1)], bundle.tables.hop))
+    def test_adjacent_to_master_rejected(self, paper_tables):
+        assert not d.master_eligibility(0, near_column([(3, 1)], paper_tables.hop))
 
-    def test_missing_proxy_ignored(self, bundle):
-        hop = bundle.tables.hop
+    def test_missing_proxy_ignored(self, paper_tables):
+        hop = paper_tables.hop
         assert not d.master_eligibility(18, near_column([(3, None)], hop))  # d=4, no exact 3
         assert hop[8, 3] == 3
         assert d.master_eligibility(8, near_column([(3, None)], hop))
 
 
 class TestElectProxy:
-    def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_metrics):
-        near = near_column([], bundle.tables.hop)
+    def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_tables, paper_metrics):
+        near = near_column([], paper_tables.hop)
         assert d.elect_proxy(3, near, paper_metrics, bundle.graph) == 1
 
-    def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_metrics):
+    def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_tables, paper_metrics):
         # neighbour 11 outweighs 10 but sits 2 hops from proxy 16
-        near = near_column([(3, 1), (18, 16)], bundle.tables.hop)
+        near = near_column([(3, 1), (18, 16)], paper_tables.hop)
         assert d.elect_proxy(9, near, paper_metrics, bundle.graph) == 10
 
-    def test_no_qualifying_neighbor(self, bundle, paper_metrics):
+    def test_no_qualifying_neighbor(self, bundle, paper_tables, paper_metrics):
         # 17's only neighbour (18) sits 1 hop from the elected master 16
-        near = near_column([(16, 13)], bundle.tables.hop)
+        near = near_column([(16, 13)], paper_tables.hop)
         assert d.elect_proxy(17, near, paper_metrics, bundle.graph) is None
 
 
@@ -288,7 +288,7 @@ class TestSeparationEdgeCases:
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         weights = [1.0, 6.0, 4.0, 7.0, 5.0, 3.0, 2.0]
         overrides = d.FixtureOverrides(ns=[0.0] * n, w=weights)
-        graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         return tables.hop.copy(), metrics, graph
 
@@ -369,7 +369,7 @@ class TestFormation:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[400.0, 100.0, 100.0, 100.0, 100.0])
-        graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         formation, final = d.form_and_adjust(graph, tables, metrics)
         assert d.classification(formation) == "perfect"
@@ -395,7 +395,7 @@ class TestFormation:
             d.run_m_dsec(graph, tables, None)
         assert err.value.components == [[0, 1], [2, 3]]
 
-    def test_deferred_nodes_failed_eligibility(self, bundle, paper_states, paper_metrics):
+    def test_deferred_nodes_failed_eligibility(self, paper_tables, paper_states, paper_metrics):
         # replay the event trail: every deferral really failed the distance test
         formation, _ = paper_states
         pairs = []
@@ -404,7 +404,7 @@ class TestFormation:
                 pairs.append((event["master"], event["proxy"]))
             elif event["action"] == "defer":
                 assert not d.master_eligibility(
-                    event["node"], near_column(pairs, bundle.tables.hop)
+                    event["node"], near_column(pairs, paper_tables.hop)
                 )
 
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
@@ -419,7 +419,7 @@ class TestTieBreaking:
         edges = [(i, i + 1) for i in range(n - 1)]
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         overrides = d.FixtureOverrides(ns=ns, w=weights)
-        graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         return graph, tables, metrics
 
@@ -476,7 +476,7 @@ class TestAdjustment:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[0.0] * 5)
-        graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         state = d.run_m_dsec(graph, tables, metrics)
         assert state.critical == set()

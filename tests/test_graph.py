@@ -122,8 +122,8 @@ class TestBuildGraph:
 
 
 class TestHopTable:
-    def test_zero_diagonal(self, bundle):
-        assert (bundle.tables.hop.diagonal() == 0).all()
+    def test_zero_diagonal(self, paper_tables):
+        assert (paper_tables.hop.diagonal() == 0).all()
 
     def test_path_graph_enumeration(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -132,8 +132,8 @@ class TestHopTable:
         assert hop[0, 2] == 2
         assert hop[1, 3] == 2
 
-    def test_reference_topology_entries(self, bundle):
-        hop = bundle.tables.hop
+    def test_reference_topology_entries(self, paper_tables):
+        hop = paper_tables.hop
         assert hop[0, 12] == 7
         assert hop[16, 17] == 2
 
@@ -289,7 +289,7 @@ class TestEuclideanTable:
         assert table[0, 1] == pytest.approx(5.0)
 
     def test_fixture_table_ingested_verbatim(self, bundle):
-        assert bundle.tables.euclid[0, 1] == pytest.approx(0.32)
+        assert bundle.graph.euclid[0, 1] == pytest.approx(0.32)
 
 
 class TestComponents:
@@ -361,14 +361,14 @@ class TestIngestFixture:
     def test_hop_recomputed_from_adjacency(self):
         euclid = self._euclid(4)
         bundle = self._load([(0, 1), (1, 2), (2, 3)], euclid)
-        assert bundle.tables.hop[0, 3] == 3
-        assert np.array_equal(bundle.tables.euclid, euclid)
+        assert d.compute_tables(bundle.graph).hop[0, 3] == 3
+        assert np.array_equal(bundle.graph.euclid, euclid)
 
-    def test_fixture_hop_one_matches_edges(self, bundle):
+    def test_fixture_hop_one_matches_edges(self, bundle, paper_tables):
         edges_from_hop = {
             (u, v)
             for u in range(23)
             for v in range(u + 1, 23)
-            if bundle.tables.hop[u, v] == 1
+            if paper_tables.hop[u, v] == 1
         }
         assert edges_from_hop == set(bundle.graph.edges())

@@ -16,7 +16,7 @@ from dscluster.errors import (
 )
 from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
-from conftest import random_edge_graph
+from conftest import fixture_inputs, random_edge_graph
 
 
 def _tables_for(graph):
@@ -101,8 +101,8 @@ class TestClosenessIndices:
         for u in range(23):
             assert d.hop_closeness_index(u, hop) == reference["g_h"][u]
 
-    def test_bfs_recomputation_on_fixture(self, bundle, reference):
-        hop = bundle.tables.hop
+    def test_bfs_recomputation_on_fixture(self, paper_tables, reference):
+        hop = paper_tables.hop
         values = [d.hop_closeness_index(u, hop) for u in range(23)]
         assert sum(values) == 0
         assert values[18] == 105  # matches the published value for node 18
@@ -126,11 +126,11 @@ class TestClosenessIndices:
         assert values[0] == max(values)
         assert values.index(max(values)) == 0
 
-    def test_euclidean_column_on_fixture(self, bundle, reference):
+    def test_euclidean_column_on_fixture(self, paper_tables, reference):
         # recomputation reproduces the published column at every node except
         # node 7, whose published value carries a sign error (+86 for -86):
         # the corrected value restores the antisymmetry sum to zero
-        euclid = bundle.tables.euclid
+        euclid = paper_tables.euclid
         values = [d.euclidean_closeness_index(u, euclid) for u in range(23)]
         for u in range(23):
             if u == 7:
@@ -218,8 +218,8 @@ class TestNeighborStrength:
 
 
 class TestPathStatistics:
-    def test_fixture_node_3(self, bundle):
-        ecc, mhd, med = d.path_statistics(3, bundle.tables.hop, bundle.tables.euclid)
+    def test_fixture_node_3(self, paper_tables):
+        ecc, mhd, med = d.path_statistics(3, paper_tables.hop, paper_tables.euclid)
         assert ecc == 6
         # the published table prints 0.29 for 1/MHD, computed under a
         # different denominator convention; stay within +/-0.01 of it
@@ -259,17 +259,17 @@ class TestNodeWeight:
 
     def test_zero_reciprocals_rejected(self):
         # two coincident nodes: MED is zero, so 1/MED and the weight are undefined
-        graph, tables, overrides = d.ingest_fixture(
+        graph, tables, overrides = fixture_inputs(
             [(0, 1)], np.zeros((2, 2)), d.FixtureOverrides(ns=[1.0, 1.0])
         )
         with pytest.raises(InvalidArgumentError, match="weight undefined"):
             d.compute_network_metrics(graph, tables, overrides=overrides)
 
-    def test_fixture_weights_recomputed(self, bundle, reference):
+    def test_fixture_weights_recomputed(self, bundle, paper_tables, reference):
         # drop the weight override so the formula actually runs
         overrides = dataclasses.replace(bundle.overrides, w=None)
         metrics = d.compute_network_metrics(
-            bundle.graph, bundle.tables, bundle.config, overrides
+            bundle.graph, paper_tables, bundle.config, overrides
         )
         expected = reference["table3"]["w"]
         assert metrics.weight(3) == pytest.approx(68.96, abs=0.02)
@@ -291,10 +291,10 @@ class TestNodeWeight:
 
 
 class TestComputeNetworkMetrics:
-    def test_fixture_without_ns_override_needs_range(self, bundle):
+    def test_fixture_without_ns_override_needs_range(self, bundle, paper_tables):
         with pytest.raises(ConfigurationError):
             d.compute_network_metrics(
-                bundle.graph, bundle.tables, bundle.config, d.FixtureOverrides()
+                bundle.graph, paper_tables, bundle.config, d.FixtureOverrides()
             )
 
     def test_categories_bypassed_with_override(self, paper_metrics):

@@ -23,7 +23,7 @@ from dscluster.mobility import (
     _Simulation,
 )
 
-from conftest import connected_deployments
+from conftest import connected_deployments, fixture_inputs
 
 
 def _state(node_count, clusters):
@@ -50,7 +50,7 @@ def _event(time, kind, node, target=None):
 def _metrics_for(n, edges, weights, ns=None):
     euclid = np.zeros((n, n))
     overrides = d.FixtureOverrides(ns=ns or [0.0] * n, w=weights)
-    graph, tables, overrides = d.ingest_fixture(edges, euclid, overrides)
+    graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
     return graph, d.compute_network_metrics(graph, tables, overrides=overrides)
 
 

@@ -418,10 +418,10 @@ class TestDominanceAndIndependence:
             state, graph, d.hop_distance_table(graph))
         assert check.witnesses == dominance + independence
 
-    def test_reference_final_state(self, bundle, paper_states):
+    def test_reference_final_state(self, bundle, paper_tables, paper_states):
         _, final = paper_states
         check = d.check_dominance_and_independence(
-            final, bundle.graph, bundle.tables.hop
+            final, bundle.graph, paper_tables.hop
         )
         assert check.passed
         assert check.details == {
@@ -429,18 +429,18 @@ class TestDominanceAndIndependence:
             "master_independence_ok": True,
         }
 
-    def test_reference_masters_pairwise_far(self, bundle, paper_states):
+    def test_reference_masters_pairwise_far(self, paper_tables, paper_states):
         _, final = paper_states
         masters = sorted(final.masters())
         assert masters == [3, 6, 9, 13, 18, 20]
-        hop = bundle.tables.hop
+        hop = paper_tables.hop
         for i, a in enumerate(masters):
             for b in masters[i + 1:]:
                 assert hop[a, b] >= 2
 
-    def test_reference_members_within_two_hops(self, bundle, paper_states):
+    def test_reference_members_within_two_hops(self, paper_tables, paper_states):
         _, final = paper_states
-        hop = bundle.tables.hop
+        hop = paper_tables.hop
         for c in final.clusters:
             for v in c.members - c.leaders:
                 assert min(hop[v, l] for l in c.leaders) <= 2
@@ -606,9 +606,9 @@ class TestPerfectClaims:
 
 
 class TestReport:
-    def test_radius_and_diameter(self, bundle, paper_states):
+    def test_radius_and_diameter(self, bundle, paper_tables, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
+        report = d.run_property_checks(final, bundle.graph, paper_tables.hop)
         assert (report.radius, report.diameter) == (6, 7)
         assert report.passed
 
@@ -619,9 +619,9 @@ class TestReport:
         report = d.run_property_checks(state, graph, hop)
         assert report.radius is None and report.diameter is None
 
-    def test_check_order(self, bundle, paper_states):
+    def test_check_order(self, bundle, paper_tables, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph, bundle.tables.hop)
+        report = d.run_property_checks(final, bundle.graph, paper_tables.hop)
         assert [c.name for c in report.checks] == [
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
