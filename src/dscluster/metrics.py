@@ -239,7 +239,9 @@ def compute_network_metrics(
 
     Override columns (NS, g_h, g_ed, W) replace the recomputed values.
     Without an NS override the graph must carry a transmission range so
-    neighbours can be categorised by distance band.
+    neighbours can be categorised by distance band.  An NS or weight that
+    overflows the float range is refused, naming the first such node:
+    formation orders nodes by both.
     """
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
@@ -252,29 +254,33 @@ def compute_network_metrics(
         closeness_indices(table).astype(float) if given is None else np.asarray(given, dtype=float)
         for given, table in ((overrides.g_h, hop), (overrides.g_ed, euclid))
     )
-    cci = combined_closeness_index(g_h, g_ed)
-
-    bands = None
-    if overrides.ns is not None:
-        ns = np.asarray(overrides.ns, dtype=float)
-    elif graph.range_ is None:
-        raise ConfigurationError(
-            "no transmission range and no NS override: cannot categorise neighbours"
-        )
-    else:
-        bands = neighbor_bands(euclid, graph.range_)
-        ns = neighbor_strength(*bands.T, config.ns_threshold)
-
-    deg = graph.adj.sum(axis=1)
-    if overrides.w is not None:
-        weights = np.asarray(overrides.w, dtype=float)
-    elif n == 1:
-        weights = np.full(1, np.nan)  # undefined; a lone node is its own master anyway
-    else:
-        zero = np.flatnonzero((ecc == 0) | (mhd == 0.0) | (med == 0.0))
-        if zero.size:
-            raise InvalidArgumentError(
-                f"node {zero[0]}: weight undefined, its eccentricity, MHD or MED is zero"
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by node
+        cci = combined_closeness_index(g_h, g_ed)
+        bands = None
+        if overrides.ns is not None:
+            ns = np.asarray(overrides.ns, dtype=float)
+        elif graph.range_ is None:
+            raise ConfigurationError(
+                "no transmission range and no NS override: cannot categorise neighbours"
             )
-        weights = combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
+        else:
+            bands = neighbor_bands(euclid, graph.range_)
+            ns = neighbor_strength(*bands.T, config.ns_threshold)
+
+        deg = graph.adj.sum(axis=1)
+        if overrides.w is not None:
+            weights = np.asarray(overrides.w, dtype=float)
+        elif n == 1:
+            weights = np.full(1, np.nan)  # undefined; a lone node is its own master anyway
+        else:
+            zero = np.flatnonzero((ecc == 0) | (mhd == 0.0) | (med == 0.0))
+            if zero.size:
+                raise InvalidArgumentError(
+                    f"node {zero[0]}: weight undefined, its eccentricity, MHD or MED is zero"
+                )
+            weights = combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
+    unbounded = np.flatnonzero(~np.isfinite(ns) | (~np.isfinite(weights) & (n > 1)))
+    if unbounded.size:
+        raise InvalidArgumentError(
+            f"node {unbounded[0]}: NS or weight is not finite (overflows the float range)")
     return NetworkMetrics(deg, g_h, g_ed, cci, ecc, mhd, med, bands, ns, weights)

@@ -266,11 +266,15 @@ MALFORMED = [
                  "must be", id="no-nodes"),
     pytest.param("fixture", _path_fixture(ns_override=[1.0] * 5),
                  "override 'ns' has 5 entries, expected 6", id="short-override-column"),
+    pytest.param("scenario", _scenario_doc(node_count=40, range=30.0, seed=1, alphas=[1e308] * 6),
+                 "weight is not finite", id="overflowing-alphas"),
+    pytest.param("scenario", _scenario_doc(node_count=40, range=30.0, seed=1, ns_threshold=1e308),
+                 "weight is not finite", id="overflowing-ns-threshold"),
 ]
 
 #: Cases that only a command computing metrics refuses: ``verify`` reads no
 #: weight, so it accepts these documents.
-METRIC_ONLY = {"no-ns-and-no-range"}
+METRIC_ONLY = {"no-ns-and-no-range", "overflowing-alphas", "overflowing-ns-threshold"}
 
 
 @pytest.mark.parametrize("kind, payload, fragment", MALFORMED)

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dscluster.cli import main
@@ -111,6 +111,9 @@ def write(workdir, name, content):
 
 @settings(max_examples=200)
 @given(mutants(SCENARIO), st.none() | integers)
+@example(SCENARIO | {"alphas": [1e308] * 6}, None)
+@example(SCENARIO | {"alphas": [1e306] * 6}, None)
+@example(SCENARIO | {"ns_threshold": 1e308}, None)
 def test_scenario_documents(workdir, doc, seed):
     scenario = write(workdir, "scenario.json", doc)
     argv = ["--scenario", scenario] + ([] if seed is None else ["--seed", str(seed)])
