@@ -3,12 +3,13 @@
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
 none.  The four structural checks apply to every clustering, and none
-of them builds an n x n array.  The diameter bound and the dominance
-check read the clusters as node columns (``member_columns``,
-``leader_pairs``) and gather adjacency or hop entries at (member, leader)
-pairs; the diameter bound then measures only the clusters that are not
-their leaders' star, each on its own adjacency block, and the dominance
-check is the only one that reads the caller's hop table.  This module
+of them builds an n x n array.  The double-star check and the diameter
+bound share one reading of a cluster's (double) star (``_star_breaks``):
+the diameter bound measures only the clusters that break it, each on its
+own adjacency block.  The dominance check reads the clusters as node
+columns (``member_columns``, ``leader_pairs``) and gathers hop entries at
+(member, leader) pairs; it is the only check that reads the caller's hop
+table.  This module
 also owns the paper's two extra claims for a perfect clustering, which
 reduce to one linear check (``perfect_claims``).  The engine labels
 perfect only a formation that passes it, so every report the engine
@@ -69,45 +70,57 @@ def leader_pairs(clusters: list[ClusterRecord]) -> np.ndarray:
                     dtype=np.intp).reshape(2, -1).T
 
 
+def _star_breaks(cluster: ClusterRecord, adj: np.ndarray) -> list[dict]:
+    """Why ``cluster`` spans no double star: each leader that is no member,
+    then a (master, proxy) pair that is no edge, or else each other member
+    adjacent to neither leader.  A cluster without a proxy is read as a
+    star of its master."""
+    breaks = []
+    if not cluster.leaders <= cluster.members:
+        breaks = [{"cluster": cluster.id, "leader_outside": v}
+                  for v in sorted(cluster.leaders - cluster.members)]
+    m, p = cluster.master, cluster.proxy
+    if p is None:
+        p = m
+    elif not adj[m, p]:
+        breaks.append({"cluster": cluster.id, "missing_edge": [m, p]})
+        return breaks
+    for v in sorted(cluster.members - {m, p}):
+        if not (adj[v, m] or adj[v, p]):
+            breaks.append({"cluster": cluster.id, "stranded_member": v})
+    return breaks
+
+
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every cluster's member-induced subgraph has diameter at most 3.
 
     Distances stay inside a cluster, so the check never builds an n x n
-    table.  A cluster that holds both its leaders, adjacent to each other
-    (or one master), with every other member adjacent to one of them spans
-    their (double) star, so no two members are more than 3 hops apart; that
-    is read for every cluster at once from gathers and ``bincount``s.  Each
-    other cluster of k > 1 members gets one ``hop_distance_table`` on its
-    own k x k adjacency block, which gives every witness pair its exact
-    distance, or None when it is disconnected inside the cluster.  Witnesses
-    come in cluster list order, then by the sorted positions of the pair's
-    members.  A node listed by several clusters is gathered once per
-    cluster, so the clusters are refused beyond ``MAX_NODES`` members in
-    total (only overlapping clusters get there).
+    table.  A cluster that spans its leaders' (double) star, the
+    double-star check's condition, has no two members more than 3 hops
+    apart.  Each other cluster of k > 1 members gets one
+    ``hop_distance_table`` on its own k x k adjacency block, which gives
+    every witness pair its exact distance, or None when it is disconnected
+    inside the cluster.  Witnesses come in cluster list order, then by the
+    sorted positions of the pair's members.  The clusters are refused
+    beyond ``MAX_NODES`` members in total (only overlapping clusters get
+    there).
     """
-    sizes = np.array([len(cluster.members) for cluster in state.clusters], dtype=np.intp)
-    if sizes.sum() > MAX_NODES:
+    total = sum(len(cluster.members) for cluster in state.clusters)
+    if total > MAX_NODES:
         raise SizeLimitError(
-            f"clusters list {sizes.sum()} members in total, more than the {MAX_NODES} "
+            f"clusters list {total} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
-    nodes, owner = member_columns([sorted(cluster.members) for cluster in state.clusters])
-    count, leaders = len(state.clusters), leader_pairs(state.clusters)
-    own = nodes[:, None] == leaders[owner]
-    near = (own | graph.adj[nodes[:, None], leaders[owner]]).any(axis=1)
-    starred = ((np.bincount(owner, own[:, 0], count) > 0)
-               & (np.bincount(owner, own[:, 1], count) > 0)
-               & (graph.adj[leaders[:, 0], leaders[:, 1]] | (leaders[:, 0] == leaders[:, 1]))
-               & (np.bincount(owner, ~near, count) == 0))
-    ends = np.cumsum(sizes)
     witnesses = []
-    for i in np.flatnonzero((sizes > 1) & ~starred).tolist():
-        order = nodes[ends[i] - sizes[i]:ends[i]]
+    for cluster in state.clusters:
+        if len(cluster.members) < 2 or not _star_breaks(cluster, graph.adj):
+            continue
+        order = sorted(cluster.members)
         hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
         for a, b in np.argwhere((hop == UNREACHABLE) | (hop > 3)).tolist():
             distance = None if hop[a, b] == UNREACHABLE else int(hop[a, b])
-            witnesses.append({"cluster": state.clusters[i].id,
-                              "pair": [int(order[a]), int(order[b])], "distance": distance})
+            witnesses.append({"cluster": cluster.id,
+                              "pair": [order[a], order[b]], "distance": distance})
     return CheckResult("cluster-diameter", witnesses)
 
 
@@ -117,22 +130,8 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     member is adjacent to one of them, so that edge dominates every spoke.
     A cluster without a proxy is checked as a star: its master among its
     members and every other member adjacent to it."""
-    witnesses = []
-    starless = 0
-    for cluster in state.clusters:
-        if not cluster.leaders <= cluster.members:
-            witnesses += [{"cluster": cluster.id, "leader_outside": v}
-                          for v in sorted(cluster.leaders - cluster.members)]
-        m, p = cluster.master, cluster.proxy
-        if p is None:
-            starless += 1
-            p = m
-        elif not graph.adj[m, p]:
-            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
-            continue
-        for v in sorted(cluster.members - {m, p}):
-            if not (graph.adj[v, m] or graph.adj[v, p]):
-                witnesses.append({"cluster": cluster.id, "stranded_member": v})
+    witnesses = [w for cluster in state.clusters for w in _star_breaks(cluster, graph.adj)]
+    starless = sum(cluster.proxy is None for cluster in state.clusters)
     note = f"{starless} cluster(s) without a proxy, checked as stars" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
