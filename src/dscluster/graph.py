@@ -260,7 +260,7 @@ def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def compute_tables(graph: NetworkGraph) -> DistanceTables:
-    """Hop table by BFS plus the Euclidean table the graph was built from."""
+    """Hop table by BFS plus the Euclidean table the graph carries."""
     if graph.euclid is None:
         raise InvalidArgumentError(
             "graph has no Euclidean table: build it from positions or load a fixture")

@@ -50,12 +50,12 @@ def paper_states(bundle, paper_tables, paper_metrics):
     return d.form_and_adjust(bundle.graph, paper_tables, paper_metrics)
 
 
-def fixture_inputs(edges, euclid, overrides=None):
-    """(graph, tables, overrides) of a fixture's edge list and Euclidean
-    matrix, both taken verbatim, as ``load_fixture`` builds its graph."""
+def fixture_inputs(edges, euclid):
+    """(graph, tables) of a fixture's edge list and Euclidean matrix, both
+    taken verbatim, as ``load_fixture`` builds its graph."""
     euclid = np.asarray(euclid, dtype=float)
     graph = d.NetworkGraph(adj=d.graph_from_edges(len(euclid), edges).adj, euclid=euclid)
-    return graph, d.compute_tables(graph), overrides or d.FixtureOverrides()
+    return graph, d.compute_tables(graph)
 
 
 def connected_rgg_suite(count, n_low=5, n_high=40, terrain=100.0,

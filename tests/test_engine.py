@@ -288,7 +288,7 @@ class TestSeparationEdgeCases:
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         weights = [1.0, 6.0, 4.0, 7.0, 5.0, 3.0, 2.0]
         overrides = d.FixtureOverrides(ns=[0.0] * n, w=weights)
-        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
+        graph, tables = fixture_inputs(edges, euclid)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         return tables.hop.copy(), metrics, graph
 
@@ -369,7 +369,7 @@ class TestFormation:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[400.0, 100.0, 100.0, 100.0, 100.0])
-        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
+        graph, tables = fixture_inputs(edges, euclid)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         formation, final = d.form_and_adjust(graph, tables, metrics)
         assert d.classification(formation) == "perfect"
@@ -419,7 +419,7 @@ class TestTieBreaking:
         edges = [(i, i + 1) for i in range(n - 1)]
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         overrides = d.FixtureOverrides(ns=ns, w=weights)
-        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
+        graph, tables = fixture_inputs(edges, euclid)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         return graph, tables, metrics
 
@@ -476,7 +476,7 @@ class TestAdjustment:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[0.0] * 5)
-        graph, tables, overrides = fixture_inputs(edges, euclid, overrides)
+        graph, tables = fixture_inputs(edges, euclid)
         metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
         state = d.run_m_dsec(graph, tables, metrics)
         assert state.critical == set()

@@ -259,9 +259,8 @@ class TestNodeWeight:
 
     def test_zero_reciprocals_rejected(self):
         # two coincident nodes: MED is zero, so 1/MED and the weight are undefined
-        graph, tables, overrides = fixture_inputs(
-            [(0, 1)], np.zeros((2, 2)), d.FixtureOverrides(ns=[1.0, 1.0])
-        )
+        graph, tables = fixture_inputs([(0, 1)], np.zeros((2, 2)))
+        overrides = d.FixtureOverrides(ns=[1.0, 1.0])
         with pytest.raises(InvalidArgumentError, match="weight undefined"):
             d.compute_network_metrics(graph, tables, overrides=overrides)
 
