@@ -261,7 +261,7 @@ MALFORMED = [
                  id="self-loop"),
     pytest.param("fixture", _path_fixture(edges=[[0, 1], [0, 6]]),
                  "edge (0, 6) out of range for 6 nodes", id="edge-out-of-range"),
-    # refused as a non-square matrix before 'nodes' was checked itself
+    # loose fragment: a fixture of no nodes must be refused, whichever check says so
     pytest.param("fixture", _path_fixture(nodes=0, edges=[], euclid=[], ns_override=[]),
                  "must be", id="no-nodes"),
     pytest.param("fixture", _path_fixture(ns_override=[1.0] * 5),
