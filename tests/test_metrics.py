@@ -296,6 +296,13 @@ class TestComputeNetworkMetrics:
                 bundle.graph, paper_tables, bundle.config, d.FixtureOverrides()
             )
 
+    def test_graph_without_euclidean_table_refused(self):
+        # a bare edge list carries no Euclidean table, so MED and the
+        # Euclidean closeness cannot be computed
+        g = d.graph_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidArgumentError, match="no Euclidean table"):
+            d.compute_network_metrics(g, d.compute_tables(g))
+
     def test_categories_bypassed_with_override(self, paper_metrics):
         assert paper_metrics.bands is None
 
