@@ -24,7 +24,6 @@ from .fileio import (
 )
 from .graph import (
     UNREACHABLE,
-    DistanceTables,
     FixtureOverrides,
     NetworkGraph,
     build_graph,

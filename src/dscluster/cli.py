@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_inputs(args):
-    """(graph, tables, overrides, config) from --fixture or --scenario;
+    """(graph, hop table, overrides, config) from --fixture or --scenario;
     a disconnected graph is refused in either mode."""
     fixture = getattr(args, "fixture", None)
     if fixture and args.scenario:
@@ -108,17 +108,17 @@ def _load_inputs(args):
         config = WeightConfig(scenario.alphas, scenario.ns_threshold)
     else:
         raise _UsageError("one of --fixture or --scenario is required")
-    tables = compute_tables(graph)
-    require_connected(graph, tables.hop)
-    return graph, tables, overrides, config
+    hop = compute_tables(graph)
+    require_connected(graph, hop)
+    return graph, hop, overrides, config
 
 
 def _cmd_cluster(args) -> int:
-    graph, tables, overrides, config = _load_inputs(args)
+    graph, hop, overrides, config = _load_inputs(args)
     metrics = None
     if graph.node_count > 1:
-        metrics = compute_network_metrics(graph, tables, config, overrides)
-    formation, final = form_and_adjust(graph, tables, metrics)
+        metrics = compute_network_metrics(graph, hop, config, overrides)
+    formation, final = form_and_adjust(graph, hop, metrics)
     if args.format == "dot":
         fileio.write_text(fileio.dot_graph(final, graph), args.out)
     else:
@@ -128,14 +128,14 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    graph, tables, overrides, config = _load_inputs(args)
-    metrics = compute_network_metrics(graph, tables, config, overrides)
+    graph, hop, overrides, config = _load_inputs(args)
+    metrics = compute_network_metrics(graph, hop, config, overrides)
     fileio.write_text(fileio.to_json(fileio.metrics_records(metrics)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    graph, tables, _, _ = _load_inputs(args)
+    graph, hop, _, _ = _load_inputs(args)
     report_doc = fileio._load_doc(args.report)
     state = fileio.state_from_report(report_doc)
     if state.node_count != graph.node_count:
@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
             f"report covers {state.node_count} nodes but the graph has "
             f"{graph.node_count}"
         )
-    report = run_property_checks(state, graph, tables.hop)
+    report = run_property_checks(state, graph, hop)
     if report_doc.get("classification") == CLASS_PERFECT:
         report.checks.append(perfect_claims(state, graph))
     lines = [f"radius={report.radius} diameter={report.diameter}"]

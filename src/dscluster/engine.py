@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .graph import DistanceTables, NetworkGraph, require_connected
+from .graph import NetworkGraph, require_connected
 from .metrics import NetworkMetrics
 
 CLASS_PERFECT = "perfect"
@@ -159,17 +159,17 @@ def _nodes(column: np.ndarray) -> set[int]:
 
 
 def run_m_dsec(
-    graph: NetworkGraph, tables: DistanceTables, metrics: NetworkMetrics | None
+    graph: NetworkGraph, hop: np.ndarray, metrics: NetworkMetrics | None
 ) -> ClusterState:
     """Formation pass: returns clusters, hidden masters, the critical set
     and the deferred set.  Refuses disconnected graphs.  A lone node needs
     no weights: it is its own master."""
-    require_connected(graph, tables.hop)
+    require_connected(graph, hop)
     n = graph.node_count
     if metrics is None and n > 1:
         raise InvalidArgumentError("metrics with weights are required for n > 1")
 
-    hop, adj = tables.hop, graph.adj
+    adj = graph.adj
     # see the module docstring; nothing is elected yet, so no node is near
     near = np.full(n, np.iinfo(np.int64).max)
     free = np.ones(n, dtype=bool)  # in no cluster yet
@@ -321,10 +321,10 @@ def classification(formation: ClusterState) -> str:
 
 
 def form_and_adjust(
-    graph: NetworkGraph, tables: DistanceTables, metrics: NetworkMetrics | None
+    graph: NetworkGraph, hop: np.ndarray, metrics: NetworkMetrics | None
 ) -> tuple[ClusterState, ClusterState]:
     """(formation state, final state).  Adjustment returns a formation that
     left no critical node unchanged, so a perfect formation is its own
     final state."""
-    initial = run_m_dsec(graph, tables, metrics)
+    initial = run_m_dsec(graph, hop, metrics)
     return initial, run_adjusted(initial, graph, metrics)

@@ -4,8 +4,8 @@ Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
 loaded from a fixture's edge list and Euclidean matrix, both taken
-verbatim (``fileio.load_fixture``).  Either way the graph carries its
-Euclidean table, so ``compute_tables`` adds only the hop table.  The
+verbatim (``fileio.load_fixture``).  Either way the graph is the only
+owner of its Euclidean table; the hop table travels as a bare array.  The
 Euclidean table is built from two n x n planes of coordinate differences,
 squared, added and rooted in place, so it needs one plane beyond the
 result.  Hop distances always come from breadth-first search over the
@@ -84,19 +84,6 @@ class NetworkGraph:
             seen |= comp
             out.append(np.flatnonzero(comp).tolist())
         return out
-
-
-@dataclass(frozen=True)
-class DistanceTables:
-    """All-pairs hop and Euclidean distance matrices.
-
-    Both matrices are symmetric with zero diagonal.  ``hop`` holds
-    ``UNREACHABLE`` (-1) for disconnected pairs; consumers must check for
-    it explicitly rather than treat it as a large distance.
-    """
-
-    hop: np.ndarray
-    euclid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,8 +192,10 @@ def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
 
 
 def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
-    """All-pairs hop distances (UNREACHABLE = -1) by a level-synchronous
-    pull BFS from every source at once.
+    """All-pairs hop distances by a level-synchronous pull BFS from every
+    source at once; symmetric with zero diagonal.  A pair with no path
+    holds ``UNREACHABLE`` (-1), which consumers must check for explicitly
+    rather than treat as a large distance.
 
     ``reach[v]`` is the uint64-packed set of sources within ``d`` hops of
     ``v``, starting from ``v`` alone.  Because the adjacency is symmetric,
@@ -259,12 +248,9 @@ def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
 
 
-def compute_tables(graph: NetworkGraph) -> DistanceTables:
-    """Hop table by BFS plus the Euclidean table the graph carries."""
-    if graph.euclid is None:
-        raise InvalidArgumentError(
-            "graph has no Euclidean table: build it from positions or load a fixture")
-    return DistanceTables(hop=hop_distance_table(graph), euclid=graph.euclid)
+def compute_tables(graph: NetworkGraph) -> np.ndarray:
+    """The hop table of a graph to be clustered; see hop_distance_table."""
+    return hop_distance_table(graph)
 
 
 def require_connected(graph: NetworkGraph, hop: np.ndarray) -> None:

@@ -4,8 +4,9 @@ A node's weight is a linear combination of six parameters: degree, the
 combined closeness index (average of the hop- and Euclidean-closeness
 indices), the reciprocals of eccentricity / mean hop distance / mean
 Euclidean distance, and the neighbour-strength value.  Each is computed
-once for the whole network as an array column indexed by node
-(``closeness_indices``, ``path_columns``, ``neighbor_bands``), and
+once for the whole network, from the hop table passed in and the graph's
+own Euclidean table, as an array column indexed by node
+(``closeness_indices``, ``path_columns``, ``neighbor_bands``);
 ``NetworkMetrics`` holds the columns.
 
 The closeness kernel counts, per column of the table, how many entries lie
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError, UnreachableNodeError
-from .graph import UNREACHABLE, DistanceTables, FixtureOverrides, NetworkGraph
+from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph
 
 DEFAULT_ALPHAS = (1 / 6,) * 6
 DEFAULT_NS_THRESHOLD = 100.0
@@ -231,28 +232,30 @@ def combine_weight(deg, cci, inv_ecc, inv_mhd, inv_med, ns, alphas=DEFAULT_ALPHA
 
 def compute_network_metrics(
     graph: NetworkGraph,
-    tables: DistanceTables,
+    hop: np.ndarray,
     config: WeightConfig | None = None,
     overrides: FixtureOverrides | None = None,
 ) -> NetworkMetrics:
     """Metric columns for the whole network, honouring fixture overrides.
 
     Override columns (NS, g_h, g_ed, W) replace the recomputed values.
-    Without an NS override the graph must carry a transmission range so
-    neighbours can be categorised by distance band.  An NS or weight that
-    overflows the float range is refused, naming the first such node:
-    formation orders nodes by both.
+    The Euclidean parameters read the table the graph carries, and a
+    graph without one is refused.  Without an NS override the graph must
+    carry a transmission range so neighbours can be categorised by
+    distance band.  An NS or weight that overflows the float range is
+    refused, naming the first such node: formation orders nodes by both.
     """
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
     n = graph.node_count
     overrides.validate(n)
-
-    hop, euclid = tables.hop, tables.euclid
-    ecc, mhd, med = path_columns(hop, euclid)
+    if graph.euclid is None:
+        raise InvalidArgumentError(
+            "graph has no Euclidean table: build it from positions or load a fixture")
+    ecc, mhd, med = path_columns(hop, graph.euclid)
     g_h, g_ed = (
         closeness_indices(table).astype(float) if given is None else np.asarray(given, dtype=float)
-        for given, table in ((overrides.g_h, hop), (overrides.g_ed, euclid))
+        for given, table in ((overrides.g_h, hop), (overrides.g_ed, graph.euclid))
     )
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by node
         cci = combined_closeness_index(g_h, g_ed)
@@ -264,7 +267,7 @@ def compute_network_metrics(
                 "no transmission range and no NS override: cannot categorise neighbours"
             )
         else:
-            bands = neighbor_bands(euclid, graph.range_)
+            bands = neighbor_bands(graph.euclid, graph.range_)
             ns = neighbor_strength(*bands.T, config.ns_threshold)
 
         deg = graph.adj.sum(axis=1)

@@ -25,11 +25,11 @@ the [master, proxy] target it concerns (None for none).
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
-Weights are those computed at formation time; the global distance tables
-behind them are not refreshed during maintenance unless the scenario asks
-for recomputation; a refresh that does so reads connectivity off its new
-hop table and keeps maintaining a disconnected graph.  Every refresh, in
-every mode, builds one hop table, which its summary's checks read.
+Weights are those computed at formation time, from the t = 0 tables,
+unless the scenario asks for recomputation.  Every refresh, in every
+mode, builds one hop table, which its summary's checks read; a refresh
+that recomputes weights or re-forms clusters reads connectivity off that
+same table and keeps maintaining a disconnected graph.
 """
 from __future__ import annotations
 
@@ -220,10 +220,10 @@ class _Simulation:
             self.rng, scenario.node_count, scenario.terrain_size
         )
         self.graph = build_graph(self.positions, scenario.range_)
-        tables = compute_tables(self.graph)
-        require_connected(self.graph, tables.hop)
-        self.metrics = compute_network_metrics(self.graph, tables, self.config)
-        self.formation, self.adjusted = form_and_adjust(self.graph, tables, self.metrics)
+        hop = compute_tables(self.graph)
+        require_connected(self.graph, hop)
+        self.metrics = compute_network_metrics(self.graph, hop, self.config)
+        self.formation, self.adjusted = form_and_adjust(self.graph, hop, self.metrics)
         self.state = self.adjusted.copy()
         self.events: list[dict] = []
         self.summaries: list[dict] = []
@@ -255,23 +255,20 @@ class _Simulation:
         s = self.scenario
         warnings: list[str] = []
         self.graph = build_graph(self.positions, s.range_)
+        hop = hop_distance_table(self.graph)
         reclustered = False
 
         if s.recompute_weights or s.force_recluster:
-            tables = compute_tables(self.graph)
-            hop = tables.hop
             if (hop[0] != UNREACHABLE).all():
                 if s.recompute_weights:
-                    self.metrics = compute_network_metrics(self.graph, tables, self.config)
+                    self.metrics = compute_network_metrics(self.graph, hop, self.config)
                 if s.force_recluster:
-                    self.state = form_and_adjust(self.graph, tables, self.metrics)[1]
+                    self.state = form_and_adjust(self.graph, hop, self.metrics)[1]
                     reclustered = True
             else:
                 warnings.append(
                     "graph disconnected at refresh: weights kept, re-clustering skipped"
                 )
-        else:
-            hop = hop_distance_table(self.graph)
 
         step_events: list[dict] = []
         if not reclustered:

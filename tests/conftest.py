@@ -32,26 +32,26 @@ def bundle():
 
 
 @pytest.fixture(scope="session")
-def paper_tables(bundle):
-    """Hop and Euclidean tables of the bundled fixture."""
+def paper_hop(bundle):
+    """Hop table of the bundled fixture."""
     return d.compute_tables(bundle.graph)
 
 
 @pytest.fixture(scope="session")
-def paper_metrics(bundle, paper_tables):
+def paper_metrics(bundle, paper_hop):
     return d.compute_network_metrics(
-        bundle.graph, paper_tables, bundle.config, bundle.overrides
+        bundle.graph, paper_hop, bundle.config, bundle.overrides
     )
 
 
 @pytest.fixture(scope="session")
-def paper_states(bundle, paper_tables, paper_metrics):
+def paper_states(bundle, paper_hop, paper_metrics):
     """(formation state, adjusted state) for the bundled fixture."""
-    return d.form_and_adjust(bundle.graph, paper_tables, paper_metrics)
+    return d.form_and_adjust(bundle.graph, paper_hop, paper_metrics)
 
 
 def fixture_inputs(edges, euclid):
-    """(graph, tables) of a fixture's edge list and Euclidean matrix, both
+    """(graph, hop table) of a fixture's edge list and Euclidean matrix, both
     taken verbatim, as ``load_fixture`` builds its graph."""
     euclid = np.asarray(euclid, dtype=float)
     graph = d.NetworkGraph(adj=d.graph_from_edges(len(euclid), edges).adj, euclid=euclid)

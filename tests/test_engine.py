@@ -58,45 +58,45 @@ def near_column(pairs, hop):
 
 
 class TestMasterEligibility:
-    def test_first_master_unconditional(self, bundle, paper_tables, paper_metrics):
+    def test_first_master_unconditional(self, bundle, paper_hop, paper_metrics):
         # before any election no node is 3 hops from a leader, so formation
         # elects the top-ranked node without asking
-        assert not d.master_eligibility(3, near_column([], paper_tables.hop))
+        assert not d.master_eligibility(3, near_column([], paper_hop))
         assert max(range(23), key=paper_metrics.rank) == 3
-        formation = d.run_m_dsec(bundle.graph, paper_tables, paper_metrics)
+        formation = d.run_m_dsec(bundle.graph, paper_hop, paper_metrics)
         assert formation.events[0] == {"action": "elect_master", "node": 3}
 
-    def test_exactly_three_to_proxy(self, paper_tables):
+    def test_exactly_three_to_proxy(self, paper_hop):
         # node 18 against pair (3, 1): 4 hops to the master, 3 to the proxy
-        assert d.master_eligibility(18, near_column([(3, 1)], paper_tables.hop))
+        assert d.master_eligibility(18, near_column([(3, 1)], paper_hop))
 
-    def test_no_exact_three_deferred(self, paper_tables):
+    def test_no_exact_three_deferred(self, paper_hop):
         # node 13 against pair (3, 1): 6 and 5 hops, never exactly 3
-        assert not d.master_eligibility(13, near_column([(3, 1)], paper_tables.hop))
+        assert not d.master_eligibility(13, near_column([(3, 1)], paper_hop))
 
-    def test_adjacent_to_master_rejected(self, paper_tables):
-        assert not d.master_eligibility(0, near_column([(3, 1)], paper_tables.hop))
+    def test_adjacent_to_master_rejected(self, paper_hop):
+        assert not d.master_eligibility(0, near_column([(3, 1)], paper_hop))
 
-    def test_missing_proxy_ignored(self, paper_tables):
-        hop = paper_tables.hop
+    def test_missing_proxy_ignored(self, paper_hop):
+        hop = paper_hop
         assert not d.master_eligibility(18, near_column([(3, None)], hop))  # d=4, no exact 3
         assert hop[8, 3] == 3
         assert d.master_eligibility(8, near_column([(3, None)], hop))
 
 
 class TestElectProxy:
-    def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_tables, paper_metrics):
-        near = near_column([], paper_tables.hop)
+    def test_initial_master_takes_heaviest_neighbor(self, bundle, paper_hop, paper_metrics):
+        near = near_column([], paper_hop)
         assert d.elect_proxy(3, near, paper_metrics, bundle.graph) == 1
 
-    def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_tables, paper_metrics):
+    def test_distance_constraint_skips_heavier_neighbor(self, bundle, paper_hop, paper_metrics):
         # neighbour 11 outweighs 10 but sits 2 hops from proxy 16
-        near = near_column([(3, 1), (18, 16)], paper_tables.hop)
+        near = near_column([(3, 1), (18, 16)], paper_hop)
         assert d.elect_proxy(9, near, paper_metrics, bundle.graph) == 10
 
-    def test_no_qualifying_neighbor(self, bundle, paper_tables, paper_metrics):
+    def test_no_qualifying_neighbor(self, bundle, paper_hop, paper_metrics):
         # 17's only neighbour (18) sits 1 hop from the elected master 16
-        near = near_column([(16, 13)], paper_tables.hop)
+        near = near_column([(16, 13)], paper_hop)
         assert d.elect_proxy(17, near, paper_metrics, bundle.graph) is None
 
 
@@ -257,9 +257,9 @@ class TestMasksMatchTheSetReference:
         def check(deployment):
             n, range_, seed = deployment
             graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
-            tables = d.compute_tables(graph)
-            metrics = d.compute_network_metrics(graph, tables)
-            formation = d.run_m_dsec(graph, tables, metrics)
+            hop = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, hop)
+            formation = d.run_m_dsec(graph, hop, metrics)
             masters = set()
             for event in formation.events:
                 if event["action"] == "elect_master":
@@ -288,9 +288,9 @@ class TestSeparationEdgeCases:
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         weights = [1.0, 6.0, 4.0, 7.0, 5.0, 3.0, 2.0]
         overrides = d.FixtureOverrides(ns=[0.0] * n, w=weights)
-        graph, tables = fixture_inputs(edges, euclid)
-        metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        return tables.hop.copy(), metrics, graph
+        graph, hop = fixture_inputs(edges, euclid)
+        metrics = d.compute_network_metrics(graph, hop, overrides=overrides)
+        return hop.copy(), metrics, graph
 
     @staticmethod
     def _cut(hop, u, v):
@@ -354,8 +354,8 @@ class TestFormation:
 
     def test_single_node(self):
         graph = d.build_graph(np.array([[5.0, 5.0]]), range_=10.0)
-        tables = d.compute_tables(graph)
-        state = d.run_m_dsec(graph, tables, None)
+        hop = d.compute_tables(graph)
+        state = d.run_m_dsec(graph, hop, None)
         assert len(state.clusters) == 1
         assert state.clusters[0].master == 0
         assert state.clusters[0].proxy is None
@@ -369,9 +369,9 @@ class TestFormation:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[400.0, 100.0, 100.0, 100.0, 100.0])
-        graph, tables = fixture_inputs(edges, euclid)
-        metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        formation, final = d.form_and_adjust(graph, tables, metrics)
+        graph, hop = fixture_inputs(edges, euclid)
+        metrics = d.compute_network_metrics(graph, hop, overrides=overrides)
+        formation, final = d.form_and_adjust(graph, hop, metrics)
         assert d.classification(formation) == "perfect"
         assert final is formation
         assert len(formation.clusters) == 1
@@ -389,13 +389,11 @@ class TestFormation:
 
     def test_disconnected_refused(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
-        euclid = np.zeros((4, 4))
-        tables = d.DistanceTables(hop=d.hop_distance_table(graph), euclid=euclid)
         with pytest.raises(DisconnectedGraphError) as err:
-            d.run_m_dsec(graph, tables, None)
+            d.run_m_dsec(graph, d.hop_distance_table(graph), None)
         assert err.value.components == [[0, 1], [2, 3]]
 
-    def test_deferred_nodes_failed_eligibility(self, paper_tables, paper_states, paper_metrics):
+    def test_deferred_nodes_failed_eligibility(self, paper_hop, paper_states, paper_metrics):
         # replay the event trail: every deferral really failed the distance test
         formation, _ = paper_states
         pairs = []
@@ -404,7 +402,7 @@ class TestFormation:
                 pairs.append((event["master"], event["proxy"]))
             elif event["action"] == "defer":
                 assert not d.master_eligibility(
-                    event["node"], near_column(pairs, paper_tables.hop)
+                    event["node"], near_column(pairs, paper_hop)
                 )
 
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
@@ -419,18 +417,18 @@ class TestTieBreaking:
         edges = [(i, i + 1) for i in range(n - 1)]
         euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
         overrides = d.FixtureOverrides(ns=ns, w=weights)
-        graph, tables = fixture_inputs(edges, euclid)
-        metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        return graph, tables, metrics
+        graph, hop = fixture_inputs(edges, euclid)
+        metrics = d.compute_network_metrics(graph, hop, overrides=overrides)
+        return graph, hop, metrics
 
     def test_weight_tie_higher_ns_wins(self):
-        graph, tables, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 20.0, 0.0])
-        state = d.run_m_dsec(graph, tables, metrics)
+        graph, hop, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 20.0, 0.0])
+        state = d.run_m_dsec(graph, hop, metrics)
         assert state.clusters[0].master == 1
 
     def test_full_tie_lower_id_wins(self):
-        graph, tables, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 10.0, 0.0])
-        state = d.run_m_dsec(graph, tables, metrics)
+        graph, hop, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 10.0, 0.0])
+        state = d.run_m_dsec(graph, hop, metrics)
         assert state.clusters[0].master == 0
 
     def test_rank_orders_weight_ns_id(self):
@@ -440,10 +438,10 @@ class TestTieBreaking:
 
     def test_rerun_identical(self):
         for seed, graph in connected_rgg_suite(5, start_seed=300):
-            tables = d.compute_tables(graph)
-            metrics = d.compute_network_metrics(graph, tables)
-            a = d.form_and_adjust(graph, tables, metrics)
-            b = d.form_and_adjust(graph, tables, metrics)
+            hop = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, hop)
+            a = d.form_and_adjust(graph, hop, metrics)
+            b = d.form_and_adjust(graph, hop, metrics)
             report_a = d.cluster_report(*a)
             report_b = d.cluster_report(*b)
             assert json.dumps(report_a) == json.dumps(report_b)
@@ -476,9 +474,9 @@ class TestAdjustment:
         for v in range(1, 5):
             euclid[0, v] = euclid[v, 0] = 1.0
         overrides = d.FixtureOverrides(ns=[0.0] * 5)
-        graph, tables = fixture_inputs(edges, euclid)
-        metrics = d.compute_network_metrics(graph, tables, overrides=overrides)
-        state = d.run_m_dsec(graph, tables, metrics)
+        graph, hop = fixture_inputs(edges, euclid)
+        metrics = d.compute_network_metrics(graph, hop, overrides=overrides)
+        state = d.run_m_dsec(graph, hop, metrics)
         assert state.critical == set()
         assert d.run_adjusted(state, graph, metrics) is state
 
@@ -500,9 +498,9 @@ class TestClassify:
 class TestRandomisedInvariants:
     def test_disjoint_members_and_pair_edges(self):
         for seed, graph in connected_rgg_suite(30, start_seed=500):
-            tables = d.compute_tables(graph)
-            metrics = d.compute_network_metrics(graph, tables)
-            formation, final = d.form_and_adjust(graph, tables, metrics)
+            hop = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, hop)
+            formation, final = d.form_and_adjust(graph, hop, metrics)
             for state in (formation, final):
                 seen = set()
                 for c in state.clusters:
@@ -537,10 +535,10 @@ class TestAdjustmentPreconditions:
     def test_random_geometric_graphs(self):
         seen = 0
         for seed, graph in connected_rgg_suite(40, start_seed=700):
-            tables = d.compute_tables(graph)
-            metrics = d.compute_network_metrics(graph, tables)
+            hop = d.compute_tables(graph)
+            metrics = d.compute_network_metrics(graph, hop)
             seen += _hidden_masters_touch_their_proxy(
-                graph, *d.form_and_adjust(graph, tables, metrics))
+                graph, *d.form_and_adjust(graph, hop, metrics))
         assert seen > 0
 
 
@@ -559,10 +557,10 @@ class TestEnginePassesItsVerifier:
     def test_cluster_then_verify_passes(self, n, range_, seed):
         graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
         assume(len(graph.components()) == 1)
-        tables = d.compute_tables(graph)
-        metrics = d.compute_network_metrics(graph, tables)
-        _, final = d.form_and_adjust(graph, tables, metrics)
-        report = d.run_property_checks(final, graph, tables.hop)
+        hop = d.compute_tables(graph)
+        metrics = d.compute_network_metrics(graph, hop)
+        _, final = d.form_and_adjust(graph, hop, metrics)
+        report = d.run_property_checks(final, graph, hop)
         assert report.passed, [c for c in report.checks if not c.passed]
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -610,9 +608,9 @@ class TestRelabelling:
     @staticmethod
     def _states(positions):
         graph = d.build_graph(positions, 30.0)
-        tables = d.compute_tables(graph)
-        metrics = d.compute_network_metrics(graph, tables)
-        return metrics.weights, d.form_and_adjust(graph, tables, metrics)
+        hop = d.compute_tables(graph)
+        metrics = d.compute_network_metrics(graph, hop)
+        return metrics.weights, d.form_and_adjust(graph, hop, metrics)
 
     def test_clusters_follow_the_nodes(self):
         runs, ties = [], []

@@ -122,8 +122,8 @@ class TestBuildGraph:
 
 
 class TestHopTable:
-    def test_zero_diagonal(self, paper_tables):
-        assert (paper_tables.hop.diagonal() == 0).all()
+    def test_zero_diagonal(self, paper_hop):
+        assert (paper_hop.diagonal() == 0).all()
 
     def test_path_graph_enumeration(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -132,8 +132,8 @@ class TestHopTable:
         assert hop[0, 2] == 2
         assert hop[1, 3] == 2
 
-    def test_reference_topology_entries(self, paper_tables):
-        hop = paper_tables.hop
+    def test_reference_topology_entries(self, paper_hop):
+        hop = paper_hop
         assert hop[0, 12] == 7
         assert hop[16, 17] == 2
 
@@ -361,14 +361,14 @@ class TestIngestFixture:
     def test_hop_recomputed_from_adjacency(self):
         euclid = self._euclid(4)
         bundle = self._load([(0, 1), (1, 2), (2, 3)], euclid)
-        assert d.compute_tables(bundle.graph).hop[0, 3] == 3
+        assert d.compute_tables(bundle.graph)[0, 3] == 3
         assert np.array_equal(bundle.graph.euclid, euclid)
 
-    def test_fixture_hop_one_matches_edges(self, bundle, paper_tables):
+    def test_fixture_hop_one_matches_edges(self, bundle, paper_hop):
         edges_from_hop = {
             (u, v)
             for u in range(23)
             for v in range(u + 1, 23)
-            if paper_tables.hop[u, v] == 1
+            if paper_hop[u, v] == 1
         }
         assert edges_from_hop == set(bundle.graph.edges())

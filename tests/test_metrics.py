@@ -101,9 +101,8 @@ class TestClosenessIndices:
         for u in range(23):
             assert d.hop_closeness_index(u, hop) == reference["g_h"][u]
 
-    def test_bfs_recomputation_on_fixture(self, paper_tables, reference):
-        hop = paper_tables.hop
-        values = [d.hop_closeness_index(u, hop) for u in range(23)]
+    def test_bfs_recomputation_on_fixture(self, paper_hop, reference):
+        values = [d.hop_closeness_index(u, paper_hop) for u in range(23)]
         assert sum(values) == 0
         assert values[18] == 105  # matches the published value for node 18
 
@@ -126,11 +125,11 @@ class TestClosenessIndices:
         assert values[0] == max(values)
         assert values.index(max(values)) == 0
 
-    def test_euclidean_column_on_fixture(self, paper_tables, reference):
+    def test_euclidean_column_on_fixture(self, bundle, reference):
         # recomputation reproduces the published column at every node except
         # node 7, whose published value carries a sign error (+86 for -86):
         # the corrected value restores the antisymmetry sum to zero
-        euclid = paper_tables.euclid
+        euclid = bundle.graph.euclid
         values = [d.euclidean_closeness_index(u, euclid) for u in range(23)]
         for u in range(23):
             if u == 7:
@@ -218,8 +217,8 @@ class TestNeighborStrength:
 
 
 class TestPathStatistics:
-    def test_fixture_node_3(self, paper_tables):
-        ecc, mhd, med = d.path_statistics(3, paper_tables.hop, paper_tables.euclid)
+    def test_fixture_node_3(self, bundle, paper_hop):
+        ecc, mhd, med = d.path_statistics(3, paper_hop, bundle.graph.euclid)
         assert ecc == 6
         # the published table prints 0.29 for 1/MHD, computed under a
         # different denominator convention; stay within +/-0.01 of it
@@ -259,16 +258,16 @@ class TestNodeWeight:
 
     def test_zero_reciprocals_rejected(self):
         # two coincident nodes: MED is zero, so 1/MED and the weight are undefined
-        graph, tables = fixture_inputs([(0, 1)], np.zeros((2, 2)))
+        graph, hop = fixture_inputs([(0, 1)], np.zeros((2, 2)))
         overrides = d.FixtureOverrides(ns=[1.0, 1.0])
         with pytest.raises(InvalidArgumentError, match="weight undefined"):
-            d.compute_network_metrics(graph, tables, overrides=overrides)
+            d.compute_network_metrics(graph, hop, overrides=overrides)
 
-    def test_fixture_weights_recomputed(self, bundle, paper_tables, reference):
+    def test_fixture_weights_recomputed(self, bundle, paper_hop, reference):
         # drop the weight override so the formula actually runs
         overrides = dataclasses.replace(bundle.overrides, w=None)
         metrics = d.compute_network_metrics(
-            bundle.graph, paper_tables, bundle.config, overrides
+            bundle.graph, paper_hop, bundle.config, overrides
         )
         expected = reference["table3"]["w"]
         assert metrics.weight(3) == pytest.approx(68.96, abs=0.02)
@@ -280,20 +279,20 @@ class TestNodeWeight:
     def test_weight_linearity_in_alphas(self):
         positions = d.deploy_random(12, 80.0, seed=17)
         graph = d.build_graph(positions, range_=40.0)
-        tables = d.compute_tables(graph)
-        base = d.compute_network_metrics(graph, tables, d.WeightConfig())
+        hop = d.compute_tables(graph)
+        base = d.compute_network_metrics(graph, hop, d.WeightConfig())
         scaled = d.compute_network_metrics(
-            graph, tables, d.WeightConfig(alphas=(0.5,) * 6)
+            graph, hop, d.WeightConfig(alphas=(0.5,) * 6)
         )
         assert np.allclose(scaled.weights, 3.0 * base.weights)
         assert int(np.argmax(scaled.weights)) == int(np.argmax(base.weights))
 
 
 class TestComputeNetworkMetrics:
-    def test_fixture_without_ns_override_needs_range(self, bundle, paper_tables):
+    def test_fixture_without_ns_override_needs_range(self, bundle, paper_hop):
         with pytest.raises(ConfigurationError):
             d.compute_network_metrics(
-                bundle.graph, paper_tables, bundle.config, d.FixtureOverrides()
+                bundle.graph, paper_hop, bundle.config, d.FixtureOverrides()
             )
 
     def test_graph_without_euclidean_table_refused(self):
@@ -308,8 +307,8 @@ class TestComputeNetworkMetrics:
 
     def test_single_node_weight_undefined(self):
         graph = d.build_graph(np.array([[1.0, 1.0]]), range_=5.0)
-        tables = d.compute_tables(graph)
-        metrics = d.compute_network_metrics(graph, tables)
+        hop = d.compute_tables(graph)
+        metrics = d.compute_network_metrics(graph, hop)
         assert math.isnan(metrics.weight(0))
         assert d.metrics_records(metrics)[0]["w"] is None
 
@@ -317,10 +316,10 @@ class TestComputeNetworkMetrics:
         # the two 8 MB tables already exist; the closeness kernel counts them
         # in column blocks instead of sorting a whole copy of each
         graph = d.build_graph(d.deploy_random(1000, 500.0, seed=3), 30.0)
-        tables = d.compute_tables(graph)
+        hop = d.compute_tables(graph)
         tracemalloc.start()
         try:
-            d.compute_network_metrics(graph, tables)
+            d.compute_network_metrics(graph, hop)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -404,7 +403,7 @@ class TestColumnKernelProperties:
         # to float it takes the sort branch, whose thousands of tie groups
         # must count as the histogram branch counts the integer table
         graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
-        hop = d.compute_tables(graph).hop
+        hop = d.compute_tables(graph)
         assert hop.size > 2 * metrics_module._CLOSENESS_BLOCK
         assert closeness_indices(hop.astype(float)).tolist() == closeness_indices(hop).tolist()
 

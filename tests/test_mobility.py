@@ -50,8 +50,8 @@ def _event(time, kind, node, target=None):
 def _metrics_for(n, edges, weights, ns=None):
     euclid = np.zeros((n, n))
     overrides = d.FixtureOverrides(ns=ns or [0.0] * n, w=weights)
-    graph, tables = fixture_inputs(edges, euclid)
-    return graph, d.compute_network_metrics(graph, tables, overrides=overrides)
+    graph, hop = fixture_inputs(edges, euclid)
+    return graph, d.compute_network_metrics(graph, hop, overrides=overrides)
 
 
 class TestScenario:

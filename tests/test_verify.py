@@ -418,10 +418,10 @@ class TestDominanceAndIndependence:
             state, graph, d.hop_distance_table(graph))
         assert check.witnesses == dominance + independence
 
-    def test_reference_final_state(self, bundle, paper_tables, paper_states):
+    def test_reference_final_state(self, bundle, paper_hop, paper_states):
         _, final = paper_states
         check = d.check_dominance_and_independence(
-            final, bundle.graph, paper_tables.hop
+            final, bundle.graph, paper_hop
         )
         assert check.passed
         assert check.details == {
@@ -429,18 +429,18 @@ class TestDominanceAndIndependence:
             "master_independence_ok": True,
         }
 
-    def test_reference_masters_pairwise_far(self, paper_tables, paper_states):
+    def test_reference_masters_pairwise_far(self, paper_hop, paper_states):
         _, final = paper_states
         masters = sorted(final.masters())
         assert masters == [3, 6, 9, 13, 18, 20]
-        hop = paper_tables.hop
+        hop = paper_hop
         for i, a in enumerate(masters):
             for b in masters[i + 1:]:
                 assert hop[a, b] >= 2
 
-    def test_reference_members_within_two_hops(self, paper_tables, paper_states):
+    def test_reference_members_within_two_hops(self, paper_hop, paper_states):
         _, final = paper_states
-        hop = paper_tables.hop
+        hop = paper_hop
         for c in final.clusters:
             for v in c.members - c.leaders:
                 assert min(hop[v, l] for l in c.leaders) <= 2
@@ -588,9 +588,9 @@ class TestPerfectClaims:
         def check(deployment):
             n, range_, seed = deployment
             graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
-            tables = d.compute_tables(graph)
+            hop = d.compute_tables(graph)
             # the engine's final clustering passes partition and double-star
-            _, state = d.form_and_adjust(graph, tables, d.compute_network_metrics(graph, tables))
+            _, state = d.form_and_adjust(graph, hop, d.compute_network_metrics(graph, hop))
             h = double_star_union(state, graph)
             if len(h.edges()) > EDGE_LIMIT:
                 return
@@ -606,9 +606,9 @@ class TestPerfectClaims:
 
 
 class TestReport:
-    def test_radius_and_diameter(self, bundle, paper_tables, paper_states):
+    def test_radius_and_diameter(self, bundle, paper_hop, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph, paper_tables.hop)
+        report = d.run_property_checks(final, bundle.graph, paper_hop)
         assert (report.radius, report.diameter) == (6, 7)
         assert report.passed
 
@@ -619,9 +619,9 @@ class TestReport:
         report = d.run_property_checks(state, graph, hop)
         assert report.radius is None and report.diameter is None
 
-    def test_check_order(self, bundle, paper_tables, paper_states):
+    def test_check_order(self, bundle, paper_hop, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph, paper_tables.hop)
+        report = d.run_property_checks(final, bundle.graph, paper_hop)
         assert [c.name for c in report.checks] == [
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
