@@ -215,7 +215,8 @@ def path_columns(hop: np.ndarray, euclid: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     _reachable(hop)
     others = max(hop.shape[0] - 1, 1)
-    return hop.max(axis=1), hop.sum(axis=1) / others, euclid.sum(axis=1) / others
+    with np.errstate(over="ignore"):  # compute_network_metrics refuses an infinite MED
+        return hop.max(axis=1), hop.sum(axis=1) / others, euclid.sum(axis=1) / others
 
 
 def path_statistics(u: int, hop: np.ndarray, euclid: np.ndarray) -> tuple[int, float, float]:
@@ -242,8 +243,8 @@ def compute_network_metrics(
     The Euclidean parameters read the table the graph carries, and a
     graph without one is refused.  Without an NS override the graph must
     carry a transmission range so neighbours can be categorised by
-    distance band.  An NS or weight that overflows the float range is
-    refused, naming the first such node: formation orders nodes by both.
+    distance band.  An NS, MED or weight beyond the float range is
+    refused, naming the first such node: each would skew the election.
     """
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
@@ -282,8 +283,9 @@ def compute_network_metrics(
                     f"node {zero[0]}: weight undefined, its eccentricity, MHD or MED is zero"
                 )
             weights = combine_weight(deg, cci, 1.0 / ecc, 1.0 / mhd, 1.0 / med, ns, config.alphas)
-    unbounded = np.flatnonzero(~np.isfinite(ns) | (~np.isfinite(weights) & (n > 1)))
+    unbounded = np.flatnonzero(
+        ~np.isfinite(ns) | ~np.isfinite(med) | (~np.isfinite(weights) & (n > 1)))
     if unbounded.size:
         raise InvalidArgumentError(
-            f"node {unbounded[0]}: NS or weight is not finite (overflows the float range)")
+            f"node {unbounded[0]}: NS, MED or weight is not finite (overflows the float range)")
     return NetworkMetrics(deg, g_h, g_ed, cci, ecc, mhd, med, bands, ns, weights)

@@ -270,11 +270,17 @@ MALFORMED = [
                  "weight is not finite", id="overflowing-alphas"),
     pytest.param("scenario", _scenario_doc(node_count=40, range=30.0, seed=1, ns_threshold=1e308),
                  "weight is not finite", id="overflowing-ns-threshold"),
+    pytest.param("fixture", _path_fixture(nodes=4, edges=[[0, 1], [1, 2], [2, 3]],
+                                          euclid=[[0.0 if i == j else 1e308 for j in range(4)]
+                                                  for i in range(4)],
+                                          ns_override=[1.0] * 4),
+                 "weight is not finite", id="overflowing-med"),
 ]
 
 #: Cases that only a command computing metrics refuses: ``verify`` reads no
 #: weight, so it accepts these documents.
-METRIC_ONLY = {"no-ns-and-no-range", "overflowing-alphas", "overflowing-ns-threshold"}
+METRIC_ONLY = {"no-ns-and-no-range", "overflowing-alphas", "overflowing-ns-threshold",
+               "overflowing-med"}
 
 
 @pytest.mark.parametrize("kind, payload, fragment", MALFORMED)
