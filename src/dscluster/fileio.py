@@ -110,6 +110,7 @@ def load_fixture(source) -> FixtureBundle:
         if not (isinstance(edge, list) and len(edge) == 2 and all(
                 isinstance(v, int) and not isinstance(v, bool) for v in edge)):
             raise SchemaError(f"{where}: every edge must be a pair of node numbers")
+    adj = graph_from_edges(n, edges).adj  # the size bound, before any n x n work
     if len(euclid) != n:
         raise SchemaError(f"{where}: 'nodes' is {n} but euclid has {len(euclid)} rows")
     for row in euclid:
@@ -131,9 +132,8 @@ def load_fixture(source) -> FixtureBundle:
         raise FixtureFormatError("euclid matrix must have a zero diagonal")
     if (table < 0.0).any():
         raise FixtureFormatError("euclid matrix has negative entries")
-    graph = NetworkGraph(adj=graph_from_edges(n, edges).adj, euclid=table)
     overrides.validate(n)
-    return FixtureBundle(graph=graph, overrides=overrides, config=config)
+    return FixtureBundle(NetworkGraph(adj=adj, euclid=table), overrides, config)
 
 
 def load_scenario(source, seed: int | None = None) -> Scenario:

@@ -275,6 +275,8 @@ MALFORMED = [
                                                   for i in range(4)],
                                           ns_override=[1.0] * 4),
                  "weight is not finite", id="overflowing-med"),
+    pytest.param("fixture", {"nodes": MAX_NODES + 1, "edges": [], "euclid": []},
+                 "exceed the limit", id="oversized-fixture"),
 ]
 
 #: Cases that only a command computing metrics refuses: ``verify`` reads no
