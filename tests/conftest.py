@@ -97,3 +97,10 @@ def connected_deployments(draw, n_low, n_high, range_low=20.0, range_high=50.0,
     while len(d.build_graph(d.deploy_random(n, terrain, seed), range_).components()) != 1:
         seed += 1
     return n, range_, seed
+
+
+def cluster_records(state):
+    """The state's clusters as records with ``id``, ``master``, ``proxy``
+    (None for none), ``members`` (a set) and ``leaders``: the form the
+    set-based references read."""
+    return state.clusters

@@ -17,7 +17,7 @@ from dscluster.errors import SizeLimitError
 from dscluster.mobility import _Simulation
 from dscluster.verify import perfect_claims
 
-from conftest import connected_deployments, random_edge_graph
+from conftest import cluster_records, connected_deployments, random_edge_graph
 
 
 def _state(node_count, clusters):
@@ -99,6 +99,46 @@ def _long_clusters(draw):
         hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
     )
     return d.graph_from_edges(n, sorted(edges)), state
+
+
+def _loop_partition_witnesses(state):
+    """Partition witnesses by one pass over each cluster's sorted members,
+    then over the nodes: the reference for the check on the listing."""
+    witnesses = []
+    seen = {}
+    for cluster in cluster_records(state):
+        for v in sorted(cluster.members):
+            if v in seen:
+                witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
+            else:
+                seen[v] = cluster.id
+    for v in range(state.node_count):
+        if v not in seen:
+            witnesses.append({"node": v, "uncovered": True})
+    return witnesses
+
+
+def _loop_double_star(state, graph):
+    """(witnesses, note) of the double-star check by one pass per cluster:
+    the reference for the check on the listing."""
+    clusters = cluster_records(state)
+    witnesses = []
+    for cluster in clusters:
+        if not cluster.leaders <= cluster.members:
+            witnesses += [{"cluster": cluster.id, "leader_outside": v}
+                          for v in sorted(cluster.leaders - cluster.members)]
+        m, p = cluster.master, cluster.proxy
+        if p is None:
+            p = m
+        elif not graph.adj[m, p]:
+            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
+            continue
+        for v in sorted(cluster.members - {m, p}):
+            if not (graph.adj[v, m] or graph.adj[v, p]):
+                witnesses.append({"cluster": cluster.id, "stranded_member": v})
+    starless = sum(cluster.proxy is None for cluster in clusters)
+    note = f"{starless} cluster(s) without a proxy, checked as stars" if starless else ""
+    return witnesses, note
 
 
 @contextmanager
@@ -318,6 +358,12 @@ class TestClusterDiameter:
 
 
 class TestDoubleStar:
+    @given(_long_clusters())
+    def test_matches_the_loop_reference(self, drawn):
+        graph, state = drawn
+        check = d.check_double_star(state, graph)
+        assert (check.witnesses, check.note) == _loop_double_star(state, graph)
+
     def test_reference_pruned_cluster(self, bundle, paper_states):
         _, final = paper_states
         check = d.check_double_star(final, bundle.graph)
@@ -362,6 +408,11 @@ class TestDoubleStar:
 
 
 class TestPartition:
+    @given(_long_clusters())
+    def test_matches_the_loop_reference(self, drawn):
+        graph, state = drawn
+        assert d.check_partition(state, graph).witnesses == _loop_partition_witnesses(state)
+
     def test_reference_final_state_covers_everything(self, bundle, paper_states):
         _, final = paper_states
         assert d.check_partition(final, bundle.graph).passed
