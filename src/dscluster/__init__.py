@@ -8,9 +8,8 @@ re-affiliation-based maintenance.
 """
 from .engine import (
     CLASS_FAIRLY_PERFECT,
-    ClusterRecord,
+    STATUSES,
     ClusterState,
-    NodeStatus,
     classification,
     elect_proxy,
     form_and_adjust,

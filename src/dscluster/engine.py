@@ -3,6 +3,9 @@
 Every election follows one order, ``NetworkMetrics.rank``: higher weight,
 then higher NS, then the lower node id.  Both passes keep roles as boolean
 node columns and read each neighbourhood as a masked row of ``graph.adj``.
+Each keeps the clustering as an ``owner`` column, each node's cluster list
+position (-1 for none), and builds the member listing of its
+``ClusterState`` from it once, at the end.
 Critical nodes are handled in terms of three neighbourhood sets of a node
 u: N'(u) = ``adj[u] & ~is_master & (weights > weights[u])``, its heavier
 non-masters; N''(u) = ``adj[u] & ~(is_master | is_proxy) & (weights <
@@ -32,7 +35,6 @@ a master on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
@@ -44,90 +46,69 @@ CLASS_PERFECT = "perfect"
 CLASS_FAIRLY_PERFECT = "fairly-perfect"
 
 
-class NodeStatus(str, Enum):
-    MASTER = "master"
-    PROXY = "proxy"
-    SLAVE = "slave"
-    UNCLUSTERED = "unclustered"
-
-
-@dataclass
-class ClusterRecord:
-    """One cluster: its leaders plus the full member set (leaders included)."""
-
-    id: int
-    master: int
-    proxy: int | None
-    members: set[int]
-
-    def copy(self) -> "ClusterRecord":
-        return ClusterRecord(self.id, self.master, self.proxy, set(self.members))
-
-    @property
-    def leaders(self) -> set[int]:
-        return {self.master} if self.proxy is None else {self.master, self.proxy}
+#: Node statuses, indexed by ``ClusterState.statuses``.
+STATUSES = ("master", "proxy", "slave", "unclustered")
 
 
 @dataclass
 class ClusterState:
     """Snapshot of the clustering after formation, adjustment or a
-    maintenance step.
+    maintenance step, held as columns.
 
-    ``hidden_masters_1``/``hidden_masters_2``/``deferred`` record the
-    formation outcome and are kept unchanged through adjustment so reports
-    can show how the final structure came about.  ``critical`` is the set
-    still awaiting treatment; it matters only to adjustment, which empties
-    it, and to ``classification``.  Statuses and the property checks read
+    Per cluster, in list order: ``ids``, ``masters`` and ``proxies`` (-1
+    for none).  The member listing has one entry per listed member, its
+    node (``nodes``) and its cluster's list position (``cluster``), grouped
+    by cluster and sorted within each: a listing, not one owner per node,
+    because a report may list a node in two clusters.  Boolean node
+    columns: ``hm1``, ``hm2`` and ``deferred`` record the formation outcome
+    and are kept through adjustment for the reports; ``critical`` marks the
+    nodes still awaiting treatment, read only by adjustment, which clears
+    it, and ``classification``.  Statuses and the property checks read
     every state as a complete clustering.
     """
 
     node_count: int
-    clusters: list[ClusterRecord]
-    critical: set[int]
-    hidden_masters_1: set[int]
-    hidden_masters_2: set[int]
-    deferred: set[int]
+    ids: np.ndarray
+    masters: np.ndarray
+    proxies: np.ndarray
+    nodes: np.ndarray
+    cluster: np.ndarray
+    critical: np.ndarray
+    hm1: np.ndarray
+    hm2: np.ndarray
+    deferred: np.ndarray
     events: list[dict] = field(default_factory=list)
 
-    def copy(self) -> "ClusterState":
-        return ClusterState(
-            node_count=self.node_count,
-            clusters=[c.copy() for c in self.clusters],
-            critical=set(self.critical),
-            hidden_masters_1=set(self.hidden_masters_1),
-            hidden_masters_2=set(self.hidden_masters_2),
-            deferred=set(self.deferred),
-            events=list(self.events),
-        )
+    def bounds(self) -> np.ndarray:
+        """Cluster i lists ``nodes[bounds[i]:bounds[i + 1]]``."""
+        return np.searchsorted(self.cluster, np.arange(len(self.ids) + 1))
 
-    def masters(self) -> set[int]:
-        return {c.master for c in self.clusters}
+    def ordinary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, cluster positions, leader pairs) of the listed members
+        that are neither master nor proxy of their cluster.  A leader pair
+        is (master, proxy), the master twice for a cluster without one."""
+        nodes, cluster, masters = self.nodes, self.cluster, self.masters
+        partners = np.where(self.proxies < 0, masters, self.proxies)
+        ordinary = (nodes != masters[cluster]) & (nodes != partners[cluster])
+        owner = cluster[ordinary]
+        return nodes[ordinary], owner, np.stack([masters[owner], partners[owner]], axis=1)
 
-    def proxies(self) -> set[int]:
-        return {c.proxy for c in self.clusters if c.proxy is not None}
+    def statuses(self) -> np.ndarray:
+        """Each node's index in ``STATUSES``: master, proxy or slave of the
+        last cluster that lists it, or unclustered."""
+        nodes, cluster = self.nodes, self.cluster
+        codes = np.full(self.node_count, STATUSES.index("unclustered"))
+        codes[nodes] = np.where(nodes == self.masters[cluster], 0,
+                                np.where(nodes == self.proxies[cluster], 1, 2))
+        return codes
 
-    def membership(self) -> dict[int, int]:
-        """node -> cluster id; when duplicated, the lowest cluster id wins
-        (the partition check reports duplicates with witnesses)."""
-        owner: dict[int, int] = {}
-        for c in sorted(self.clusters, key=lambda c: c.id):
-            for m in c.members:
-                owner.setdefault(m, c.id)
-        return owner
 
-    def statuses(self) -> dict[int, NodeStatus]:
-        """Role of every node: master, proxy or slave of the cluster that
-        lists it, or unclustered."""
-        st: dict[int, NodeStatus] = {}
-        for c in self.clusters:
-            for m in c.members:
-                if m == c.master:
-                    st[m] = NodeStatus.MASTER
-                elif m == c.proxy:
-                    st[m] = NodeStatus.PROXY
-                else:
-                    st[m] = NodeStatus.SLAVE
-        return {v: st.get(v, NodeStatus.UNCLUSTERED) for v in range(self.node_count)}
+def _listing(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, cluster) of the member listing of a clustering given as each
+    node's cluster list position (-1 for none)."""
+    order = np.argsort(owner, kind="stable")
+    nodes = order[owner[order] >= 0]
+    return nodes, owner[nodes]
 
 
 def master_eligibility(candidate: int, near: np.ndarray) -> bool:
@@ -147,17 +128,6 @@ def elect_proxy(
     return max(candidates, key=metrics.rank) if candidates else None
 
 
-def _column(n: int, nodes) -> np.ndarray:
-    """Boolean node column, set at ``nodes``."""
-    column = np.zeros(n, dtype=bool)
-    column[list(nodes)] = True
-    return column
-
-
-def _nodes(column: np.ndarray) -> set[int]:
-    return set(np.flatnonzero(column).tolist())
-
-
 def run_m_dsec(
     graph: NetworkGraph, hop: np.ndarray, metrics: NetworkMetrics | None
 ) -> ClusterState:
@@ -172,22 +142,24 @@ def run_m_dsec(
     adj = graph.adj
     # see the module docstring; nothing is elected yet, so no node is near
     near = np.full(n, np.iinfo(np.int64).max)
-    free = np.ones(n, dtype=bool)  # in no cluster yet
+    owner = np.full(n, -1)  # list position of each node's cluster; -1 while free
     is_master, is_proxy, hm1, deferred = np.zeros((4, n), dtype=bool)
-    clusters: list[ClusterRecord] = []
+    masters: list[int] = []
+    proxies: list[int] = []
     events: list[dict] = []
 
     order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
     for x in order:
-        if not free[x]:
+        if owner[x] >= 0:
             continue
-        if clusters and not master_eligibility(x, near):
+        if masters and not master_eligibility(x, near):
             deferred[x] = True
             events.append({"action": "defer", "node": x})
             continue
         events.append({"action": "elect_master", "node": x})
         is_master[x] = True
         y = elect_proxy(x, near, metrics, graph)
+        free = owner < 0
         members = free & adj[x]
         members[x] = True
         np.minimum(near, hop[x], out=near)
@@ -203,20 +175,21 @@ def run_m_dsec(
                 members & adj[y] & ~is_master & (metrics.weights > metrics.weights[y])
             ).tolist()
             hm1[hidden] = True
-        listed = np.flatnonzero(members).tolist()
-        record = ClusterRecord(id=len(clusters) + 1, master=x, proxy=y, members=set(listed))
-        clusters.append(record)
-        free &= ~members
+        owner[members] = len(masters)
+        masters.append(x)
+        proxies.append(-1 if y is None else y)
         events.append({
-            "action": "form_cluster", "id": record.id, "master": x, "proxy": y,
-            "members": listed, "hidden_masters": hidden,
+            "action": "form_cluster", "id": len(masters), "master": x, "proxy": y,
+            "members": np.flatnonzero(members).tolist(), "hidden_masters": hidden,
         })
 
+    free = owner < 0
     hm2 = deferred & free & ~adj[:, is_proxy].any(axis=1)
+    nodes, cluster = _listing(owner)
     return ClusterState(
-        node_count=n, clusters=clusters, critical=_nodes(free | hm1),
-        hidden_masters_1=_nodes(hm1), hidden_masters_2=_nodes(hm2), deferred=_nodes(deferred),
-        events=events,
+        node_count=n, ids=np.arange(1, len(masters) + 1), masters=np.array(masters, dtype=np.intp),
+        proxies=np.array(proxies, dtype=np.intp), nodes=nodes, cluster=cluster, critical=free | hm1,
+        hm1=hm1, hm2=hm2, deferred=deferred, events=events,
     )
 
 
@@ -231,25 +204,30 @@ def run_adjusted(
     A critical node adjacent to a master never leads a cluster, so no two
     masters touch.  Members pulled into a new cluster leave their old one.
     Critical nodes that cannot form a cluster stay slaves if already
-    covered, otherwise become masters on their own.  The result has an
-    empty ``critical``: nothing is left awaiting treatment, so a node the
-    pass failed to cover fails the partition check.
+    covered, otherwise become masters on their own.  New clusters are
+    appended to the list.  The pass reads the clustering as one owner per
+    node, the lowest id winning for a node listed twice, and rebuilds the
+    listing from it once at the end.  The result has an empty
+    ``critical``: nothing is left awaiting treatment, so a node the pass
+    failed to cover fails the partition check.
     """
-    if not state.critical:
+    if not state.critical.any():
         return state
 
     n, adj, weights = state.node_count, graph.adj, metrics.weights
-    working: dict[int, ClusterRecord] = {c.id: c.copy() for c in state.clusters}
-    membership = state.membership()
-    owner = np.zeros(n, dtype=np.int64)  # cluster id of each node; formation ids start at 1
-    owner[list(membership)] = list(membership.values())
-    is_master = _column(n, state.masters())
-    is_proxy = _column(n, state.proxies())
+    ids, masters, proxies = state.ids.tolist(), state.masters.tolist(), state.proxies.tolist()
+    # each node's cluster list position, -1 for none; the lowest id is written last
+    entries = np.argsort(state.ids[state.cluster], kind="stable")[::-1]
+    owner = np.full(n, -1)
+    owner[state.nodes[entries]] = state.cluster[entries]
+    is_master, is_proxy = np.zeros((2, n), dtype=bool)
+    is_master[state.masters] = True
+    is_proxy[state.proxies[state.proxies >= 0]] = True
     near_master = adj[:, is_master].any(axis=1)
-    hm1 = _column(n, state.hidden_masters_1)
-    pending = _column(n, state.critical)  # critical nodes no new cluster has absorbed yet
+    hm1 = state.hm1
+    pending = state.critical.copy()  # critical nodes no new cluster has absorbed yet
     events = list(state.events)
-    next_id = max(working, default=0) + 1
+    next_id = max(ids, default=0) + 1
 
     def ranked(column: np.ndarray) -> list[int]:
         return sorted(np.flatnonzero(column).tolist(), key=metrics.rank, reverse=True)
@@ -286,29 +264,36 @@ def run_adjusted(
         partner, members = outcome
         members[[c, partner]] = True
         members &= ~(is_master | is_proxy)  # existing leaders are never pulled
-        listed = np.flatnonzero(members).tolist()
-        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=partner, members=set(listed))
         events.append({
             "action": "adjust_cluster", "id": next_id, "master": c,
-            "proxy": partner, "members": listed,
+            "proxy": partner, "members": np.flatnonzero(members).tolist(),
         })
-        for old_id in sorted(set(owner[members].tolist()) - {0}):  # 0: in no cluster
-            removed = np.flatnonzero(members & (owner == old_id)).tolist()
-            working[old_id].members.difference_update(removed)
-            events.append({"action": "prune_cluster", "id": old_id, "removed": removed})
-        owner[members] = next_id
+        for old in sorted(set(owner[members].tolist()) - {-1}, key=ids.__getitem__):
+            removed = np.flatnonzero(members & (owner == old)).tolist()
+            events.append({"action": "prune_cluster", "id": ids[old], "removed": removed})
+        owner[members] = len(ids)
+        ids.append(next_id)
+        masters.append(c)
+        proxies.append(partner)
         is_master[c] = is_proxy[partner] = True
         near_master |= adj[c]
         pending &= ~members
         next_id += 1
 
-    for c in ranked(pending & (owner == 0)):
-        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
+    for c in ranked(pending & (owner < 0)):
+        owner[c] = len(ids)
+        ids.append(next_id)
+        masters.append(c)
+        proxies.append(-1)
         events.append({"action": "singleton_master", "id": next_id, "node": c})
         next_id += 1
 
-    clusters = [working[cid] for cid in sorted(working)]
-    return replace(state, clusters=clusters, critical=set(), events=events)
+    nodes, cluster = _listing(owner)
+    return replace(
+        state, ids=np.array(ids), masters=np.array(masters, dtype=np.intp),
+        proxies=np.array(proxies, dtype=np.intp),
+        nodes=nodes, cluster=cluster, critical=np.zeros(n, dtype=bool), events=events,
+    )
 
 
 def classification(formation: ClusterState) -> str:
@@ -316,8 +301,9 @@ def classification(formation: ClusterState) -> str:
     two or more members has a proxy, so every cluster is a double star
     (``verify.perfect_claims``); otherwise fairly-perfect: adjustment
     covers every critical node, as a singleton master if need be."""
-    proxyless = any(c.proxy is None and len(c.members) > 1 for c in formation.clusters)
-    return CLASS_FAIRLY_PERFECT if formation.critical or proxyless else CLASS_PERFECT
+    sizes = np.diff(formation.bounds())
+    proxyless = ((formation.proxies < 0) & (sizes > 1)).any()
+    return CLASS_FAIRLY_PERFECT if formation.critical.any() or proxyless else CLASS_PERFECT
 
 
 def form_and_adjust(

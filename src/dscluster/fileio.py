@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ClusterRecord, ClusterState, classification
+from .engine import STATUSES, ClusterState, classification
 from .errors import FixtureFormatError, InvalidArgumentError, SchemaError
 from .graph import FixtureOverrides, NetworkGraph, graph_from_edges
 from .metrics import DEFAULT_ALPHAS, DEFAULT_NS_THRESHOLD, NetworkMetrics, WeightConfig
@@ -163,29 +163,30 @@ def load_scenario(source, seed: int | None = None) -> Scenario:
 
 
 def _cluster_dicts(state: ClusterState) -> list[dict]:
+    listed, bounds = state.nodes.tolist(), state.bounds().tolist()
     return [
-        {
-            "id": c.id,
-            "master": c.master,
-            "proxy": c.proxy,
-            "members": sorted(c.members),
-        }
-        for c in sorted(state.clusters, key=lambda c: c.id)
+        {"id": cid, "master": m, "proxy": None if p < 0 else p,
+         "members": listed[bounds[i]:bounds[i + 1]]}
+        for i, (cid, m, p) in enumerate(zip(state.ids.tolist(), state.masters.tolist(),
+                                            state.proxies.tolist()))
     ]
+
+
+def _status_dict(state: ClusterState) -> dict[str, str]:
+    return {str(v): STATUSES[code] for v, code in enumerate(state.statuses().tolist())}
 
 
 def cluster_report(formation: ClusterState, final: ClusterState) -> dict:
     """The cluster report document: final clusters and statuses plus the
     formation-phase bookkeeping, the classification and the full event
     trail."""
-    statuses = final.statuses()
     return {
         "clusters": _cluster_dicts(final),
-        "statuses": {str(v): statuses[v].value for v in range(final.node_count)},
-        "critical": sorted(formation.critical),
-        "hm1": sorted(formation.hidden_masters_1),
-        "hm2": sorted(formation.hidden_masters_2),
-        "deferred": sorted(formation.deferred),
+        "statuses": _status_dict(final),
+        "critical": np.flatnonzero(formation.critical).tolist(),
+        "hm1": np.flatnonzero(formation.hm1).tolist(),
+        "hm2": np.flatnonzero(formation.hm2).tolist(),
+        "deferred": np.flatnonzero(formation.deferred).tolist(),
         "classification": classification(formation),
         "events": list(final.events),
     }
@@ -198,40 +199,46 @@ def state_from_report(report: dict) -> ClusterState:
     statuses = _require(report, "statuses", dict, where)
     node_count = len(statuses)
 
-    def nodes(values, label: str, distinct: bool = True) -> set[int]:
+    def nodes(values, label: str, distinct: bool = True) -> list[int]:
         if not isinstance(values, list) or not all(
             type(v) is int and 0 <= v < node_count for v in values
         ):
             raise SchemaError(f"{where}: {label} must list nodes in 0..{node_count - 1}")
-        unique = set(values)
-        if distinct and len(unique) < len(values):
+        if distinct and len(set(values)) < len(values):
             repeated = next(v for i, v in enumerate(values) if v in values[:i])
             raise SchemaError(f"{where}: node {repeated} is repeated in {label}")
-        return unique
+        return values
 
-    clusters, ids = [], set()
+    def column(key: str) -> np.ndarray:
+        marked = np.zeros(node_count, dtype=bool)
+        marked[nodes(report.get(key, []), f"'{key}'")] = True
+        return marked
+
+    ids, masters, proxies, groups, seen = [], [], [], [], set()
     for c in clusters_doc:
         if not isinstance(c, dict):
             raise SchemaError(f"{where}: every cluster must be an object")
         cid = _require(c, "id", int, where)
-        if cid in ids:
+        if cid in seen:
             raise SchemaError(f"{where}: cluster id {cid} is repeated")
-        ids.add(cid)
+        if not -(1 << 63) <= cid < 1 << 63:
+            raise SchemaError(f"{where}: cluster id {cid} is beyond the 64-bit range")
+        seen.add(cid)
         proxy = c.get("proxy")
         # a proxy that is its own master fails double-star; it is no schema error
         nodes([c.get("master")] + ([] if proxy is None else [proxy]), f"cluster {cid} leaders",
               distinct=False)
-        clusters.append(ClusterRecord(
-            id=cid, master=c["master"], proxy=proxy,
-            members=nodes(c.get("members"), f"cluster {cid} members"),
-        ))
+        ids.append(cid)
+        masters.append(c["master"])
+        proxies.append(-1 if proxy is None else proxy)
+        groups.append(sorted(nodes(c.get("members"), f"cluster {cid} members")))
     return ClusterState(
-        node_count=node_count,
-        clusters=clusters,
-        critical=set(),
-        hidden_masters_1=nodes(report.get("hm1", []), "'hm1'"),
-        hidden_masters_2=nodes(report.get("hm2", []), "'hm2'"),
-        deferred=nodes(report.get("deferred", []), "'deferred'"),
+        node_count=node_count, ids=np.array(ids, dtype=np.int64),
+        masters=np.array(masters, dtype=np.intp), proxies=np.array(proxies, dtype=np.intp),
+        nodes=np.array([v for group in groups for v in group], dtype=np.intp),
+        cluster=np.repeat(np.arange(len(groups)), [len(group) for group in groups]),
+        critical=np.zeros(node_count, dtype=bool),
+        hm1=column("hm1"), hm2=column("hm2"), deferred=column("deferred"),
     )
 
 
@@ -257,7 +264,6 @@ def metrics_records(metrics: NetworkMetrics) -> list[dict]:
 
 def simulation_report(result: SimulationResult) -> dict:
     scenario = result.scenario
-    final_statuses = result.final_state.statuses()
     formation = cluster_report(result.formation_state, result.adjusted_state)
     return {
         "scenario": {
@@ -275,9 +281,7 @@ def simulation_report(result: SimulationResult) -> dict:
         "classification": formation["classification"],
         "formation": formation,
         "final_clusters": _cluster_dicts(result.final_state),
-        "final_statuses": {
-            str(v): final_statuses[v].value for v in range(result.final_state.node_count)
-        },
+        "final_statuses": _status_dict(result.final_state),
         "maintenance_events": result.events,
         "summaries": result.summaries,
     }
@@ -288,32 +292,28 @@ def events_ndjson(events: list[dict]) -> str:
     return "".join(json.dumps(e) + "\n" for e in events)
 
 
-_STATUS_ATTRS = {
-    "master": '[shape=doublecircle, style=bold]',
-    "proxy": '[shape=box, style=bold]',
-    "slave": '[style=filled, fillcolor=lightgray]',
-    "unclustered": '[style=dotted]',
-}
+#: Graphviz node attributes, one per entry of ``STATUSES``.
+_STATUS_ATTRS = (
+    '[shape=doublecircle, style=bold]',
+    '[shape=box, style=bold]',
+    '[style=filled, fillcolor=lightgray]',
+    '[style=dotted]',
+)
 
 
 def dot_graph(state: ClusterState, graph: NetworkGraph) -> str:
     """Graphviz document: one subgraph per cluster, node shapes by role
     (masters as double circles, proxies as boxes, members shaded)."""
-    statuses = state.statuses()
+    codes = state.statuses().tolist()
+    listed, bounds = state.nodes.tolist(), state.bounds().tolist()
     lines = ["graph clusters {", "  node [shape=circle];"]
-    placed = set()
-    for cluster in sorted(state.clusters, key=lambda c: c.id):
-        lines.append(f"  subgraph cluster_{cluster.id} {{")
-        lines.append(f'    label="C{cluster.id}";')
-        for v in sorted(cluster.members):
-            attrs = _STATUS_ATTRS[statuses[v].value]
-            lines.append(f"    {v} {attrs};")
-            placed.add(v)
+    for i, cid in enumerate(state.ids.tolist()):
+        lines.append(f"  subgraph cluster_{cid} {{")
+        lines.append(f'    label="C{cid}";')
+        lines += [f"    {v} {_STATUS_ATTRS[codes[v]]};" for v in listed[bounds[i]:bounds[i + 1]]]
         lines.append("  }")
-    for v in range(state.node_count):
-        if v not in placed:
-            attrs = _STATUS_ATTRS[statuses[v].value]
-            lines.append(f"  {v} {attrs};")
+    placed = set(listed)
+    lines += [f"  {v} {_STATUS_ATTRS[code]};" for v, code in enumerate(codes) if v not in placed]
     for u, v in graph.edges():
         lines.append(f"  {u} -- {v};")
     lines.append("}")

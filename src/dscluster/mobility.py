@@ -13,15 +13,17 @@ dissolves.  Every cluster thus keeps its (master, proxy) edge, and with
 every member adjacent to a leader it stays a double star of diameter at
 most 3.  Every displaced node (an exited leader, a member of a dissolved
 cluster, or a member out of reach of both its leaders) becomes one
-boundary-exit event; in node order, each
-re-affiliates by polling adjacent masters/proxies (find_CH), joining the
-heaviest acknowledger or becoming the master of its own cluster.  The
-exits and the hello check read every cluster at once from one gather of
-the ordinary members against their clusters' leaders, and find_CH from
-one gather of the node's adjacency row at every leader; maintenance
-edits the cluster records of the state in place.  Every event is kept as
-the record reports and NDJSON lines write: a dict of time, kind, node and
-the [master, proxy] target it concerns (None for none).
+boundary-exit event; in node order, each re-affiliates by polling
+adjacent masters/proxies (find_CH), joining the heaviest acknowledger or
+becoming the master of its own cluster.  The exits and the hello check
+read every cluster at once from one gather of the state's ordinary
+members (``ClusterState.ordinary``) against their clusters' leaders, and
+find_CH from one gather of the node's adjacency row at every leader.
+Maintenance replaces the state's columns with edited copies, leaving the
+state it started from as it was, and keeps its events in cluster id
+order whatever the list order.  Every event is kept as the record
+reports and NDJSON lines write: a dict of time, kind, node and the
+[master, proxy] target it concerns (None for none).
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
@@ -34,11 +36,11 @@ same table and keeps maintaining a disconnected graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import ClusterRecord, ClusterState, form_and_adjust
+from .engine import ClusterState, form_and_adjust
 from .errors import InvalidArgumentError
 from .graph import (
     UNREACHABLE,
@@ -51,7 +53,7 @@ from .graph import (
     sample_positions,
 )
 from .metrics import DEFAULT_ALPHAS, NetworkMetrics, WeightConfig, compute_network_metrics
-from .verify import leader_pairs, member_columns, ordinary_members, run_property_checks
+from .verify import run_property_checks
 
 EVENT_BOUNDARY_EXIT = "boundary-exit"
 EVENT_FIND_CH = "find-ch"
@@ -120,10 +122,12 @@ class SimulationResult:
     positions: np.ndarray
 
 
-def _event(time: float, kind: str, node: int, *target: int | None) -> dict:
+def _event(time: float, kind: str, node: int, *target: int) -> dict:
     """One maintenance event as reports and NDJSON lines write it; the
-    target is the [master, proxy] pair the event concerns, if any."""
-    return {"time": time, "kind": kind, "node": node, "target": list(target) or None}
+    target is the [master, proxy] pair the event concerns, if any, with
+    None for a proxy of -1."""
+    return {"time": time, "kind": kind, "node": node,
+            "target": [None if v < 0 else v for v in target] or None}
 
 
 def _reflect(coords: np.ndarray, terrain_size: float) -> np.ndarray:
@@ -164,12 +168,12 @@ def hello_refresh(
     node) order, by one adjacency gather of the members against their
     clusters' leaders."""
     graph = build_graph(positions, range_)
-    clusters = sorted(state.clusters, key=lambda c: c.id)
-    members, owner = member_columns([ordinary_members(c) for c in clusters])
-    linked = graph.adj[members[:, None], leader_pairs(clusters)[owner]].any(axis=1)
-    events = [_event(time, EVENT_BOUNDARY_EXIT, v, c.master, c.proxy)
-              for v, c in zip(members[~linked].tolist(),
-                              [clusters[i] for i in owner[~linked].tolist()])]
+    members, owner, leaders = state.ordinary()
+    lost = np.flatnonzero(~graph.adj[members[:, None], leaders].any(axis=1))
+    lost = lost[np.argsort(state.ids[owner[lost]], kind="stable")]
+    events = [_event(time, EVENT_BOUNDARY_EXIT, v, m, p) for v, m, p in zip(
+        members[lost].tolist(), state.masters[owner[lost]].tolist(),
+        state.proxies[owner[lost]].tolist())]
     return graph, events
 
 
@@ -187,27 +191,33 @@ def find_ch(
     order; acknowledgements are logged by leader id); the node joins the
     top-ranked acknowledger (``NetworkMetrics.rank``).  With no
     acknowledgers it becomes a master of a new singleton cluster.  The
-    state is updated in place.
+    state's columns are replaced with the edited ones.
     """
-    for cluster in state.clusters:
-        cluster.members.discard(node)
+    kept = state.nodes != node
+    nodes, cluster = state.nodes[kept], state.cluster[kept]
     events = [_event(time, EVENT_FIND_CH, node)]
-    clusters = sorted(state.clusters, key=lambda c: c.id)
-    leaders = leader_pairs(clusters)
+    order = np.argsort(state.ids, kind="stable")
+    masters, proxies = state.masters.tolist(), state.proxies.tolist()
+    leaders = np.stack([state.masters, np.where(state.proxies < 0, state.masters,
+                                                state.proxies)], axis=1)[order]
     heard = graph.adj[node, leaders]
     heard[:, 1] &= leaders[:, 0] != leaders[:, 1]  # a proxy-less cluster lists its master twice
     rows, columns = np.nonzero(heard)
-    acknowledgers = list(zip(leaders[rows, columns].tolist(), [clusters[i] for i in rows.tolist()]))
-    for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
-        events.append(_event(time, EVENT_ACK, node, cluster.master, cluster.proxy))
+    acknowledgers = list(zip(leaders[rows, columns].tolist(), order[rows].tolist()))
+    for _, i in sorted(acknowledgers, key=lambda t: t[0]):
+        events.append(_event(time, EVENT_ACK, node, masters[i], proxies[i]))
     if acknowledgers:
-        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
-        cluster.members.add(node)
-        events.append(_event(time, EVENT_JOIN, node, cluster.master, cluster.proxy))
-    else:
-        new_id = clusters[-1].id + 1 if clusters else 1
-        state.clusters.append(ClusterRecord(id=new_id, master=node, proxy=None, members={node}))
+        _, i = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+        events.append(_event(time, EVENT_JOIN, node, masters[i], proxies[i]))
+    else:  # a new cluster at the end of the list
+        i = len(masters)
+        state.ids = np.append(state.ids, int(state.ids.max()) + 1 if i else 1)
+        state.masters, state.proxies = np.append(state.masters, node), np.append(state.proxies, -1)
         events.append(_event(time, EVENT_BECOME_MASTER, node))
+    start, end = np.searchsorted(cluster, [i, i + 1])
+    at = start + np.searchsorted(nodes[start:end], node)  # the listing stays sorted
+    state.nodes = np.concatenate((nodes[:at], [node], nodes[at:]))
+    state.cluster = np.concatenate((cluster[:at], [i], cluster[at:]))
     return events
 
 
@@ -224,7 +234,7 @@ class _Simulation:
         require_connected(self.graph, hop)
         self.metrics = compute_network_metrics(self.graph, hop, self.config)
         self.formation, self.adjusted = form_and_adjust(self.graph, hop, self.metrics)
-        self.state = self.adjusted.copy()
+        self.state = replace(self.adjusted)  # maintenance replaces its columns, never edits them
         self.events: list[dict] = []
         self.summaries: list[dict] = []
 
@@ -285,7 +295,7 @@ class _Simulation:
     def _resolve_leader_exits(self, time: float) -> list[dict]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
         clusters whose leaders all left; returns a boundary-exit event for
-        every displaced node.
+        every displaced node, in cluster id order.
 
         A leader has exited when no other member of its cluster is adjacent
         to it; a proxy has also exited when it lost its edge to a master
@@ -293,41 +303,43 @@ class _Simulation:
         gather of the ordinary members against their leaders.  Clusters
         of one member are left alone.
         """
-        adj = self.graph.adj
-        clusters = sorted(self.state.clusters, key=lambda c: c.id)
-        count = len(clusters)
-        members, owner = member_columns([ordinary_members(c) for c in clusters])
-        leaders = leader_pairs(clusters)
-        led = np.array([c.proxy is not None for c in clusters], dtype=bool)
-        linked = led & adj[leaders[:, 0], leaders[:, 1]]
-        touch = adj[members[:, None], leaders[owner]]
+        adj, state = self.graph.adj, self.state
+        count = len(state.ids)
+        members, owner, leaders = state.ordinary()
+        masters, proxies = state.masters.copy(), state.proxies.copy()
+        led = proxies >= 0
+        linked = led & adj[masters, proxies]
+        touch = adj[members[:, None], leaders]
         heard = [np.bincount(owner, weights=touch[:, i], minlength=count) > 0 for i in (0, 1)]
         master_exited = ~(linked | heard[0])
         proxy_exited = led & ~linked & (~master_exited | ~heard[1])
         crowded = led | (np.bincount(owner, minlength=count) > 0)
+        flagged = np.flatnonzero(crowded & (master_exited | proxy_exited))
+        if not flagged.size:
+            return []
+        nodes, bounds = state.nodes, state.bounds()
+        listed = np.ones(len(nodes), dtype=bool)  # entries kept
+        kept = np.ones(count, dtype=bool)  # clusters kept
         orphans: list[dict] = []
-        for position in np.flatnonzero(crowded & (master_exited | proxy_exited)).tolist():
-            cluster = clusters[position]
-            pair = (cluster.master, cluster.proxy)
-            rows = slice(*np.searchsorted(owner, [position, position + 1]))
-            if master_exited[position] and (cluster.proxy is None or proxy_exited[position]):
-                self.state.clusters.remove(cluster)
-                displaced = sorted(cluster.members)
-            elif master_exited[position]:
-                displaced = [cluster.master]
-                cluster.members.discard(cluster.master)
-                cluster.master = cluster.proxy
-                cluster.proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 1]])
-            else:
-                displaced = [cluster.proxy]
-                cluster.members.discard(cluster.proxy)
-                cluster.proxy = self._elect_maintenance_proxy(members[rows][touch[rows, 0]])
+        for i in flagged[np.argsort(state.ids[flagged], kind="stable")].tolist():
+            pair = (int(masters[i]), int(proxies[i]))
+            rows = slice(*np.searchsorted(owner, [i, i + 1]))
+            entries = slice(bounds[i], bounds[i + 1])
+            if master_exited[i] and (not led[i] or proxy_exited[i]):
+                kept[i] = listed[entries] = False
+                displaced = nodes[entries].tolist()
+            else:  # one leader leaves; the other leads, the top-ranked member beside it its proxy
+                gone = 0 if master_exited[i] else 1
+                displaced = [pair[gone]]
+                listed[entries] &= nodes[entries] != pair[gone]
+                masters[i] = pair[1 - gone]
+                candidates = members[rows][touch[rows, 1 - gone]].tolist()
+                proxies[i] = max(candidates, key=self.metrics.rank, default=-1)
             orphans += [_event(time, EVENT_BOUNDARY_EXIT, v, *pair) for v in displaced]
+        state.ids, state.masters, state.proxies = state.ids[kept], masters[kept], proxies[kept]
+        state.nodes = nodes[listed]
+        state.cluster = (np.cumsum(kept) - 1)[state.cluster[listed]]
         return orphans
-
-    def _elect_maintenance_proxy(self, candidates: np.ndarray) -> int | None:
-        """The top-ranked of the members adjacent to the (new) master."""
-        return max(candidates.tolist(), key=self.metrics.rank, default=None)
 
     def _summarise(
         self,

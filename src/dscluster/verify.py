@@ -3,26 +3,26 @@
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
 none.  The four structural checks apply to every clustering, and none
-of them builds an n x n array.  The double-star check and the diameter
-bound share one reading of a cluster's (double) star (``_star_breaks``):
-the diameter bound measures only the clusters that break it, each on its
-own adjacency block.  The dominance check reads the clusters as node
-columns (``member_columns``, ``leader_pairs``) and gathers hop entries at
-(member, leader) pairs; it is the only check that reads the caller's hop
-table.  This module
-also owns the paper's two extra claims for a perfect clustering, which
+of them builds an n x n array.  Every check reads the state's columns
+directly: the member listing, with each entry's cluster, against the
+per-cluster masters and proxies, so each condition is one gather over the
+listing.  The double-star check and the diameter bound share one reading
+of the clusters' (double) stars (``_star_breaks``): the diameter bound
+measures only the clusters that break theirs, each on its own adjacency
+block.  The dominance check gathers hop entries at (member, leader)
+pairs; it is the only check that reads the caller's hop table.  This
+module also owns the paper's two extra claims for a perfect clustering, which
 reduce to one linear check (``perfect_claims``).  The engine labels
 perfect only a formation that passes it, so every report the engine
 writes verifies with exit 0.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import ClusterRecord, ClusterState
+from .engine import ClusterState
 from .errors import SizeLimitError
 from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
 
@@ -50,45 +50,37 @@ class PropertyReport:
         return all(c.passed for c in self.checks)
 
 
-def member_columns(groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Node lists as two columns: the nodes concatenated in list order, and
-    the list position of each one's list."""
-    sizes = [len(group) for group in groups]
-    nodes = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.intp, count=sum(sizes))
-    return nodes, np.repeat(np.arange(len(groups)), sizes)
-
-
-def ordinary_members(cluster: ClusterRecord) -> list[int]:
-    """The members that are neither master nor proxy, sorted."""
-    return sorted(cluster.members - {cluster.master, cluster.proxy})
-
-
-def leader_pairs(clusters: list[ClusterRecord]) -> np.ndarray:
-    """Every cluster's (master, proxy) pair, with the master again for no proxy."""
-    return np.array([[c.master for c in clusters],
-                     [c.master if c.proxy is None else c.proxy for c in clusters]],
-                    dtype=np.intp).reshape(2, -1).T
-
-
-def _star_breaks(cluster: ClusterRecord, adj: np.ndarray) -> list[dict]:
-    """Why ``cluster`` spans no double star: each leader that is no member,
-    then a (master, proxy) pair that is no edge, or else each other member
+def _star_breaks(state: ClusterState, adj: np.ndarray) -> tuple[np.ndarray, list[dict]]:
+    """Which clusters span no double star, as a column in list order, and
+    why, in list order: for each, each leader that is no member, then a
+    (master, proxy) pair that is no edge, or else each other member
     adjacent to neither leader.  A cluster without a proxy is read as a
     star of its master."""
+    nodes, cluster, masters, proxies = state.nodes, state.cluster, state.masters, state.proxies
+    led = proxies >= 0
+    partners = np.where(led, proxies, masters)
+    inside = np.zeros((2, len(masters)), dtype=bool)  # master, proxy listed in their cluster
+    inside[0, cluster[nodes == masters[cluster]]] = True
+    inside[1, cluster[nodes == partners[cluster]]] = True
+    paired = ~led | adj[masters, partners]
+    members, owner, leaders = state.ordinary()
+    stranded = paired[owner] & ~adj[members[:, None], leaders].any(axis=1)
+    broken = ~(inside[0] & inside[1] & paired)
+    broken[owner[stranded]] = True
+    if not broken.any():
+        return broken, []
+    spokes: dict[int, list[int]] = {}
+    for i, v in zip(owner[stranded].tolist(), members[stranded].tolist()):
+        spokes.setdefault(i, []).append(v)
     breaks = []
-    if not cluster.leaders <= cluster.members:
-        breaks = [{"cluster": cluster.id, "leader_outside": v}
-                  for v in sorted(cluster.leaders - cluster.members)]
-    m, p = cluster.master, cluster.proxy
-    if p is None:
-        p = m
-    elif not adj[m, p]:
-        breaks.append({"cluster": cluster.id, "missing_edge": [m, p]})
-        return breaks
-    for v in sorted(cluster.members - {m, p}):
-        if not (adj[v, m] or adj[v, p]):
-            breaks.append({"cluster": cluster.id, "stranded_member": v})
-    return breaks
+    for i in np.flatnonzero(broken).tolist():
+        cid, m, p = int(state.ids[i]), int(masters[i]), int(partners[i])
+        outside = {v for v, listed in ((m, inside[0, i]), (p, inside[1, i])) if not listed}
+        breaks += [{"cluster": cid, "leader_outside": v} for v in sorted(outside)]
+        if not paired[i]:
+            breaks.append({"cluster": cid, "missing_edge": [m, p]})
+        breaks += [{"cluster": cid, "stranded_member": v} for v in spokes.get(i, [])]
+    return broken, breaks
 
 
 def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckResult:
@@ -105,21 +97,21 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
     beyond ``MAX_NODES`` members in total (only overlapping clusters get
     there).
     """
-    total = sum(len(cluster.members) for cluster in state.clusters)
+    total = len(state.nodes)
     if total > MAX_NODES:
         raise SizeLimitError(
             f"clusters list {total} members in total, more than the {MAX_NODES} "
             "the diameter check is built for"
         )
+    broken, _ = _star_breaks(state, graph.adj)
+    bounds = state.bounds()
     witnesses = []
-    for cluster in state.clusters:
-        if len(cluster.members) < 2 or not _star_breaks(cluster, graph.adj):
-            continue
-        order = sorted(cluster.members)
+    for i in np.flatnonzero(broken & (np.diff(bounds) > 1)).tolist():
+        order = state.nodes[bounds[i]:bounds[i + 1]].tolist()
         hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
         for a, b in np.argwhere((hop == UNREACHABLE) | (hop > 3)).tolist():
             distance = None if hop[a, b] == UNREACHABLE else int(hop[a, b])
-            witnesses.append({"cluster": cluster.id,
+            witnesses.append({"cluster": int(state.ids[i]),
                               "pair": [order[a], order[b]], "distance": distance})
     return CheckResult("cluster-diameter", witnesses)
 
@@ -130,8 +122,8 @@ def check_double_star(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     member is adjacent to one of them, so that edge dominates every spoke.
     A cluster without a proxy is checked as a star: its master among its
     members and every other member adjacent to it."""
-    witnesses = [w for cluster in state.clusters for w in _star_breaks(cluster, graph.adj)]
-    starless = sum(cluster.proxy is None for cluster in state.clusters)
+    witnesses = _star_breaks(state, graph.adj)[1]
+    starless = int((state.proxies < 0).sum())
     note = f"{starless} cluster(s) without a proxy, checked as stars" if starless else ""
     return CheckResult("double-star", witnesses, note)
 
@@ -140,18 +132,17 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every node lies in exactly one cluster: member sets are pairwise
     disjoint and cover the nodes.  The state is read as a complete
     clustering whatever its critical set, so a formation state's critical
-    nodes outside every cluster are witnesses too."""
-    witnesses = []
-    seen: dict[int, int] = {}
-    for cluster in state.clusters:
-        for v in sorted(cluster.members):
-            if v in seen:
-                witnesses.append({"node": v, "clusters": [seen[v], cluster.id]})
-            else:
-                seen[v] = cluster.id
-    for v in range(state.node_count):
-        if v not in seen:
-            witnesses.append({"node": v, "uncovered": True})
+    nodes outside every cluster are witnesses too.  A node listed again
+    names the cluster that first lists it and the one that lists it again,
+    in listing order."""
+    nodes, ids = state.nodes, state.ids[state.cluster]
+    entries = np.arange(len(nodes))
+    first = np.full(state.node_count, -1)  # each node's first entry in the listing
+    first[nodes[::-1]] = entries[::-1]
+    again = np.flatnonzero(first[nodes] != entries)
+    witnesses = [{"node": v, "clusters": [a, b]} for v, a, b in zip(
+        nodes[again].tolist(), ids[first[nodes[again]]].tolist(), ids[again].tolist())]
+    witnesses += [{"node": v, "uncovered": True} for v in np.flatnonzero(first < 0).tolist()]
     return CheckResult("partition", witnesses)
 
 
@@ -162,14 +153,16 @@ def check_dominance_and_independence(
     and no two masters are adjacent.  The two halves are reported
     separately in ``details`` (motion may be allowed to break master
     independence while dominance must still hold)."""
-    nodes, owner = member_columns([ordinary_members(c) for c in state.clusters])
-    near = hop[nodes[:, None], leader_pairs(state.clusters)[owner]]
-    dominated = ((near != UNREACHABLE) & (near <= 2)).any(axis=1)
-    dominance_witnesses = [{"cluster": state.clusters[i].id, "node": v}
-                           for i, v in zip(owner[~dominated].tolist(), nodes[~dominated].tolist())]
-    masters = sorted(state.masters())
-    pairs = np.nonzero(np.triu(graph.adj[np.ix_(masters, masters)], 1))
-    independence_witnesses = [{"masters": [masters[i], masters[j]]} for i, j in zip(*pairs)]
+    members, owner, leaders = state.ordinary()
+    near = hop[members[:, None], leaders]
+    far = ~((near != UNREACHABLE) & (near <= 2)).any(axis=1)
+    dominance_witnesses = [{"cluster": c, "node": v} for c, v in
+                           zip(state.ids[owner[far]].tolist(), members[far].tolist())]
+    is_master = np.zeros(state.node_count, dtype=bool)
+    is_master[state.masters] = True
+    leading = np.flatnonzero(is_master).tolist()
+    pairs = np.nonzero(np.triu(graph.adj[np.ix_(leading, leading)], 1))
+    independence_witnesses = [{"masters": [leading[i], leading[j]]} for i, j in zip(*pairs)]
     return CheckResult(
         "dominance-and-independence",
         dominance_witnesses + independence_witnesses,
@@ -203,14 +196,16 @@ def perfect_claims(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     each pair that is no edge; one pass over the clusters, whatever the
     size of the graph.
     """
+    bounds = state.bounds().tolist()
     witnesses = []
-    for cluster in state.clusters:
-        m, p = cluster.master, cluster.proxy
-        if p is None:
-            if len(cluster.members) > 1:
-                witnesses.append({"cluster": cluster.id, "no_proxy": sorted(cluster.members)})
+    for i, (cid, m, p) in enumerate(zip(state.ids.tolist(), state.masters.tolist(),
+                                        state.proxies.tolist())):
+        if p < 0:
+            if bounds[i + 1] - bounds[i] > 1:
+                members = state.nodes[bounds[i]:bounds[i + 1]].tolist()
+                witnesses.append({"cluster": cid, "no_proxy": members})
         elif not graph.adj[m, p]:
-            witnesses.append({"cluster": cluster.id, "missing_edge": [m, p]})
+            witnesses.append({"cluster": cid, "missing_edge": [m, p]})
     return CheckResult("efficient-edge-domination", witnesses)
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -99,8 +100,54 @@ def connected_deployments(draw, n_low, n_high, range_low=20.0, range_high=50.0,
     return n, range_, seed
 
 
+@dataclass
+class ClusterRecord:
+    """One cluster as the set-based references read it: its leaders (None
+    for no proxy) plus its full member set."""
+
+    id: int
+    master: int
+    proxy: int | None
+    members: set[int]
+
+    @property
+    def leaders(self) -> set[int]:
+        return {self.master} if self.proxy is None else {self.master, self.proxy}
+
+
+def cluster_state(node_count, clusters, critical=()):
+    """A ``ClusterState`` listing ``clusters`` in order, each a
+    ``ClusterRecord`` or a (master, proxy, members) triple that takes the
+    id of its place (1, 2, ...), with the ``critical`` nodes marked and no
+    hidden master or deferred node."""
+    records = [c if isinstance(c, ClusterRecord) else ClusterRecord(i + 1, *c)
+               for i, c in enumerate(clusters)]
+    groups = [sorted(c.members) for c in records]
+    marked = np.zeros(node_count, dtype=bool)
+    marked[list(critical)] = True
+    return d.ClusterState(
+        node_count=node_count,
+        ids=np.array([c.id for c in records], dtype=np.int64),
+        masters=np.array([c.master for c in records], dtype=np.intp),
+        proxies=np.array([-1 if c.proxy is None else c.proxy for c in records], dtype=np.intp),
+        nodes=np.array([v for group in groups for v in group], dtype=np.intp),
+        cluster=np.repeat(np.arange(len(groups)), [len(group) for group in groups]),
+        critical=marked, hm1=np.zeros(node_count, dtype=bool),
+        hm2=np.zeros(node_count, dtype=bool), deferred=np.zeros(node_count, dtype=bool),
+    )
+
+
 def cluster_records(state):
-    """The state's clusters as records with ``id``, ``master``, ``proxy``
-    (None for none), ``members`` (a set) and ``leaders``: the form the
-    set-based references read."""
-    return state.clusters
+    """The state's clusters as fresh ``ClusterRecord``s, in list order: the
+    form the set-based references read."""
+    bounds = state.bounds().tolist()
+    return [
+        ClusterRecord(cid, m, None if p < 0 else p, set(state.nodes[bounds[i]:bounds[i + 1]].tolist()))
+        for i, (cid, m, p) in enumerate(zip(state.ids.tolist(), state.masters.tolist(),
+                                            state.proxies.tolist()))
+    ]
+
+
+def node_set(column):
+    """The nodes a boolean node column marks."""
+    return set(np.flatnonzero(column).tolist())

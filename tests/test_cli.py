@@ -6,6 +6,7 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -251,6 +252,7 @@ MALFORMED = [
                  "is repeated in cluster", id="repeated-member"),
     pytest.param("report", lambda r: r.update(deferred=[2, 2]),
                  "node 2 is repeated in 'deferred'", id="repeated-deferred"),
+    pytest.param("report", _set_cluster("id", 1 << 64), "64-bit", id="huge-cluster-id"),
     pytest.param("fixture", _set_euclid(0, 1, 5.0), "euclid matrix is asymmetric at (0, 1)",
                  id="asymmetric-euclid"),
     pytest.param("fixture", _set_euclid(2, 2, 1.0), "euclid matrix must have a zero diagonal",
@@ -579,15 +581,21 @@ class TestOutputPaths:
 
 
 class TestRoundTrips:
-    def test_report_reingest_reproduces_state(self, bundle, paper_states):
-        formation, final = paper_states
-        doc = d.cluster_report(formation, final)
-        rebuilt = d.fileio.state_from_report(json.loads(json.dumps(doc)))
-        assert {
-            (c.master, c.proxy, tuple(sorted(c.members))) for c in rebuilt.clusters
-        } == {
-            (c.master, c.proxy, tuple(sorted(c.members))) for c in final.clusters
-        }
+    @given(connected_deployments(2, 60))
+    def test_report_reingest_reproduces_state(self, deployment):
+        """Reading back the JSON of a cluster report gives the final state's
+        clusters, in their order, and the formation's bookkeeping."""
+        n, range_, seed = deployment
+        graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+        hop = d.compute_tables(graph)
+        formation, final = d.form_and_adjust(graph, hop, d.compute_network_metrics(graph, hop))
+        doc = json.loads(json.dumps(d.cluster_report(formation, final)))
+        rebuilt = d.fileio.state_from_report(doc)
+        assert rebuilt.node_count == n
+        for name in ("ids", "masters", "proxies", "nodes", "cluster"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(final, name)), name
+        for name in ("hm1", "hm2", "deferred"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(formation, name)), name
 
 
 class TestFixtureMatchesScenario:

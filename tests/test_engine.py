@@ -13,7 +13,15 @@ import dscluster as d
 from dscluster.cli import main
 from dscluster.errors import DisconnectedGraphError
 
-from conftest import connected_deployments, connected_rgg_suite, fixture_inputs
+from conftest import (
+    ClusterRecord,
+    cluster_records,
+    cluster_state,
+    connected_deployments,
+    connected_rgg_suite,
+    fixture_inputs,
+    node_set,
+)
 
 # step-by-step election/adjustment trail on the bundled 23-node fixture
 GOLDEN_EVENTS = [
@@ -46,7 +54,7 @@ GOLDEN_EVENTS = [
 def _clusters_as_tuples(state):
     return {
         (c.master, c.proxy, tuple(sorted(c.members)))
-        for c in state.clusters
+        for c in cluster_records(state)
     }
 
 
@@ -126,14 +134,19 @@ def reference_run_adjusted(state, graph, metrics, branches):
     neighbourhood set at a time: the reference for ``run_adjusted``.
     ``branches`` counts the critical nodes that reach the type-I
     hidden-master branch."""
-    if not state.critical:
+    critical, hidden_masters_1 = node_set(state.critical), node_set(state.hm1)
+    if not critical:
         return state
 
-    working = {c.id: c.copy() for c in state.clusters}
-    membership = state.membership()
-    masters = state.masters()
-    proxies = state.proxies()
-    pending = set(state.critical)
+    clusters = cluster_records(state)
+    working = {c.id: c for c in clusters}
+    membership = {}  # node -> cluster id; when duplicated, the lowest cluster id wins
+    for c in sorted(clusters, key=lambda c: c.id):
+        for m in c.members:
+            membership.setdefault(m, c.id)
+    masters = {c.master for c in clusters}
+    proxies = {c.proxy for c in clusters if c.proxy is not None}
+    pending = set(critical)
     events = list(state.events)
     next_id = max(working, default=0) + 1
 
@@ -144,12 +157,12 @@ def reference_run_adjusted(state, graph, metrics, branches):
         if any(graph.adj[c, m] for m in masters):
             return None
         own = partitions(c)
-        if c in state.hidden_masters_1 and any(graph.adj[c, p] for p in proxies):
+        if c in hidden_masters_1 and any(graph.adj[c, p] for p in proxies):
             branches["hidden-master"] += 1
             base = {v for v in _neighbors(graph, c) if v not in masters and v not in proxies}
             for partner in sorted(base, key=metrics.rank, reverse=True):
                 if partner in pending:
-                    if partner in state.hidden_masters_1:
+                    if partner in hidden_masters_1:
                         extra = partitions(partner).n_dprime
                     else:
                         extra = set(_neighbors(graph, partner))
@@ -165,7 +178,7 @@ def reference_run_adjusted(state, graph, metrics, branches):
         mate = partitions(partner)
         return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
 
-    for c in sorted(state.critical, key=metrics.rank, reverse=True):
+    for c in sorted(critical, key=metrics.rank, reverse=True):
         outcome = attempt(c) if c in pending else None
         if outcome is None:
             continue
@@ -178,7 +191,7 @@ def reference_run_adjusted(state, graph, metrics, branches):
                 working[old].members.discard(m)
                 lost.setdefault(old, []).append(m)
             membership[m] = next_id
-        working[next_id] = d.ClusterRecord(id=next_id, master=c, proxy=partner, members=members)
+        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=partner, members=members)
         masters.add(c)
         proxies.add(partner)
         events.append({"action": "adjust_cluster", "id": next_id, "master": c,
@@ -191,12 +204,13 @@ def reference_run_adjusted(state, graph, metrics, branches):
     for c in sorted(pending, key=metrics.rank, reverse=True):
         if membership.get(c) is not None:
             continue
-        working[next_id] = d.ClusterRecord(id=next_id, master=c, proxy=None, members={c})
+        working[next_id] = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
         events.append({"action": "singleton_master", "id": next_id, "node": c})
         next_id += 1
 
     clusters = [working[cid] for cid in sorted(working)]
-    return replace(state, clusters=clusters, critical=set(), events=events)
+    return replace(cluster_state(state.node_count, clusters), hm1=state.hm1, hm2=state.hm2,
+                   deferred=state.deferred, events=events)
 
 
 class TestNeighborPartitions:
@@ -211,8 +225,8 @@ class TestNeighborPartitions:
 
     def test_roles_are_formation_roles(self, paper_states):
         formation, _ = paper_states
-        assert formation.masters() == self.MASTERS
-        assert formation.proxies() == self.PROXIES
+        assert set(formation.masters.tolist()) == self.MASTERS
+        assert set(formation.proxies.tolist()) == self.PROXIES
 
     def test_proxy_16(self, bundle, paper_metrics):
         parts = self._parts(16, bundle, paper_metrics)
@@ -331,11 +345,11 @@ class TestFormation:
 
     def test_reference_bookkeeping(self, paper_states):
         formation, _ = paper_states
-        assert formation.hidden_masters_1 == {11, 13, 14}
-        assert formation.critical == {6, 7, 11, 13, 14, 20}
-        assert formation.deferred == {6, 7, 11, 13, 20}
+        assert node_set(formation.hm1) == {11, 13, 14}
+        assert node_set(formation.critical) == {6, 7, 11, 13, 14, 20}
+        assert node_set(formation.deferred) == {6, 7, 11, 13, 20}
         # final unabsorbed deferred nodes, none adjacent to a proxy
-        assert formation.hidden_masters_2 == {6, 7, 20}
+        assert node_set(formation.hm2) == {6, 7, 20}
 
     def test_golden_event_trail(self, paper_states):
         _, final = paper_states
@@ -343,23 +357,18 @@ class TestFormation:
 
     def test_statuses(self, paper_states):
         formation, _ = paper_states
-        st = formation.statuses()
-        assert st[3] == d.NodeStatus.MASTER
-        assert st[16] == d.NodeStatus.PROXY
-        assert st[0] == d.NodeStatus.SLAVE
+        st = [d.STATUSES[code] for code in formation.statuses()]
+        assert (st[3], st[16], st[0]) == ("master", "proxy", "slave")
         # statuses read every state as a complete clustering: the type-I
         # hidden master 13 is a slave, the deferred node 20 unclustered
-        assert st[13] == d.NodeStatus.SLAVE
-        assert st[20] == d.NodeStatus.UNCLUSTERED
+        assert (st[13], st[20]) == ("slave", "unclustered")
 
     def test_single_node(self):
         graph = d.build_graph(np.array([[5.0, 5.0]]), range_=10.0)
         hop = d.compute_tables(graph)
         state = d.run_m_dsec(graph, hop, None)
-        assert len(state.clusters) == 1
-        assert state.clusters[0].master == 0
-        assert state.clusters[0].proxy is None
-        assert state.critical == set()
+        assert cluster_records(state) == [ClusterRecord(1, 0, None, {0})]
+        assert not state.critical.any()
 
     def test_star_graph_perfect(self):
         # hub with four spokes at unit range; the hub's degree dominates
@@ -374,17 +383,13 @@ class TestFormation:
         formation, final = d.form_and_adjust(graph, hop, metrics)
         assert d.classification(formation) == "perfect"
         assert final is formation
-        assert len(formation.clusters) == 1
-        record = formation.clusters[0]
-        assert record.master == 0
         # the four leaves tie on weight and NS; the lowest id wins
-        assert record.proxy == 1
-        assert record.members == {0, 1, 2, 3, 4}
-        assert formation.critical == set()
-        # no critical node left: hidden masters never show, full coverage is required
-        assert not {"hm1", "hm2"} & {s.value for s in formation.statuses().values()}
-        dropped = formation.copy()
-        dropped.clusters[0].members.discard(4)
+        assert cluster_records(formation) == [ClusterRecord(1, 0, 1, {0, 1, 2, 3, 4})]
+        assert not formation.critical.any()
+        # no critical node left, and full coverage is required
+        assert [d.STATUSES[code] for code in formation.statuses()] == ["master", "proxy"] + [
+            "slave"] * 3
+        dropped = cluster_state(5, [(0, 1, {0, 1, 2, 3})])
         assert not d.check_partition(dropped, graph).passed
 
     def test_disconnected_refused(self):
@@ -407,8 +412,8 @@ class TestFormation:
 
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
         formation, _ = paper_states
-        for c in formation.clusters:
-            assert paper_metrics.weight(c.master) >= paper_metrics.weight(c.proxy)
+        for m, p in zip(formation.masters.tolist(), formation.proxies.tolist()):
+            assert paper_metrics.weight(m) >= paper_metrics.weight(p)
 
 
 class TestTieBreaking:
@@ -424,12 +429,12 @@ class TestTieBreaking:
     def test_weight_tie_higher_ns_wins(self):
         graph, hop, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 20.0, 0.0])
         state = d.run_m_dsec(graph, hop, metrics)
-        assert state.clusters[0].master == 1
+        assert state.masters[0] == 1
 
     def test_full_tie_lower_id_wins(self):
         graph, hop, metrics = self._fixture([5.0, 5.0, 1.0], [10.0, 10.0, 0.0])
         state = d.run_m_dsec(graph, hop, metrics)
-        assert state.clusters[0].master == 0
+        assert state.masters[0] == 0
 
     def test_rank_orders_weight_ns_id(self):
         _, _, metrics = self._fixture([5.0, 5.0, 5.0, 6.0], [10.0, 20.0, 10.0, 0.0])
@@ -450,7 +455,7 @@ class TestTieBreaking:
 class TestAdjustment:
     def test_reference_adjusted_clusters(self, paper_states):
         _, final = paper_states
-        assert final.critical == set()
+        assert not final.critical.any()
         assert _clusters_as_tuples(final) == {
             (3, 1, (0, 1, 2, 3, 4, 5, 22)),
             (18, 16, (16, 17, 18, 19, 21)),
@@ -459,13 +464,12 @@ class TestAdjustment:
             (6, 7, (6, 7)),
             (20, None, (20,)),
         }
-        assert final.critical == set()
 
     def test_partition_after_adjustment(self, bundle, paper_states):
         _, final = paper_states
         check = d.check_partition(final, bundle.graph)
         assert check.passed
-        assert sum(len(c.members) for c in final.clusters) == 23
+        assert len(final.nodes) == 23
 
     def test_no_critical_is_identity(self):
         edges = [(0, v) for v in range(1, 5)]
@@ -477,12 +481,12 @@ class TestAdjustment:
         graph, hop = fixture_inputs(edges, euclid)
         metrics = d.compute_network_metrics(graph, hop, overrides=overrides)
         state = d.run_m_dsec(graph, hop, metrics)
-        assert state.critical == set()
+        assert not state.critical.any()
         assert d.run_adjusted(state, graph, metrics) is state
 
     def test_members_leave_donor_clusters(self, paper_states):
         _, final = paper_states
-        owner = final.membership()
+        owner = {v: c.id for c in cluster_records(final) for v in c.members}
         for node in (13, 14, 15):
             assert owner[node] == 4  # pulled out of cluster 2
         for node in (11, 12):
@@ -503,13 +507,13 @@ class TestRandomisedInvariants:
             formation, final = d.form_and_adjust(graph, hop, metrics)
             for state in (formation, final):
                 seen = set()
-                for c in state.clusters:
+                for c in cluster_records(state):
                     assert not (c.members & seen)
                     seen |= c.members
                     assert c.master in c.members
                     if c.proxy is not None:
                         assert graph.adj[c.master, c.proxy]
-            covered = set().union(*(c.members for c in final.clusters))
+            covered = set().union(*(c.members for c in cluster_records(final)))
             assert covered == set(range(graph.node_count))
 
 
@@ -518,13 +522,13 @@ def _hidden_masters_touch_their_proxy(graph, formation, final):
     proxy, because formation puts each one in N'(y) of the proxy y of the
     cluster that lists it, and no proxy is lost during adjustment.  Returns
     how many hidden masters were seen."""
-    listed = set()
-    for c in formation.clusters:
-        for v in formation.hidden_masters_1 & c.members:
+    listed, hidden_masters_1 = set(), node_set(formation.hm1)
+    for c in cluster_records(formation):
+        for v in hidden_masters_1 & c.members:
             assert c.proxy is not None and graph.adj[v, c.proxy]
             listed.add(v)
-    assert listed == formation.hidden_masters_1
-    assert formation.proxies() <= final.proxies()
+    assert listed == hidden_masters_1
+    assert set(formation.proxies.tolist()) <= set(final.proxies.tolist())
     return len(listed)
 
 
@@ -587,9 +591,10 @@ def _clustering(state, label):
     clusters = [
         (c.id, rename(c.master), None if c.proxy is None else rename(c.proxy),
          sorted(map(rename, c.members)))
-        for c in state.clusters
+        for c in cluster_records(state)
     ]
-    return clusters, sorted(map(rename, state.deferred)), sorted(map(rename, state.critical))
+    return (clusters, sorted(map(rename, node_set(state.deferred))),
+            sorted(map(rename, node_set(state.critical))))
 
 
 @st.composite

@@ -18,7 +18,7 @@ from dscluster.errors import (
 from dscluster.fileio import load_fixture
 from dscluster.graph import MAX_NODES
 
-from conftest import random_edge_graph
+from conftest import cluster_state, random_edge_graph
 
 
 def reference_hops(graph, sources=None):
@@ -216,10 +216,7 @@ class TestBitParallelKernel:
     def test_empty_graph_and_empty_cluster_union(self):
         hop = d.hop_distance_table(d.NetworkGraph(adj=np.zeros((0, 0), dtype=bool)))
         assert hop.shape == (0, 0) and hop.dtype == np.int64
-        state = d.ClusterState(
-            node_count=3, clusters=[], critical=set(), hidden_masters_1=set(),
-            hidden_masters_2=set(), deferred=set(),
-        )
+        state = cluster_state(3, [])
         assert d.check_cluster_diameter(state, d.graph_from_edges(3, [(0, 1)])).passed
 
     @pytest.mark.parametrize("n", [128, 129, 256, 257, 258, 300])

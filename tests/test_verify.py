@@ -17,25 +17,20 @@ from dscluster.errors import SizeLimitError
 from dscluster.mobility import _Simulation
 from dscluster.verify import perfect_claims
 
-from conftest import cluster_records, connected_deployments, random_edge_graph
-
-
-def _state(node_count, clusters):
-    records = [
-        d.ClusterRecord(id=i + 1, master=m, proxy=p, members=set(members))
-        for i, (m, p, members) in enumerate(clusters)
-    ]
-    return d.ClusterState(
-        node_count=node_count, clusters=records, critical=set(),
-        hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-    )
+from conftest import (
+    ClusterRecord,
+    cluster_records,
+    cluster_state,
+    connected_deployments,
+    random_edge_graph,
+)
 
 
 def _per_cluster_diameter_witnesses(state, graph):
     """One BFS per cluster on its member-induced subgraph: the reference for
     the single BFS over all clusters."""
     witnesses = []
-    for cluster in state.clusters:
+    for cluster in cluster_records(state):
         order = sorted(cluster.members)
         hop = d.hop_distance_table(d.NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
         for i, j in np.argwhere((hop == d.UNREACHABLE) | (hop > 3)):
@@ -49,16 +44,17 @@ def _union_bfs_diameter_witnesses(state, graph):
     """One BFS over the disjoint union of the member-induced subgraphs, laid
     out cluster by cluster with the edges between clusters masked out: the
     earlier implementation, kept as the reference for the block check."""
-    sizes = [len(cluster.members) for cluster in state.clusters]
-    order = np.array([v for cluster in state.clusters for v in sorted(cluster.members)], dtype=int)
-    owner = np.repeat(np.arange(len(state.clusters)), sizes)
+    clusters = cluster_records(state)
+    sizes = [len(cluster.members) for cluster in clusters]
+    order = np.array([v for cluster in clusters for v in sorted(cluster.members)], dtype=int)
+    owner = np.repeat(np.arange(len(clusters)), sizes)
     same = owner[:, None] == owner[None, :]
     hop = d.hop_distance_table(d.NetworkGraph(adj=graph.adj[order][:, order] & same))
     too_far = ((hop == d.UNREACHABLE) | (hop > 3)) & same
     witnesses = []
     for i, j in zip(*np.divmod(np.flatnonzero(too_far), order.size)):
         distance = None if hop[i, j] == d.UNREACHABLE else int(hop[i, j])
-        witnesses.append({"cluster": state.clusters[owner[i]].id,
+        witnesses.append({"cluster": clusters[owner[i]].id,
                           "pair": [int(order[i]), int(order[j])], "distance": distance})
     return witnesses
 
@@ -91,13 +87,10 @@ def _long_clusters(draw):
         master = draw(inside | nodes)
         touching = sorted({u + v - master for u, v in edges if master in (u, v)})
         near = st.sampled_from(touching) if touching else inside
-        clusters.append(d.ClusterRecord(id=cid, master=master,
-                                        proxy=draw(st.none() | near | inside | nodes),
-                                        members=members))
-    state = d.ClusterState(
-        node_count=n, clusters=clusters, critical=draw(st.sets(nodes, max_size=3)),
-        hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-    )
+        clusters.append(ClusterRecord(id=cid, master=master,
+                                      proxy=draw(st.none() | near | inside | nodes),
+                                      members=members))
+    state = cluster_state(n, clusters, critical=draw(st.sets(nodes, max_size=3)))
     return d.graph_from_edges(n, sorted(edges)), state
 
 
@@ -178,8 +171,7 @@ def _graph_and_clusters(draw):
     count = draw(st.integers(0, 5))
     ids = draw(st.permutations(range(1, count + 1)))
     clusters = [
-        d.ClusterRecord(id=cid, master=draw(nodes), proxy=None,
-                        members=draw(st.sets(nodes)))
+        ClusterRecord(id=cid, master=draw(nodes), proxy=None, members=draw(st.sets(nodes)))
         for cid in ids
     ]
     return d.graph_from_edges(n, edges), clusters
@@ -189,15 +181,16 @@ def _loop_dominance_and_independence(state, graph, hop):
     """(dominance, independence) witnesses by one scalar lookup per member
     and leader and one adjacency test per pair of masters: the reference
     for the gathered check."""
+    clusters = cluster_records(state)
     dominance = []
-    for cluster in state.clusters:
+    for cluster in clusters:
         for v in sorted(cluster.members - cluster.leaders):
             dists = [hop[v, l] for l in cluster.leaders]
             reachable = [h for h in dists if h != d.UNREACHABLE]
             if not reachable or min(reachable) > 2:
                 dominance.append({"cluster": cluster.id, "node": v})
     independence = []
-    masters = sorted(state.masters())
+    masters = sorted({cluster.master for cluster in clusters})
     for i, a in enumerate(masters):
         for b in masters[i + 1:]:
             if graph.adj[a, b]:
@@ -217,17 +210,14 @@ def _graph_and_led_clusters(draw):
         (draw(nodes), draw(st.none() | nodes), draw(st.sets(nodes)))
         for _ in range(draw(st.integers(0, 6)))
     ]
-    return d.graph_from_edges(n, edges), _state(n, clusters)
+    return d.graph_from_edges(n, edges), cluster_state(n, clusters)
 
 
 class TestClusterDiameter:
     @given(_graph_and_clusters())
     def test_single_bfs_matches_per_cluster_reference(self, drawn):
         graph, clusters = drawn
-        state = d.ClusterState(
-            node_count=graph.node_count, clusters=clusters, critical=set(),
-            hidden_masters_1=set(), hidden_masters_2=set(), deferred=set(),
-        )
+        state = cluster_state(graph.node_count, clusters)
         expected = _per_cluster_diameter_witnesses(state, graph)
         check = d.check_cluster_diameter(state, graph)
         assert check.witnesses == expected
@@ -252,9 +242,8 @@ class TestClusterDiameter:
             clusters.append((members[0], None, set(members)))
             start += size
         graph = d.graph_from_edges(start, edges)
-        state = _state(start, clusters)
-        for cluster, cid in zip(state.clusters, (4, 2, 5, 1, 3)):
-            cluster.id = cid
+        state = cluster_state(start, [ClusterRecord(cid, *cluster)
+                                      for cid, cluster in zip((4, 2, 5, 1, 3), clusters)])
         witnesses = d.check_cluster_diameter(state, graph).witnesses
         assert witnesses == _union_bfs_diameter_witnesses(state, graph)
         distances = {w["distance"] for w in witnesses}
@@ -268,7 +257,7 @@ class TestClusterDiameter:
         # 1000-node path would list about a million witness pairs)
         edges = [(v, v + 1) for v in range(29)] + [(0, v) for v in range(30, 1000)]
         graph = d.graph_from_edges(1000, edges)
-        state = _state(1000, [(0, None, set(range(1000)))])
+        state = cluster_state(1000, [(0, None, set(range(1000)))])
         witnesses = d.check_cluster_diameter(state, graph).witnesses
         assert witnesses == _union_bfs_diameter_witnesses(state, graph)
         assert max(w["distance"] for w in witnesses) == 30
@@ -282,7 +271,7 @@ class TestClusterDiameter:
     def test_a_star_counts_only_inside_the_cluster(self, master, proxy, extra):
         # members 0..4 form a path, 4 hops end to end inside the cluster
         graph = d.graph_from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)] + extra)
-        state = _state(6, [(master, proxy, {0, 1, 2, 3, 4})])
+        state = cluster_state(6, [(master, proxy, {0, 1, 2, 3, 4})])
         witnesses = d.check_cluster_diameter(state, graph).witnesses
         assert witnesses == _union_bfs_diameter_witnesses(state, graph)
         assert {"cluster": 1, "pair": [0, 4], "distance": 4} in witnesses
@@ -307,7 +296,7 @@ class TestClusterDiameter:
             edges.append((u, u + 1))
             clusters.append((3500, None, {u, u + 1}))
         graph = d.graph_from_edges(3501, edges)
-        state = _state(3501, clusters)
+        state = cluster_state(3501, clusters)
         pairs = 1500 ** 2 + 1000 * 2 ** 2
         with _address_space_cap(1 << 30):
             peak = _peak_bytes(d.check_cluster_diameter, state, graph)
@@ -318,7 +307,7 @@ class TestClusterDiameter:
         graph = d.graph_from_edges(2, [(0, 1)])
         clusters = [(0, 1, {0, 1})] * (d.graph.MAX_NODES // 2 + 1)
         with pytest.raises(SizeLimitError):
-            d.check_cluster_diameter(_state(2, clusters), graph)
+            d.check_cluster_diameter(cluster_state(2, clusters), graph)
 
     def test_reference_initial_cluster(self, bundle, paper_states):
         formation, _ = paper_states
@@ -327,17 +316,17 @@ class TestClusterDiameter:
 
     def test_singleton_cluster(self):
         graph = d.graph_from_edges(1, [])
-        state = _state(1, [(0, None, {0})])
+        state = cluster_state(1, [(0, None, {0})])
         assert d.check_cluster_diameter(state, graph).passed
 
     def test_path_cluster_diameter_three(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        state = _state(4, [(1, 2, {0, 1, 2, 3})])
+        state = cluster_state(4, [(1, 2, {0, 1, 2, 3})])
         assert d.check_cluster_diameter(state, graph).passed
 
     def test_overlong_path_fails_with_witness(self):
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        state = _state(5, [(1, 2, {0, 1, 2, 3, 4})])
+        state = cluster_state(5, [(1, 2, {0, 1, 2, 3, 4})])
         check = d.check_cluster_diameter(state, graph)
         assert not check.passed
         assert {"cluster": 1, "pair": [0, 4], "distance": 4} in check.witnesses
@@ -346,7 +335,7 @@ class TestClusterDiameter:
         # 0-1-2-3-4 is a member path; the non-member 5 would shorten 0..4 to
         # 2 hops, and member 6 has no edge at all
         graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 4)])
-        state = _state(7, [(1, 2, {0, 1, 2, 3, 4, 6}), (5, None, {5})])
+        state = cluster_state(7, [(1, 2, {0, 1, 2, 3, 4, 6}), (5, None, {5})])
         check = d.check_cluster_diameter(state, graph)
         members = [0, 1, 2, 3, 4, 6]
         expected = [
@@ -371,7 +360,7 @@ class TestDoubleStar:
 
     def test_missing_proxy_vacuous_with_note(self):
         graph = d.graph_from_edges(2, [(0, 1)])
-        state = _state(2, [(0, None, {0, 1})])
+        state = cluster_state(2, [(0, None, {0, 1})])
         check = d.check_double_star(state, graph)
         assert check.passed
         assert "without a proxy" in check.note
@@ -379,14 +368,14 @@ class TestDoubleStar:
     def test_stranded_member_fails(self):
         # node 3 touches neither leader
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        state = _state(4, [(0, 1, {0, 1, 2, 3})])
+        state = cluster_state(4, [(0, 1, {0, 1, 2, 3})])
         check = d.check_double_star(state, graph)
         assert not check.passed
         assert {"cluster": 1, "stranded_member": 3} in check.witnesses
 
     def test_leaders_not_adjacent_fails(self):
         graph = d.graph_from_edges(3, [(0, 1), (1, 2)])
-        state = _state(3, [(0, 2, {0, 1, 2})])
+        state = cluster_state(3, [(0, 2, {0, 1, 2})])
         check = d.check_double_star(state, graph)
         assert not check.passed
         assert {"cluster": 1, "missing_edge": [0, 2]} in check.witnesses
@@ -395,14 +384,14 @@ class TestDoubleStar:
         # node 1 leads cluster 1 while cluster 2 lists it as a slave; every
         # other check passes on this state
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
-        state = _state(5, [(1, 2, {0, 2}), (4, 3, {1, 3, 4})])
+        state = cluster_state(5, [(1, 2, {0, 2}), (4, 3, {1, 3, 4})])
         report = d.run_property_checks(state, graph, d.hop_distance_table(graph))
         assert {c.name: c.witnesses for c in report.checks if not c.passed} == {
             "double-star": [{"cluster": 1, "leader_outside": 1}]}
 
     def test_proxyless_master_outside_its_cluster_fails(self):
         graph = d.graph_from_edges(2, [(0, 1)])
-        state = _state(2, [(0, None, {1})])
+        state = cluster_state(2, [(0, None, {1})])
         check = d.check_double_star(state, graph)
         assert check.witnesses == [{"cluster": 1, "leader_outside": 0}]
 
@@ -419,17 +408,17 @@ class TestPartition:
 
     def test_duplicate_membership_detected(self, bundle, paper_states):
         _, final = paper_states
-        broken = final.copy()
-        broken.clusters[0].members.add(20)
-        check = d.check_partition(broken, bundle.graph)
+        clusters = cluster_records(final)
+        clusters[0].members.add(20)
+        check = d.check_partition(cluster_state(final.node_count, clusters), bundle.graph)
         assert not check.passed
         assert any(w.get("node") == 20 and "clusters" in w for w in check.witnesses)
 
     def test_uncovered_node_detected(self, bundle, paper_states):
         _, final = paper_states
-        broken = final.copy()
-        broken.clusters[-1].members.discard(20)
-        check = d.check_partition(broken, bundle.graph)
+        clusters = cluster_records(final)
+        clusters[-1].members.discard(20)
+        check = d.check_partition(cluster_state(final.node_count, clusters), bundle.graph)
         assert not check.passed
 
     def test_formation_state_leaves_critical_nodes_uncovered(self, bundle, paper_states):
@@ -440,7 +429,7 @@ class TestPartition:
         assert check.witnesses == [{"node": v, "uncovered": True} for v in (6, 7, 20)]
 
     def test_empty_state_vacuous(self):
-        state = _state(0, [])
+        state = cluster_state(0, [])
         graph = d.graph_from_edges(1, [])  # graph unused beyond adjacency lookups
         assert d.check_partition(state, graph).passed
 
@@ -459,7 +448,7 @@ class TestDominanceAndIndependence:
     def test_unreachable_overlapping_and_proxy_less_clusters(self):
         # 0-1-2-3 and 4-5 are separate components; 6 is isolated
         graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
-        state = _state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}), (0, None, {0, 3})])
+        state = cluster_state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}), (0, None, {0, 3})])
         check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
         assert check.witnesses == [
             {"cluster": 1, "node": 4}, {"cluster": 2, "node": 3}, {"cluster": 2, "node": 6},
@@ -482,7 +471,7 @@ class TestDominanceAndIndependence:
 
     def test_reference_masters_pairwise_far(self, paper_hop, paper_states):
         _, final = paper_states
-        masters = sorted(final.masters())
+        masters = sorted(final.masters.tolist())
         assert masters == [3, 6, 9, 13, 18, 20]
         hop = paper_hop
         for i, a in enumerate(masters):
@@ -492,13 +481,13 @@ class TestDominanceAndIndependence:
     def test_reference_members_within_two_hops(self, paper_hop, paper_states):
         _, final = paper_states
         hop = paper_hop
-        for c in final.clusters:
+        for c in cluster_records(final):
             for v in c.members - c.leaders:
                 assert min(hop[v, l] for l in c.leaders) <= 2
 
     def test_adjacent_masters_fail(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        state = _state(4, [(0, 1, {0, 1}), (3, 2, {2, 3})])
+        state = cluster_state(4, [(0, 1, {0, 1}), (3, 2, {2, 3})])
         check = d.check_dominance_and_independence(
             state, graph, d.hop_distance_table(graph)
         )
@@ -508,7 +497,7 @@ class TestDominanceAndIndependence:
 
     def test_far_member_fails_dominance(self):
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        state = _state(5, [(0, 1, {0, 1, 4}), (2, 3, {2, 3})])
+        state = cluster_state(5, [(0, 1, {0, 1, 4}), (2, 3, {2, 3})])
         check = d.check_dominance_and_independence(
             state, graph, d.hop_distance_table(graph)
         )
@@ -550,7 +539,7 @@ def double_star_union(state, graph):
     """H: each (master, proxy) edge plus each member's edges to its own
     leaders, as a graph on all the nodes."""
     edges = set()
-    for cluster in state.clusters:
+    for cluster in cluster_records(state):
         for v in cluster.members:
             edges |= {tuple(sorted((v, leader))) for leader in cluster.leaders
                       if graph.adj[v, leader]}
@@ -619,16 +608,16 @@ class TestPerfectClaims:
 
     def test_proxyless_star_fails_and_singleton_passes(self):
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        state = _state(5, [(1, 0, {0, 1, 2}), (3, None, {3, 4})])
+        state = cluster_state(5, [(1, 0, {0, 1, 2}), (3, None, {3, 4})])
         assert perfect_claims(state, graph).witnesses == [{"cluster": 2, "no_proxy": [3, 4]}]
-        state = _state(5, [(1, 0, {0, 1, 2}), (3, 4, {3, 4})])
+        state = cluster_state(5, [(1, 0, {0, 1, 2}), (3, 4, {3, 4})])
         assert perfect_claims(state, graph).passed
-        state = _state(3, [(1, 0, {0, 1}), (2, None, {2})])
+        state = cluster_state(3, [(1, 0, {0, 1}), (2, None, {2})])
         assert perfect_claims(state, d.graph_from_edges(3, [(0, 1), (1, 2)])).passed
 
     def test_pair_that_is_no_edge_fails(self):
         graph = d.graph_from_edges(3, [(0, 1), (1, 2)])
-        state = _state(3, [(0, 2, {0, 1, 2})])
+        state = cluster_state(3, [(0, 2, {0, 1, 2})])
         assert perfect_claims(state, graph).witnesses == [{"cluster": 1, "missing_edge": [0, 2]}]
         assert not check_efficient_edge_domination([(0, 2)], double_star_union(state, graph))
 
@@ -645,7 +634,7 @@ class TestPerfectClaims:
             h = double_star_union(state, graph)
             if len(h.edges()) > EDGE_LIMIT:
                 return
-            pairs = [(c.master, c.proxy) for c in state.clusters if c.proxy is not None]
+            pairs = [(c.master, c.proxy) for c in cluster_records(state) if c.proxy is not None]
             literal = (check_efficient_edge_domination(pairs, h)
                        and len(pairs) == line_graph_domination_number(h))
             verdict = perfect_claims(state, graph).passed
@@ -666,7 +655,7 @@ class TestReport:
     def test_disconnected_radius_none(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
         hop = d.hop_distance_table(graph)
-        state = _state(4, [(0, 1, {0, 1}), (2, 3, {2, 3})])
+        state = cluster_state(4, [(0, 1, {0, 1}), (2, 3, {2, 3})])
         report = d.run_property_checks(state, graph, hop)
         assert report.radius is None and report.diameter is None
 
