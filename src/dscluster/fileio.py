@@ -193,11 +193,17 @@ def cluster_report(formation: ClusterState, final: ClusterState) -> dict:
 
 
 def state_from_report(report: dict) -> ClusterState:
-    """Rebuild a verifiable state from a cluster report document."""
+    """Rebuild a verifiable state from a cluster report document.  Its
+    ``statuses`` give the node count and its ``critical`` list is checked
+    like ``hm1``; the rebuilt state leaves no node critical."""
     where = "report"
     clusters_doc = _require(report, "clusters", list, where)
     statuses = _require(report, "statuses", dict, where)
     node_count = len(statuses)
+    if (set(statuses) != {str(v) for v in range(node_count)}
+            or not all(status in STATUSES for status in statuses.values())):
+        raise SchemaError(f"{where}: 'statuses' must map each node 0..{node_count - 1} "
+                          f"to one of {', '.join(STATUSES)}")
 
     def nodes(values, label: str, distinct: bool = True) -> list[int]:
         if not isinstance(values, list) or not all(
@@ -232,6 +238,7 @@ def state_from_report(report: dict) -> ClusterState:
         masters.append(c["master"])
         proxies.append(-1 if proxy is None else proxy)
         groups.append(sorted(nodes(c.get("members"), f"cluster {cid} members")))
+    column("critical")  # checked only: nothing in a report awaits treatment
     return ClusterState(
         node_count=node_count, ids=np.array(ids, dtype=np.int64),
         masters=np.array(masters, dtype=np.intp), proxies=np.array(proxies, dtype=np.intp),

@@ -252,6 +252,12 @@ MALFORMED = [
                  "is repeated in cluster", id="repeated-member"),
     pytest.param("report", lambda r: r.update(deferred=[2, 2]),
                  "node 2 is repeated in 'deferred'", id="repeated-deferred"),
+    pytest.param("report", lambda r: r.update(statuses={f"x{k}": "bogus" for k in r["statuses"]}),
+                 "'statuses'", id="renamed-statuses"),
+    pytest.param("report", lambda r: r.update(statuses={k: 7 for k in r["statuses"]}),
+                 "'statuses'", id="numeric-statuses"),
+    pytest.param("report", lambda r: r.update(critical=["zz"]), "'critical'",
+                 id="critical-not-nodes"),
     pytest.param("report", _set_cluster("id", 1 << 64), "64-bit", id="huge-cluster-id"),
     pytest.param("fixture", _set_euclid(0, 1, 5.0), "euclid matrix is asymmetric at (0, 1)",
                  id="asymmetric-euclid"),
