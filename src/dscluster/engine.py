@@ -81,25 +81,30 @@ class ClusterState:
 
     def bounds(self) -> np.ndarray:
         """Cluster i lists ``nodes[bounds[i]:bounds[i + 1]]``."""
-        return np.searchsorted(self.cluster, np.arange(len(self.ids) + 1))
+        return self.cluster.searchsorted(np.arange(len(self.ids) + 1))
+
+    def leaders(self) -> np.ndarray:
+        """One (master, proxy) row per cluster, the master twice for a
+        cluster without a proxy."""
+        return np.array([self.masters, np.where(self.proxies < 0, self.masters, self.proxies)]).T
 
     def ordinary(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(nodes, cluster positions, leader pairs) of the listed members
-        that are neither master nor proxy of their cluster.  A leader pair
-        is (master, proxy), the master twice for a cluster without one."""
-        nodes, cluster, masters = self.nodes, self.cluster, self.masters
-        partners = np.where(self.proxies < 0, masters, self.proxies)
-        ordinary = (nodes != masters[cluster]) & (nodes != partners[cluster])
-        owner = cluster[ordinary]
-        return nodes[ordinary], owner, np.stack([masters[owner], partners[owner]], axis=1)
+        """(nodes, cluster positions, leader rows) of the listed members
+        that are neither master nor proxy of their cluster."""
+        pairs = self.leaders()[self.cluster]
+        keep = (self.nodes != pairs[:, 0]) & (self.nodes != pairs[:, 1])
+        return self.nodes[keep], self.cluster[keep], pairs[keep]
 
     def statuses(self) -> np.ndarray:
         """Each node's index in ``STATUSES``: master, proxy or slave of the
         last cluster that lists it, or unclustered."""
         nodes, cluster = self.nodes, self.cluster
+        roles = np.where(nodes == self.masters[cluster], 0,
+                         np.where(nodes == self.proxies[cluster], 1, 2))
+        last = np.full(self.node_count, -1)  # each node's last entry in the listing
+        np.maximum.at(last, nodes, np.arange(len(nodes)))
         codes = np.full(self.node_count, STATUSES.index("unclustered"))
-        codes[nodes] = np.where(nodes == self.masters[cluster], 0,
-                                np.where(nodes == self.proxies[cluster], 1, 2))
+        codes[last >= 0] = roles[last[last >= 0]]
         return codes
 
 
@@ -144,8 +149,7 @@ def run_m_dsec(
     near = np.full(n, np.iinfo(np.int64).max)
     owner = np.full(n, -1)  # list position of each node's cluster; -1 while free
     is_master, is_proxy, hm1, deferred = np.zeros((4, n), dtype=bool)
-    masters: list[int] = []
-    proxies: list[int] = []
+    masters, proxies = [], []  # one entry per cluster, a proxy of -1 for none
     events: list[dict] = []
 
     order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
@@ -187,9 +191,10 @@ def run_m_dsec(
     hm2 = deferred & free & ~adj[:, is_proxy].any(axis=1)
     nodes, cluster = _listing(owner)
     return ClusterState(
-        node_count=n, ids=np.arange(1, len(masters) + 1), masters=np.array(masters, dtype=np.intp),
-        proxies=np.array(proxies, dtype=np.intp), nodes=nodes, cluster=cluster, critical=free | hm1,
-        hm1=hm1, hm2=hm2, deferred=deferred, events=events,
+        node_count=n, ids=np.arange(1, len(masters) + 1),
+        masters=np.array(masters, dtype=np.intp), proxies=np.array(proxies, dtype=np.intp),
+        nodes=nodes, cluster=cluster, critical=free | hm1, hm1=hm1, hm2=hm2,
+        deferred=deferred, events=events,
     )
 
 
@@ -206,7 +211,8 @@ def run_adjusted(
     Critical nodes that cannot form a cluster stay slaves if already
     covered, otherwise become masters on their own.  New clusters are
     appended to the list.  The pass reads the clustering as one owner per
-    node, the lowest id winning for a node listed twice, and rebuilds the
+    node, the first listed cluster winning for a node listed twice (the
+    lowest id, as formation lists clusters in id order), and rebuilds the
     listing from it once at the end.  The result has an empty
     ``critical``: nothing is left awaiting treatment, so a node the pass
     failed to cover fails the partition check.
@@ -216,10 +222,9 @@ def run_adjusted(
 
     n, adj, weights = state.node_count, graph.adj, metrics.weights
     ids, masters, proxies = state.ids.tolist(), state.masters.tolist(), state.proxies.tolist()
-    # each node's cluster list position, -1 for none; the lowest id is written last
-    entries = np.argsort(state.ids[state.cluster], kind="stable")[::-1]
-    owner = np.full(n, -1)
-    owner[state.nodes[entries]] = state.cluster[entries]
+    owner = np.full(n, len(ids))  # each node's cluster list position, -1 for none
+    np.minimum.at(owner, state.nodes, state.cluster)
+    owner[owner == len(ids)] = -1
     is_master, is_proxy = np.zeros((2, n), dtype=bool)
     is_master[state.masters] = True
     is_proxy[state.proxies[state.proxies >= 0]] = True
@@ -301,8 +306,7 @@ def classification(formation: ClusterState) -> str:
     two or more members has a proxy, so every cluster is a double star
     (``verify.perfect_claims``); otherwise fairly-perfect: adjustment
     covers every critical node, as a singleton master if need be."""
-    sizes = np.diff(formation.bounds())
-    proxyless = ((formation.proxies < 0) & (sizes > 1)).any()
+    proxyless = ((formation.proxies < 0) & (np.diff(formation.bounds()) > 1)).any()
     return CLASS_FAIRLY_PERFECT if formation.critical.any() or proxyless else CLASS_PERFECT
 
 

@@ -200,8 +200,8 @@ def state_from_report(report: dict) -> ClusterState:
     clusters_doc = _require(report, "clusters", list, where)
     statuses = _require(report, "statuses", dict, where)
     node_count = len(statuses)
-    if (set(statuses) != {str(v) for v in range(node_count)}
-            or not all(status in STATUSES for status in statuses.values())):
+    if (statuses.keys() != set(map(str, range(node_count)))
+            or not all(map(STATUSES.__contains__, statuses.values()))):
         raise SchemaError(f"{where}: 'statuses' must map each node 0..{node_count - 1} "
                           f"to one of {', '.join(STATUSES)}")
 

@@ -17,13 +17,12 @@ boundary-exit event; in node order, each re-affiliates by polling
 adjacent masters/proxies (find_CH), joining the heaviest acknowledger or
 becoming the master of its own cluster.  The exits and the hello check
 read every cluster at once from one gather of the state's ordinary
-members (``ClusterState.ordinary``) against their clusters' leaders, and
-find_CH from one gather of the node's adjacency row at every leader.
-Maintenance replaces the state's columns with edited copies, leaving the
-state it started from as it was, and keeps its events in cluster id
-order whatever the list order.  Every event is kept as the record
-reports and NDJSON lines write: a dict of time, kind, node and the
-[master, proxy] target it concerns (None for none).
+members against their clusters' leaders, and find_CH from one gather of
+the node's adjacency row at every leader.  Maintenance replaces the
+state's columns with edited copies, so the state it started from stays
+as it was, and keeps its events in cluster id order.  Every event is
+kept as the record reports and NDJSON lines write: a dict of time, kind,
+node and the [master, proxy] target it concerns (None for none).
 Clusters are never re-formed from scratch unless explicitly requested:
 drifting masters that become adjacent are only logged.
 
@@ -124,8 +123,7 @@ class SimulationResult:
 
 def _event(time: float, kind: str, node: int, *target: int) -> dict:
     """One maintenance event as reports and NDJSON lines write it; the
-    target is the [master, proxy] pair the event concerns, if any, with
-    None for a proxy of -1."""
+    target is the [master, proxy] pair it concerns, if any, a -1 as None."""
     return {"time": time, "kind": kind, "node": node,
             "target": [None if v < 0 else v for v in target] or None}
 
@@ -170,11 +168,10 @@ def hello_refresh(
     graph = build_graph(positions, range_)
     members, owner, leaders = state.ordinary()
     lost = np.flatnonzero(~graph.adj[members[:, None], leaders].any(axis=1))
-    lost = lost[np.argsort(state.ids[owner[lost]], kind="stable")]
-    events = [_event(time, EVENT_BOUNDARY_EXIT, v, m, p) for v, m, p in zip(
+    lost = lost[state.ids[owner[lost]].argsort(kind="stable")]
+    return graph, [_event(time, EVENT_BOUNDARY_EXIT, v, m, p) for v, m, p in zip(
         members[lost].tolist(), state.masters[owner[lost]].tolist(),
         state.proxies[owner[lost]].tolist())]
-    return graph, events
 
 
 def find_ch(
@@ -196,10 +193,9 @@ def find_ch(
     kept = state.nodes != node
     nodes, cluster = state.nodes[kept], state.cluster[kept]
     events = [_event(time, EVENT_FIND_CH, node)]
-    order = np.argsort(state.ids, kind="stable")
+    order = state.ids.argsort(kind="stable")
     masters, proxies = state.masters.tolist(), state.proxies.tolist()
-    leaders = np.stack([state.masters, np.where(state.proxies < 0, state.masters,
-                                                state.proxies)], axis=1)[order]
+    leaders = state.leaders()[order]
     heard = graph.adj[node, leaders]
     heard[:, 1] &= leaders[:, 0] != leaders[:, 1]  # a proxy-less cluster lists its master twice
     rows, columns = np.nonzero(heard)
@@ -306,9 +302,9 @@ class _Simulation:
         adj, state = self.graph.adj, self.state
         count = len(state.ids)
         members, owner, leaders = state.ordinary()
-        masters, proxies = state.masters.copy(), state.proxies.copy()
+        masters, proxies, pairs = state.masters.copy(), state.proxies.copy(), state.leaders()
         led = proxies >= 0
-        linked = led & adj[masters, proxies]
+        linked = led & adj[pairs[:, 0], pairs[:, 1]]
         touch = adj[members[:, None], leaders]
         heard = [np.bincount(owner, weights=touch[:, i], minlength=count) > 0 for i in (0, 1)]
         master_exited = ~(linked | heard[0])
@@ -321,7 +317,7 @@ class _Simulation:
         listed = np.ones(len(nodes), dtype=bool)  # entries kept
         kept = np.ones(count, dtype=bool)  # clusters kept
         orphans: list[dict] = []
-        for i in flagged[np.argsort(state.ids[flagged], kind="stable")].tolist():
+        for i in flagged[state.ids[flagged].argsort(kind="stable")].tolist():
             pair = (int(masters[i]), int(proxies[i]))
             rows = slice(*np.searchsorted(owner, [i, i + 1]))
             entries = slice(bounds[i], bounds[i + 1])

@@ -3,18 +3,17 @@
 Every check returns a CheckResult whose failures carry concrete witnesses
 (cluster ids, nodes or node pairs); a check passes exactly when it has
 none.  The four structural checks apply to every clustering, and none
-of them builds an n x n array.  Every check reads the state's columns
-directly: the member listing, with each entry's cluster, against the
-per-cluster masters and proxies, so each condition is one gather over the
-listing.  The double-star check and the diameter bound share one reading
-of the clusters' (double) stars (``_star_breaks``): the diameter bound
-measures only the clusters that break theirs, each on its own adjacency
-block.  The dominance check gathers hop entries at (member, leader)
-pairs; it is the only check that reads the caller's hop table.  This
-module also owns the paper's two extra claims for a perfect clustering, which
-reduce to one linear check (``perfect_claims``).  The engine labels
-perfect only a formation that passes it, so every report the engine
-writes verifies with exit 0.
+of them builds an n x n array.  Each reads the state's columns directly,
+as gathers of the member listing against the per-cluster leaders.  The
+double-star check and the diameter bound share one reading of the
+clusters' (double) stars (``_star_breaks``): the diameter bound measures
+only the clusters that break theirs, each on its own adjacency block.
+The dominance check gathers hop entries at (member, leader) pairs; it is
+the only check that reads the caller's hop table.  This module also owns
+the paper's two extra claims for a perfect clustering, which reduce to
+one linear check (``perfect_claims``).  The engine labels perfect only a
+formation that passes it, so every report the engine writes verifies
+with exit 0.
 """
 from __future__ import annotations
 
@@ -56,25 +55,25 @@ def _star_breaks(state: ClusterState, adj: np.ndarray) -> tuple[np.ndarray, list
     (master, proxy) pair that is no edge, or else each other member
     adjacent to neither leader.  A cluster without a proxy is read as a
     star of its master."""
-    nodes, cluster, masters, proxies = state.nodes, state.cluster, state.masters, state.proxies
-    led = proxies >= 0
-    partners = np.where(led, proxies, masters)
-    inside = np.zeros((2, len(masters)), dtype=bool)  # master, proxy listed in their cluster
-    inside[0, cluster[nodes == masters[cluster]]] = True
-    inside[1, cluster[nodes == partners[cluster]]] = True
-    paired = ~led | adj[masters, partners]
-    members, owner, leaders = state.ordinary()
-    stranded = paired[owner] & ~adj[members[:, None], leaders].any(axis=1)
+    nodes, cluster, pairs = state.nodes, state.cluster, state.leaders()
+    entry = pairs[cluster]  # each listed member's leaders
+    at_master, at_proxy = nodes == entry[:, 0], nodes == entry[:, 1]
+    inside = np.zeros((2, len(pairs)), dtype=bool)  # master, proxy listed in their cluster
+    inside[0, cluster[at_master]] = True
+    inside[1, cluster[at_proxy]] = True
+    paired = (state.proxies < 0) | adj[pairs[:, 0], pairs[:, 1]]
+    stranded = (paired[cluster] & ~(at_master | at_proxy)
+                & ~(adj[nodes, entry[:, 0]] | adj[nodes, entry[:, 1]]))
     broken = ~(inside[0] & inside[1] & paired)
-    broken[owner[stranded]] = True
+    broken[cluster[stranded]] = True
     if not broken.any():
         return broken, []
     spokes: dict[int, list[int]] = {}
-    for i, v in zip(owner[stranded].tolist(), members[stranded].tolist()):
+    for i, v in zip(cluster[stranded].tolist(), nodes[stranded].tolist()):
         spokes.setdefault(i, []).append(v)
     breaks = []
     for i in np.flatnonzero(broken).tolist():
-        cid, m, p = int(state.ids[i]), int(masters[i]), int(partners[i])
+        cid, (m, p) = int(state.ids[i]), pairs[i].tolist()
         outside = {v for v, listed in ((m, inside[0, i]), (p, inside[1, i])) if not listed}
         breaks += [{"cluster": cid, "leader_outside": v} for v in sorted(outside)]
         if not paired[i]:
@@ -106,7 +105,7 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
     broken, _ = _star_breaks(state, graph.adj)
     bounds = state.bounds()
     witnesses = []
-    for i in np.flatnonzero(broken & (np.diff(bounds) > 1)).tolist():
+    for i in (broken & (bounds[1:] - bounds[:-1] > 1)).nonzero()[0].tolist():
         order = state.nodes[bounds[i]:bounds[i + 1]].tolist()
         hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
         for a, b in np.argwhere((hop == UNREACHABLE) | (hop > 3)).tolist():
@@ -137,12 +136,13 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     in listing order."""
     nodes, ids = state.nodes, state.ids[state.cluster]
     entries = np.arange(len(nodes))
-    first = np.full(state.node_count, -1)  # each node's first entry in the listing
-    first[nodes[::-1]] = entries[::-1]
-    again = np.flatnonzero(first[nodes] != entries)
+    first = np.full(state.node_count, len(nodes))  # each node's first entry in the listing
+    np.minimum.at(first, nodes, entries)
+    again = (first[nodes] != entries).nonzero()[0]
     witnesses = [{"node": v, "clusters": [a, b]} for v, a, b in zip(
         nodes[again].tolist(), ids[first[nodes[again]]].tolist(), ids[again].tolist())]
-    witnesses += [{"node": v, "uncovered": True} for v in np.flatnonzero(first < 0).tolist()]
+    uncovered = (first == len(nodes)).nonzero()[0].tolist()
+    witnesses += [{"node": v, "uncovered": True} for v in uncovered]
     return CheckResult("partition", witnesses)
 
 

@@ -141,8 +141,9 @@ def cluster_records(state):
     """The state's clusters as fresh ``ClusterRecord``s, in list order: the
     form the set-based references read."""
     bounds = state.bounds().tolist()
+    listed = state.nodes.tolist()
     return [
-        ClusterRecord(cid, m, None if p < 0 else p, set(state.nodes[bounds[i]:bounds[i + 1]].tolist()))
+        ClusterRecord(cid, m, None if p < 0 else p, set(listed[bounds[i]:bounds[i + 1]]))
         for i, (cid, m, p) in enumerate(zip(state.ids.tolist(), state.masters.tolist(),
                                             state.proxies.tolist()))
     ]

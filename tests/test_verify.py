@@ -434,6 +434,19 @@ class TestPartition:
         assert d.check_partition(state, graph).passed
 
 
+class TestStatuses:
+    @given(_long_clusters())
+    def test_match_the_loop_reference(self, drawn):
+        # a node listed twice takes its role in the last cluster that lists it
+        _, state = drawn
+        expected = ["unclustered"] * state.node_count
+        for cluster in cluster_records(state):
+            for v in cluster.members:
+                expected[v] = ("master" if v == cluster.master else
+                               "proxy" if v == cluster.proxy else "slave")
+        assert [d.STATUSES[code] for code in state.statuses()] == expected
+
+
 class TestDominanceAndIndependence:
     @given(_graph_and_led_clusters())
     def test_gathers_match_the_loop_reference(self, drawn):
@@ -448,7 +461,8 @@ class TestDominanceAndIndependence:
     def test_unreachable_overlapping_and_proxy_less_clusters(self):
         # 0-1-2-3 and 4-5 are separate components; 6 is isolated
         graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
-        state = cluster_state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}), (0, None, {0, 3})])
+        state = cluster_state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}),
+                                  (0, None, {0, 3})])
         check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
         assert check.witnesses == [
             {"cluster": 1, "node": 4}, {"cluster": 2, "node": 3}, {"cluster": 2, "node": 6},
