@@ -1,11 +1,11 @@
 """Cluster formation and adjustment.
 
-Every election follows one order, ``NetworkMetrics.rank``: higher weight,
-then higher NS, then the lower node id.  Both passes keep roles as boolean
-node columns and read each neighbourhood as a masked row of ``graph.adj``.
-Each keeps the clustering as an ``owner`` column, each node's cluster list
-position (-1 for none), and builds the member listing of its
-``ClusterState`` from it once, at the end.
+Every election reads one order, the column ``NetworkMetrics.rank``:
+higher weight, then higher NS, then the lower node id.  Both passes keep
+roles as boolean node columns and read each neighbourhood as a masked row
+of ``graph.adj``.  Each keeps the clustering as an ``owner`` column, each
+node's cluster list position (-1 for none), and builds the member listing
+of its ``ClusterState`` from it once, at the end.
 Critical nodes are handled in terms of three neighbourhood sets of a node
 u: N'(u) = ``adj[u] & ~is_master & (weights > weights[u])``, its heavier
 non-masters; N''(u) = ``adj[u] & ~(is_master | is_proxy) & (weights <
@@ -129,8 +129,8 @@ def elect_proxy(
     """Top-ranked neighbour of the master that keeps >= 3 hops to every
     previously elected master and proxy (``near`` at least 3); None when no
     neighbour qualifies (the cluster then forms with a master only)."""
-    candidates = np.flatnonzero(graph.adj[master] & (near >= 3)).tolist()
-    return max(candidates, key=metrics.rank) if candidates else None
+    candidates = np.flatnonzero(graph.adj[master] & (near >= 3))
+    return metrics.best(candidates) if candidates.size else None
 
 
 def run_m_dsec(
@@ -152,8 +152,7 @@ def run_m_dsec(
     masters, proxies = [], []  # one entry per cluster, a proxy of -1 for none
     events: list[dict] = []
 
-    order = range(n) if metrics is None else sorted(range(n), key=metrics.rank, reverse=True)
-    for x in order:
+    for x in range(n) if metrics is None else metrics.order.tolist():
         if owner[x] >= 0:
             continue
         if masters and not master_eligibility(x, near):
@@ -235,7 +234,7 @@ def run_adjusted(
     next_id = max(ids, default=0) + 1
 
     def ranked(column: np.ndarray) -> list[int]:
-        return sorted(np.flatnonzero(column).tolist(), key=metrics.rank, reverse=True)
+        return metrics.order[column[metrics.order]].tolist()
 
     def lighter(u: int) -> np.ndarray:
         """N''(u)."""
@@ -247,19 +246,16 @@ def run_adjusted(
             return None
         if hm1[c] and (adj[c] & is_proxy).any():
             base = adj[c] & ~(is_master | is_proxy)
-            for partner in ranked(base):
-                if pending[partner]:
-                    extra = lighter(partner) if hm1[partner] else adj[partner]
-                elif near_master[partner]:
-                    continue  # an ordinary member that touches a master is unusable
-                else:
-                    extra = lighter(partner)
-                return partner, base | extra
-            return None
+            # an ordinary member that touches a master is unusable
+            partner = metrics.best(np.flatnonzero(base & (pending | ~near_master)))
+            if partner < 0:
+                return None
+            extra = adj[partner] if pending[partner] and not hm1[partner] else lighter(partner)
+            return partner, base | extra
         pool = lighter(c) & ~near_master
-        if not pool.any():
+        partner = metrics.best(np.flatnonzero(pool))
+        if partner < 0:
             return None
-        partner = ranked(pool)[0]
         return partner, pool | (lighter(partner) & ~near_master)
 
     for c in ranked(pending):

@@ -37,6 +37,19 @@ _OVERRIDE_COLUMNS = (
 )
 
 
+#: (document key, Scenario field, type) of every scenario field, in the
+#: order reports write them; the first four are required, and ``tuple``
+#: marks the list of weighing factors.
+_SCENARIO_FIELDS = (
+    ("node_count", "node_count", int), ("terrain_size", "terrain_size", float),
+    ("range", "range_", float), ("v_max", "v_max", float),
+    ("broadcast_interval", "broadcast_interval", float), ("dt", "dt", float),
+    ("steps", "steps", int), ("ns_threshold", "ns_threshold", float),
+    ("alphas", "alphas", tuple), ("seed", "seed", int),
+)
+_REQUIRED_SCENARIO_FIELDS = 4
+
+
 @dataclass(frozen=True)
 class FixtureBundle:
     graph: NetworkGraph
@@ -140,23 +153,14 @@ def load_scenario(source, seed: int | None = None) -> Scenario:
     """Parse a scenario document; ``seed`` overrides the document's seed."""
     doc = _load_doc(source)
     where = "scenario"
-    kwargs = dict(
-        node_count=_require(doc, "node_count", int, where),
-        terrain_size=_require(doc, "terrain_size", float, where),
-        range_=_require(doc, "range", float, where),
-        v_max=_require(doc, "v_max", float, where),
-    )
-    for key, attr, kind in (
-        ("broadcast_interval", "broadcast_interval", float),
-        ("dt", "dt", float),
-        ("steps", "steps", int),
-        ("ns_threshold", "ns_threshold", float),
-        ("seed", "seed", int),
-    ):
-        if key in doc:
+    kwargs = {}
+    for i, (key, attr, kind) in enumerate(_SCENARIO_FIELDS):
+        if i >= _REQUIRED_SCENARIO_FIELDS and key not in doc:
+            continue  # the field keeps its default
+        if kind is tuple:
+            kwargs[attr] = tuple(_numbers(doc[key], f"{where}: '{key}'"))
+        else:
             kwargs[attr] = _require(doc, key, kind, where)
-    if "alphas" in doc:
-        kwargs["alphas"] = tuple(_numbers(doc["alphas"], f"{where}: 'alphas'"))
     if seed is not None:
         kwargs["seed"] = seed
     return Scenario(**kwargs)
@@ -253,7 +257,7 @@ def metrics_records(metrics: NetworkMetrics) -> list[dict]:
     """One record per node with the fixed metric field names, as plain JSON
     values: m1/m2/m3 are null under an NS override, w where the weight is
     undefined."""
-    bands = [[None] * 3] * len(metrics) if metrics.bands is None else metrics.bands.tolist()
+    bands = [[None] * 3] * len(metrics.weights) if metrics.bands is None else metrics.bands.tolist()
     columns = zip(
         metrics.deg.tolist(), metrics.g_h.tolist(), metrics.g_ed.tolist(),
         metrics.cci.tolist(), metrics.ecc.tolist(), metrics.mhd.tolist(),
@@ -271,20 +275,10 @@ def metrics_records(metrics: NetworkMetrics) -> list[dict]:
 
 def simulation_report(result: SimulationResult) -> dict:
     scenario = result.scenario
+    scenario_doc = {key: getattr(scenario, attr) for key, attr, _ in _SCENARIO_FIELDS}
     formation = cluster_report(result.formation_state, result.adjusted_state)
     return {
-        "scenario": {
-            "node_count": scenario.node_count,
-            "terrain_size": scenario.terrain_size,
-            "range": scenario.range_,
-            "v_max": scenario.v_max,
-            "broadcast_interval": scenario.broadcast_interval,
-            "dt": scenario.dt,
-            "steps": scenario.steps,
-            "ns_threshold": scenario.ns_threshold,
-            "alphas": list(scenario.alphas),
-            "seed": scenario.seed,
-        },
+        "scenario": scenario_doc | {"alphas": list(scenario.alphas)},
         "classification": formation["classification"],
         "formation": formation,
         "final_clusters": _cluster_dicts(result.final_state),

@@ -7,7 +7,9 @@ Euclidean distance, and the neighbour-strength value.  Each is computed
 once for the whole network, from the hop table passed in and the graph's
 own Euclidean table, as an array column indexed by node
 (``closeness_indices``, ``path_columns``, ``neighbor_bands``);
-``NetworkMetrics`` holds the columns.
+``NetworkMetrics`` holds the columns, and derives from the weight and NS
+columns the election order that every election reads,
+``NetworkMetrics.rank``.
 
 The closeness kernel counts, per column of the table, how many entries lie
 below and level with each entry: by histogram for an integer table of at
@@ -24,7 +26,7 @@ precedence over recomputation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +60,11 @@ class NetworkMetrics:
     (m1, m2, m3), or None when the categorisation was bypassed (fixture
     mode with an NS override).  ``weights`` is NaN where the weight is
     undefined: a single-node network without a weight override.
+
+    ``order`` lists every node in the paper's election order, which every
+    election reads: higher weight first, then higher NS, then the lower
+    node id.  ``rank`` is each node's place in it.  Both are derived once,
+    when the metrics are built.
     """
 
     deg: np.ndarray
@@ -70,20 +77,19 @@ class NetworkMetrics:
     bands: np.ndarray | None
     ns_values: np.ndarray
     weights: np.ndarray
+    order: np.ndarray = field(init=False, repr=False)
+    rank: np.ndarray = field(init=False, repr=False)
 
-    def __len__(self) -> int:
-        return len(self.weights)
+    def __post_init__(self):
+        order = np.lexsort((np.arange(len(self.weights)), -self.ns_values, -self.weights))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rank", rank)
 
-    def weight(self, node: int) -> float:
-        return float(self.weights[node])
-
-    def ns(self, node: int) -> float:
-        return float(self.ns_values[node])
-
-    def rank(self, node: int) -> tuple[float, float, int]:
-        """The paper's election order, used by every election: higher
-        weight first, then higher NS, then the lower node id."""
-        return self.weight(node), self.ns(node), -node
+    def best(self, nodes: np.ndarray) -> int:
+        """The top-ranked of the candidate ``nodes``, -1 when there are none."""
+        return int(nodes[self.rank[nodes].argmin()]) if len(nodes) else -1
 
 
 def _reachable(hop: np.ndarray) -> np.ndarray:

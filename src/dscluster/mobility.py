@@ -14,17 +14,18 @@ every member adjacent to a leader it stays a double star of diameter at
 most 3.  Every displaced node (an exited leader, a member of a dissolved
 cluster, or a member out of reach of both its leaders) becomes one
 boundary-exit event; in node order, each re-affiliates by polling
-adjacent masters/proxies (find_CH), joining the heaviest acknowledger or
-becoming the master of its own cluster.  The exits and the hello check
-read every cluster at once from one gather of the state's ordinary
-members against their clusters' leaders, and find_CH from one gather of
-the node's adjacency row at every leader.  Maintenance replaces the
-state's columns with edited copies, so the state it started from stays
-as it was, and keeps its events in cluster id order.  Every event is
-kept as the record reports and NDJSON lines write: a dict of time, kind,
-node and the [master, proxy] target it concerns (None for none).
-Clusters are never re-formed from scratch unless explicitly requested:
-drifting masters that become adjacent are only logged.
+adjacent masters/proxies (find_CH), joining the top-ranked acknowledger or
+becoming the master of its own cluster.  Every election, a proxy's
+re-election and find_CH's join alike, reads ``NetworkMetrics.rank``.
+The exits and the hello check read every cluster at once from one
+gather of the state's ordinary members against their clusters' leaders,
+and find_CH from one gather of the node's adjacency row at every leader.
+Maintenance replaces the state's columns with edited copies, so the state
+it started from stays as it was, and keeps its events in cluster id order.
+Every event is kept as the record reports and NDJSON lines write: a dict
+of time, kind, node and the [master, proxy] target it concerns (None for
+none).  Clusters are never re-formed from scratch unless explicitly
+requested: drifting masters that become adjacent are only logged.
 
 Weights are those computed at formation time, from the t = 0 tables,
 unless the scenario asks for recomputation.  Every refresh, in every
@@ -118,7 +119,6 @@ class SimulationResult:
     final_state: ClusterState
     events: list[dict]
     summaries: list[dict]
-    positions: np.ndarray
 
 
 def _event(time: float, kind: str, node: int, *target: int) -> dict:
@@ -186,7 +186,7 @@ def find_ch(
     Every master/proxy adjacent to the node acknowledges (one gather of
     the node's adjacency row at every cluster's leaders, in cluster id
     order; acknowledgements are logged by leader id); the node joins the
-    top-ranked acknowledger (``NetworkMetrics.rank``).  With no
+    top-ranked acknowledger (least ``NetworkMetrics.rank``).  With no
     acknowledgers it becomes a master of a new singleton cluster.  The
     state's columns are replaced with the edited ones.
     """
@@ -199,11 +199,11 @@ def find_ch(
     heard = graph.adj[node, leaders]
     heard[:, 1] &= leaders[:, 0] != leaders[:, 1]  # a proxy-less cluster lists its master twice
     rows, columns = np.nonzero(heard)
-    acknowledgers = list(zip(leaders[rows, columns].tolist(), order[rows].tolist()))
-    for _, i in sorted(acknowledgers, key=lambda t: t[0]):
+    acked, clusters = leaders[rows, columns], order[rows]
+    for i in clusters[acked.argsort(kind="stable")].tolist():
         events.append(_event(time, EVENT_ACK, node, masters[i], proxies[i]))
-    if acknowledgers:
-        _, i = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+    if acked.size:
+        i = int(clusters[metrics.rank[acked].argmin()])
         events.append(_event(time, EVENT_JOIN, node, masters[i], proxies[i]))
     else:  # a new cluster at the end of the list
         i = len(masters)
@@ -254,7 +254,6 @@ class _Simulation:
             final_state=self.state,
             events=self.events,
             summaries=self.summaries,
-            positions=self.positions,
         )
 
     def _refresh(self, time: float) -> None:
@@ -329,8 +328,7 @@ class _Simulation:
                 displaced = [pair[gone]]
                 listed[entries] &= nodes[entries] != pair[gone]
                 masters[i] = pair[1 - gone]
-                candidates = members[rows][touch[rows, 1 - gone]].tolist()
-                proxies[i] = max(candidates, key=self.metrics.rank, default=-1)
+                proxies[i] = self.metrics.best(members[rows][touch[rows, 1 - gone]])
             orphans += [_event(time, EVENT_BOUNDARY_EXIT, v, *pair) for v in displaced]
         state.ids, state.masters, state.proxies = state.ids[kept], masters[kept], proxies[kept]
         state.nodes = nodes[listed]

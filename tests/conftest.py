@@ -100,6 +100,14 @@ def connected_deployments(draw, n_low, n_high, range_low=20.0, range_high=50.0,
     return n, range_, seed
 
 
+def election_key(metrics):
+    """The paper's election order as a per-node tuple key, best last:
+    (weight, NS, -id).  The set-based references sort and pick by it, so
+    they stay independent of the ``NetworkMetrics.rank`` column."""
+    weights, ns = metrics.weights.tolist(), metrics.ns_values.tolist()
+    return lambda u: (weights[u], ns[u], -u)
+
+
 @dataclass
 class ClusterRecord:
     """One cluster as the set-based references read it: its leaders (None

@@ -111,6 +111,18 @@ class TestClusterCommand:
         covered = sorted(n for c in report["clusters"] for n in c["members"])
         assert covered == list(range(25))
 
+    @pytest.mark.parametrize("kind, doc", [
+        pytest.param("fixture", {"nodes": 1, "edges": [], "euclid": [[0.0]]}, id="fixture"),
+        pytest.param("scenario", _scenario_doc(node_count=1), id="scenario"),
+    ])
+    def test_lone_node_is_one_proxyless_cluster(self, kind, doc, tmp_path, capsys):
+        # a lone node has no weight and no NS override: it clusters with no metrics
+        source = _write(tmp_path, f"{kind}.json", doc)
+        assert main(["cluster", f"--{kind}", source]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["clusters"] == [{"id": 1, "master": 0, "proxy": None, "members": [0]}]
+        assert report["statuses"] == {"0": "master"}
+
 
 class TestMetricsCommand:
     def test_fixture_metrics_dump(self, tmp_path):

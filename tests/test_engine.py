@@ -19,6 +19,7 @@ from conftest import (
     cluster_state,
     connected_deployments,
     connected_rgg_suite,
+    election_key,
     fixture_inputs,
     node_set,
 )
@@ -70,7 +71,7 @@ class TestMasterEligibility:
         # before any election no node is 3 hops from a leader, so formation
         # elects the top-ranked node without asking
         assert not d.master_eligibility(3, near_column([], paper_hop))
-        assert max(range(23), key=paper_metrics.rank) == 3
+        assert max(range(23), key=election_key(paper_metrics)) == 3
         formation = d.run_m_dsec(bundle.graph, paper_hop, paper_metrics)
         assert formation.events[0] == {"action": "elect_master", "node": 3}
 
@@ -119,12 +120,12 @@ def reference_partitions(u, graph, metrics, masters, proxies):
     """N'(u), N''(u) and N_M(u) against the given masters and proxies, as
     sets built one neighbour at a time: the reference for the engine's
     adjacency masks (see the ``engine`` module docstring)."""
-    w_u = metrics.weight(u)
+    w_u = metrics.weights[u]
     nbrs = _neighbors(graph, u)
     return Partitions(
-        n_prime={v for v in nbrs if metrics.weight(v) > w_u and v not in masters},
+        n_prime={v for v in nbrs if metrics.weights[v] > w_u and v not in masters},
         n_dprime={v for v in nbrs
-                  if v not in masters and v not in proxies and metrics.weight(v) < w_u},
+                  if v not in masters and v not in proxies and metrics.weights[v] < w_u},
         n_m={v for v in nbrs if any(graph.adj[v, m] for m in masters)},
     )
 
@@ -149,6 +150,7 @@ def reference_run_adjusted(state, graph, metrics, branches):
     pending = set(critical)
     events = list(state.events)
     next_id = max(working, default=0) + 1
+    rank = election_key(metrics)
 
     def partitions(u):
         return reference_partitions(u, graph, metrics, masters, proxies)
@@ -160,7 +162,7 @@ def reference_run_adjusted(state, graph, metrics, branches):
         if c in hidden_masters_1 and any(graph.adj[c, p] for p in proxies):
             branches["hidden-master"] += 1
             base = {v for v in _neighbors(graph, c) if v not in masters and v not in proxies}
-            for partner in sorted(base, key=metrics.rank, reverse=True):
+            for partner in sorted(base, key=rank, reverse=True):
                 if partner in pending:
                     if partner in hidden_masters_1:
                         extra = partitions(partner).n_dprime
@@ -174,11 +176,11 @@ def reference_run_adjusted(state, graph, metrics, branches):
         pool = own.n_dprime - own.n_m
         if not pool:
             return None
-        partner = max(pool, key=metrics.rank)
+        partner = max(pool, key=rank)
         mate = partitions(partner)
         return partner, {c, partner} | pool | (mate.n_dprime - mate.n_m)
 
-    for c in sorted(critical, key=metrics.rank, reverse=True):
+    for c in sorted(critical, key=rank, reverse=True):
         outcome = attempt(c) if c in pending else None
         if outcome is None:
             continue
@@ -201,7 +203,7 @@ def reference_run_adjusted(state, graph, metrics, branches):
         pending -= members
         next_id += 1
 
-    for c in sorted(pending, key=metrics.rank, reverse=True):
+    for c in sorted(pending, key=rank, reverse=True):
         if membership.get(c) is not None:
             continue
         working[next_id] = ClusterRecord(id=next_id, master=c, proxy=None, members={c})
@@ -249,10 +251,10 @@ class TestNeighborPartitions:
         # with no masters or proxies, N' and N'' split the neighbourhood by
         # weight and N_M is empty
         parts = self._parts(16, bundle, paper_metrics, set(), set())
-        w = paper_metrics.weight
+        w = paper_metrics.weights
         nbrs = _neighbors(bundle.graph, 16)
-        assert parts.n_prime == {v for v in nbrs if w(v) > w(16)}
-        assert parts.n_dprime == {v for v in nbrs if w(v) < w(16)}
+        assert parts.n_prime == {v for v in nbrs if w[v] > w[16]}
+        assert parts.n_dprime == {v for v in nbrs if w[v] < w[16]}
         assert parts.n_m == set()
 
 
@@ -413,7 +415,7 @@ class TestFormation:
     def test_master_outweighs_proxy_on_fixture(self, paper_states, paper_metrics):
         formation, _ = paper_states
         for m, p in zip(formation.masters.tolist(), formation.proxies.tolist()):
-            assert paper_metrics.weight(m) >= paper_metrics.weight(p)
+            assert paper_metrics.weights[m] >= paper_metrics.weights[p]
 
 
 class TestTieBreaking:
@@ -438,8 +440,8 @@ class TestTieBreaking:
 
     def test_rank_orders_weight_ns_id(self):
         _, _, metrics = self._fixture([5.0, 5.0, 5.0, 6.0], [10.0, 20.0, 10.0, 0.0])
-        order = sorted(range(4), key=metrics.rank, reverse=True)
-        assert order == [3, 1, 0, 2]
+        order = sorted(range(4), key=election_key(metrics), reverse=True)
+        assert metrics.order.tolist() == order == [3, 1, 0, 2]
 
     def test_rerun_identical(self):
         for seed, graph in connected_rgg_suite(5, start_seed=300):

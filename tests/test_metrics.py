@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dscluster as d
@@ -16,7 +16,7 @@ from dscluster.errors import (
 )
 from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
-from conftest import fixture_inputs, random_edge_graph
+from conftest import election_key, fixture_inputs, random_edge_graph
 
 
 def _tables_for(graph):
@@ -213,7 +213,7 @@ class TestNeighborStrength:
             d.neighbor_strength(-1, 0, 0, 100.0)
 
     def test_fixture_override_reported_unchanged(self, paper_metrics):
-        assert paper_metrics.ns(3) == 400.0
+        assert paper_metrics.ns_values[3] == 400.0
 
 
 class TestPathStatistics:
@@ -270,11 +270,11 @@ class TestNodeWeight:
             bundle.graph, paper_hop, bundle.config, overrides
         )
         expected = reference["table3"]["w"]
-        assert metrics.weight(3) == pytest.approx(68.96, abs=0.02)
-        assert metrics.weight(20) == pytest.approx(-5.73, abs=0.02)
-        assert metrics.weight(20) < 0  # negative weights are valid
+        assert metrics.weights[3] == pytest.approx(68.96, abs=0.02)
+        assert metrics.weights[20] == pytest.approx(-5.73, abs=0.02)
+        assert metrics.weights[20] < 0  # negative weights are valid
         for u in range(23):
-            assert metrics.weight(u) == pytest.approx(expected[u], abs=0.02)
+            assert metrics.weights[u] == pytest.approx(expected[u], abs=0.02)
 
     def test_weight_linearity_in_alphas(self):
         positions = d.deploy_random(12, 80.0, seed=17)
@@ -286,6 +286,47 @@ class TestNodeWeight:
         )
         assert np.allclose(scaled.weights, 3.0 * base.weights)
         assert int(np.argmax(scaled.weights)) == int(np.argmax(base.weights))
+
+
+def _path_metrics(weights, ns):
+    """Metrics of a path of len(weights) nodes whose weight and NS columns
+    are the given overrides."""
+    n = len(weights)
+    euclid = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+    graph, hop = fixture_inputs([(i, i + 1) for i in range(n - 1)], euclid)
+    return d.compute_network_metrics(graph, hop, overrides=d.FixtureOverrides(ns=ns, w=weights))
+
+
+class TestElectionOrder:
+    """``order``, ``rank`` and ``best`` against the per-node tuple key, on
+    columns full of ties: equal weights and NS, negative weights, and
+    0.0 beside -0.0, which the tuple key holds equal."""
+
+    @given(st.lists(st.tuples(st.sampled_from([-2.5, -0.0, 0.0, 1.0, 4.0]),
+                              st.sampled_from([0.0, 1.0, 2.0])), min_size=2, max_size=12))
+    @example([(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0)])
+    @example([(-2.5, 0.0), (-0.0, 2.0), (0.0, 2.0), (-2.5, 0.0), (4.0, 0.0)])
+    def test_columns_match_the_tuple_key(self, nodes):
+        weights, ns = (list(column) for column in zip(*nodes))
+        metrics = _path_metrics(weights, ns)
+        n, key = len(nodes), election_key(metrics)
+        expected = sorted(range(n), key=key, reverse=True)
+        assert metrics.order.tolist() == expected
+        assert metrics.rank[expected].tolist() == list(range(n))
+        for start in range(n):
+            candidates = np.arange(start, n)[::-1]
+            assert metrics.best(candidates) == max(candidates.tolist(), key=key)
+        assert metrics.best(np.arange(0)) == -1
+
+    def test_signed_zero_weights_tie(self):
+        metrics = _path_metrics([-0.0, 0.0, -0.0], [1.0, 1.0, 1.0])
+        assert math.copysign(1.0, metrics.weights[0]) < 0  # the override keeps its sign
+        assert metrics.order.tolist() == [0, 1, 2]
+
+    def test_single_node_order(self):
+        graph = d.build_graph(np.array([[1.0, 1.0]]), range_=5.0)
+        metrics = d.compute_network_metrics(graph, d.compute_tables(graph))
+        assert (metrics.order.tolist(), metrics.rank.tolist()) == ([0], [0])
 
 
 class TestComputeNetworkMetrics:
@@ -309,7 +350,7 @@ class TestComputeNetworkMetrics:
         graph = d.build_graph(np.array([[1.0, 1.0]]), range_=5.0)
         hop = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, hop)
-        assert math.isnan(metrics.weight(0))
+        assert math.isnan(metrics.weights[0])
         assert d.metrics_records(metrics)[0]["w"] is None
 
     def test_peak_memory_bounded_at_n_1000(self):

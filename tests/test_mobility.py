@@ -28,6 +28,7 @@ from conftest import (
     cluster_records,
     cluster_state,
     connected_deployments,
+    election_key,
     fixture_inputs,
 )
 
@@ -209,6 +210,7 @@ def _loop_find_ch(node, clusters, graph, metrics, time):
     reference for the gathered version, on a list of cluster records."""
     for cluster in clusters:
         cluster.members.discard(node)
+    rank = election_key(metrics)
     events = [_event(time, EVENT_FIND_CH, node)]
     acknowledgers = []
     for cluster in sorted(clusters, key=lambda c: c.id):
@@ -218,7 +220,7 @@ def _loop_find_ch(node, clusters, graph, metrics, time):
     for leader, cluster in sorted(acknowledgers, key=lambda t: t[0]):
         events.append(_event(time, EVENT_ACK, node, [cluster.master, cluster.proxy]))
     if acknowledgers:
-        leader, cluster = max(acknowledgers, key=lambda t: metrics.rank(t[0]))
+        leader, cluster = max(acknowledgers, key=lambda t: rank(t[0]))
         cluster.members.add(node)
         events.append(_event(time, EVENT_JOIN, node, [cluster.master, cluster.proxy]))
     else:
@@ -234,7 +236,7 @@ def _loop_resolve_leader_exits(clusters, graph, metrics, time):
     def elect(cluster):
         candidates = [v for v in cluster.members - {cluster.master}
                       if graph.adj[v, cluster.master]]
-        return max(candidates, key=metrics.rank, default=None)
+        return max(candidates, key=election_key(metrics), default=None)
 
     orphans, dissolved = [], []
     for cluster in sorted(clusters, key=lambda c: c.id):
@@ -423,10 +425,10 @@ class TestRunSimulation:
     def test_fixed_seed_replay_identical(self):
         sc = d.Scenario(node_count=30, terrain_size=100, range_=35, v_max=5,
                         steps=40, seed=11)
-        a = d.run_simulation(sc)
-        b = d.run_simulation(sc)
-        assert a.events == b.events
-        assert a.summaries == b.summaries
+        a, b = _Simulation(sc), _Simulation(sc)
+        result_a, result_b = a.run(), b.run()
+        assert result_a.events == result_b.events
+        assert result_a.summaries == result_b.summaries
         assert np.array_equal(a.positions, b.positions)
 
     def test_partition_and_dominance_hold_throughout(self):
