@@ -27,7 +27,7 @@ from .errors import (
 from .graph import build_graph, compute_tables, deploy_random, require_connected
 from .metrics import WeightConfig, compute_network_metrics
 from .mobility import run_simulation
-from .verify import perfect_claims, run_property_checks
+from .verify import graph_radius_diameter, perfect_claims, run_property_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -146,7 +146,8 @@ def _cmd_verify(args) -> int:
     report = run_property_checks(state, graph, hop)
     if report_doc.get("classification") == CLASS_PERFECT:
         report.checks.append(perfect_claims(state, graph))
-    lines = [f"radius={report.radius} diameter={report.diameter}"]
+    radius, diameter = graph_radius_diameter(hop)
+    lines = [f"radius={radius} diameter={diameter}"]
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"
         line = f"{status:4s}  {check.name}"

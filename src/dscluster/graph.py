@@ -6,16 +6,19 @@ inclusive: two nodes are linked iff their Euclidean distance is <= r) or
 loaded from a fixture's edge list and Euclidean matrix, both taken
 verbatim (``fileio.load_fixture``).  Either way the graph is the only
 owner of its Euclidean table; the hop table travels as a bare array.  The
-Euclidean table is built from two n x n planes of coordinate differences,
-squared, added and rooted in place, so it needs one plane beyond the
-result.  Hop distances always come from breadth-first search over the
-adjacency: one level-synchronous pull BFS from every source at once.  Each
-node keeps the uint64-packed set of sources it has reached, and each level
-ORs into it the sets of its neighbours; the distance at which a bit first
+Euclidean table is filled in row blocks of about 1 MB: each block's x
+differences are written into the result, its y differences into one
+block-sized scratch buffer, and both are squared, added and rooted in
+place, so the table needs one block beyond the result.  Hop distances
+always come from breadth-first search over the adjacency: one
+level-synchronous pull BFS from every source at once.  Each node keeps the
+uint64-packed set of sources it has reached, and each level ORs into it
+the sets of its neighbours; the distance at which a bit first
 appears is recorded in a few packed bit planes, one per binary digit, and
 decoded into the int64 table once at the end.  Nodes are taken in chunks
-whose neighbour rows gather at most 16 MB per level, so the working memory
-beyond the table does not grow with density.
+whose neighbour rows gather at most 256 KB per level, so each chunk's
+gather stays in a core's L2 cache and the working memory beyond the table
+does not grow with density.
 """
 from __future__ import annotations
 
@@ -31,7 +34,9 @@ UNREACHABLE = -1
 #: is 200 MB at this size.
 MAX_NODES = 5000
 #: Packed source-set rows one BFS level may gather for a chunk of nodes.
-_LEVEL_BYTES = 16 << 20
+_LEVEL_BYTES = 256 << 10
+#: Euclidean table entries filled per row block (1 MB of float64).
+_EUCLID_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -136,18 +141,28 @@ def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
 
     Each entry is sqrt(dx * dx + dy * dy), bit for bit the value of
     ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``, the formula the
-    benchmark's deployment chooser computes too.
+    benchmark's deployment chooser computes too.  Rows are filled in blocks
+    of ``_EUCLID_BLOCK`` entries, at least one row each.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
         raise InvalidArgumentError("positions must be a non-empty (n, 2) array")
-    _check_size(pos.shape[0])
+    n = pos.shape[0]
+    _check_size(n)
     x, y = pos.T
-    dx, dy = np.subtract.outer(x, x), np.subtract.outer(y, y)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    rows = min(n, max(1, _EUCLID_BLOCK // n))
+    table = np.empty((n, n))
+    scratch = np.empty((rows, n))
+    for a in range(0, n, rows):
+        dx = table[a:a + rows]
+        dy = scratch[:len(dx)]
+        np.subtract.outer(x[a:a + rows], x, out=dx)
+        np.subtract.outer(y[a:a + rows], y, out=dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+    return table
 
 
 def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
@@ -201,13 +216,14 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     ``v``, starting from ``v`` alone.  Because the adjacency is symmetric,
     one level is ``reach[v] |= OR of reach[u] over the neighbours u of v``:
     one gather of neighbour rows and one ``bitwise_or.reduceat`` per node
-    chunk (``_LEVEL_BYTES``, 16 MB, of gathered rows at most).  The bits new
+    chunk (``_LEVEL_BYTES``, 256 KB, of gathered rows at most).  The bits new
     at level ``d`` are ORed into the packed bit planes of the binary digits
     of ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
     BFS stops when every set is full or a level adds nothing.  The planes
     are then unpacked into an accumulator of the narrowest signed dtype
-    that holds D, every pair whose bit is missing from the final set is
-    made UNREACHABLE there, and the accumulator is cast to int64 once.
+    that holds D.  Only when a level added nothing, so that some set is not
+    full, is every pair whose bit is missing from the final set made
+    UNREACHABLE there.  The accumulator is cast to int64 once.
     """
     n = graph.node_count
     row_bytes = -(-n // 64) * 8
@@ -219,7 +235,7 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     chunks = list(_neighbour_chunks(graph.adj, row_bytes))
     planes = []
     distance = 0
-    while not (reach == full).all():
+    while not (complete := (reach == full).all()):
         distance += 1
         grown = np.empty_like(reach)
         for rows, nodes, starts in chunks:
@@ -238,8 +254,9 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     while planes:
         acc <<= 1
         acc |= _unpack(planes.pop(), n)
-    # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
-    acc -= _unpack(~reach, n)
+    if not complete:
+        # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
+        acc -= _unpack(~reach, n)
     return acc.astype(np.int64)
 
 

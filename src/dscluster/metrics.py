@@ -18,7 +18,10 @@ counts n - 1 - 2k, and every member of a tie group [a, b) counts n - a - b
 instead; the counts go back to their nodes through one float64
 ``bincount`` per block of columns, exact because every partial sum is at
 most n * n < 2**53 in size.  It works a fixed number of table entries at a
-time, so its temporaries stay within a fixed size whatever n is.
+time, so its temporaries stay within a fixed size whatever n is.  The sort
+count builds its position counts and tie mask once per call and reads a
+slice of them per block; only a block with ties copies the counts to
+share them out.
 
 The per-node functions (``hop_closeness_index``, ``path_statistics``, ...)
 are row views of the same kernels.  Fixture-supplied override columns take
@@ -113,8 +116,9 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, which is
     n - (2 * less + equal) with less and equal counted in column w.
 
-    Columns are counted in blocks of ``_CLOSENESS_BLOCK // n`` at once, so
-    no temporary grows beyond a fixed number of table entries:
+    Columns are counted in blocks of ``_CLOSENESS_BLOCK // n`` at once (at
+    least one, at most n), so no temporary grows beyond a fixed number of
+    table entries:
 
     - an integer table whose values, less their minimum, take at most
       n + 1 levels (every hop table, UNREACHABLE included) is counted by
@@ -126,13 +130,15 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
       it counts n - 1 - 2k.  A tie group fills positions [a, b) and each
       member counts n - a - b, the mean of the counts of its two ends; the
       groups are found from the few positions whose sorted value equals
-      the next one.  One weighted ``bincount`` over the sort order per
-      block sends the counts back to their nodes; it sums in float64,
-      which is exact here because |g(u)| <= n * n < 2**53.
+      the next one.  The position counts and the tie mask are built once
+      per call, a block wide, and sliced per block; only a block with
+      ties edits the counts, on a copy.  One weighted ``bincount`` over
+      the sort order per block sends the counts back to their nodes; it
+      sums in float64, which is exact here because |g(u)| <= n * n < 2**53.
     """
     table = np.asarray(table)
     n = table.shape[0]
-    width = max(1, _CLOSENESS_BLOCK // n)
+    width = min(n, max(1, _CLOSENESS_BLOCK // n))
     histogram = False
     if np.issubdtype(table.dtype, np.integer):
         low = int(table.min())
@@ -140,6 +146,10 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
         histogram = levels <= n + 1
     g = np.zeros(n, dtype=np.int64)
     index = np.arange(n)
+    if not histogram:
+        # each sorted position's count, and the tie mask, for a full block
+        positions = np.tile(n - 1 - 2 * index, width)
+        same = np.zeros((width, n), dtype=bool)
     for start in range(0, n, width):
         block = table[:, start:start + width]
         columns = block.shape[1]
@@ -153,18 +163,19 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
             rows = np.ascontiguousarray(block.T)
             order = rows.argsort(axis=1)
             ordered = rows.take(order + index[:columns, None] * n)
-            counted = np.tile(n - 1 - 2 * index, columns)
+            counted = positions[:columns * n]
             # tied: flat sorted positions equal to their right-hand neighbour
-            same = np.zeros((columns, n), dtype=bool)
-            np.equal(ordered[:, 1:], ordered[:, :-1], out=same[:, :-1])
-            tied = np.flatnonzero(same)
-            starts = np.diff(tied, prepend=-2) != 1
-            first = tied[starts]
-            last = tied[np.diff(tied, append=-2) != 1] + 1
-            # a group [a, b) counts n - a - b, the mean of its end positions' counts
-            share = (counted[first] + counted[last]) // 2
-            counted[tied] = share[np.cumsum(starts) - 1]
-            counted[last] = share
+            np.equal(ordered[:, 1:], ordered[:, :-1], out=same[:columns, :-1])
+            tied = np.flatnonzero(same[:columns])
+            if tied.size:
+                counted = counted.copy()
+                starts = np.diff(tied, prepend=-2) != 1
+                first = tied[starts]
+                last = tied[np.diff(tied, append=-2) != 1] + 1
+                # a group [a, b) counts n - a - b, the mean of its end positions' counts
+                share = (counted[first] + counted[last]) // 2
+                counted[tied] = share[np.cumsum(starts) - 1]
+                counted[last] = share
             g += np.bincount(order.ravel(), weights=counted, minlength=n).astype(np.int64)
     return g
 

@@ -41,8 +41,6 @@ class CheckResult:
 @dataclass
 class PropertyReport:
     checks: list[CheckResult]
-    radius: int | None = None
-    diameter: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -221,12 +219,11 @@ def graph_radius_diameter(hop: np.ndarray) -> tuple[int | None, int | None]:
 def run_property_checks(
     state: ClusterState, graph: NetworkGraph, hop: np.ndarray
 ) -> PropertyReport:
-    """The four structural checks plus the graph's radius and diameter."""
-    radius, diameter = graph_radius_diameter(hop)
+    """The four structural checks."""
     checks = [
         check_cluster_diameter(state, graph),
         check_double_star(state, graph),
         check_partition(state, graph),
         check_dominance_and_independence(state, graph, hop),
     ]
-    return PropertyReport(checks=checks, radius=radius, diameter=diameter)
+    return PropertyReport(checks=checks)

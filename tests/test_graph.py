@@ -229,6 +229,17 @@ class TestBitParallelKernel:
         assert hop.max() == n - 1
         assert np.array_equal(hop, reference_hops(graph))
 
+    def test_connected_then_disconnected(self):
+        # a connected table ends on full source sets and skips the
+        # UNREACHABLE pass; cutting two edges of a path leaves unreachable pairs
+        path = [(v, v + 1) for v in range(69)]
+        for graph in (d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0),
+                      d.graph_from_edges(70, path),
+                      d.graph_from_edges(70, path[:20] + path[21:50] + path[51:])):
+            hop = d.hop_distance_table(graph)
+            assert np.array_equal(hop, reference_hops(graph))
+        assert (hop == d.UNREACHABLE).sum() == 2 * (21 * 30 + 21 * 19 + 30 * 19)
+
     @pytest.mark.parametrize("level_bytes", [1, 16 << 20])
     def test_isolated_nodes_keep_their_own_rows(self, monkeypatch, level_bytes):
         # isolated nodes 0 and 4 sit right before nodes that have neighbours, 9 at the end
@@ -265,8 +276,18 @@ class TestEuclideanTable:
         table = d.euclidean_distance_table(positions)
         assert table.tobytes() == reference_euclid(positions).tobytes()
 
+    @pytest.mark.parametrize("n, block", [(1, 1 << 17), (7, 7), (70, 1400)])
+    def test_row_blocks_bit_equal_to_reference_formula(self, monkeypatch, n, block):
+        # one block; seven one-row blocks; three 20-row blocks and a ragged 10
+        monkeypatch.setattr(graph_module, "_EUCLID_BLOCK", block, raising=False)
+        rng = np.random.default_rng(n)
+        positions = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-100, 100, size=(n, 2))
+        table = d.euclidean_distance_table(positions)
+        assert table.tobytes() == reference_euclid(positions).tobytes()
+
     def test_peak_memory_two_planes(self):
-        # the result and one more n x n plane; a 3-D difference array needs five
+        # the result and one 1 MB row block; one more n x n plane would make 2.0,
+        # and a 3-D difference array needs five
         n = 2000
         positions = d.deploy_random(n, 100.0, seed=1)
         tracemalloc.start()
@@ -275,7 +296,7 @@ class TestEuclideanTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * 8 * n * n
+        assert peak < 1.2 * 8 * n * n
 
     def test_coincident_zero(self):
         table = d.euclidean_distance_table(np.array([[2.0, 2.0], [2.0, 2.0]]))

@@ -439,6 +439,19 @@ class TestColumnKernelProperties:
             patch.setattr(metrics_module, "_CLOSENESS_BLOCK", columns * table.shape[0])
             assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
+    @pytest.mark.parametrize("tied_first", [True, False])
+    def test_closeness_blocks_with_and_without_ties(self, monkeypatch, tied_first):
+        # two 4-column blocks of a float table: one whose columns hold tie
+        # groups, one whose columns are all distinct, in either order
+        n = 8
+        rng = np.random.default_rng(5)
+        tied = rng.integers(0, 3, size=(n, 4)).astype(float)
+        distinct = np.stack([rng.permutation(n) for _ in range(4)], axis=1) / 2.0
+        blocks = (tied, distinct) if tied_first else (distinct, tied)
+        table = np.concatenate(blocks, axis=1)
+        monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", 4 * n)
+        assert closeness_indices(table).tolist() == closeness_by_pairs(table)
+
     def test_closeness_sort_equals_histogram_at_block_scale(self):
         # an n = 300 hop table spans several default-size column blocks; cast
         # to float it takes the sort branch, whose thousands of tie groups
