@@ -13,9 +13,9 @@ place, so the table needs one block beyond the result.  Hop distances
 always come from breadth-first search over the adjacency: one
 level-synchronous pull BFS from every source at once.  Each node keeps the
 uint64-packed set of sources it has reached, and each level ORs into it
-the sets of its neighbours; the distance at which a bit first
-appears is recorded in a few packed bit planes, one per binary digit, and
-decoded into the int64 table once at the end.  Nodes are taken in chunks
+the sets of its neighbours; the distance at which a bit first appears is
+recorded in a few packed bit planes, one per binary digit, and decoded
+into the int64 table in row blocks at the end.  Nodes are taken in chunks
 whose neighbour rows gather at most 256 KB per level, so each chunk's
 gather stays in a core's L2 cache and the working memory beyond the table
 does not grow with density.
@@ -35,8 +35,9 @@ UNREACHABLE = -1
 MAX_NODES = 5000
 #: Packed source-set rows one BFS level may gather for a chunk of nodes.
 _LEVEL_BYTES = 256 << 10
-#: Euclidean table entries filled per row block (1 MB of float64).
-_EUCLID_BLOCK = 1 << 17
+#: Table entries the Euclidean table and the hop decode fill per row block
+#: (1 MB of float64 or int64).
+_ROW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
     Each entry is sqrt(dx * dx + dy * dy), bit for bit the value of
     ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``, the formula the
     benchmark's deployment chooser computes too.  Rows are filled in blocks
-    of ``_EUCLID_BLOCK`` entries, at least one row each.
+    of ``_ROW_BLOCK`` entries, at least one row each.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
@@ -150,7 +151,7 @@ def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
     n = pos.shape[0]
     _check_size(n)
     x, y = pos.T
-    rows = min(n, max(1, _EUCLID_BLOCK // n))
+    rows = min(n, max(1, _ROW_BLOCK // n))
     table = np.empty((n, n))
     scratch = np.empty((rows, n))
     for a in range(0, n, rows):
@@ -220,10 +221,11 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     at level ``d`` are ORed into the packed bit planes of the binary digits
     of ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
     BFS stops when every set is full or a level adds nothing.  The planes
-    are then unpacked into an accumulator of the narrowest signed dtype
-    that holds D.  Only when a level added nothing, so that some set is not
-    full, is every pair whose bit is missing from the final set made
-    UNREACHABLE there.  The accumulator is cast to int64 once.
+    are then decoded in row blocks of ``_ROW_BLOCK`` entries: each block is
+    unpacked into an accumulator of the narrowest signed dtype that holds
+    D and cast into the int64 table.  Only when a level added nothing, so
+    that some set is not full, is every pair whose bit is missing from the
+    final set made UNREACHABLE in the accumulator first.
     """
     n = graph.node_count
     row_bytes = -(-n // 64) * 8
@@ -249,15 +251,21 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
             if distance >> digit & 1:
                 plane |= fresh
         reach = grown
-    del chunks  # the neighbour lists, before the n x n decode
-    acc = np.zeros((n, n), dtype=np.min_scalar_type(-(1 << len(planes))))
-    while planes:
-        acc <<= 1
-        acc |= _unpack(planes.pop(), n)
-    if not complete:
-        # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
-        acc -= _unpack(~reach, n)
-    return acc.astype(np.int64)
+    del chunks  # the neighbour lists, before the decode
+    hop = np.empty((n, n), dtype=np.int64)
+    dtype = np.min_scalar_type(-(1 << len(planes)))
+    step = max(1, _ROW_BLOCK // max(n, 1))
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        acc = np.zeros((len(reach[rows]), n), dtype=dtype)
+        for plane in reversed(planes):
+            acc <<= 1
+            acc |= _unpack(plane[rows], n)
+        if not complete:
+            # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
+            acc -= _unpack(~reach[rows], n)
+        hop[rows] = acc
+    return hop
 
 
 def _unpack(rows: np.ndarray, n: int) -> np.ndarray:

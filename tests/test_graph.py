@@ -229,9 +229,12 @@ class TestBitParallelKernel:
         assert hop.max() == n - 1
         assert np.array_equal(hop, reference_hops(graph))
 
-    def test_connected_then_disconnected(self):
+    @pytest.mark.parametrize("row_block", [1 << 17, 1000])
+    def test_connected_then_disconnected(self, monkeypatch, row_block):
         # a connected table ends on full source sets and skips the
-        # UNREACHABLE pass; cutting two edges of a path leaves unreachable pairs
+        # UNREACHABLE pass; cutting two edges of a path leaves unreachable pairs.
+        # 1000-entry blocks decode n = 300 in blocks of 3 rows and n = 70 in 14
+        monkeypatch.setattr(graph_module, "_ROW_BLOCK", row_block, raising=False)
         path = [(v, v + 1) for v in range(69)]
         for graph in (d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0),
                       d.graph_from_edges(70, path),
@@ -279,7 +282,7 @@ class TestEuclideanTable:
     @pytest.mark.parametrize("n, block", [(1, 1 << 17), (7, 7), (70, 1400)])
     def test_row_blocks_bit_equal_to_reference_formula(self, monkeypatch, n, block):
         # one block; seven one-row blocks; three 20-row blocks and a ragged 10
-        monkeypatch.setattr(graph_module, "_EUCLID_BLOCK", block, raising=False)
+        monkeypatch.setattr(graph_module, "_ROW_BLOCK", block, raising=False)
         rng = np.random.default_rng(n)
         positions = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-100, 100, size=(n, 2))
         table = d.euclidean_distance_table(positions)
