@@ -18,10 +18,8 @@ counts n - 1 - 2k, and every member of a tie group [a, b) counts n - a - b
 instead; the counts go back to their nodes through one float64
 ``bincount`` per block of columns, exact because every partial sum is at
 most n * n < 2**53 in size.  It works a fixed number of table entries at a
-time, so its temporaries stay within a fixed size whatever n is.  The sort
-count builds its position counts and tie mask once per call and reads a
-slice of them per block; only a block with ties copies the counts to
-share them out.
+time, so its temporaries stay within a fixed size whatever n is, and the
+sort count builds one block's position counts and tie mask once per call.
 
 The per-node functions (``hop_closeness_index``, ``path_statistics``, ...)
 are row views of the same kernels.  Fixture-supplied override columns take
