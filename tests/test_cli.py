@@ -632,12 +632,14 @@ class TestFixtureMatchesScenario:
 
     def _agree(self, workdir, n, terrain, range_, seed) -> bool:
         """Whether the draw is connected; a connected one must agree."""
-        graph = d.build_graph(d.deploy_random(n, terrain, seed), range_)
+        positions = d.deploy_random(n, terrain, seed)
+        graph = d.build_graph(positions, range_)
         if len(graph.components()) != 1:
             return False
         ns = d.compute_network_metrics(graph, d.compute_tables(graph)).ns_values
         fixture = {"nodes": n, "edges": [list(e) for e in graph.edges()],
-                   "euclid": graph.euclid.tolist(), "ns_override": ns.tolist()}
+                   "euclid": d.euclidean_distance_table(positions).tolist(),
+                   "ns_override": ns.tolist()}
         scenario = _scenario_doc(node_count=n, terrain_size=terrain, range=range_, seed=seed)
         expected = self._outputs(workdir, "--scenario", scenario)
         assert expected[1] == 0

@@ -29,7 +29,9 @@ Covered:
   sizes the column-blocked kernels run in several blocks.  The n = 300
   scenarios are also pinned through ``simulate`` (report and event
   NDJSON): three maintenance trajectories of hundreds of events each,
-  whose every refresh summary reads a fresh hop table.
+  whose every refresh summary reads a fresh hop table.  Seed 1 is also
+  run with ``--recompute-weights``: every refresh recomputes the metrics
+  of a 300-node graph, whose Euclidean rows span several blocks.
 
 Every golden ``verify`` exits 0: adjustment never promotes a critical
 node adjacent to a master, so no two masters are adjacent, and the engine
@@ -121,6 +123,7 @@ LARGE_DIGESTS = {
         "verify": "cf5d5346091f64e00633f5a38811e381461d475763ba6792c74c85273d0fda14",
         "simulate": "31a67646cc04bf19809744ce215e90f18abb64edd5fc4b88db13aef217344a2d",
         "events": "a5f39e5f300d582c28e0486b53ad8f298d8eb4d5865bb5384e8199653d048bab",
+        "recompute": "f12aa4fc048dc9cfc97f06278dc3ca4f4e7fad5ba3131665fdcb387249405b68",
     },
     (300, 274.0, 2): {
         "metrics": "99c398811842c4927cbae81388828ac331c6a3fa822df407fe1773a48b2614c7",
@@ -150,14 +153,17 @@ def test_large_output_matches_digest(node_count, terrain_size, seed, tmp_path):
     scenario.write_text(json.dumps(_scenario_doc(seed, node_count, terrain_size)))
     expected = LARGE_DIGESTS[node_count, terrain_size, seed]
     report, events = tmp_path / "cluster", tmp_path / "events"
-    runs = [("metrics", []), ("cluster", []), ("verify", ["--report", str(report)])]
+    runs = [("metrics", ["metrics"]), ("cluster", ["cluster"]),
+            ("verify", ["verify", "--report", str(report)])]
     if "simulate" in expected:
-        runs.append(("simulate", ["--events", str(events)]))
+        runs.append(("simulate", ["simulate", "--events", str(events)]))
+    if "recompute" in expected:
+        runs.append(("recompute", ["simulate", "--recompute-weights"]))
     digests = {}
-    for command, extra in runs:
-        out = tmp_path / command
-        assert main([command, "--scenario", str(scenario), *extra, "--out", str(out)]) == 0
-        digests[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+    for name, argv in runs:
+        out = tmp_path / name
+        assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     if events.exists():
         digests["events"] = hashlib.sha256(events.read_bytes()).hexdigest()
     assert digests == expected
