@@ -28,7 +28,6 @@ from .graph import (
     build_graph,
     compute_tables,
     deploy_random,
-    euclidean_distance_table,
     graph_from_edges,
     hop_distance_table,
 )

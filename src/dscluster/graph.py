@@ -1,16 +1,19 @@
-"""Network graph construction and all-pairs distance tables.
+"""Network graph construction and all-pairs hop tables.
 
 Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
 inclusive: two nodes are linked iff their Euclidean distance is <= r) or
 loaded from a fixture's edge list and Euclidean matrix, both taken
-verbatim (``fileio.load_fixture``).  Either way the graph is the only
-owner of its Euclidean table; the hop table travels as a bare array.  The
-Euclidean table is filled in row blocks of about 1 MB: each block's x
-differences are written into the result, its y differences into one
-block-sized scratch buffer, and both are squared, added and rooted in
-place, so the table needs one block beyond the result.  Hop distances
-always come from breadth-first search over the adjacency: one
+verbatim (``fileio.load_fixture``).  A position graph holds no distance
+table: a sweep over the nodes in x order finds each node's candidate
+neighbours, the nodes at most r (and a rounding margin) further along in
+x, and decides each candidate pair by its distance, so building the graph
+costs time and memory in proportion to the candidates, not to n * n.  The
+graph keeps its positions instead, and ``NetworkGraph.euclidean_rows``
+computes the rows of the Euclidean table from them, a block at a time,
+for the readers that need distances (the metrics); a fixture's graph
+yields slices of its matrix.  The hop table travels as a bare array.  Hop
+distances always come from breadth-first search over the adjacency: one
 level-synchronous pull BFS from every source at once.  Each node keeps the
 uint64-packed set of sources it has reached, and each level ORs into it
 the sets of its neighbours; the distance at which a bit first appears is
@@ -35,23 +38,26 @@ UNREACHABLE = -1
 MAX_NODES = 5000
 #: Packed source-set rows one BFS level may gather for a chunk of nodes.
 _LEVEL_BYTES = 256 << 10
-#: Table entries the Euclidean table and the hop decode fill per row block
-#: (1 MB of float64 or int64).
+#: Table entries the hop decode fills per row block (1 MB of int64).
 _ROW_BLOCK = 1 << 17
+#: Candidate pairs the unit-disk sweep decides at once (256 KB per column
+#: of node ids or coordinates).
+_PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
 class NetworkGraph:
     """Undirected network topology, immutable once built.
 
-    ``range_`` is only present in position mode.  ``euclid`` is the
-    Euclidean table: the one the adjacency was thresholded from, or a
-    fixture's matrix.  A graph from a bare edge list has none.
+    ``range_`` and ``positions`` (an n x 2 float array) are only present
+    in position mode.  ``euclid`` is a fixture's Euclidean matrix.  A graph
+    from a bare edge list has neither distances nor positions.
     """
 
     adj: np.ndarray
     range_: float | None = None
     euclid: np.ndarray | None = None
+    positions: np.ndarray | None = None
 
     def __post_init__(self):
         adj = np.asarray(self.adj, dtype=bool)
@@ -59,7 +65,7 @@ class NetworkGraph:
             raise InvalidArgumentError("adjacency must be a square matrix")
         if adj.diagonal().any():
             raise InvalidArgumentError("adjacency must be irreflexive")
-        if not np.array_equal(adj, adj.T):
+        if (adj != adj.T).any():
             raise InvalidArgumentError("adjacency must be symmetric")
         object.__setattr__(self, "adj", adj)
 
@@ -90,6 +96,20 @@ class NetworkGraph:
             seen |= comp
             out.append(np.flatnonzero(comp).tolist())
         return out
+
+    def euclidean_rows(self, rows: int):
+        """The Euclidean table in consecutive blocks of ``rows`` rows (the
+        last one possibly shorter), each yielded as (first row, block).
+
+        A fixture's blocks are slices of its matrix.  A position graph's
+        are computed from its positions by ``distance_rows``, into buffers
+        that every block reuses: a block holds until the next is taken.
+        """
+        if self.euclid is None:
+            yield from distance_rows(self.positions, rows)
+            return
+        for start in range(0, self.node_count, rows):
+            yield start, self.euclid[start:start + rows]
 
 
 @dataclass(frozen=True)
@@ -137,44 +157,89 @@ def _check_size(n: int) -> None:
         raise SizeLimitError(f"{n} nodes exceed the limit of {MAX_NODES} for dense n x n tables")
 
 
-def euclidean_distance_table(positions: np.ndarray) -> np.ndarray:
-    """Pairwise planar Euclidean distances; symmetric with zero diagonal.
+def distance_rows(positions: np.ndarray, rows: int):
+    """The Euclidean table of ``positions`` in blocks of ``rows`` rows,
+    yielded as (first row, block); symmetric with zero diagonal.
 
-    Each entry is sqrt(dx * dx + dy * dy), bit for bit the value of
-    ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``, the formula the
-    benchmark's deployment chooser computes too.  Rows are filled in blocks
-    of ``_ROW_BLOCK`` entries, at least one row each.
+    Entry (u, v) is sqrt(dx * dx + dy * dy) with dx = x_u - x_v and
+    dy = y_u - y_v, bit for bit ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``,
+    the formula the benchmark's deployment chooser computes too, and the
+    one ``build_graph`` decides adjacency by.  Every block is computed in
+    the same pair of ``rows`` x n buffers, one for the x and one for the y
+    differences, so a block is valid until the next is taken.
     """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
-        raise InvalidArgumentError("positions must be a non-empty (n, 2) array")
-    n = pos.shape[0]
-    _check_size(n)
-    x, y = pos.T
-    rows = min(n, max(1, _ROW_BLOCK // n))
-    table = np.empty((n, n))
-    scratch = np.empty((rows, n))
-    for a in range(0, n, rows):
-        dx = table[a:a + rows]
-        dy = scratch[:len(dx)]
-        np.subtract.outer(x[a:a + rows], x, out=dx)
-        np.subtract.outer(y[a:a + rows], y, out=dy)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        np.sqrt(dx, out=dx)
-    return table
+    x, y = positions[:, 0], positions[:, 1]
+    n = len(x)
+    dx, dy = np.empty((2, min(rows, n), n))
+    for start in range(0, n, rows):
+        xr, yr = x[start:start + rows], y[start:start + rows]
+        block, other = dx[:len(xr)], dy[:len(xr)]
+        np.subtract.outer(xr, x, out=block)
+        np.subtract.outer(yr, y, out=other)
+        block *= block
+        other *= other
+        block += other
+        yield start, np.sqrt(block, out=block)
 
 
 def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     """Unit-disk graph over the given positions: (u, v) adjacent iff
-    ed(u, v) <= range_ (ties at exactly the range are adjacent)."""
+    ed(u, v) <= range_ (ties at exactly the range are adjacent).
+
+    ed(u, v) is the entry of ``distance_rows``, with the same operations in
+    the same order, so the adjacency is the one that thresholding the whole
+    table would give, bit for bit; but no table is built.  The nodes are
+    sorted by x, and a node's candidates are the nodes after it in that
+    order up to the last with x <= x_u + w, w = max(r * (1 + 2**-40),
+    2**-510), found by one ``searchsorted``.  Only candidates can be
+    adjacent.  Rounding and the square root are monotone and
+    fl(dy * dy) >= 0, so ed(u, v) <= r implies fl(sqrt(fl(dx * dx))) <= r.
+    Where dx * dx is a normal float, each of the three roundings (the
+    difference, the square, the root) is within a factor 1 +- 2**-53, so
+    the real gap |x_u - x_v| is below r * (1 + 2**-50); elsewhere dx * dx is
+    below 2**-1022 and the gap below 2**-510.  Either way x_v <= x_u + w
+    holds for the computed w, and so x_v <= fl(x_u + w), at any coordinate
+    magnitude.  A pair with an infinite or NaN difference is adjacent only
+    when r is infinite, and then every window reaches the last node.
+    Candidates are decided ``_PAIR_BLOCK`` pairs at a time (more only when
+    one node alone has more), so the memory beyond the n x n bool adjacency
+    stays fixed.  The graph keeps the positions.
+    """
     if range_ <= 0:
         raise InvalidArgumentError(f"transmission range must be positive, got {range_}")
-    euclid = euclidean_distance_table(positions)
-    adj = euclid <= range_
-    np.fill_diagonal(adj, False)
-    return NetworkGraph(adj=adj, range_=float(range_), euclid=euclid)
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[0] < 1 or pos.shape[1] != 2:
+        raise InvalidArgumentError("positions must be a non-empty (n, 2) array")
+    n = len(pos)
+    _check_size(n)
+    x, y = pos[:, 0], pos[:, 1]
+    order = x.argsort()
+    xs = x[order]
+    ends = xs.searchsorted(xs + max(range_ * (1 + 2 ** -40), 2.0 ** -510), side="right")
+    counts = ends - np.arange(1, n + 1)  # candidates after each node in x order
+    listed = counts.cumsum()
+    # the candidate at place k of the pair list is, in x order, k + shift of its node
+    shift = ends - listed
+    adj = np.zeros((n, n), dtype=bool)
+    a = done = 0
+    while a < n:
+        b = max(a + 1, int(listed.searchsorted(done + _PAIR_BLOCK, side="right")))
+        u = order[a:b].repeat(counts[a:b])
+        v = shift[a:b].repeat(counts[a:b])
+        v += np.arange(done, done + len(v))
+        order.take(v, out=v)
+        dx = x[u] - x[v]
+        dy = y[u] - y[v]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        near = np.sqrt(dx, out=dx) <= range_
+        u, v = u[near], v[near]
+        adj[u, v] = True
+        adj[v, u] = True
+        done += len(near)
+        a = b
+    return NetworkGraph(adj=adj, range_=float(range_), positions=pos)
 
 
 def _neighbour_chunks(adj: np.ndarray, row_bytes: int):

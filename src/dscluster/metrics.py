@@ -4,12 +4,16 @@ A node's weight is a linear combination of six parameters: degree, the
 combined closeness index (average of the hop- and Euclidean-closeness
 indices), the reciprocals of eccentricity / mean hop distance / mean
 Euclidean distance, and the neighbour-strength value.  Each is computed
-once for the whole network, from the hop table passed in and the graph's
-own Euclidean table, as an array column indexed by node
-(``closeness_indices``, ``path_columns``, ``neighbor_bands``);
+once for the whole network as an array column indexed by node;
 ``NetworkMetrics`` holds the columns, and derives from the weight and NS
 columns the election order that every election reads,
 ``NetworkMetrics.rank``.
+
+The hop parameters read the hop table passed in.  The Euclidean ones make
+one pass over the graph's Euclidean rows (``NetworkGraph.euclidean_rows``),
+which a position graph computes from its positions a block at a time, so
+no whole table exists; each block feeds the Euclidean closeness count, the
+MED row sums and the three distance-band counts.
 
 The closeness kernel counts, per column of the table, how many entries lie
 below and level with each entry: by histogram for an integer table of at
@@ -20,10 +24,13 @@ instead; the counts go back to their nodes through one float64
 most n * n < 2**53 in size.  It works a fixed number of table entries at a
 time, so its temporaries stay within a fixed size whatever n is, and the
 sort count builds one block's position counts and tie mask once per call.
+A Euclidean table is symmetric, so its rows serve the sort count as
+columns.
 
-The per-node functions (``hop_closeness_index``, ``path_statistics``, ...)
-are row views of the same kernels.  Fixture-supplied override columns take
-precedence over recomputation.
+The whole-table functions (``closeness_indices``, ``path_columns``,
+``neighbor_bands`` and their per-node views ``hop_closeness_index``,
+``path_statistics``, ...) run the same kernels on a table passed in.
+Fixture-supplied override columns take precedence over recomputation.
 """
 from __future__ import annotations
 
@@ -114,68 +121,87 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, which is
     n - (2 * less + equal) with less and equal counted in column w.
 
-    Columns are counted in blocks of ``_CLOSENESS_BLOCK // n`` at once (at
-    least one, at most n), so no temporary grows beyond a fixed number of
-    table entries:
+    Columns are counted in blocks of ``_block_rows(n)`` at once, so no
+    temporary grows beyond a fixed number of table entries:
 
     - an integer table whose values, less their minimum, take at most
       n + 1 levels (every hop table, UNREACHABLE included) is counted by
       a histogram per column: the running sum of the counts up to a value
       gives less + equal, and 2 * less + equal is gathered per entry;
-    - any other table is sorted column by column, each column copied into
-      a contiguous row first (the table need not be symmetric).  Without
-      ties, the entry at sorted position k has less = k and equal = 1, so
-      it counts n - 1 - 2k.  A tie group fills positions [a, b) and each
-      member counts n - a - b, the mean of the counts of its two ends; the
-      groups are found from the few positions whose sorted value equals
-      the next one.  The position counts and the tie mask are built once
-      per call, a block wide, and sliced per block; only a block with
-      ties edits the counts, on a copy.  One weighted ``bincount`` over
-      the sort order per block sends the counts back to their nodes; it
-      sums in float64, which is exact here because |g(u)| <= n * n < 2**53.
+    - any other table is sorted column by column by ``_sort_count``, each
+      block of columns copied into contiguous rows first (the table need
+      not be symmetric).
     """
     table = np.asarray(table)
     n = table.shape[0]
-    width = min(n, max(1, _CLOSENESS_BLOCK // n))
+    width = _block_rows(n)
     histogram = False
-    if np.issubdtype(table.dtype, np.integer):
+    if table.dtype.kind in "iu":
         low = int(table.min())
         levels = int(table.max()) - low + 1
         histogram = levels <= n + 1
     g = np.zeros(n, dtype=np.int64)
-    index = np.arange(n)
     if not histogram:
-        # each sorted position's count, and the tie mask, for a full block
-        positions = np.tile(n - 1 - 2 * index, width)
-        same = np.zeros((width, n), dtype=bool)
+        buffers = _sort_buffers(n, width)
     for start in range(0, n, width):
         block = table[:, start:start + width]
-        columns = block.shape[1]
         if histogram:
+            columns = block.shape[1]
             keys = np.subtract(block, low, dtype=np.int64)
             keys += np.arange(columns) * levels
             counts = np.bincount(keys.ravel(), minlength=columns * levels)
             below = counts.reshape(columns, levels).cumsum(axis=1).ravel()
             g += columns * n - (below + below - counts)[keys].sum(axis=1)
         else:
-            rows = np.ascontiguousarray(block.T)
-            order = rows.argsort(axis=1)
-            ordered = rows.take(order + index[:columns, None] * n)
-            counted = positions[:columns * n]
-            # tied: flat sorted positions equal to their right-hand neighbour
-            np.equal(ordered[:, 1:], ordered[:, :-1], out=same[:columns, :-1])
-            tied = np.flatnonzero(same[:columns])
-            if tied.size:
-                counted = counted.copy()
-                starts = np.diff(tied, prepend=-2) != 1
-                first = tied[starts]
-                last = tied[np.diff(tied, append=-2) != 1] + 1
-                # a group [a, b) counts n - a - b, the mean of its end positions' counts
-                share = (counted[first] + counted[last]) // 2
-                counted[tied] = share[np.cumsum(starts) - 1]
-                counted[last] = share
-            g += np.bincount(order.ravel(), weights=counted, minlength=n).astype(np.int64)
+            g += _sort_count(np.ascontiguousarray(block.T), *buffers)
     return g
+
+
+def _block_rows(n: int) -> int:
+    """Table rows (or columns) per block: ``_CLOSENESS_BLOCK`` entries, at
+    least one row and at most n."""
+    return min(n, max(1, _CLOSENESS_BLOCK // n))
+
+
+def _sort_buffers(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sort count's per-call buffers, a block of ``width`` columns wide:
+    each flat sorted position's count, and the tie mask."""
+    positions = np.empty((width, n), dtype=np.int64)
+    positions[:] = np.arange(n - 1, -n, -2)
+    return positions.reshape(-1), np.zeros((width, n), dtype=bool)
+
+
+def _sort_count(rows: np.ndarray, positions: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Each node's share of g from the table columns held, one per row, in
+    the contiguous array ``rows``.
+
+    Each row is sorted.  Without ties, the entry at sorted position k has
+    less = k and equal = 1, so it counts n - 1 - 2k.  A tie group fills
+    positions [a, b) and each member counts n - a - b, the mean of the
+    counts of its two ends; the groups are found from the few positions
+    whose sorted value equals the next one.  ``positions`` and ``same``
+    come from ``_sort_buffers``; only a block with ties edits the counts,
+    on a copy.  One weighted ``bincount`` over the sort order sends the
+    counts back to their nodes; it sums in float64, which is exact here
+    because |g(u)| <= n * n < 2**53.
+    """
+    columns, n = rows.shape
+    order = rows.argsort(axis=1)
+    ordered = rows.take(order + np.arange(0, columns * n, n)[:, None])
+    counted = positions[:columns * n]
+    # tied: flat sorted positions equal to their right-hand neighbour
+    np.equal(ordered[:, 1:], ordered[:, :-1], out=same[:columns, :-1])
+    tied = np.flatnonzero(same[:columns])
+    if tied.size:
+        counted = counted.copy()
+        starts = np.diff(tied, prepend=-2) != 1
+        first = tied[starts]
+        last = tied[np.diff(tied, append=-2) != 1] + 1
+        # a group [a, b) counts n - a - b, the mean of its end positions' counts
+        share = (counted[first] + counted[last]) // 2
+        counted[tied] = share[np.cumsum(starts) - 1]
+        counted[last] = share
+    return np.bincount(order.ravel(), weights=counted, minlength=n).astype(np.int64)
 
 
 def hop_closeness_index(u: int, hop: np.ndarray) -> int:
@@ -201,13 +227,31 @@ def neighbor_bands(euclid: np.ndarray, range_: float) -> np.ndarray:
     The bands are half-open so they partition the neighbourhood exactly.
     A node is not its own neighbour: its zero diagonal entry is left out.
     """
+    within = np.empty((len(euclid), 3), dtype=np.intp)
+    _count_within(euclid, _band_bounds(range_), within)
+    return _bands(within)
+
+
+def _band_bounds(range_: float) -> tuple[float, float, float]:
     if range_ is None or range_ <= 0:
         raise ConfigurationError("neighbour categorisation requires a positive range")
-    bounds = (range_ / 2, 3 * range_ / 4, range_)
-    within = np.stack([(euclid <= bound).sum(axis=1) for bound in bounds], axis=1)
-    bands = np.diff(within, axis=1, prepend=0)
-    bands[:, 0] -= 1
-    return bands
+    return range_ / 2, 3 * range_ / 4, range_
+
+
+def _count_within(rows: np.ndarray, bounds: tuple[float, float, float], out: np.ndarray) -> None:
+    """Write into ``out`` how many entries of each row lie at or below each
+    band bound, one column per bound."""
+    for column, bound in zip(out.T, bounds):
+        np.less_equal(rows, bound).sum(axis=1, out=column)
+
+
+def _bands(within: np.ndarray) -> np.ndarray:
+    """(m1, m2, m3) per row from ``_count_within``'s counts, in place: each
+    band is its bound's count less the one below, and the diagonal entry
+    leaves the strong band."""
+    within[:, 1:] -= within[:, :-1]
+    within[:, 0] -= 1
+    return within
 
 
 def neighbor_categories(u: int, euclid: np.ndarray, range_: float) -> tuple[int, int, int]:
@@ -228,10 +272,15 @@ def path_columns(hop: np.ndarray, euclid: np.ndarray) -> tuple[np.ndarray, np.nd
     Means divide by n - 1.  Any unreachable pair raises rather than
     silently skewing the statistics; a single-node network yields zeros.
     """
-    _reachable(hop)
-    others = max(hop.shape[0] - 1, 1)
     with np.errstate(over="ignore"):  # compute_network_metrics refuses an infinite MED
-        return hop.max(axis=1), hop.sum(axis=1) / others, euclid.sum(axis=1) / others
+        return _path_columns(_reachable(hop), euclid.sum(axis=1))
+
+
+def _path_columns(hop: np.ndarray, euclid_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """path_columns of a hop table already checked by ``_reachable``, given
+    each Euclidean row's sum."""
+    others = max(hop.shape[0] - 1, 1)
+    return hop.max(axis=1), hop.sum(axis=1) / others, euclid_sums / others
 
 
 def path_statistics(u: int, hop: np.ndarray, euclid: np.ndarray) -> tuple[int, float, float]:
@@ -255,35 +304,57 @@ def compute_network_metrics(
     """Metric columns for the whole network, honouring fixture overrides.
 
     Override columns (NS, g_h, g_ed, W) replace the recomputed values.
-    The Euclidean parameters read the table the graph carries, and a
-    graph without one is refused.  Without an NS override the graph must
-    carry a transmission range so neighbours can be categorised by
-    distance band.  An NS, MED or weight beyond the float range is
-    refused, naming the first such node: each would skew the election.
+    The Euclidean parameters read the graph's Euclidean rows, computed
+    from its positions or sliced from a fixture's (symmetric) matrix, and
+    a graph with neither is refused.  The rows arrive as one stream of
+    ``_block_rows(n)``-row blocks, and each block feeds, in one pass, the
+    Euclidean closeness sort count (a row of the symmetric table is also
+    its column), the MED row sums and the three band counts.  Without an
+    NS override the graph must carry a transmission range so neighbours
+    can be categorised by distance band.  An NS, MED or weight beyond the
+    float range is refused, naming the first such node: each would skew
+    the election.
     """
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
     n = graph.node_count
     overrides.validate(n)
-    if graph.euclid is None:
+    if graph.euclid is None and graph.positions is None:
         raise InvalidArgumentError(
             "graph has no Euclidean table: build it from positions or load a fixture")
-    ecc, mhd, med = path_columns(hop, graph.euclid)
-    g_h, g_ed = (
-        closeness_indices(table).astype(float) if given is None else np.asarray(given, dtype=float)
-        for given, table in ((overrides.g_h, hop), (overrides.g_ed, graph.euclid))
-    )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by node
-        cci = combined_closeness_index(g_h, g_ed)
-        bands = None
-        if overrides.ns is not None:
-            ns = np.asarray(overrides.ns, dtype=float)
-        elif graph.range_ is None:
+    _reachable(hop)
+    bounds = None
+    if overrides.ns is None:
+        if graph.range_ is None:
             raise ConfigurationError(
                 "no transmission range and no NS override: cannot categorise neighbours"
             )
+        bounds = _band_bounds(graph.range_)
+    width = _block_rows(n)
+    g_ed = np.zeros(n, dtype=np.int64)
+    sums = np.empty(n)
+    within = np.empty((n, 3), dtype=np.intp)
+    buffers = _sort_buffers(n, width) if overrides.g_ed is None else None
+    with np.errstate(over="ignore"):  # an infinite MED is refused below, by node
+        for start, rows in graph.euclidean_rows(width):
+            stop = start + len(rows)
+            if buffers is not None:
+                g_ed += _sort_count(rows, *buffers)
+            rows.sum(axis=1, out=sums[start:stop])
+            if bounds is not None:
+                _count_within(rows, bounds, within[start:stop])
+    ecc, mhd, med = _path_columns(hop, sums)
+    g_h = closeness_indices(hop) if overrides.g_h is None else overrides.g_h
+    if overrides.g_ed is not None:
+        g_ed = overrides.g_ed
+    g_h, g_ed = np.asarray(g_h, dtype=float), np.asarray(g_ed, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by node
+        cci = combined_closeness_index(g_h, g_ed)
+        bands = None
+        if bounds is None:
+            ns = np.asarray(overrides.ns, dtype=float)
         else:
-            bands = neighbor_bands(graph.euclid, graph.range_)
+            bands = _bands(within)
             ns = neighbor_strength(*bands.T, config.ns_threshold)
 
         deg = graph.adj.sum(axis=1)

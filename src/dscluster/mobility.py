@@ -31,7 +31,12 @@ Weights are those computed at formation time, from the t = 0 tables,
 unless the scenario asks for recomputation.  Every refresh, in every
 mode, builds one hop table, which its summary's checks read; a refresh
 that recomputes weights or re-forms clusters reads connectivity off that
-same table and keeps maintaining a disconnected graph.
+same table and keeps maintaining a disconnected graph.  A refresh builds
+its graph twice (``_refresh`` and ``hello_refresh``), each time by the
+x-sorted sweep of ``build_graph``, which computes the distances of the
+candidate pairs only and keeps no distance table.  Only a refresh that
+recomputes weights computes Euclidean distances for every pair, streamed
+into the metrics a block of rows at a time.
 """
 from __future__ import annotations
 

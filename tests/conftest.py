@@ -9,6 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import graph as graph_module
 from dscluster.fileio import load_fixture
 
 DATA = Path(__file__).parent / "data"
@@ -57,6 +58,27 @@ def fixture_inputs(edges, euclid):
     euclid = np.asarray(euclid, dtype=float)
     graph = d.NetworkGraph(adj=d.graph_from_edges(len(euclid), edges).adj, euclid=euclid)
     return graph, d.compute_tables(graph)
+
+
+def reference_euclid(positions):
+    """Pairwise distances by the three-dimensional formula the table must
+    equal bit for bit (perfbench/seeds.py keeps a copy of it to pick
+    connected deployments)."""
+    delta = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt((delta ** 2).sum(axis=2))
+
+
+def euclidean_distance_table(positions):
+    """The whole Euclidean table of ``positions``, assembled from the
+    package's row stream (``graph.distance_rows``) in blocks of
+    ``graph._ROW_BLOCK`` entries, at least one row each: the table that a
+    fixture carries, and the one every streamed metric must agree with."""
+    positions = np.asarray(positions, dtype=float)
+    n = len(positions)
+    table = np.empty((n, n))
+    for start, rows in graph_module.distance_rows(positions, max(1, graph_module._ROW_BLOCK // n)):
+        table[start:start + len(rows)] = rows
+    return table
 
 
 def connected_rgg_suite(count, n_low=5, n_high=40, terrain=100.0,

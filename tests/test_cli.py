@@ -14,7 +14,7 @@ import dscluster as d
 from dscluster.cli import main
 from dscluster.graph import MAX_NODES
 
-from conftest import connected_deployments
+from conftest import connected_deployments, euclidean_distance_table
 
 FIXTURE_PATH = str(resources.files("dscluster.data").joinpath("paper23.json"))
 #: A hub with four unit-range spokes: a perfect single cluster.
@@ -638,7 +638,7 @@ class TestFixtureMatchesScenario:
             return False
         ns = d.compute_network_metrics(graph, d.compute_tables(graph)).ns_values
         fixture = {"nodes": n, "edges": [list(e) for e in graph.edges()],
-                   "euclid": d.euclidean_distance_table(positions).tolist(),
+                   "euclid": euclidean_distance_table(positions).tolist(),
                    "ns_override": ns.tolist()}
         scenario = _scenario_doc(node_count=n, terrain_size=terrain, range=range_, seed=seed)
         expected = self._outputs(workdir, "--scenario", scenario)

@@ -18,7 +18,7 @@ from dscluster.errors import (
 from dscluster.fileio import load_fixture
 from dscluster.graph import MAX_NODES
 
-from conftest import cluster_state, random_edge_graph
+from conftest import cluster_state, euclidean_distance_table, random_edge_graph, reference_euclid
 
 
 def reference_hops(graph, sources=None):
@@ -65,6 +65,17 @@ random_graphs = st.builds(
     p=st.sampled_from(DENSITIES) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+coordinates = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.just(0.0)
+
+
+def reference_adjacency(positions, range_):
+    """Unit-disk adjacency by thresholding the whole reference table, the
+    diagonal cleared: what the sweep must equal bit for bit."""
+    adj = reference_euclid(positions) <= range_
+    np.fill_diagonal(adj, False)
+    return adj
 
 
 class TestDeployRandom:
@@ -119,6 +130,101 @@ class TestBuildGraph:
     def test_bad_range(self):
         with pytest.raises(InvalidArgumentError):
             d.build_graph(np.zeros((3, 2)), range_=0.0)
+
+    def test_keeps_positions_and_no_table(self):
+        positions = d.deploy_random(12, 100.0, seed=5)
+        graph = d.build_graph(positions, 30.0)
+        assert graph.euclid is None
+        assert graph.positions.tobytes() == positions.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (0, 2), (3,), (2, 2, 2)])
+    def test_malformed_positions_refused(self, shape):
+        with pytest.raises(InvalidArgumentError, match=r"\(n, 2\) array"):
+            d.build_graph(np.zeros(shape), 1.0)
+
+    def test_oversized_positions_refused_before_any_allocation(self):
+        positions = np.zeros((MAX_NODES + 1, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                d.build_graph(positions, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # the bool adjacency alone would be 25 MB
+
+
+class TestSweep:
+    """``build_graph`` decides only the candidate pairs of its x-sorted
+    sweep; its adjacency must still be the thresholded whole table."""
+
+    @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=40), st.data())
+    def test_equals_thresholded_table(self, points, data):
+        positions = np.array(points)
+        distances = reference_euclid(positions)
+        ranges = st.floats(1e-300, 1e300)
+        if (distances > 0).any():
+            # a range read off the table puts some pairs exactly on it
+            ranges |= st.sampled_from(np.unique(distances[distances > 0]).tolist())
+        range_ = data.draw(ranges)
+        adj = d.build_graph(positions, range_).adj
+        assert np.array_equal(adj, reference_adjacency(positions, range_))
+
+    @pytest.mark.parametrize("points, range_, edges", [
+        # 3-4-5 triangles scaled to the range: every leg from the corner ties it
+        ([(0.0, 0.0), (3.0, 4.0), (-4.0, 3.0), (4.0, -3.0)], 5.0, 3),
+        ([(0.0, 0.0), (0.75, 1.0), (-1.0, 0.75)], 1.25, 2),
+        ([(1e6, 1e6), (1e6 + 3 * 2**-3, 1e6 + 4 * 2**-3)], 5 * 2**-3, 1),
+        ([(0.0, 0.0), (3.0, 4.0)], np.nextafter(5.0, 0.0), 0),
+        # coincident nodes are at distance 0
+        ([(2.0, 2.0)] * 3, 1e-9, 3),
+        # one column of equal x: only the y gaps decide
+        ([(5.0, 0.0), (5.0, 10.0), (5.0, 20.0), (5.0, 30.5)], 10.0, 2),
+        ([(3.0, 3.0)], 1.0, 0),
+    ], ids=["triangles", "scaled-triangles", "far-triangle", "just-short", "coincident",
+            "equal-x", "one-node"])
+    def test_ties_and_degenerate_layouts(self, points, range_, edges):
+        positions = np.array(points)
+        adj = d.build_graph(positions, range_).adj
+        assert np.array_equal(adj, reference_adjacency(positions, range_))
+        assert adj.sum() == 2 * edges
+
+    def test_coordinates_near_1e150(self):
+        # near 1e150 neighbouring floats lie 2e134 apart, so the window
+        # x + 30 rounds to x itself: only nodes of equal x are candidates
+        rng = np.random.default_rng(4)
+        ulp = np.spacing(1e150)
+        far = 1e150 + rng.integers(0, 3, size=(30, 2)) * ulp
+        near = rng.uniform(0.0, 60.0, size=(30, 2))
+        positions = np.concatenate((far, near))[rng.permutation(60)]
+        adj = d.build_graph(positions, 30.0).adj
+        assert np.array_equal(adj, reference_adjacency(positions, 30.0))
+        assert adj.any()
+
+    def test_one_pair_per_chunk(self, monkeypatch):
+        positions = d.deploy_random(300, 274.0, seed=1)
+        expected = d.build_graph(positions, 30.0).adj
+        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", 1)
+        assert np.array_equal(d.build_graph(positions, 30.0).adj, expected)
+        clustered = np.concatenate((positions[:100] / 20.0, positions[100:]))
+        assert np.array_equal(d.build_graph(clustered, 30.0).adj,
+                              reference_adjacency(clustered, 30.0))
+
+    def test_peak_memory_on_a_complete_graph(self):
+        # every pair is a candidate and adjacent: the 4 MB adjacency plus the
+        # pair columns (ids, coordinates, squares) of one chunk of at most
+        # _PAIR_BLOCK + n pairs and what the chunk before it left, under 160
+        # bytes a pair; a float table would be 32 MB
+        n = 2000
+        positions = d.deploy_random(n, 10.0, seed=2)
+        tracemalloc.start()
+        try:
+            graph = d.build_graph(positions, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.adj.sum() == n * (n - 1)
+        assert peak < n * n + 160 * (graph_module._PAIR_BLOCK + n)
 
 
 class TestHopTable:
@@ -261,22 +367,11 @@ class TestBitParallelKernel:
         assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
 
 
-def reference_euclid(positions):
-    """Pairwise distances by the three-dimensional formula the table must
-    equal bit for bit (perfbench/seeds.py keeps a copy of it to pick
-    connected deployments)."""
-    delta = positions[:, None, :] - positions[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=2))
-
-
-coordinates = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.just(0.0)
-
-
 class TestEuclideanTable:
     @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=70))
     def test_bit_equal_to_reference_formula(self, points):
         positions = np.array(points)
-        table = d.euclidean_distance_table(positions)
+        table = euclidean_distance_table(positions)
         assert table.tobytes() == reference_euclid(positions).tobytes()
 
     @pytest.mark.parametrize("n, block", [(1, 1 << 17), (7, 7), (70, 1400)])
@@ -285,28 +380,28 @@ class TestEuclideanTable:
         monkeypatch.setattr(graph_module, "_ROW_BLOCK", block, raising=False)
         rng = np.random.default_rng(n)
         positions = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-100, 100, size=(n, 2))
-        table = d.euclidean_distance_table(positions)
+        table = euclidean_distance_table(positions)
         assert table.tobytes() == reference_euclid(positions).tobytes()
 
     def test_peak_memory_two_planes(self):
-        # the result and one 1 MB row block; one more n x n plane would make 2.0,
-        # and a 3-D difference array needs five
+        # the result and the row stream's pair of 1 MB buffers; one more n x n
+        # plane would make 2.0, and a 3-D difference array needs five
         n = 2000
         positions = d.deploy_random(n, 100.0, seed=1)
         tracemalloc.start()
         try:
-            d.euclidean_distance_table(positions)
+            euclidean_distance_table(positions)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1.2 * 8 * n * n
 
     def test_coincident_zero(self):
-        table = d.euclidean_distance_table(np.array([[2.0, 2.0], [2.0, 2.0]]))
+        table = euclidean_distance_table(np.array([[2.0, 2.0], [2.0, 2.0]]))
         assert table[0, 1] == 0.0
 
     def test_pythagorean_triple(self):
-        table = d.euclidean_distance_table(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        table = euclidean_distance_table(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert table[0, 1] == pytest.approx(5.0)
 
     def test_fixture_table_ingested_verbatim(self, bundle):
@@ -345,7 +440,7 @@ class TestIngestFixture:
 
     def _euclid(self, n):
         pos = d.deploy_random(n, 10.0, seed=1)
-        return d.euclidean_distance_table(pos)
+        return euclidean_distance_table(pos)
 
     def _load(self, edges, euclid, **extra):
         return load_fixture({"nodes": len(euclid), "edges": [list(e) for e in edges],

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -8,7 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import graph as graph_module
 from dscluster import metrics as metrics_module
+from dscluster.cli import main
 from dscluster.errors import (
     ConfigurationError,
     InvalidArgumentError,
@@ -16,7 +19,7 @@ from dscluster.errors import (
 )
 from dscluster.metrics import closeness_indices, neighbor_bands, path_columns
 
-from conftest import election_key, fixture_inputs, random_edge_graph
+from conftest import election_key, euclidean_distance_table, fixture_inputs, random_edge_graph
 
 
 def _tables_for(graph):
@@ -50,7 +53,7 @@ class TestCloserCardinalities:
             graph = random_edge_graph(rng, n_low=3, n_high=8)
             n = graph.node_count
             hop = _tables_for(graph)
-            euclid = d.euclidean_distance_table(
+            euclid = euclidean_distance_table(
                 np.random.default_rng(1).uniform(0, 10, (n, 2))
             )
             for u in range(n):
@@ -62,12 +65,12 @@ class TestCloserCardinalities:
 
     def test_collinear_euclidean(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         assert closer_cardinalities(0, 2, euclid) == (2, 1)
 
     def test_coincident_nodes_all_tie(self):
         positions = np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 0.0]])
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         assert closer_cardinalities(0, 1, euclid) == (0, 0)
 
 
@@ -112,7 +115,7 @@ class TestClosenessIndices:
             d.hop_closeness_index(0, hop)
 
     def test_euclidean_two_nodes_zero(self):
-        euclid = d.euclidean_distance_table(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        euclid = euclidean_distance_table(np.array([[0.0, 0.0], [2.0, 0.0]]))
         for u in (0, 1):
             assert d.euclidean_closeness_index(u, euclid) == 0
 
@@ -120,7 +123,7 @@ class TestClosenessIndices:
         angles = np.linspace(0, 2 * math.pi, 6, endpoint=False)
         ring = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         positions = np.vstack([[0.0, 0.0], ring])
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         values = [d.euclidean_closeness_index(u, euclid) for u in range(7)]
         assert values[0] == max(values)
         assert values.index(max(values)) == 0
@@ -146,7 +149,7 @@ class TestClosenessIndices:
             positions = rng.uniform(0, 50, (n, 2))
             graph = d.build_graph(positions, range_=60.0)  # dense, connected
             hop = _tables_for(graph)
-            euclid = d.euclidean_distance_table(positions)
+            euclid = euclidean_distance_table(positions)
             assert sum(d.hop_closeness_index(u, hop) for u in range(n)) == 0
             assert sum(d.euclidean_closeness_index(u, euclid) for u in range(n)) == 0
 
@@ -162,14 +165,14 @@ class TestCombinedIndex:
 class TestNeighborCategories:
     def test_band_boundaries(self):
         positions = np.array([[0.0, 0.0], [5.0, 0.0], [8.0, 0.0], [7.5, 0.0]])
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         # r=10: strong [0,5], medium (5,7.5], weak (7.5,10]
         m1, m2, m3 = d.neighbor_categories(0, euclid, range_=10.0)
         assert (m1, m2, m3) == (1, 1, 1)
 
     def test_rebinning_oracle(self):
         positions = d.deploy_random(10, 60.0, seed=21)
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         r = 30.0
         for u in range(10):
             m1, m2, m3 = d.neighbor_categories(u, euclid, r)
@@ -189,13 +192,13 @@ class TestNeighborCategories:
     def test_partition_equals_degree(self):
         positions = d.deploy_random(12, 80.0, seed=4)
         graph = d.build_graph(positions, range_=35.0)
-        euclid = d.euclidean_distance_table(positions)
+        euclid = euclidean_distance_table(positions)
         for u in range(12):
             m1, m2, m3 = d.neighbor_categories(u, euclid, 35.0)
             assert m1 + m2 + m3 == graph.adj[u].sum()
 
     def test_missing_range(self):
-        euclid = d.euclidean_distance_table(np.zeros((2, 2)))
+        euclid = euclidean_distance_table(np.zeros((2, 2)))
         with pytest.raises(ConfigurationError):
             d.neighbor_categories(0, euclid, range_=0.0)
 
@@ -227,7 +230,7 @@ class TestPathStatistics:
     def test_single_edge(self):
         graph = d.graph_from_edges(2, [(0, 1)])
         hop = _tables_for(graph)
-        euclid = d.euclidean_distance_table(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        euclid = euclidean_distance_table(np.array([[0.0, 0.0], [1.0, 0.0]]))
         for u in (0, 1):
             ecc, mhd, med = d.path_statistics(u, hop, euclid)
             assert (ecc, mhd, med) == (1, 1.0, 1.0)
@@ -354,8 +357,9 @@ class TestComputeNetworkMetrics:
         assert d.metrics_records(metrics)[0]["w"] is None
 
     def test_peak_memory_bounded_at_n_1000(self):
-        # the two 8 MB tables already exist; the closeness kernel counts them
-        # in column blocks instead of sorting a whole copy of each
+        # only the 8 MB hop table exists before the call; the Euclidean rows
+        # are computed block by block, and the closeness kernel counts both
+        # tables in column blocks instead of sorting a whole copy of either
         graph = d.build_graph(d.deploy_random(1000, 500.0, seed=3), 30.0)
         hop = d.compute_tables(graph)
         tracemalloc.start()
@@ -388,7 +392,7 @@ def small_tables(draw):
     hop[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 4), min_size=pairs, max_size=pairs))
     grid = st.tuples(st.integers(0, 3), st.integers(0, 3))
     points = draw(st.lists(grid, min_size=n, max_size=n))
-    return hop + hop.T, d.euclidean_distance_table(np.array(points, dtype=float))
+    return hop + hop.T, euclidean_distance_table(np.array(points, dtype=float))
 
 
 @st.composite
@@ -481,3 +485,102 @@ class TestColumnKernelProperties:
         assert ecc.tolist() == [max(row) for row in hop.tolist()]
         assert mhd.tolist() == [sum(row) / others for row in hop.tolist()]
         assert med.tolist() == [float(row.sum()) / others for row in euclid]
+
+
+def lattice_positions(side, spacing):
+    """A side x side square lattice: every distance recurs, so the closeness
+    sort meets long tie groups and the bands meet pairs exactly on a bound."""
+    index = np.arange(side * side)
+    return np.stack((index % side, index // side), axis=1) * float(spacing)
+
+
+class TestStreamedRows:
+    """A position graph's Euclidean metrics come from rows computed block by
+    block from its positions; a fixture-style graph carrying the whole
+    table reads slices of it.  The two must agree bit for bit."""
+
+    @staticmethod
+    def _metrics(positions, range_):
+        graph = d.build_graph(positions, range_)
+        table = euclidean_distance_table(positions)
+        fixture = d.NetworkGraph(adj=graph.adj, range_=graph.range_, euclid=table)
+        hop = d.compute_tables(graph)
+        return d.compute_network_metrics(graph, hop), d.compute_network_metrics(fixture, hop), table
+
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["one-block", "one-row", "ragged"])
+    @pytest.mark.parametrize("layout", ["deployment", "lattice"])
+    def test_position_graph_equals_whole_table(self, monkeypatch, rows, layout):
+        if layout == "lattice":  # 64 nodes; the range ties the diagonal neighbours
+            positions, range_ = lattice_positions(8, 10.0), math.sqrt(200.0)
+        else:
+            positions, range_ = d.deploy_random(60, 100.0, seed=2), 30.0
+        if rows is not None:
+            monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", rows * len(positions))
+        streamed, sliced, table = self._metrics(positions, range_)
+        for name in ("g_ed", "med", "bands", "ns_values", "cci", "weights"):
+            assert getattr(streamed, name).tobytes() == getattr(sliced, name).tobytes(), name
+        assert streamed.g_ed.tolist() == closeness_indices(table).tolist()
+        assert streamed.bands.tolist() == neighbor_bands(table, range_).tolist()
+
+    def test_three_blocks_at_n_300(self):
+        # 109 rows a block: two full blocks and a ragged one of 82 rows
+        positions = d.deploy_random(300, 274.0, seed=1)
+        assert -(-300 // metrics_module._block_rows(300)) == 3
+        streamed, sliced, _ = self._metrics(positions, 30.0)
+        for name in ("g_ed", "med", "bands", "weights"):
+            assert getattr(streamed, name).tobytes() == getattr(sliced, name).tobytes(), name
+
+
+class TestRowBlocksComputed:
+    """Only the metrics read Euclidean rows: building a graph, ``verify``
+    and a refresh that keeps its weights compute none, and a refresh that
+    recomputes its weights computes each row block once."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The first row of every block that ``distance_rows`` computes."""
+        seen = []
+        compute = graph_module.distance_rows
+
+        def counted(positions, rows):
+            for start, block in compute(positions, rows):
+                seen.append(start)
+                yield start, block
+
+        monkeypatch.setattr(graph_module, "distance_rows", counted)
+        # 7 rows a block, so a 40-node table is six blocks, the last of 5 rows
+        monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", 7 * 40)
+        return seen
+
+    @staticmethod
+    def _scenario(tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "node_count": 40, "terrain_size": 100.0, "range": 30.0, "v_max": 5.0,
+            "broadcast_interval": 1.0, "dt": 1.0, "steps": 8, "seed": 1}))
+        return str(path)
+
+    TABLE = [0, 7, 14, 21, 28, 35]
+
+    def test_cluster_once_and_verify_never(self, starts, tmp_path):
+        scenario, report = self._scenario(tmp_path), str(tmp_path / "report.json")
+        assert main(["cluster", "--scenario", scenario, "--out", report]) == 0
+        assert starts == self.TABLE
+        starts.clear()
+        assert main(["verify", "--scenario", scenario, "--report", report,
+                     "--out", str(tmp_path / "verify.txt")]) == 0
+        assert starts == []
+
+    def test_simulate_reads_the_t0_table_only(self, starts, tmp_path):
+        assert main(["simulate", "--scenario", self._scenario(tmp_path),
+                     "--out", str(tmp_path / "sim.json")]) == 0
+        assert starts == self.TABLE
+
+    def test_recomputed_weights_read_each_refresh_once(self, starts, tmp_path):
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--recompute-weights", "--scenario", self._scenario(tmp_path),
+                     "--out", str(out)]) == 0
+        summaries = json.loads(out.read_text())["summaries"]
+        recomputed = sum(not any("disconnected" in w for w in s["warnings"]) for s in summaries)
+        assert len(summaries) == 8 and recomputed > 0
+        assert starts == self.TABLE * (1 + recomputed)
