@@ -176,13 +176,18 @@ class TestSweep:
         ([(0.0, 0.0), (0.75, 1.0), (-1.0, 0.75)], 1.25, 2),
         ([(1e6, 1e6), (1e6 + 3 * 2**-3, 1e6 + 4 * 2**-3)], 5 * 2**-3, 1),
         ([(0.0, 0.0), (3.0, 4.0)], np.nextafter(5.0, 0.0), 0),
+        # x_v is the float after x_u + r, yet the rounded distance is r: the
+        # window's margin keeps the pair
+        ([(29.86961328189226, 0.0), (63.5021576919146, 0.0)], 33.632544410022334, 1),
+        # dx * dx underflows to 0, so a gap far beyond a tiny range is adjacent
+        ([(0.0, 0.0), (1e-163, 0.0)], 1e-170, 1),
         # coincident nodes are at distance 0
         ([(2.0, 2.0)] * 3, 1e-9, 3),
         # one column of equal x: only the y gaps decide
         ([(5.0, 0.0), (5.0, 10.0), (5.0, 20.0), (5.0, 30.5)], 10.0, 2),
         ([(3.0, 3.0)], 1.0, 0),
-    ], ids=["triangles", "scaled-triangles", "far-triangle", "just-short", "coincident",
-            "equal-x", "one-node"])
+    ], ids=["triangles", "scaled-triangles", "far-triangle", "just-short", "rounding-margin",
+            "underflow", "coincident", "equal-x", "one-node"])
     def test_ties_and_degenerate_layouts(self, points, range_, edges):
         positions = np.array(points)
         adj = d.build_graph(positions, range_).adj
