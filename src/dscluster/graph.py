@@ -18,10 +18,11 @@ level-synchronous pull BFS from every source at once.  Each node keeps the
 uint64-packed set of sources it has reached, and each level ORs into it
 the sets of its neighbours; the distance at which a bit first appears is
 recorded in a few packed bit planes, one per binary digit, and decoded
-into the int64 table in row blocks at the end.  Nodes are taken in chunks
-whose neighbour rows gather at most 256 KB per level, so each chunk's
-gather stays in a core's L2 cache and the working memory beyond the table
-does not grow with density.
+into the int64 table in row blocks at the end.  This module owns how big
+a block is: every blocked kernel, here and in the metrics, works one
+256 KB block at a time (``block_rows``), so each block stays in a core's
+L2 cache and the working memory beyond the n x n results does not grow
+with n or density.
 """
 from __future__ import annotations
 
@@ -36,13 +37,8 @@ UNREACHABLE = -1
 #: Largest network the dense n x n tables are built for: one float64 table
 #: is 200 MB at this size.
 MAX_NODES = 5000
-#: Packed source-set rows one BFS level may gather for a chunk of nodes.
-_LEVEL_BYTES = 256 << 10
-#: Table entries the hop decode fills per row block (1 MB of int64).
-_ROW_BLOCK = 1 << 17
-#: Candidate pairs the unit-disk sweep decides at once (256 KB per column
-#: of node ids or coordinates).
-_PAIR_BLOCK = 1 << 15
+#: Working set of one block of every blocked kernel; see ``block_rows``.
+_BLOCK_BYTES = 256 << 10
 
 
 @dataclass(frozen=True)
@@ -97,17 +93,18 @@ class NetworkGraph:
             out.append(np.flatnonzero(comp).tolist())
         return out
 
-    def euclidean_rows(self, rows: int):
-        """The Euclidean table in consecutive blocks of ``rows`` rows (the
-        last one possibly shorter), each yielded as (first row, block).
+    def euclidean_rows(self):
+        """The Euclidean table in consecutive blocks of ``block_rows(8 * n)``
+        rows, each yielded as (first row, block).
 
         A fixture's blocks are slices of its matrix.  A position graph's
         are computed from its positions by ``distance_rows``, into buffers
         that every block reuses: a block holds until the next is taken.
         """
         if self.euclid is None:
-            yield from distance_rows(self.positions, rows)
+            yield from distance_rows(self.positions)
             return
+        rows = block_rows(8 * self.node_count)
         for start in range(0, self.node_count, rows):
             yield start, self.euclid[start:start + rows]
 
@@ -157,37 +154,63 @@ def _check_size(n: int) -> None:
         raise SizeLimitError(f"{n} nodes exceed the limit of {MAX_NODES} for dense n x n tables")
 
 
-def distance_rows(positions: np.ndarray, rows: int):
-    """The Euclidean table of ``positions`` in blocks of ``rows`` rows,
-    yielded as (first row, block); symmetric with zero diagonal.
+def block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` bytes that fill one block, at least one (a
+    kernel over n rows allocates at most n): the sweep's pairs, the BFS's
+    gathered rows, the hop decode, the Euclidean rows, the closeness count."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
-    Entry (u, v) is sqrt(dx * dx + dy * dy) with dx = x_u - x_v and
-    dy = y_u - y_v, bit for bit ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``,
-    the formula the benchmark's deployment chooser computes too, and the
-    one ``build_graph`` decides adjacency by.  Every block is computed in
-    the same pair of ``rows`` x n buffers, one for the x and one for the y
+
+def _runs(ends: np.ndarray, item_bytes: int):
+    """Runs ``(a, b, first)`` of consecutive items a:b of a ragged list of
+    ``item_bytes``-byte entries whose item i ends at place ``ends[i]`` of
+    the flat list, each run one block of entries at most, or one item; its
+    entries begin at place ``first``."""
+    budget = block_rows(item_bytes)
+    a = first = 0
+    while a < len(ends):
+        b = max(a + 1, int(ends.searchsorted(first + budget, side="right")))
+        yield a, b, first
+        a, first = b, int(ends[b - 1])
+
+
+def _distances(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx * dx + dy * dy) in place in ``dx``, overwriting ``dy``: the
+    Euclidean formula of both ``distance_rows`` and ``build_graph``."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
+def distance_rows(positions: np.ndarray):
+    """The Euclidean table of ``positions`` in blocks of ``block_rows(8 * n)``
+    rows, yielded as (first row, block); symmetric with zero diagonal.
+
+    Entry (u, v) is ``_distances(x_u - x_v, y_u - y_v)``, bit for bit
+    ``sqrt(((p[:, None] - p[None]) ** 2).sum(axis=2))``, the formula the
+    benchmark's deployment chooser computes too.  Every block is computed
+    in the same pair of buffers, one for the x and one for the y
     differences, so a block is valid until the next is taken.
     """
     x, y = positions[:, 0], positions[:, 1]
     n = len(x)
+    rows = block_rows(8 * n)
     dx, dy = np.empty((2, min(rows, n), n))
     for start in range(0, n, rows):
         xr, yr = x[start:start + rows], y[start:start + rows]
         block, other = dx[:len(xr)], dy[:len(xr)]
         np.subtract.outer(xr, x, out=block)
         np.subtract.outer(yr, y, out=other)
-        block *= block
-        other *= other
-        block += other
-        yield start, np.sqrt(block, out=block)
+        yield start, _distances(block, other)
 
 
 def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     """Unit-disk graph over the given positions: (u, v) adjacent iff
     ed(u, v) <= range_ (ties at exactly the range are adjacent).
 
-    ed(u, v) is the entry of ``distance_rows``, with the same operations in
-    the same order, so the adjacency is the one that thresholding the whole
+    ed(u, v) is the entry of ``distance_rows``, computed by the same
+    ``_distances``, so the adjacency is the one that thresholding the whole
     table would give, bit for bit; but no table is built.  The nodes are
     sorted by x, and a node's candidates are the nodes after it in that
     order up to the last with x <= x_u + w, w = max(r * (1 + 2**-40),
@@ -201,9 +224,9 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     holds for the computed w, and so x_v <= fl(x_u + w), at any coordinate
     magnitude.  A pair with an infinite or NaN difference is adjacent only
     when r is infinite, and then every window reaches the last node.
-    Candidates are decided ``_PAIR_BLOCK`` pairs at a time (more only when
-    one node alone has more), so the memory beyond the n x n bool adjacency
-    stays fixed.  The graph keeps the positions.
+    Candidates are decided in ``_runs`` of a block of 8-byte pairs (more
+    when one node alone has more), so the memory beyond the n x n bool
+    adjacency stays fixed.  The graph keeps the positions.
     """
     if range_ <= 0:
         raise InvalidArgumentError(f"transmission range must be positive, got {range_}")
@@ -221,24 +244,15 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     # the candidate at place k of the pair list is, in x order, k + shift of its node
     shift = ends - listed
     adj = np.zeros((n, n), dtype=bool)
-    a = done = 0
-    while a < n:
-        b = max(a + 1, int(listed.searchsorted(done + _PAIR_BLOCK, side="right")))
+    for a, b, done in _runs(listed, 8):
         u = order[a:b].repeat(counts[a:b])
         v = shift[a:b].repeat(counts[a:b])
         v += np.arange(done, done + len(v))
         order.take(v, out=v)
-        dx = x[u] - x[v]
-        dy = y[u] - y[v]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        near = np.sqrt(dx, out=dx) <= range_
+        near = _distances(x[u] - x[v], y[u] - y[v]) <= range_
         u, v = u[near], v[near]
         adj[u, v] = True
         adj[v, u] = True
-        done += len(near)
-        a = b
     return NetworkGraph(adj=adj, range_=float(range_), positions=pos)
 
 
@@ -247,29 +261,23 @@ def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
 
     Yields ``(rows, nodes, starts)``: the slice of the chunk's nodes, the
     node ids of their closed neighbourhoods (each node first, then its
-    neighbours) in the narrowest unsigned dtype that holds every id, and
-    where each node's run begins.  A chunk holds as many nodes as fit
-    ``_LEVEL_BYTES`` of gathered rows, and at least one.  Every run is
-    non-empty, so ``reduceat`` never hands an isolated node the first row
-    of the next node's run.
+    neighbours), and where each node's run begins.  A chunk is one of
+    ``_runs`` over the neighbourhoods, each entry a gathered row of
+    ``row_bytes``.  Every run is non-empty, so ``reduceat`` never hands an
+    isolated node the first row of the next node's run.
     """
     n = adj.shape[0]
     sizes = np.count_nonzero(adj, axis=1) + 1
-    ends = np.cumsum(sizes)
+    ends = sizes.cumsum()
     firsts = ends - sizes
-    budget = max(1, _LEVEL_BYTES // max(row_bytes, 1))
-    dtype = np.min_scalar_type(max(n - 1, 0))
-    a = 0
-    while a < n:
-        b = max(a + 1, int(np.searchsorted(ends, firsts[a] + budget, side="right")))
-        starts = firsts[a:b] - firsts[a]
-        nodes = np.empty(ends[b - 1] - firsts[a], dtype=dtype)
+    for a, b, first in _runs(ends, row_bytes):
+        starts = firsts[a:b] - first
+        nodes = np.empty(ends[b - 1] - first, dtype=np.intp)
         own = np.zeros(nodes.size, dtype=bool)
         own[starts] = True
         nodes[starts] = np.arange(a, b)
         nodes[~own] = np.flatnonzero(adj[a:b]) % n
         yield slice(a, b), nodes, starts
-        a = b
 
 
 def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
@@ -282,15 +290,15 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     ``v``, starting from ``v`` alone.  Because the adjacency is symmetric,
     one level is ``reach[v] |= OR of reach[u] over the neighbours u of v``:
     one gather of neighbour rows and one ``bitwise_or.reduceat`` per node
-    chunk (``_LEVEL_BYTES``, 256 KB, of gathered rows at most).  The bits new
-    at level ``d`` are ORed into the packed bit planes of the binary digits
-    of ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
+    chunk (one block of gathered rows at most).  The bits new at level
+    ``d`` are ORed into the packed bit planes of the binary digits of
+    ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
     BFS stops when every set is full or a level adds nothing.  The planes
-    are then decoded in row blocks of ``_ROW_BLOCK`` entries: each block is
-    unpacked into an accumulator of the narrowest signed dtype that holds
-    D and cast into the int64 table.  Only when a level added nothing, so
-    that some set is not full, is every pair whose bit is missing from the
-    final set made UNREACHABLE in the accumulator first.
+    are then decoded in row blocks: each is unpacked into one block of an
+    accumulator of the narrowest signed dtype that holds D (one or two
+    bytes an entry) and cast into the int64 table.  Only when a level added
+    nothing, so that some set is not full, is every pair whose bit is
+    missing from the final set made UNREACHABLE in the accumulator first.
     """
     n = graph.node_count
     row_bytes = -(-n // 64) * 8
@@ -319,7 +327,7 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     del chunks  # the neighbour lists, before the decode
     hop = np.empty((n, n), dtype=np.int64)
     dtype = np.min_scalar_type(-(1 << len(planes)))
-    step = max(1, _ROW_BLOCK // max(n, 1))
+    step = block_rows(n * dtype.itemsize)
     for a in range(0, n, step):
         rows = slice(a, a + step)
         acc = np.zeros((len(reach[rows]), n), dtype=dtype)

@@ -21,11 +21,11 @@ most n + 1 levels, otherwise by sort.  In a sorted column, position k
 counts n - 1 - 2k, and every member of a tie group [a, b) counts n - a - b
 instead; the counts go back to their nodes through one float64
 ``bincount`` per block of columns, exact because every partial sum is at
-most n * n < 2**53 in size.  It works a fixed number of table entries at a
-time, so its temporaries stay within a fixed size whatever n is, and the
-sort count builds one block's position counts and tie mask once per call.
-A Euclidean table is symmetric, so its rows serve the sort count as
-columns.
+most n * n < 2**53 in size.  It counts one block of columns at a time,
+as high as a block of Euclidean rows (``graph.block_rows`` of 8-byte
+entries), and the sort count builds one block's position counts and tie
+mask once per call.  A Euclidean table is symmetric, so its rows serve
+the sort count as columns.
 
 The whole-table functions (``closeness_indices``, ``path_columns``,
 ``neighbor_bands`` and their per-node views ``hop_closeness_index``,
@@ -39,12 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError, UnreachableNodeError
-from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph
+from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph, block_rows
 
 DEFAULT_ALPHAS = (1 / 6,) * 6
 DEFAULT_NS_THRESHOLD = 100.0
-#: Table entries the closeness kernel counts at once.
-_CLOSENESS_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,8 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     #{v: t[v, w] > t[u, w]} - #{v: t[v, w] < t[u, w]}, which is
     n - (2 * less + equal) with less and equal counted in column w.
 
-    Columns are counted in blocks of ``_block_rows(n)`` at once, so no
-    temporary grows beyond a fixed number of table entries:
+    Columns are counted in blocks of ``block_rows(8 * n)`` at once, so no
+    temporary grows beyond one block of 8-byte entries:
 
     - an integer table whose values, less their minimum, take at most
       n + 1 levels (every hop table, UNREACHABLE included) is counted by
@@ -134,7 +132,7 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     """
     table = np.asarray(table)
     n = table.shape[0]
-    width = _block_rows(n)
+    width = block_rows(8 * n)
     histogram = False
     if table.dtype.kind in "iu":
         low = int(table.min())
@@ -142,7 +140,7 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
         histogram = levels <= n + 1
     g = np.zeros(n, dtype=np.int64)
     if not histogram:
-        buffers = _sort_buffers(n, width)
+        buffers = _sort_buffers(n)
     for start in range(0, n, width):
         block = table[:, start:start + width]
         if histogram:
@@ -157,15 +155,10 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     return g
 
 
-def _block_rows(n: int) -> int:
-    """Table rows (or columns) per block: ``_CLOSENESS_BLOCK`` entries, at
-    least one row and at most n."""
-    return min(n, max(1, _CLOSENESS_BLOCK // n))
-
-
-def _sort_buffers(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sort count's per-call buffers, a block of ``width`` columns wide:
-    each flat sorted position's count, and the tie mask."""
+def _sort_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sort count's per-call buffers, ``block_rows(8 * n)`` columns wide
+    (at most n): each flat sorted position's count, and the tie mask."""
+    width = min(n, block_rows(8 * n))
     positions = np.empty((width, n), dtype=np.int64)
     positions[:] = np.arange(n - 1, -n, -2)
     return positions.reshape(-1), np.zeros((width, n), dtype=bool)
@@ -307,13 +300,13 @@ def compute_network_metrics(
     The Euclidean parameters read the graph's Euclidean rows, computed
     from its positions or sliced from a fixture's (symmetric) matrix, and
     a graph with neither is refused.  The rows arrive as one stream of
-    ``_block_rows(n)``-row blocks, and each block feeds, in one pass, the
-    Euclidean closeness sort count (a row of the symmetric table is also
-    its column), the MED row sums and the three band counts.  Without an
-    NS override the graph must carry a transmission range so neighbours
-    can be categorised by distance band.  An NS, MED or weight beyond the
-    float range is refused, naming the first such node: each would skew
-    the election.
+    blocks as high as the sort count's buffers, and each feeds, in one
+    pass, the Euclidean closeness sort count (a row of the symmetric table
+    is also its column), the MED row sums and the three band counts.
+    Without an NS override the graph must carry a transmission range so
+    neighbours can be categorised by distance band.  An NS, MED or weight
+    beyond the float range is refused, naming the first such node: each
+    would skew the election.
     """
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
@@ -330,13 +323,12 @@ def compute_network_metrics(
                 "no transmission range and no NS override: cannot categorise neighbours"
             )
         bounds = _band_bounds(graph.range_)
-    width = _block_rows(n)
     g_ed = np.zeros(n, dtype=np.int64)
     sums = np.empty(n)
     within = np.empty((n, 3), dtype=np.intp)
-    buffers = _sort_buffers(n, width) if overrides.g_ed is None else None
+    buffers = _sort_buffers(n) if overrides.g_ed is None else None
     with np.errstate(over="ignore"):  # an infinite MED is refused below, by node
-        for start, rows in graph.euclidean_rows(width):
+        for start, rows in graph.euclidean_rows():
             stop = start + len(rows)
             if buffers is not None:
                 g_ed += _sort_count(rows, *buffers)

@@ -70,13 +70,13 @@ def reference_euclid(positions):
 
 def euclidean_distance_table(positions):
     """The whole Euclidean table of ``positions``, assembled from the
-    package's row stream (``graph.distance_rows``) in blocks of
-    ``graph._ROW_BLOCK`` entries, at least one row each: the table that a
-    fixture carries, and the one every streamed metric must agree with."""
+    package's row stream (``graph.distance_rows``), in blocks of
+    ``graph._BLOCK_BYTES``: the table that a fixture carries, and the one
+    every streamed metric must agree with."""
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
     table = np.empty((n, n))
-    for start, rows in graph_module.distance_rows(positions, max(1, graph_module._ROW_BLOCK // n)):
+    for start, rows in graph_module.distance_rows(positions):
         table[start:start + len(rows)] = rows
     return table
 

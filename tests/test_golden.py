@@ -167,3 +167,36 @@ def test_large_output_matches_digest(node_count, terrain_size, seed, tmp_path):
     if events.exists():
         digests["events"] = hashlib.sha256(events.read_bytes()).hexdigest()
     assert digests == expected
+
+
+def test_block_budget_changes_no_output(monkeypatch, tmp_path):
+    """Every blocked kernel (the sweep, the BFS chunks, the hop decode, the
+    Euclidean rows, the closeness count) sizes its blocks from the one
+    ``graph._BLOCK_BYTES``.  At 2 KB each runs several blocks on n = 120:
+    10 sweep chunks of 256 pairs, 11 BFS chunks of 128 gathered rows, 8
+    decode blocks of 17 rows, 60 Euclidean and 60 closeness blocks of 2
+    rows.  Every output must stay byte for byte what the default budget
+    writes."""
+    from dscluster import graph as graph_module
+
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**_scenario_doc(1, 120, 173.0), "steps": 4}))
+
+    def outputs(name):
+        directory = tmp_path / name
+        directory.mkdir()
+        report, events = directory / "report", directory / "events"
+        runs = [("cluster", ["cluster"]), ("metrics", ["metrics"]),
+                ("verify", ["verify", "--report", str(report)]),
+                ("simulate", ["simulate", "--recompute-weights", "--events", str(events)])]
+        written = {}
+        for run, argv in runs:
+            out = report if run == "cluster" else directory / run
+            assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == 0
+            written[run] = out.read_bytes()
+        written["events"] = events.read_bytes()
+        return written
+
+    default = outputs("default")
+    monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 2048)
+    assert outputs("small") == default

@@ -209,7 +209,7 @@ class TestSweep:
     def test_one_pair_per_chunk(self, monkeypatch):
         positions = d.deploy_random(300, 274.0, seed=1)
         expected = d.build_graph(positions, 30.0).adj
-        monkeypatch.setattr(graph_module, "_PAIR_BLOCK", 1)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 8)  # one 8-byte pair a block
         assert np.array_equal(d.build_graph(positions, 30.0).adj, expected)
         clustered = np.concatenate((positions[:100] / 20.0, positions[100:]))
         assert np.array_equal(d.build_graph(clustered, 30.0).adj,
@@ -218,7 +218,7 @@ class TestSweep:
     def test_peak_memory_on_a_complete_graph(self):
         # every pair is a candidate and adjacent: the 4 MB adjacency plus the
         # pair columns (ids, coordinates, squares) of one chunk of at most
-        # _PAIR_BLOCK + n pairs and what the chunk before it left, under 160
+        # _BLOCK_BYTES / 8 + n pairs and what the chunk before it left, under 160
         # bytes a pair; a float table would be 32 MB
         n = 2000
         positions = d.deploy_random(n, 10.0, seed=2)
@@ -229,7 +229,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert graph.adj.sum() == n * (n - 1)
-        assert peak < n * n + 160 * (graph_module._PAIR_BLOCK + n)
+        assert peak < n * n + 160 * (graph_module._BLOCK_BYTES // 8 + n)
 
 
 class TestHopTable:
@@ -279,11 +279,11 @@ class TestBitParallelKernel:
         graph = edge_list_graph(n, p, seed=n)
         assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
 
-    @pytest.mark.parametrize("level_bytes", [1, 4000])
-    def test_block_size_does_not_change_the_table(self, monkeypatch, level_bytes):
+    @pytest.mark.parametrize("block_bytes", [1, 4000])
+    def test_block_size_does_not_change_the_table(self, monkeypatch, block_bytes):
         # one node per chunk; then chunks of at most 500 and 250 gathered rows
         # (8- and 16-byte rows), which split n = 65 in two and n = 100 in three
-        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", level_bytes)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block_bytes)
         for seed, n in enumerate([1, 5, 40, 65, 100]):
             graph = edge_list_graph(n, 0.05, seed)
             assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
@@ -340,12 +340,13 @@ class TestBitParallelKernel:
         assert hop.max() == n - 1
         assert np.array_equal(hop, reference_hops(graph))
 
-    @pytest.mark.parametrize("row_block", [1 << 17, 1000])
-    def test_connected_then_disconnected(self, monkeypatch, row_block):
+    @pytest.mark.parametrize("block_bytes", [1 << 17, 1000])
+    def test_connected_then_disconnected(self, monkeypatch, block_bytes):
         # a connected table ends on full source sets and skips the
         # UNREACHABLE pass; cutting two edges of a path leaves unreachable pairs.
-        # 1000-entry blocks decode n = 300 in blocks of 3 rows and n = 70 in 14
-        monkeypatch.setattr(graph_module, "_ROW_BLOCK", row_block, raising=False)
+        # 1000-byte blocks of the one-byte accumulator decode n = 300 in
+        # blocks of 3 rows and n = 70 in 14
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block_bytes)
         path = [(v, v + 1) for v in range(69)]
         for graph in (d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0),
                       d.graph_from_edges(70, path),
@@ -354,10 +355,10 @@ class TestBitParallelKernel:
             assert np.array_equal(hop, reference_hops(graph))
         assert (hop == d.UNREACHABLE).sum() == 2 * (21 * 30 + 21 * 19 + 30 * 19)
 
-    @pytest.mark.parametrize("level_bytes", [1, 16 << 20])
-    def test_isolated_nodes_keep_their_own_rows(self, monkeypatch, level_bytes):
+    @pytest.mark.parametrize("block_bytes", [1, 16 << 20])
+    def test_isolated_nodes_keep_their_own_rows(self, monkeypatch, block_bytes):
         # isolated nodes 0 and 4 sit right before nodes that have neighbours, 9 at the end
-        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", level_bytes)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block_bytes)
         graph = d.graph_from_edges(10, [(1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (3, 5)])
         hop = d.hop_distance_table(graph)
         assert np.array_equal(hop, reference_hops(graph))
@@ -366,7 +367,7 @@ class TestBitParallelKernel:
 
     def test_chunks_split_mid_graph(self, monkeypatch):
         # 40-byte rows, so at most 500 gathered rows per chunk
-        monkeypatch.setattr(graph_module, "_LEVEL_BYTES", 20000)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 20000)
         graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
         assert len(list(graph_module._neighbour_chunks(graph.adj, 40))) > 1
         assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
@@ -381,15 +382,16 @@ class TestEuclideanTable:
 
     @pytest.mark.parametrize("n, block", [(1, 1 << 17), (7, 7), (70, 1400)])
     def test_row_blocks_bit_equal_to_reference_formula(self, monkeypatch, n, block):
-        # one block; seven one-row blocks; three 20-row blocks and a ragged 10
-        monkeypatch.setattr(graph_module, "_ROW_BLOCK", block, raising=False)
+        # blocks of `block` 8-byte entries: one block; seven one-row blocks;
+        # three 20-row blocks and a ragged 10
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 8 * block)
         rng = np.random.default_rng(n)
         positions = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-100, 100, size=(n, 2))
         table = euclidean_distance_table(positions)
         assert table.tobytes() == reference_euclid(positions).tobytes()
 
     def test_peak_memory_two_planes(self):
-        # the result and the row stream's pair of 1 MB buffers; one more n x n
+        # the result and the row stream's pair of 256 KB buffers; one more n x n
         # plane would make 2.0, and a 3-D difference array needs five
         n = 2000
         positions = d.deploy_random(n, 100.0, seed=1)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster import graph as graph_module
-from dscluster import metrics as metrics_module
 from dscluster.cli import main
 from dscluster.errors import (
     ConfigurationError,
@@ -440,7 +439,7 @@ class TestColumnKernelProperties:
     @given(table=integer_tables() | float_tables() | small_tables().map(lambda t: t[1]))
     def test_closeness_in_column_blocks(self, columns, table):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(metrics_module, "_CLOSENESS_BLOCK", columns * table.shape[0])
+            patch.setattr(graph_module, "_BLOCK_BYTES", columns * table.shape[0] * 8)
             assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
     @pytest.mark.parametrize("tied_first", [True, False])
@@ -453,7 +452,7 @@ class TestColumnKernelProperties:
         distinct = np.stack([rng.permutation(n) for _ in range(4)], axis=1) / 2.0
         blocks = (tied, distinct) if tied_first else (distinct, tied)
         table = np.concatenate(blocks, axis=1)
-        monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", 4 * n)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 4 * n * 8)
         assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
     def test_closeness_sort_equals_histogram_at_block_scale(self):
@@ -462,7 +461,7 @@ class TestColumnKernelProperties:
         # must count as the histogram branch counts the integer table
         graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
         hop = d.compute_tables(graph)
-        assert hop.size > 2 * metrics_module._CLOSENESS_BLOCK
+        assert hop.nbytes > 2 * graph_module._BLOCK_BYTES
         assert closeness_indices(hop.astype(float)).tolist() == closeness_indices(hop).tolist()
 
     @given(small_tables(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.5]))
@@ -515,7 +514,7 @@ class TestStreamedRows:
         else:
             positions, range_ = d.deploy_random(60, 100.0, seed=2), 30.0
         if rows is not None:
-            monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", rows * len(positions))
+            monkeypatch.setattr(graph_module, "_BLOCK_BYTES", rows * len(positions) * 8)
         streamed, sliced, table = self._metrics(positions, range_)
         for name in ("g_ed", "med", "bands", "ns_values", "cci", "weights"):
             assert getattr(streamed, name).tobytes() == getattr(sliced, name).tobytes(), name
@@ -525,7 +524,7 @@ class TestStreamedRows:
     def test_three_blocks_at_n_300(self):
         # 109 rows a block: two full blocks and a ragged one of 82 rows
         positions = d.deploy_random(300, 274.0, seed=1)
-        assert -(-300 // metrics_module._block_rows(300)) == 3
+        assert -(-300 // graph_module.block_rows(8 * 300)) == 3
         streamed, sliced, _ = self._metrics(positions, 30.0)
         for name in ("g_ed", "med", "bands", "weights"):
             assert getattr(streamed, name).tobytes() == getattr(sliced, name).tobytes(), name
@@ -542,14 +541,14 @@ class TestRowBlocksComputed:
         seen = []
         compute = graph_module.distance_rows
 
-        def counted(positions, rows):
-            for start, block in compute(positions, rows):
+        def counted(positions):
+            for start, block in compute(positions):
                 seen.append(start)
                 yield start, block
 
         monkeypatch.setattr(graph_module, "distance_rows", counted)
         # 7 rows a block, so a 40-node table is six blocks, the last of 5 rows
-        monkeypatch.setattr(metrics_module, "_CLOSENESS_BLOCK", 7 * 40)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 7 * 40 * 8)
         return seen
 
     @staticmethod

@@ -1,7 +1,7 @@
 """Source hygiene, checked on the AST since no linter is a dependency:
 every name a module imports and every parameter a function takes in
-``src/dscluster`` is read somewhere, every module-level function is
-called (or otherwise referenced) by some module of ``src/dscluster``, every
+``src/dscluster`` is read somewhere, every module-level function and
+constant is called or read by some module of ``src/dscluster``, every
 method or property of a package class is read as an attribute by some
 module, and every package export is used by some test."""
 import ast
@@ -134,6 +134,33 @@ def test_every_function_is_called():
 def test_every_allowed_uncalled_function_exists_uncalled():
     # an entry whose function is gone or now called is stale
     assert UNCALLED_FUNCTIONS_ALLOWED.keys() - _uncalled_functions() == set()
+
+
+def _unread_constants() -> set[tuple[str, str]]:
+    """Names bound by a module-level assignment, dunders aside, that no
+    module except ``__init__.py`` (which imports to re-export) reads, as a
+    name or as a module attribute, outside the assignment itself."""
+    defined, read = set(), set()
+    for path in SOURCES:
+        for stmt in _tree(path).body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined |= {(path.name, sub.id) for target in targets
+                            for sub in ast.walk(target) if isinstance(sub, ast.Name)}
+            if path.name == "__init__.py":
+                continue
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+    return {(module, name) for module, name in defined
+            if name not in read and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_constant_is_read():
+    # a retired tuning constant left behind as a dead name fails here
+    assert _unread_constants() == set()
 
 
 def _attribute_reads(node: ast.AST) -> Counter:
