@@ -24,10 +24,10 @@ from .errors import (
     SchemaError,
     SizeLimitError,
 )
-from .graph import build_graph, compute_tables, deploy_random, require_connected
+from .graph import build_graph, compute_tables, deploy_random, radius_diameter, require_connected
 from .metrics import WeightConfig, compute_network_metrics
 from .mobility import run_simulation
-from .verify import graph_radius_diameter, perfect_claims, run_property_checks
+from .verify import perfect_claims, run_property_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,8 +88,7 @@ def _build_parser() -> _Parser:
 
 
 def _load_inputs(args):
-    """(graph, hop table, overrides, config) from --fixture or --scenario;
-    a disconnected graph is refused in either mode."""
+    """(graph, overrides, config) from --fixture or --scenario."""
     fixture = getattr(args, "fixture", None)
     if fixture and args.scenario:
         raise _UsageError("--fixture and --scenario are mutually exclusive")
@@ -108,13 +107,19 @@ def _load_inputs(args):
         config = WeightConfig(scenario.alphas, scenario.ns_threshold)
     else:
         raise _UsageError("one of --fixture or --scenario is required")
+    return graph, overrides, config
+
+
+def _connected_tables(graph):
+    """The graph's all-pairs hop table; a disconnected graph is refused."""
     hop = compute_tables(graph)
     require_connected(graph, hop)
-    return graph, hop, overrides, config
+    return hop
 
 
 def _cmd_cluster(args) -> int:
-    graph, hop, overrides, config = _load_inputs(args)
+    graph, overrides, config = _load_inputs(args)
+    hop = _connected_tables(graph)
     metrics = None
     if graph.node_count > 1:
         metrics = compute_network_metrics(graph, hop, config, overrides)
@@ -128,14 +133,16 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    graph, hop, overrides, config = _load_inputs(args)
+    graph, overrides, config = _load_inputs(args)
+    hop = _connected_tables(graph)
     metrics = compute_network_metrics(graph, hop, config, overrides)
     fileio.write_text(fileio.to_json(fileio.metrics_records(metrics)), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    graph, hop, _, _ = _load_inputs(args)
+    graph = _load_inputs(args)[0]
+    radius, diameter = radius_diameter(graph)  # refuses a disconnected graph
     report_doc = fileio._load_doc(args.report)
     state = fileio.state_from_report(report_doc)
     if state.node_count != graph.node_count:
@@ -143,10 +150,9 @@ def _cmd_verify(args) -> int:
             f"report covers {state.node_count} nodes but the graph has "
             f"{graph.node_count}"
         )
-    report = run_property_checks(state, graph, hop)
+    report = run_property_checks(state, graph)
     if report_doc.get("classification") == CLASS_PERFECT:
         report.checks.append(perfect_claims(state, graph))
-    radius, diameter = graph_radius_diameter(hop)
     lines = [f"radius={radius} diameter={diameter}"]
     for check in report.checks:
         status = "pass" if check.passed else "FAIL"

@@ -186,13 +186,15 @@ def run_m_dsec(
             "members": np.flatnonzero(members).tolist(), "hidden_masters": hidden,
         })
 
+    # hm2, the deferred nodes adjacent to no proxy, is the free set: each node
+    # is visited once and, if free then, elected or deferred; a leader's free
+    # neighbours all join its cluster, and no owner is ever reset to -1
     free = owner < 0
-    hm2 = deferred & free & ~adj[:, is_proxy].any(axis=1)
     nodes, cluster = _listing(owner)
     return ClusterState(
         node_count=n, ids=np.arange(1, len(masters) + 1),
         masters=np.array(masters, dtype=np.intp), proxies=np.array(proxies, dtype=np.intp),
-        nodes=nodes, cluster=cluster, critical=free | hm1, hm1=hm1, hm2=hm2,
+        nodes=nodes, cluster=cluster, critical=free | hm1, hm1=hm1, hm2=free,
         deferred=deferred, events=events,
     )
 

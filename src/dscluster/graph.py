@@ -1,4 +1,4 @@
-"""Network graph construction and all-pairs hop tables.
+"""Network graph construction, hop tables and the radius and diameter.
 
 Nodes are integers ``0..n-1``.  A graph is either built from planar node
 positions and a transmission range (unit-disk adjacency, boundary
@@ -12,17 +12,21 @@ costs time and memory in proportion to the candidates, not to n * n.  The
 graph keeps its positions instead, and ``NetworkGraph.euclidean_rows``
 computes the rows of the Euclidean table from them, a block at a time,
 for the readers that need distances (the metrics); a fixture's graph
-yields slices of its matrix.  The hop table travels as a bare array.  Hop
+yields slices of its matrix.  Hop tables travel as bare arrays.  Hop
 distances always come from breadth-first search over the adjacency: one
-level-synchronous pull BFS from every source at once.  Each node keeps the
-uint64-packed set of sources it has reached, and each level ORs into it
-the sets of its neighbours; the distance at which a bit first appears is
-recorded in a few packed bit planes, one per binary digit, and decoded
-into the int64 table in row blocks at the end.  This module owns how big
-a block is: every blocked kernel, here and in the metrics, works one
-256 KB block at a time (``block_rows``), so each block stays in a core's
-L2 cache and the working memory beyond the n x n results does not grow
-with n or density.
+level-synchronous pull BFS from a set of sources at once
+(``hop_columns``).  Each node keeps the uint64-packed set of sources it
+has reached, and each level ORs into it the sets of its neighbours; the
+distance at which a bit first appears is recorded in a few packed bit
+planes, one per binary digit, and decoded into an n x |S| table in row
+blocks at the end.  The all-pairs table that clustering reads is the case
+of every node a source (``hop_distance_table``).  The radius and diameter
+need no such table: eccentricity bounds settle them from a few batches of
+64 sources, one word of the packed sets (``radius_diameter``).  This
+module owns how big a block is: every blocked kernel, here and in the
+metrics and checks, works one 256 KB block at a time (``block_rows``), so
+each block stays in a core's L2 cache and the working memory beyond the
+n x n results does not grow with n or density.
 """
 from __future__ import annotations
 
@@ -39,6 +43,9 @@ UNREACHABLE = -1
 MAX_NODES = 5000
 #: Working set of one block of every blocked kernel; see ``block_rows``.
 _BLOCK_BYTES = 256 << 10
+#: Sources per BFS batch of ``radius_diameter``: one uint64 word of
+#: ``hop_columns``' packed source sets.
+_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,8 @@ def _check_size(n: int) -> None:
 def block_rows(row_bytes: int) -> int:
     """Rows of ``row_bytes`` bytes that fill one block, at least one (a
     kernel over n rows allocates at most n): the sweep's pairs, the BFS's
-    gathered rows, the hop decode, the Euclidean rows, the closeness count."""
+    gathered rows, the hop decode, the Euclidean rows, the closeness count,
+    the dominance check's member rows."""
     return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
@@ -280,34 +288,42 @@ def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
         yield slice(a, b), nodes, starts
 
 
-def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
-    """All-pairs hop distances by a level-synchronous pull BFS from every
-    source at once; symmetric with zero diagonal.  A pair with no path
+def hop_columns(graph: NetworkGraph, sources, dtype=None, chunks=None) -> np.ndarray:
+    """Hop distances from each of the distinct ``sources`` to every node,
+    by a level-synchronous pull BFS from all of them at once: entry (v, j)
+    is the distance between node v and ``sources[j]``.  A pair with no path
     holds ``UNREACHABLE`` (-1), which consumers must check for explicitly
-    rather than treat as a large distance.
+    rather than treat as a large distance.  The table is of ``dtype``, by
+    default the narrowest signed dtype that holds every entry.  A caller
+    that runs several source sets of one width on the graph passes the
+    ``_neighbour_chunks`` of that width, built once, as ``chunks``.
 
     ``reach[v]`` is the uint64-packed set of sources within ``d`` hops of
-    ``v``, starting from ``v`` alone.  Because the adjacency is symmetric,
-    one level is ``reach[v] |= OR of reach[u] over the neighbours u of v``:
-    one gather of neighbour rows and one ``bitwise_or.reduceat`` per node
-    chunk (one block of gathered rows at most).  The bits new at level
-    ``d`` are ORed into the packed bit planes of the binary digits of
-    ``d``, ceil(log2(D + 1)) planes for a largest finite distance D.  The
-    BFS stops when every set is full or a level adds nothing.  The planes
-    are then decoded in row blocks: each is unpacked into one block of an
+    ``v``, ceil(|S| / 64) words, starting from the bit of ``v`` alone if it
+    is a source.  Because the adjacency is symmetric, one level is
+    ``reach[v] |= OR of reach[u] over the neighbours u of v``: one gather
+    of neighbour rows and one ``bitwise_or.reduceat`` per node chunk (one
+    block of gathered rows at most).  The bits new at level ``d`` are ORed
+    into the packed bit planes of the binary digits of ``d``,
+    ceil(log2(D + 1)) planes for a largest finite distance D.  The BFS
+    stops when every set is full or a level adds nothing.  The planes are
+    then decoded in row blocks: each is unpacked into one block of an
     accumulator of the narrowest signed dtype that holds D (one or two
-    bytes an entry) and cast into the int64 table.  Only when a level added
+    bytes an entry) and cast into the table.  Only when a level added
     nothing, so that some set is not full, is every pair whose bit is
     missing from the final set made UNREACHABLE in the accumulator first.
     """
     n = graph.node_count
-    row_bytes = -(-n // 64) * 8
+    sources = np.asarray(sources, dtype=np.intp)
+    k = len(sources)
+    row_bytes = -(-k // 64) * 8
     reach = np.zeros((n, row_bytes), dtype=np.uint8)
-    ids = np.arange(n)
-    reach[ids, ids >> 3] = np.left_shift(1, ids & 7)
+    bits = np.arange(k)
+    reach[sources, bits >> 3] = np.left_shift(1, bits & 7)
     reach = reach.view(np.uint64)
     full = np.bitwise_or.reduce(reach, axis=0)
-    chunks = list(_neighbour_chunks(graph.adj, row_bytes))
+    if chunks is None:
+        chunks = list(_neighbour_chunks(graph.adj, row_bytes))
     planes = []
     distance = 0
     while not (complete := (reach == full).all()):
@@ -324,21 +340,27 @@ def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
             if distance >> digit & 1:
                 plane |= fresh
         reach = grown
-    del chunks  # the neighbour lists, before the decode
-    hop = np.empty((n, n), dtype=np.int64)
-    dtype = np.min_scalar_type(-(1 << len(planes)))
-    step = block_rows(n * dtype.itemsize)
+    del chunks  # the neighbour lists, before the decode, unless the caller keeps them
+    narrow = np.min_scalar_type(-(1 << len(planes)))
+    table = np.empty((n, k), dtype=narrow if dtype is None else dtype)
+    step = block_rows(k * narrow.itemsize)
     for a in range(0, n, step):
         rows = slice(a, a + step)
-        acc = np.zeros((len(reach[rows]), n), dtype=dtype)
+        acc = np.zeros((len(reach[rows]), k), dtype=narrow)
         for plane in reversed(planes):
             acc <<= 1
-            acc |= _unpack(plane[rows], n)
+            acc |= _unpack(plane[rows], k)
         if not complete:
             # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
-            acc -= _unpack(~reach[rows], n)
-        hop[rows] = acc
-    return hop
+            acc -= _unpack(~reach[rows], k)
+        table[rows] = acc
+    return table
+
+
+def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
+    """All-pairs hop distances as an int64 table, symmetric with zero
+    diagonal: ``hop_columns`` with every node a source."""
+    return hop_columns(graph, np.arange(graph.node_count), np.int64)
 
 
 def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
@@ -352,11 +374,58 @@ def compute_tables(graph: NetworkGraph) -> np.ndarray:
 
 
 def require_connected(graph: NetworkGraph, hop: np.ndarray) -> None:
-    """Refuse a disconnected graph, read off its hop table: the graph is
-    connected iff node 0 reaches every node.  The components are listed
-    only for the refusal."""
-    if (hop[:1] == UNREACHABLE).any():
+    """Refuse a disconnected graph, read off a hop table whose first column
+    is node 0's (``hop_columns`` with node 0 the first source, or the
+    all-pairs table): the graph is connected iff node 0 reaches every node.
+    The components are listed only for the refusal."""
+    if (hop[:, :1] == UNREACHABLE).any():
         raise DisconnectedGraphError(graph.components())
+
+
+def radius_diameter(graph: NetworkGraph) -> tuple[int, int]:
+    """The graph's exact (radius, diameter), from BFS batches of up to
+    ``_BATCH`` sources by the eccentricity bounds of Takes and Kosters
+    ("Determining the diameter of small world networks", CIKM 2011).
+    Refuses a disconnected graph (``require_connected``).
+
+    A source's column of ``hop_columns`` gives its eccentricity e(s)
+    exactly, and bounds every other node's: max(d(v, s), e(s) - d(v, s))
+    <= e(v) <= e(s) + d(v, s).  The radius is found once the least lower
+    bound meets the least upper bound, and the diameter once the largest
+    of each meet.  The first batch is nodes 0, 1, ..., so node 0's column
+    decides connectivity, and a graph of at most ``_BATCH`` nodes is done
+    in it.  Each later batch takes the nodes whose bounds still differ,
+    alternately the one with the largest upper bound that exceeds the
+    largest lower bound and the one with the smallest lower bound below
+    the least upper bound, ties to the lower node id.  Such a node exists
+    while the bounds have not met, and a source's bounds meet, so at worst
+    every node is a source once: ceil(n / ``_BATCH``) batches.
+    """
+    n = graph.node_count
+    chunks = list(_neighbour_chunks(graph.adj, _BATCH // 8))  # one word per node
+    hop = hop_columns(graph, np.arange(min(n, _BATCH)), chunks=chunks)
+    require_connected(graph, hop)
+    if n <= _BATCH:  # every node is a source, so every eccentricity is exact
+        ecc = hop.max(axis=0)
+        return int(ecc.min()), int(ecc.max())
+    lower = np.zeros(n, dtype=np.int64)
+    upper = np.full(n, n, dtype=np.int64)  # above every eccentricity of a connected graph
+    while True:
+        ecc = hop.max(axis=0).astype(np.int64)
+        np.maximum(lower, np.maximum(hop.max(axis=1), (ecc - hop).max(axis=1)), out=lower)
+        np.minimum(upper, (ecc + hop).min(axis=1), out=upper)
+        longest, shortest = lower.max(), upper.min()
+        if upper.max() == longest and lower.min() == shortest:
+            return int(shortest), int(longest)
+        unsettled = lower < upper
+        high = np.flatnonzero(unsettled & (upper > longest))
+        low = np.flatnonzero(unsettled & (lower < shortest))
+        turns = np.full((max(len(high), len(low)), 2), -1)  # read row by row: alternately
+        turns[:len(high), 0] = high[np.argsort(-upper[high], kind="stable")]
+        turns[:len(low), 1] = low[np.argsort(lower[low], kind="stable")]
+        turns = turns[turns >= 0]
+        _, first = np.unique(turns, return_index=True)  # each node at its first turn
+        hop = hop_columns(graph, turns[np.sort(first)[:_BATCH]], chunks=chunks)
 
 
 def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:

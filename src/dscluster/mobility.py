@@ -29,14 +29,15 @@ requested: drifting masters that become adjacent are only logged.
 
 Weights are those computed at formation time, from the t = 0 tables,
 unless the scenario asks for recomputation.  Every refresh, in every
-mode, builds one hop table, which its summary's checks read; a refresh
-that recomputes weights or re-forms clusters reads connectivity off that
-same table and keeps maintaining a disconnected graph.  A refresh builds
-its graph twice (``_refresh`` and ``hello_refresh``), each time by the
-x-sorted sweep of ``build_graph``, which computes the distances of the
-candidate pairs only and keeps no distance table.  Only a refresh that
-recomputes weights computes Euclidean distances for every pair, streamed
-into the metrics a block of rows at a time.
+mode, builds one all-pairs hop table.  Only a refresh that recomputes
+weights or re-forms clusters reads it: connectivity, then the metrics or
+formation; it keeps maintaining a disconnected graph.  The summary's
+checks read the adjacency alone.  A refresh builds its graph twice
+(``_refresh`` and ``hello_refresh``), each time by the x-sorted sweep of
+``build_graph``, which computes the distances of the candidate pairs only
+and keeps no distance table.  Only a refresh that recomputes weights
+computes Euclidean distances for every pair, streamed into the metrics a
+block of rows at a time.
 """
 from __future__ import annotations
 
@@ -290,7 +291,7 @@ class _Simulation:
                     find_ch(exit_event["node"], self.state, self.graph, self.metrics, time)
                 )
         self.events.extend(step_events)
-        self._summarise(time, hop, step_events, warnings, reclustered)
+        self._summarise(time, step_events, warnings, reclustered)
 
     def _resolve_leader_exits(self, time: float) -> list[dict]:
         """Promote proxies for exited masters, re-elect proxies, dissolve
@@ -343,12 +344,11 @@ class _Simulation:
     def _summarise(
         self,
         time: float,
-        hop: np.ndarray,
         step_events: list[dict],
         warnings: list[str],
         reclustered: bool,
     ) -> None:
-        checks = {c.name: c for c in run_property_checks(self.state, self.graph, hop).checks}
+        checks = {c.name: c for c in run_property_checks(self.state, self.graph).checks}
         dominance = checks["dominance-and-independence"]
         if not dominance.details["master_independence_ok"]:
             warnings.append("adjacent masters after motion (re-clustering deferred)")

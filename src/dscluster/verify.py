@@ -8,10 +8,11 @@ as gathers of the member listing against the per-cluster leaders.  The
 double-star check and the diameter bound share one reading of the
 clusters' (double) stars (``_star_breaks``): the diameter bound measures
 only the clusters that break theirs, each on its own adjacency block.
-The dominance check gathers hop entries at (member, leader) pairs; it is
-the only check that reads the caller's hop table.  This module also owns
-the paper's two extra claims for a perfect clustering, which reduce to
-one linear check (``perfect_claims``).  The engine labels perfect only a
+The dominance check reads the adjacency too: a member is within 2 hops
+of a leader iff it is adjacent to the leader or shares a neighbour with
+it, so no check reads a hop table of the whole graph.  This module also
+owns the paper's two extra claims for a perfect clustering, which reduce
+to one linear check (``perfect_claims``).  The engine labels perfect only a
 formation that passes it, so every report the engine writes verifies
 with exit 0.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .engine import ClusterState
 from .errors import SizeLimitError
-from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, hop_distance_table
+from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, block_rows, hop_distance_table
 
 
 @dataclass
@@ -144,22 +145,32 @@ def check_partition(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     return CheckResult("partition", witnesses)
 
 
-def check_dominance_and_independence(
-    state: ClusterState, graph: NetworkGraph, hop: np.ndarray
-) -> CheckResult:
+def check_dominance_and_independence(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     """Every ordinary member sits within 2 hops of its own master or proxy,
     and no two masters are adjacent.  The two halves are reported
     separately in ``details`` (motion may be allowed to break master
-    independence while dominance must still hold)."""
+    independence while dominance must still hold).
+
+    A member is within 2 hops of a leader iff it is adjacent to it or
+    shares a neighbour with it.  The adjacency entries of every (member,
+    leader) pair are one gather; only the members adjacent to neither
+    leader gather their adjacency rows against their leaders', a block of
+    rows at a time."""
+    adj = graph.adj
     members, owner, leaders = state.ordinary()
-    near = hop[members[:, None], leaders]
-    far = ~((near != UNREACHABLE) & (near <= 2)).any(axis=1)
+    far = ~(adj[members, leaders[:, 0]] | adj[members, leaders[:, 1]])
+    stray = np.flatnonzero(far)
+    step = block_rows(3 * state.node_count)  # three gathered rows per member
+    for a in range(0, len(stray), step):
+        part = stray[a:a + step]
+        shared = adj[members[part]] & (adj[leaders[part, 0]] | adj[leaders[part, 1]])
+        far[part] = ~shared.any(axis=1)
     dominance_witnesses = [{"cluster": c, "node": v} for c, v in
                            zip(state.ids[owner[far]].tolist(), members[far].tolist())]
     is_master = np.zeros(state.node_count, dtype=bool)
     is_master[state.masters] = True
     leading = np.flatnonzero(is_master).tolist()
-    pairs = np.nonzero(np.triu(graph.adj[np.ix_(leading, leading)], 1))
+    pairs = np.nonzero(np.triu(adj[np.ix_(leading, leading)], 1))
     independence_witnesses = [{"masters": [leading[i], leading[j]]} for i, j in zip(*pairs)]
     return CheckResult(
         "dominance-and-independence",
@@ -207,23 +218,12 @@ def perfect_claims(state: ClusterState, graph: NetworkGraph) -> CheckResult:
     return CheckResult("efficient-edge-domination", witnesses)
 
 
-def graph_radius_diameter(hop: np.ndarray) -> tuple[int | None, int | None]:
-    """(radius, diameter) from a hop table; None when disconnected.
-    UNREACHABLE is the table's only negative entry, so its minimum tells."""
-    if hop.shape[0] == 0 or hop.min() == UNREACHABLE:
-        return None, None
-    ecc = hop.max(axis=1)
-    return int(ecc.min()), int(ecc.max())
-
-
-def run_property_checks(
-    state: ClusterState, graph: NetworkGraph, hop: np.ndarray
-) -> PropertyReport:
+def run_property_checks(state: ClusterState, graph: NetworkGraph) -> PropertyReport:
     """The four structural checks."""
     checks = [
         check_cluster_diameter(state, graph),
         check_double_star(state, graph),
         check_partition(state, graph),
-        check_dominance_and_independence(state, graph, hop),
+        check_dominance_and_independence(state, graph),
     ]
     return PropertyReport(checks=checks)

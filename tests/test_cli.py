@@ -410,6 +410,25 @@ def test_oversized_overlapping_report_is_refused(tmp_path, capsys):
     assert peak < (MAX_NODES + 1) ** 2  # one n x n table of bools would be this big
 
 
+def test_verify_builds_no_all_pairs_table(tmp_path):
+    """One ``verify`` call at n = 1000 peaks below 8 n^2 bytes, the size of
+    the int64 all-pairs hop table alone: the radius and diameter come from
+    batches of 64 BFS sources, and dominance from the adjacency."""
+    n = 1000
+    doc = _scenario_doc(node_count=n, terrain_size=500.0, range=30.0, seed=3)
+    scenario, report, out = _write(tmp_path, "s.json", doc), tmp_path / "r.json", tmp_path / "v"
+    assert main(["cluster", "--scenario", scenario, "--out", str(report)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--scenario", scenario, "--report", str(report), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.read_text().startswith("radius=16 diameter=29\n")
+    assert peak < 8 * n * n
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     """The parser is built once per process, and one call's options do not
     leak into the next."""

@@ -353,6 +353,21 @@ class TestFormation:
         # final unabsorbed deferred nodes, none adjacent to a proxy
         assert node_set(formation.hm2) == {6, 7, 20}
 
+    @given(connected_deployments(2, 60))
+    def test_hm2_is_the_unclustered_set(self, deployment):
+        """The deferred nodes adjacent to no proxy are exactly the nodes no
+        cluster of the formation lists: a node free at the end was deferred
+        when visited, and every free neighbour of a leader joined it."""
+        n, range_, seed = deployment
+        graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+        hop = d.compute_tables(graph)
+        formation = d.run_m_dsec(graph, hop, d.compute_network_metrics(graph, hop))
+        unclustered = formation.statuses() == d.STATUSES.index("unclustered")
+        proxies = formation.proxies[formation.proxies >= 0]
+        by_definition = formation.deferred & unclustered & ~graph.adj[:, proxies].any(axis=1)
+        assert np.array_equal(formation.hm2, unclustered)
+        assert np.array_equal(formation.hm2, by_definition)
+
     def test_golden_event_trail(self, paper_states):
         _, final = paper_states
         assert final.events == GOLDEN_EVENTS
@@ -566,7 +581,7 @@ class TestEnginePassesItsVerifier:
         hop = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, hop)
         _, final = d.form_and_adjust(graph, hop, metrics)
-        report = d.run_property_checks(final, graph, hop)
+        report = d.run_property_checks(final, graph)
         assert report.passed, [c for c in report.checks if not c.passed]
 
         with tempfile.TemporaryDirectory() as tmp:

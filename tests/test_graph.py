@@ -373,6 +373,54 @@ class TestBitParallelKernel:
         assert np.array_equal(d.hop_distance_table(graph), reference_hops(graph))
 
 
+class TestSourceColumns:
+    """``hop_columns`` from a set of sources against the reference rows."""
+
+    @given(random_graphs, st.data())
+    def test_equals_the_reference_rows_of_its_sources(self, graph, data):
+        n = graph.node_count
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                     unique=True))
+        table = graph_module.hop_columns(graph, sources)
+        assert table.shape == (n, len(sources))
+        assert np.array_equal(table.T, reference_hops(graph, sources))
+        # the narrowest signed dtype of the distance planes: D < 2 ** planes
+        assert table.dtype == np.min_scalar_type(-(1 << int(table.max()).bit_length()))
+
+    @pytest.mark.parametrize("count", [63, 64, 65, 129, 200])
+    def test_several_words_of_sources_in_any_order(self, count):
+        graph = d.build_graph(d.deploy_random(200, 173.0, seed=2), 30.0)
+        sources = np.random.default_rng(count).permutation(200)[:count]
+        table = graph_module.hop_columns(graph, sources)
+        assert np.array_equal(table.T, reference_hops(graph, sources.tolist()))
+
+    @pytest.mark.parametrize("n, dtype", [(128, np.int8), (129, np.int16), (300, np.int16)])
+    def test_path_ends_in_the_narrowest_table(self, n, dtype):
+        graph = d.graph_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        table = graph_module.hop_columns(graph, [n - 1, 0])
+        assert table.dtype == dtype
+        assert table[:, 1].tolist() == list(range(n))
+        assert table[:, 0].tolist() == list(range(n - 1, -1, -1))
+
+    def test_shared_chunks_and_dtype_give_the_same_table(self, monkeypatch):
+        # several chunks of one-word rows, passed in as one caller builds them once
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 8 * 300)
+        graph = d.build_graph(d.deploy_random(300, 274.0, seed=1), 30.0)
+        chunks = list(graph_module._neighbour_chunks(graph.adj, 8))
+        assert len(chunks) > 1
+        expected = reference_hops(graph, range(64)).T
+        for sources in (range(64), range(64, 128)):
+            shared = graph_module.hop_columns(graph, list(sources), chunks=chunks)
+            assert np.array_equal(shared, graph_module.hop_columns(graph, list(sources)))
+        wide = graph_module.hop_columns(graph, range(64), np.int64, chunks)
+        assert wide.dtype == np.int64 and np.array_equal(wide, expected)
+
+    def test_all_pairs_table_is_the_case_of_every_source(self):
+        graph = edge_list_graph(129, 0.03, seed=5)
+        whole = graph_module.hop_columns(graph, range(129), np.int64)
+        assert np.array_equal(whole, d.hop_distance_table(graph))
+
+
 class TestEuclideanTable:
     @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=70))
     def test_bit_equal_to_reference_formula(self, points):

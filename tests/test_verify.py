@@ -12,10 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dscluster as d
+from dscluster import fileio
+from dscluster import graph as graph_module
 from dscluster.cli import main
-from dscluster.errors import SizeLimitError
+from dscluster.errors import DisconnectedGraphError, SizeLimitError
+from dscluster.graph import radius_diameter
 from dscluster.mobility import _Simulation
-from dscluster.verify import graph_radius_diameter, perfect_claims
+from dscluster.verify import perfect_claims
 
 from conftest import (
     ClusterRecord,
@@ -196,6 +199,34 @@ def _loop_dominance_and_independence(state, graph, hop):
             if graph.adj[a, b]:
                 independence.append({"masters": [a, b]})
     return dominance, independence
+
+
+def _hop_dominance_and_independence(state, graph, hop):
+    """The dominance check as it read the all-pairs hop table, one gather
+    of hop entries at every (member, leader) pair: the reference for the
+    check on the adjacency."""
+    members, owner, leaders = state.ordinary()
+    near = hop[members[:, None], leaders]
+    far = ~((near != d.UNREACHABLE) & (near <= 2)).any(axis=1)
+    dominance = [{"cluster": c, "node": v} for c, v in
+                 zip(state.ids[owner[far]].tolist(), members[far].tolist())]
+    is_master = np.zeros(state.node_count, dtype=bool)
+    is_master[state.masters] = True
+    leading = np.flatnonzero(is_master).tolist()
+    pairs = np.nonzero(np.triu(graph.adj[np.ix_(leading, leading)], 1))
+    independence = [{"masters": [leading[i], leading[j]]} for i, j in zip(*pairs)]
+    return dominance + independence, {"slave_dominance_ok": not dominance,
+                                      "master_independence_ok": not independence}
+
+
+def graph_radius_diameter(hop):
+    """(radius, diameter) from the all-pairs hop table, None when
+    disconnected: the reference for the bounded ``radius_diameter``.
+    UNREACHABLE is the table's only negative entry, so its minimum tells."""
+    if hop.shape[0] == 0 or hop.min() == d.UNREACHABLE:
+        return None, None
+    ecc = hop.max(axis=1)
+    return int(ecc.min()), int(ecc.max())
 
 
 @st.composite
@@ -385,7 +416,7 @@ class TestDoubleStar:
         # other check passes on this state
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
         state = cluster_state(5, [(1, 2, {0, 2}), (4, 3, {1, 3, 4})])
-        report = d.run_property_checks(state, graph, d.hop_distance_table(graph))
+        report = d.run_property_checks(state, graph)
         assert {c.name: c.witnesses for c in report.checks if not c.passed} == {
             "double-star": [{"cluster": 1, "leader_outside": 1}]}
 
@@ -453,7 +484,7 @@ class TestDominanceAndIndependence:
         graph, state = drawn
         dominance, independence = _loop_dominance_and_independence(
             state, graph, d.hop_distance_table(graph))
-        check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        check = d.check_dominance_and_independence(state, graph)
         assert check.witnesses == dominance + independence
         assert check.details == {"slave_dominance_ok": not dominance,
                                  "master_independence_ok": not independence}
@@ -463,7 +494,7 @@ class TestDominanceAndIndependence:
         graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5)])
         state = cluster_state(7, [(1, 2, {0, 1, 2, 3, 4}), (5, None, {3, 4, 5, 6}),
                                   (0, None, {0, 3})])
-        check = d.check_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        check = d.check_dominance_and_independence(state, graph)
         assert check.witnesses == [
             {"cluster": 1, "node": 4}, {"cluster": 2, "node": 3}, {"cluster": 2, "node": 6},
             {"cluster": 3, "node": 3}, {"masters": [0, 1]},
@@ -472,11 +503,9 @@ class TestDominanceAndIndependence:
             state, graph, d.hop_distance_table(graph))
         assert check.witnesses == dominance + independence
 
-    def test_reference_final_state(self, bundle, paper_hop, paper_states):
+    def test_reference_final_state(self, bundle, paper_states):
         _, final = paper_states
-        check = d.check_dominance_and_independence(
-            final, bundle.graph, paper_hop
-        )
+        check = d.check_dominance_and_independence(final, bundle.graph)
         assert check.passed
         assert check.details == {
             "slave_dominance_ok": True,
@@ -502,9 +531,7 @@ class TestDominanceAndIndependence:
     def test_adjacent_masters_fail(self):
         graph = d.graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         state = cluster_state(4, [(0, 1, {0, 1}), (3, 2, {2, 3})])
-        check = d.check_dominance_and_independence(
-            state, graph, d.hop_distance_table(graph)
-        )
+        check = d.check_dominance_and_independence(state, graph)
         assert not check.passed
         assert not check.details["master_independence_ok"]
         assert check.details["slave_dominance_ok"]
@@ -512,12 +539,64 @@ class TestDominanceAndIndependence:
     def test_far_member_fails_dominance(self):
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         state = cluster_state(5, [(0, 1, {0, 1, 4}), (2, 3, {2, 3})])
-        check = d.check_dominance_and_independence(
-            state, graph, d.hop_distance_table(graph)
-        )
+        check = d.check_dominance_and_independence(state, graph)
         assert not check.passed
         assert not check.details["slave_dominance_ok"]
         assert {"cluster": 1, "node": 4} in check.witnesses
+
+    @given(_graph_and_clusters())
+    def test_adjacency_equals_the_hop_reference(self, drawn):
+        graph, clusters = drawn
+        state = cluster_state(graph.node_count, clusters)
+        check = d.check_dominance_and_independence(state, graph)
+        expected = _hop_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        assert (check.witnesses, check.details) == expected
+
+    @given(_graph_and_led_clusters() | _long_clusters())
+    def test_adjacency_equals_the_hop_reference_with_proxies(self, drawn):
+        graph, state = drawn
+        check = d.check_dominance_and_independence(state, graph)
+        expected = _hop_dominance_and_independence(state, graph, d.hop_distance_table(graph))
+        assert (check.witnesses, check.details) == expected
+
+    def test_corrupted_engine_reports_equal_the_hop_reference(self):
+        applied = Counter()
+
+        @given(connected_deployments(5, 60), st.data())
+        def check(deployment, data):
+            n, range_, seed = deployment
+            graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+            hop = d.hop_distance_table(graph)
+            report = fileio.cluster_report(
+                *d.form_and_adjust(graph, hop, d.compute_network_metrics(graph, hop)))
+            for corrupt in CORRUPTIONS:
+                edited = json.loads(json.dumps(report))
+                if corrupt(edited["clusters"], graph.adj, data) is None:
+                    continue
+                applied[corrupt.__name__] += 1
+                state = fileio.state_from_report(edited)
+                result = d.check_dominance_and_independence(state, graph)
+                expected = _hop_dominance_and_independence(state, graph, hop)
+                assert (result.witnesses, result.details) == expected
+
+        check()
+        assert set(applied) == {corrupt.__name__ for corrupt in CORRUPTIONS}, applied
+
+    @pytest.mark.parametrize("block_bytes", [1, 256 << 10])
+    def test_two_and_three_hops_and_paths_through_other_clusters(self, monkeypatch,
+                                                                  block_bytes):
+        # 0-1-2-3 and 2-4-5: cluster 1 leads with (0, 1) and lists 3 and 5;
+        # 3 reaches proxy 1 in 2 hops only through 2 of cluster 2, and 5 is
+        # 3 hops from 1.  Blocks of one member and of every member agree.
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block_bytes)
+        graph = d.graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5), (5, 6)])
+        state = cluster_state(7, [(0, 1, {0, 1, 3, 5, 6}), (2, 4, {2, 4})])
+        hop = d.hop_distance_table(graph)
+        assert hop[3, 1] == 2 and hop[5, 1] == 3 and hop[6, 1] == 4
+        check = d.check_dominance_and_independence(state, graph)
+        assert check.witnesses == [{"cluster": 1, "node": 5}, {"cluster": 1, "node": 6}]
+        assert (check.witnesses, check.details) == _hop_dominance_and_independence(
+            state, graph, hop)
 
 
 #: Brute-force bound for the reference line_graph_domination_number.
@@ -663,19 +742,110 @@ class TestReport:
     def test_radius_and_diameter(self, bundle, paper_hop, paper_states):
         _, final = paper_states
         assert graph_radius_diameter(paper_hop) == (6, 7)
-        assert d.run_property_checks(final, bundle.graph, paper_hop).passed
+        assert radius_diameter(bundle.graph) == (6, 7)
+        assert d.run_property_checks(final, bundle.graph).passed
 
     def test_disconnected_radius_none(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
         assert graph_radius_diameter(d.hop_distance_table(graph)) == (None, None)
+        with pytest.raises(DisconnectedGraphError) as refused:
+            radius_diameter(graph)
+        assert refused.value.components == [[0, 1], [2, 3]]
 
-    def test_check_order(self, bundle, paper_hop, paper_states):
+    def test_check_order(self, bundle, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph, paper_hop)
+        report = d.run_property_checks(final, bundle.graph)
         assert [c.name for c in report.checks] == [
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
         ]
+
+
+@st.composite
+def _radius_graphs(draw):
+    """(kind, graph) of 1 to 200 nodes under shuffled ids: a random edge list
+    of any density (often disconnected), a unit-disk deployment, a path, a
+    star, a path beside an isolated node, or a graph whose nodes tie in
+    eccentricity (a cycle, a complete graph, a grid)."""
+    n = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(
+        ["edges", "disk", "path", "star", "isolated", "cycle", "complete", "grid"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "disk":
+        terrain = 100.0 * np.sqrt(n / 40)  # the paper's density at every n
+        return kind, d.build_graph(rng.uniform(0.0, terrain, (n, 2)), draw(st.floats(20.0, 50.0)))
+    path = [(v, v + 1) for v in range(n - 1)]
+    if kind == "edges":
+        p = draw(st.sampled_from([0.01, 0.03, 0.1, 0.5]) | st.floats(0.0, 1.0))
+        edges = list(zip(*np.nonzero(np.triu(rng.random((n, n)) < p, k=1))))
+    elif kind == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif kind == "isolated":
+        edges = path[:-1]
+    elif kind == "cycle":
+        edges = path + [(n - 1, 0)] if n > 2 else path
+    elif kind == "complete":
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif kind == "grid":
+        side = int(np.ceil(np.sqrt(n)))
+        edges = [(v, v + 1) for v in range(n - 1) if (v + 1) % side]
+        edges += [(v, v + side) for v in range(n - side)]
+    else:
+        edges = path
+    label = rng.permutation(n).tolist()
+    return kind, d.graph_from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+class TestRadiusDiameter:
+    """``graph.radius_diameter``'s eccentricity bounds against the whole
+    hop table (``graph_radius_diameter``)."""
+
+    def test_bounds_equal_the_whole_table(self, monkeypatch):
+        kernel = graph_module.hop_columns
+        batches = []
+
+        def counted(graph, sources, *args, **kwargs):
+            batches.append(len(sources))
+            return kernel(graph, sources, *args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "hop_columns", counted)
+        runs = Counter()
+
+        @given(_radius_graphs())
+        def check(drawn):
+            kind, graph = drawn
+            n = graph.node_count
+            expected = graph_radius_diameter(kernel(graph, range(n), np.int64))
+            batches.clear()
+            if expected == (None, None):
+                with pytest.raises(DisconnectedGraphError) as refused:
+                    radius_diameter(graph)
+                assert refused.value.components == graph.components()
+                assert batches == [min(n, 64)]  # refused from the first batch
+                runs["refused"] += 1
+                return
+            assert radius_diameter(graph) == expected, kind
+            assert batches[0] == min(n, 64) and max(batches) <= 64
+            assert len(batches) <= -(-n // 64)
+            runs[kind, min(len(batches), 3)] += 1
+
+        check()
+        assert runs["refused"] and runs["path", 2] and runs["cycle", 3], runs
+
+    @pytest.mark.parametrize("n", [65, 128, 200])
+    def test_a_cycle_takes_every_node_as_a_source(self, n, monkeypatch):
+        # every eccentricity ties, so no bound meets before its node is a source
+        kernel, sources = graph_module.hop_columns, []
+        monkeypatch.setattr(graph_module, "hop_columns",
+                            lambda graph, batch, *a, **k: sources.extend(batch) or
+                            kernel(graph, batch, *a, **k))
+        graph = d.graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        assert radius_diameter(graph) == (n // 2, n // 2)
+        assert sorted(sources) == list(range(n))
+
+    def test_dense_cluster_deployment(self):
+        graph = d.build_graph(d.deploy_random(1000, 500.0, 3), 30.0)
+        assert radius_diameter(graph) == graph_radius_diameter(d.hop_distance_table(graph))
 
 
 def _leaders(cluster):
