@@ -205,8 +205,10 @@ def run_adjusted(
     """Adjustment pass over the critical nodes, in rank order.
 
     A type-I hidden master pairs with the best non-leader neighbour on the
-    far side of the proxy it touches (after formation it always touches
-    one, its own cluster's); other critical nodes pair within N'' - N_M.
+    far side of the proxy it touches; it always touches one, its own
+    cluster's, since formation marks hm1 only among a new proxy's
+    neighbours and this pass unmarks no proxy.  Other critical nodes pair
+    within N'' - N_M.
     A critical node adjacent to a master never leads a cluster, so no two
     masters touch.  Members pulled into a new cluster leave their old one.
     Critical nodes that cannot form a cluster stay slaves if already
@@ -246,7 +248,7 @@ def run_adjusted(
         """Pick a partner and member column for critical node c, or None."""
         if near_master[c]:
             return None
-        if hm1[c] and (adj[c] & is_proxy).any():
+        if hm1[c]:
             base = adj[c] & ~(is_master | is_proxy)
             # an ordinary member that touches a master is unusable
             partner = metrics.best(np.flatnonzero(base & (pending | ~near_master)))

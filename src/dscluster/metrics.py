@@ -9,6 +9,10 @@ once for the whole network as an array column indexed by node;
 columns the election order that every election reads,
 ``NetworkMetrics.rank``.
 
+``compute_network_metrics`` refuses a disconnected graph before anything
+else (``DisconnectedGraphError``, read off node 0's column of the hop
+table), so its callers need no check of their own.
+
 The hop parameters read the hop table passed in.  The Euclidean ones make
 one pass over the graph's Euclidean rows (``NetworkGraph.euclidean_rows``),
 which a position graph computes from its positions a block at a time, so
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError, UnreachableNodeError
-from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph, block_rows
+from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph, block_rows, require_connected
 
 DEFAULT_ALPHAS = (1 / 6,) * 6
 DEFAULT_NS_THRESHOLD = 100.0
@@ -270,7 +274,7 @@ def path_columns(hop: np.ndarray, euclid: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _path_columns(hop: np.ndarray, euclid_sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """path_columns of a hop table already checked by ``_reachable``, given
+    """path_columns of a hop table without an UNREACHABLE entry, given
     each Euclidean row's sum."""
     others = max(hop.shape[0] - 1, 1)
     return hop.max(axis=1), hop.sum(axis=1) / others, euclid_sums / others
@@ -296,7 +300,10 @@ def compute_network_metrics(
 ) -> NetworkMetrics:
     """Metric columns for the whole network, honouring fixture overrides.
 
-    Override columns (NS, g_h, g_ed, W) replace the recomputed values.
+    A disconnected graph is refused first, before any override or distance
+    is read: ``require_connected`` reads node 0's column of ``hop`` and
+    raises ``DisconnectedGraphError`` with the components.  Override
+    columns (NS, g_h, g_ed, W) replace the recomputed values.
     The Euclidean parameters read the graph's Euclidean rows, computed
     from its positions or sliced from a fixture's (symmetric) matrix, and
     a graph with neither is refused.  The rows arrive as one stream of
@@ -308,6 +315,7 @@ def compute_network_metrics(
     beyond the float range is refused, naming the first such node: each
     would skew the election.
     """
+    require_connected(graph, hop)
     config = config or WeightConfig()
     overrides = overrides or FixtureOverrides()
     n = graph.node_count
@@ -315,7 +323,6 @@ def compute_network_metrics(
     if graph.euclid is None and graph.positions is None:
         raise InvalidArgumentError(
             "graph has no Euclidean table: build it from positions or load a fixture")
-    _reachable(hop)
     bounds = None
     if overrides.ns is None:
         if graph.range_ is None:

@@ -55,7 +55,6 @@ from .graph import (
     build_graph,
     compute_tables,
     hop_distance_table,
-    require_connected,
     sample_positions,
 )
 from .metrics import DEFAULT_ALPHAS, NetworkMetrics, WeightConfig, compute_network_metrics
@@ -233,7 +232,6 @@ class _Simulation:
         )
         self.graph = build_graph(self.positions, scenario.range_)
         hop = compute_tables(self.graph)
-        require_connected(self.graph, hop)
         self.metrics = compute_network_metrics(self.graph, hop, self.config)
         self.formation, self.adjusted = form_and_adjust(self.graph, hop, self.metrics)
         self.state = replace(self.adjusted)  # maintenance replaces its columns, never edits them
@@ -348,7 +346,7 @@ class _Simulation:
         warnings: list[str],
         reclustered: bool,
     ) -> None:
-        checks = {c.name: c for c in run_property_checks(self.state, self.graph).checks}
+        checks = {c.name: c for c in run_property_checks(self.state, self.graph)}
         dominance = checks["dominance-and-independence"]
         if not dominance.details["master_independence_ok"]:
             warnings.append("adjacent masters after motion (re-clustering deferred)")

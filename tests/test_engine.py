@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster.cli import main
-from dscluster.errors import DisconnectedGraphError
+from dscluster.errors import DisconnectedGraphError, InvalidArgumentError
 
 from conftest import (
     ClusterRecord,
@@ -368,6 +368,28 @@ class TestFormation:
         assert np.array_equal(formation.hm2, unclustered)
         assert np.array_equal(formation.hm2, by_definition)
 
+    @staticmethod
+    def _assert_hm1_touches_its_own_proxy(formation, graph):
+        """Each hm1 node is listed once, in a cluster with a proxy that it
+        is adjacent to, so adjustment's hm1 branch needs no proxy test."""
+        listed = formation.hm1[formation.nodes]
+        nodes, own = formation.nodes[listed], formation.proxies[formation.cluster[listed]]
+        assert np.array_equal(np.sort(nodes), np.flatnonzero(formation.hm1))
+        assert (own >= 0).all() and graph.adj[nodes, own].all()
+
+    @given(connected_deployments(2, 60))
+    def test_hm1_touches_its_own_proxy(self, deployment):
+        n, range_, seed = deployment
+        graph = d.build_graph(d.deploy_random(n, 100.0, seed), range_)
+        hop = d.compute_tables(graph)
+        formation = d.run_m_dsec(graph, hop, d.compute_network_metrics(graph, hop))
+        self._assert_hm1_touches_its_own_proxy(formation, graph)
+
+    def test_hm1_touches_its_own_proxy_on_paper23(self, bundle, paper_states):
+        formation, _ = paper_states
+        assert node_set(formation.hm1) == {11, 13, 14}
+        self._assert_hm1_touches_its_own_proxy(formation, bundle.graph)
+
     def test_golden_event_trail(self, paper_states):
         _, final = paper_states
         assert final.events == GOLDEN_EVENTS
@@ -414,6 +436,13 @@ class TestFormation:
         with pytest.raises(DisconnectedGraphError) as err:
             d.run_m_dsec(graph, d.hop_distance_table(graph), None)
         assert err.value.components == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (1, 2)], [(0, 1), (0, 2), (0, 3)]])
+    def test_more_than_one_node_needs_metrics(self, edges):
+        graph = d.graph_from_edges(len(edges) + 1, edges)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^metrics with weights are required for n > 1$"):
+            d.run_m_dsec(graph, d.hop_distance_table(graph), None)
 
     def test_deferred_nodes_failed_eligibility(self, paper_hop, paper_states, paper_metrics):
         # replay the event trail: every deferral really failed the distance test
@@ -581,8 +610,7 @@ class TestEnginePassesItsVerifier:
         hop = d.compute_tables(graph)
         metrics = d.compute_network_metrics(graph, hop)
         _, final = d.form_and_adjust(graph, hop, metrics)
-        report = d.run_property_checks(final, graph)
-        assert report.passed, [c for c in report.checks if not c.passed]
+        assert [c for c in d.run_property_checks(final, graph) if not c.passed] == []
 
         with tempfile.TemporaryDirectory() as tmp:
             scenario, out, text = (Path(tmp, name) for name in ("s.json", "r.json", "v.txt"))

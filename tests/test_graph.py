@@ -489,6 +489,30 @@ class TestComponents:
             assert err.value.components == components
 
 
+class TestRefusedTopologies:
+    """``NetworkGraph`` takes only a square, irreflexive, symmetric
+    adjacency, and ``graph_from_edges`` only edges that are pairs."""
+
+    @pytest.mark.parametrize("adj, message", [
+        (np.zeros(3, dtype=bool), "adjacency must be a square matrix"),
+        (np.zeros((2, 3), dtype=bool), "adjacency must be a square matrix"),
+        (np.eye(2, dtype=bool), "adjacency must be irreflexive"),
+        (np.array([[0, 1], [0, 0]], dtype=bool), "adjacency must be symmetric"),
+    ])
+    def test_malformed_adjacency(self, adj, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}$"):
+            d.NetworkGraph(adj=adj)
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0,), r"edge \(0,\) is not a pair"),
+        ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair"),
+        ([], r"edge \[\] is not a pair"),
+    ])
+    def test_edge_that_is_not_a_pair(self, edge, message):
+        with pytest.raises(FixtureFormatError, match=f"^{message}$"):
+            d.graph_from_edges(3, [(0, 1), edge])
+
+
 class TestIngestFixture:
     """``fileio.load_fixture`` takes a fixture's graph and Euclidean matrix
     verbatim, and refuses a malformed matrix, edge list or override column."""

@@ -13,6 +13,7 @@ from dscluster import graph as graph_module
 from dscluster.cli import main
 from dscluster.errors import (
     ConfigurationError,
+    DisconnectedGraphError,
     InvalidArgumentError,
     UnreachableNodeError,
 )
@@ -344,6 +345,22 @@ class TestComputeNetworkMetrics:
         g = d.graph_from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(InvalidArgumentError, match="no Euclidean table"):
             d.compute_network_metrics(g, d.compute_tables(g))
+
+    @pytest.mark.parametrize("overrides", [None, d.FixtureOverrides(ns=[1.0], w=[1.0, 2.0])])
+    @pytest.mark.parametrize("kind", ["positions", "fixture", "edges"])
+    def test_disconnected_graph_refused_first(self, kind, overrides):
+        """A disconnected graph is refused, with its components, before the
+        overrides (here of the wrong length) or the distances are read: an
+        edge-list graph has none, and a fixture graph no range."""
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0], [30.0, 0.0]])
+        graph = d.build_graph(positions, 2.0)
+        if kind == "fixture":
+            graph = fixture_inputs(graph.edges(), euclidean_distance_table(positions))[0]
+        elif kind == "edges":
+            graph = d.graph_from_edges(5, graph.edges())
+        with pytest.raises(DisconnectedGraphError) as refused:
+            d.compute_network_metrics(graph, d.compute_tables(graph), overrides=overrides)
+        assert refused.value.components == [[0, 1], [2, 3], [4]]
 
     def test_categories_bypassed_with_override(self, paper_metrics):
         assert paper_metrics.bands is None

@@ -3,7 +3,11 @@ every name a module imports and every parameter a function takes in
 ``src/dscluster`` is read somewhere, every module-level function and
 constant is called or read by some module of ``src/dscluster``, every
 method or property of a package class is read as an attribute by some
-module, and every package export is used by some test."""
+module, and every package export is used by some test.
+
+Run as a script, it prints each module's ``wc -l`` line count and its code
+lines (``code_lines``), the two sizes that CHANGES.md and ROADMAP.md quote:
+``python tests/test_source_hygiene.py``."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -83,6 +87,52 @@ def _unread_parameters(path: Path) -> list[str]:
             if (path.name, node.name, param.arg) not in UNREAD_PARAMETERS_ALLOWED:
                 unread.append(f"{path.name}:{node.lineno} {node.name}({param.arg})")
     return unread
+
+
+def code_lines(path: Path) -> int:
+    """Lines of ``path`` that are not blank, not ``#`` comments and not part
+    of a module, class or function docstring."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(text.splitlines(), 1)
+               if number not in docstrings and line.strip()
+               and not line.lstrip().startswith("#"))
+
+
+def test_code_lines_counts_only_code(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text('''"""Module docstring,
+over two lines."""
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Thing:
+    """Class docstring."""
+    label = "not a docstring"
+
+    def method(self):
+        """Method
+        docstring."""
+        text = """a string that is
+no docstring"""
+        return text
+
+
+def function():
+    x = 1
+    "a string statement after the first is no docstring"
+    return x
+''')
+    # import, class, label, def, text (2 lines), return, def, x, string, return
+    assert code_lines(source) == 11
 
 
 def test_sources_found():
@@ -207,3 +257,11 @@ def test_every_export_is_used_by_a_test():
                and node.value.id == "d"}
     assert exported, "no exports found"
     assert exported - reached == set()
+
+
+if __name__ == "__main__":
+    sizes = {p.name: (len(p.read_text().splitlines()), code_lines(p)) for p in SOURCES}
+    sizes["total"] = tuple(map(sum, zip(*sizes.values())))
+    print(f"{'module':16s} {'wc -l':>6s} {'code':>6s}")
+    for name, (lines, code) in sizes.items():
+        print(f"{name:16s} {lines:6d} {code:6d}")

@@ -416,8 +416,8 @@ class TestDoubleStar:
         # other check passes on this state
         graph = d.graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4)])
         state = cluster_state(5, [(1, 2, {0, 2}), (4, 3, {1, 3, 4})])
-        report = d.run_property_checks(state, graph)
-        assert {c.name: c.witnesses for c in report.checks if not c.passed} == {
+        checks = d.run_property_checks(state, graph)
+        assert {c.name: c.witnesses for c in checks if not c.passed} == {
             "double-star": [{"cluster": 1, "leader_outside": 1}]}
 
     def test_proxyless_master_outside_its_cluster_fails(self):
@@ -743,7 +743,7 @@ class TestReport:
         _, final = paper_states
         assert graph_radius_diameter(paper_hop) == (6, 7)
         assert radius_diameter(bundle.graph) == (6, 7)
-        assert d.run_property_checks(final, bundle.graph).passed
+        assert all(c.passed for c in d.run_property_checks(final, bundle.graph))
 
     def test_disconnected_radius_none(self):
         graph = d.graph_from_edges(4, [(0, 1), (2, 3)])
@@ -754,8 +754,8 @@ class TestReport:
 
     def test_check_order(self, bundle, paper_states):
         _, final = paper_states
-        report = d.run_property_checks(final, bundle.graph)
-        assert [c.name for c in report.checks] == [
+        checks = d.run_property_checks(final, bundle.graph)
+        assert [c.name for c in checks] == [
             "cluster-diameter", "double-star", "partition",
             "dominance-and-independence",
         ]
