@@ -1,21 +1,21 @@
 """Property checks for cluster states.
 
-Every check returns a CheckResult whose failures carry concrete
-witnesses (cluster ids, nodes or node pairs); a check passes exactly
-when it has none.  The four structural checks apply to every clustering,
-none of them builds an n x n array, and ``run_property_checks`` returns
-their results as a list in a fixed order.  Each reads the state's
-columns directly, as gathers of the member listing against the
-per-cluster leaders.  The double-star check and the diameter bound share
-one reading of the clusters' (double) stars (``_star_breaks``): the
-diameter bound measures only the clusters that break theirs, each on its
-own adjacency block.  The dominance check reads the adjacency too: a
-member is within 2 hops of a leader iff it is adjacent to the leader or
-shares a neighbour with it, so no check reads a hop table of the whole
-graph.  This module also owns the paper's two extra claims for a perfect
-clustering, which reduce to one linear check (``perfect_claims``).  The
-engine labels perfect only a formation that passes it, so every report
-the engine writes verifies with exit 0.
+Every check returns a CheckResult whose failures carry concrete witnesses
+(cluster ids, nodes or node pairs); a check passes exactly when it has
+none.  The four structural checks apply to every clustering, and none
+of them builds an n x n array.  Each reads the state's columns directly,
+as gathers of the member listing against the per-cluster leaders.  The
+double-star check and the diameter bound share one reading of the
+clusters' (double) stars (``_star_breaks``): the diameter bound measures
+only the clusters that break theirs, each on its own adjacency block.
+The dominance check reads the adjacency too: a member is within 2 hops
+of a leader iff it is adjacent to the leader or shares a neighbour with
+it, so no check reads a hop table of the whole graph.  This module also
+owns the paper's two extra claims for a perfect clustering, which reduce
+to one linear check (``perfect_claims``).  The engine labels perfect only a
+formation that passes it, so every report the engine writes verifies
+with exit 0.  ``run_property_checks`` returns the four structural
+checks as a list, in a fixed order.
 """
 from __future__ import annotations
 
