@@ -264,6 +264,12 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
     return NetworkGraph(adj=adj, range_=float(range_), positions=pos)
 
 
+def degrees(adj: np.ndarray) -> np.ndarray:
+    """Each node's degree, as intp, counted on the adjacency packed eight
+    entries a byte: one pass over n * n / 8 bytes instead of n * n bools."""
+    return np.bitwise_count(np.packbits(adj, axis=1)).sum(axis=1, dtype=np.intp)
+
+
 def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
     """Closed neighbourhoods of consecutive node chunks, for one gather each.
 
@@ -275,7 +281,7 @@ def _neighbour_chunks(adj: np.ndarray, row_bytes: int):
     isolated node the first row of the next node's run.
     """
     n = adj.shape[0]
-    sizes = np.count_nonzero(adj, axis=1) + 1
+    sizes = degrees(adj) + 1
     ends = sizes.cumsum()
     firsts = ends - sizes
     for a, b, first in _runs(ends, row_bytes):

@@ -25,11 +25,17 @@ most n + 1 levels, otherwise by sort.  In a sorted column, position k
 counts n - 1 - 2k, and every member of a tie group [a, b) counts n - a - b
 instead; the counts go back to their nodes through one float64
 ``bincount`` per block of columns, exact because every partial sum is at
-most n * n < 2**53 in size.  It counts one block of columns at a time,
+most n * n < 2**53 in size.  A float64 column (every Euclidean one) is
+sorted as packed int64 keys, its entries' bit patterns with the low
+max(n - 1, 1).bit_length() bits replaced by the node id, and the node of
+each sorted key is read off its id bits; only a column whose sorted keys
+share a truncated value (every exact tie among them) or start below zero
+(a -0.0 or a negative entry), or a column of another dtype, is sorted by
+``argsort`` with the tie rule.  It counts one block of columns at a time,
 as high as a block of Euclidean rows (``graph.block_rows`` of 8-byte
-entries), and the sort count builds one block's position counts and tie
-mask once per call.  A Euclidean table is symmetric, so its rows serve
-the sort count as columns.
+entries), and the sort count builds one block's position counts, tie
+mask and key buffers once per call.  A Euclidean table is symmetric, so
+its rows serve the sort count as columns.
 
 The whole-table functions (``closeness_indices``, ``path_columns``,
 ``neighbor_bands`` and their per-node views ``hop_closeness_index``,
@@ -43,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidArgumentError, UnreachableNodeError
-from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph, block_rows, require_connected
+from .graph import UNREACHABLE, FixtureOverrides, NetworkGraph, block_rows, degrees, require_connected
 
 DEFAULT_ALPHAS = (1 / 6,) * 6
 DEFAULT_NS_THRESHOLD = 100.0
@@ -132,7 +138,12 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
       gives less + equal, and 2 * less + equal is gathered per entry;
     - any other table is sorted column by column by ``_sort_count``, each
       block of columns copied into contiguous rows first (the table need
-      not be symmetric).
+      not be symmetric).  A float64 column is sorted as packed
+      (truncated value, node) int64 keys, which give its exact order when
+      no two sorted neighbours share a truncated value and the smallest
+      key is not negative; every other column (ties, -0.0, negative
+      entries, integer tables of more than n + 1 levels) is counted by
+      ``argsort`` and the tie rule.
     """
     table = np.asarray(table)
     n = table.shape[0]
@@ -159,28 +170,65 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
     return g
 
 
-def _sort_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sort count's per-call buffers, ``block_rows(8 * n)`` columns wide
-    (at most n): each flat sorted position's count, and the tie mask."""
+def _sort_buffers(n: int) -> tuple:
+    """The sort count's per-call buffers, ``block_rows(8 * n)`` rows wide
+    (at most n): each flat sorted position's count, the tie mask, the packed
+    keys and the node ids sorted with them, the ids themselves and the mask
+    of the id bits, max(n - 1, 1).bit_length() of them."""
     width = min(n, block_rows(8 * n))
     positions = np.empty((width, n), dtype=np.int64)
     positions[:] = np.arange(n - 1, -n, -2)
-    return positions.reshape(-1), np.zeros((width, n), dtype=bool)
+    keys, order = np.empty((2, width, n), dtype=np.int64)
+    low = (1 << max(n - 1, 1).bit_length()) - 1
+    return positions.reshape(-1), np.zeros((width, n), dtype=bool), keys, order, np.arange(n), low
 
 
-def _sort_count(rows: np.ndarray, positions: np.ndarray, same: np.ndarray) -> np.ndarray:
+def _sort_count(rows, positions, same, keys, order, ids, low) -> np.ndarray:
     """Each node's share of g from the table columns held, one per row, in
-    the contiguous array ``rows``.
+    the contiguous array ``rows``; the buffers come from ``_sort_buffers``.
 
-    Each row is sorted.  Without ties, the entry at sorted position k has
-    less = k and equal = 1, so it counts n - 1 - 2k.  A tie group fills
-    positions [a, b) and each member counts n - a - b, the mean of the
-    counts of its two ends; the groups are found from the few positions
-    whose sorted value equals the next one.  ``positions`` and ``same``
-    come from ``_sort_buffers``; only a block with ties edits the counts,
-    on a copy.  One weighted ``bincount`` over the sort order sends the
-    counts back to their nodes; it sums in float64, which is exact here
-    because |g(u)| <= n * n < 2**53.
+    A float64 row is sorted as packed int64 keys: each entry's bit pattern
+    with its low id bits replaced by its column, the node id.  For floats
+    with the sign bit clear the bit pattern sorts as the value does, so
+    the keys sort by (truncated value, id), and the node of each sorted key
+    is its id bits.  A row whose sorted neighbours never share a truncated
+    value is in exact order and has no ties, so the entry at sorted
+    position k has less = k and equal = 1 and counts n - 1 - 2k; one
+    weighted ``bincount`` sends the counts back to their nodes.  It sums in
+    float64, which is exact here because |g(u)| <= n * n < 2**53.  A row
+    with a shared truncated value (every exact tie among them) or a
+    negative smallest key (a -0.0 or a negative entry), and every row of
+    another dtype, goes to ``_argsort_count``.
+    """
+    if rows.dtype != np.float64:
+        return _argsort_count(rows, positions, same)
+    columns = rows.shape[0]
+    packed, ids_sorted = keys[:columns], order[:columns]
+    np.bitwise_and(rows.view(np.int64), ~low, out=packed)
+    packed |= ids
+    packed.sort(axis=1)
+    np.bitwise_and(packed, low, out=ids_sorted)
+    packed ^= ids_sorted  # the truncated values, in sorted order
+    np.equal(packed[:, 1:], packed[:, :-1], out=same[:columns, :-1])
+    slow = same[:columns].any(axis=1)
+    slow |= packed[:, 0] < 0
+    if not slow.any():
+        return np.bincount(ids_sorted.ravel(), weights=positions[:ids_sorted.size],
+                           minlength=ids.size).astype(np.int64)
+    fast = ids_sorted[~slow]
+    g = np.bincount(fast.ravel(), weights=positions[:fast.size], minlength=ids.size)
+    return g.astype(np.int64) + _argsort_count(rows[slow], positions, same)
+
+
+def _argsort_count(rows: np.ndarray, positions: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """``_sort_count`` of the rows that its packed keys cannot count, by
+    ``argsort``; it counts any row exactly and is the reference.
+
+    Without ties, the entry at sorted position k counts n - 1 - 2k.  A tie
+    group fills positions [a, b) and each member counts n - a - b, the mean
+    of the counts of its two ends; the groups are found from the few
+    positions whose sorted value equals the next one.  Only a block with
+    ties edits the counts, on a copy.
     """
     columns, n = rows.shape
     order = rows.argsort(axis=1)
@@ -356,7 +404,7 @@ def compute_network_metrics(
             bands = _bands(within)
             ns = neighbor_strength(*bands.T, config.ns_threshold)
 
-        deg = graph.adj.sum(axis=1)
+        deg = degrees(graph.adj)
         if overrides.w is not None:
             weights = np.asarray(overrides.w, dtype=float)
         elif n == 1:

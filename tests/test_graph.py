@@ -263,6 +263,16 @@ class TestHopTable:
         assert hop[0, 2] == d.UNREACHABLE
         assert hop[0, 1] == 1
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65])
+    def test_degrees_count_the_packed_rows(self, n):
+        # packbits pads each row to whole bytes; the padding must count nothing
+        rng = np.random.default_rng(n)
+        adj = np.triu(rng.random((n, n)) < 0.4, k=1)
+        adj |= adj.T
+        degrees = graph_module.degrees(adj)
+        assert degrees.dtype == np.intp
+        assert degrees.tolist() == adj.sum(axis=1).tolist()
+
 
 class TestBitParallelKernel:
     """The all-pairs kernel against one deque BFS per source."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster import graph as graph_module
+from dscluster import metrics as metrics_module
 from dscluster.cli import main
 from dscluster.errors import (
     ConfigurationError,
@@ -433,6 +434,27 @@ def float_tables(draw):
     return np.array(values).reshape(n, n)
 
 
+@st.composite
+def near_tie_tables(draw):
+    """Square float tables whose entries agree in all but their low
+    mantissa bits, so that many packed sort keys share a truncated value
+    while the values differ.  Mixed in: exact ties, -0.0 next to 0.0,
+    subnormals (0.0 or -0.0 plus a few low bits), inf and distinct values.
+    The sizes lie on both sides of the id-width steps at 64 and 128 nodes;
+    the entries come from a drawn seed, as a drawn list of 16 641 would
+    overrun hypothesis's buffer."""
+    n = draw(st.integers(1, 9) | st.sampled_from([63, 64, 65, 127, 128, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(0, 9))  # the low bits that vary
+    bases = np.array([-0.0, 0.0, 1.0, 2.5, 1e300]).view(np.int64)
+    table = (rng.choice(bases, size=(n, n)) + rng.integers(0, 1 << spread, size=(n, n))).view(float)
+    distinct = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    table[distinct] = rng.uniform(0.0, 100.0, size=distinct.sum())
+    special = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+    table[special] = rng.choice([-0.0, 0.0, math.inf], size=special.sum())
+    return table
+
+
 def closeness_by_pairs(table):
     """g(u) of every node as the sum of c(u|v) - c(v|u) over v != u: the
     definition the closeness kernel must equal."""
@@ -444,6 +466,19 @@ def closeness_by_pairs(table):
     ]
 
 
+def closeness_by_columns(table):
+    """The same definition in one vectorised count: g(u) sums, over every v
+    and w, [t[v, w] > t[u, w]] - [t[v, w] < t[u, w]].  O(n**3) memory, the
+    reference for tables too large for ``closeness_by_pairs``."""
+    above = (table[None] > table[:, None]).sum(axis=(1, 2))
+    below = (table[None] < table[:, None]).sum(axis=(1, 2))
+    return (above - below).tolist()
+
+
+def closeness_reference(table):
+    return closeness_by_pairs(table) if len(table) <= 9 else closeness_by_columns(table)
+
+
 class TestColumnKernelProperties:
     """Each whole-network kernel against the per-node definition."""
 
@@ -453,11 +488,16 @@ class TestColumnKernelProperties:
             assert closeness_indices(table).tolist() == closeness_by_pairs(table)
 
     @pytest.mark.parametrize("columns", [1, 3])
-    @given(table=integer_tables() | float_tables() | small_tables().map(lambda t: t[1]))
+    @given(table=integer_tables() | float_tables() | small_tables().map(lambda t: t[1])
+           | near_tie_tables())
     def test_closeness_in_column_blocks(self, columns, table):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(graph_module, "_BLOCK_BYTES", columns * table.shape[0] * 8)
-            assert closeness_indices(table).tolist() == closeness_by_pairs(table)
+            assert closeness_indices(table).tolist() == closeness_reference(table)
+
+    @given(near_tie_tables().filter(lambda t: len(t) <= 9))
+    def test_vectorised_reference_is_the_definition(self, table):
+        assert closeness_by_columns(table) == closeness_by_pairs(table)
 
     @pytest.mark.parametrize("tied_first", [True, False])
     def test_closeness_blocks_with_and_without_ties(self, monkeypatch, tied_first):
@@ -501,6 +541,38 @@ class TestColumnKernelProperties:
         assert ecc.tolist() == [max(row) for row in hop.tolist()]
         assert mhd.tolist() == [sum(row) / others for row in hop.tolist()]
         assert med.tolist() == [float(row.sum()) / others for row in euclid]
+
+
+class TestPackedKeys:
+    """The sort count orders a float64 row by packed (value, node) keys, and
+    hands the argsort kernel only the rows whose keys cannot be trusted."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """Every row that reaches ``_argsort_count``."""
+        seen = []
+        kernel = metrics_module._argsort_count
+
+        def counted(rows, *buffers):
+            seen.extend(rows.tolist())
+            return kernel(rows, *buffers)
+
+        monkeypatch.setattr(metrics_module, "_argsort_count", counted)
+        return seen
+
+    @pytest.mark.parametrize("n, terrain, seed", [(1000, 500.0, 3), (40, 100.0, 1)])
+    def test_deployments_never_reach_argsort(self, handed, n, terrain, seed):
+        graph = d.build_graph(d.deploy_random(n, terrain, seed=seed), 30.0)
+        d.compute_network_metrics(graph, d.compute_tables(graph))
+        assert handed == []
+
+    def test_every_tied_row_of_paper23_reaches_argsort(self, handed, bundle):
+        # integer distances: every key with a truncated tie has an exact one
+        columns = bundle.graph.euclid.T
+        closeness_indices(bundle.graph.euclid)
+        tied = [column.tolist() for column in columns if len(set(column)) < len(column)]
+        assert 0 < len(tied) < len(columns)
+        assert sorted(handed) == sorted(tied)
 
 
 def lattice_positions(side, spacing):
