@@ -19,17 +19,20 @@ level-synchronous pull BFS from a set of sources at once
 has reached, and each level ORs into it the sets of its neighbours; the
 distance at which a bit first appears is recorded in a few packed bit
 planes, one per binary digit, and decoded into an n x |S| table in row
-blocks at the end.  The all-pairs table that clustering reads is the case
-of every node a source (``hop_distance_table``).  The radius and diameter
-need no such table: eccentricity bounds settle them from a few batches of
-64 sources, one word of the packed sets (``radius_diameter``).  This
-module owns how big a block is: every blocked kernel, here and in the
-metrics and checks, works one 256 KB block at a time (``block_rows``), so
-each block stays in a core's L2 cache and the working memory beyond the
-n x n results does not grow with n or density.
+blocks at the end, by byte lookup: each byte of a plane indexes a 256-row
+table of the eight entries it encodes, built once per process.  The
+all-pairs table that clustering reads is the case of every node a source
+(``hop_distance_table``).  The radius and diameter need no such table:
+eccentricity bounds settle them from a few batches of 64 sources, one word
+of the packed sets (``radius_diameter``).  This module owns how big a block
+is: every blocked kernel, here and in the metrics and checks, works one
+256 KB block at a time (``block_rows``), so each block stays in a core's L2
+cache and the working memory beyond the n x n results does not grow with n
+or density.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +58,12 @@ class NetworkGraph:
     ``range_`` and ``positions`` (an n x 2 float array) are only present
     in position mode.  ``euclid`` is a fixture's Euclidean matrix.  A graph
     from a bare edge list has neither distances nor positions.
+
+    ``NetworkGraph(adj=...)`` scans the adjacency it is given and refuses
+    one that is not square, irreflexive and symmetric.  The package's own
+    builders, ``build_graph``, ``graph_from_edges`` and the cluster blocks
+    of ``verify.check_cluster_diameter``, make such an adjacency by
+    construction and skip the scans (``_symmetric_graph``).
     """
 
     adj: np.ndarray
@@ -261,7 +270,7 @@ def build_graph(positions: np.ndarray, range_: float) -> NetworkGraph:
         u, v = u[near], v[near]
         adj[u, v] = True
         adj[v, u] = True
-    return NetworkGraph(adj=adj, range_=float(range_), positions=pos)
+    return _symmetric_graph(adj=adj, range_=float(range_), positions=pos)
 
 
 def degrees(adj: np.ndarray) -> np.ndarray:
@@ -314,11 +323,16 @@ def hop_columns(graph: NetworkGraph, sources, dtype=None, chunks=None) -> np.nda
     into the packed bit planes of the binary digits of ``d``,
     ceil(log2(D + 1)) planes for a largest finite distance D.  The BFS
     stops when every set is full or a level adds nothing.  The planes are
-    then decoded in row blocks: each is unpacked into one block of an
-    accumulator of the narrowest signed dtype that holds D (one or two
-    bytes an entry) and cast into the table.  Only when a level added
-    nothing, so that some set is not full, is every pair whose bit is
-    missing from the final set made UNREACHABLE in the accumulator first.
+    then decoded in row blocks into the narrowest signed dtype that holds D
+    (int8, or int16 once D reaches 128), by byte lookup: a ``take`` of a
+    plane's bytes from digit p's ``_lanes`` table gives, for each packed
+    byte, its eight entries as 2**p or 0 in that dtype's native bytes, held
+    in uint64 words, and the planes' lanes are ORed into one uint64
+    accumulator per block.  Only when a level added nothing, so that some
+    set is not full, is the all-ones lane of each missing bit of the final
+    sets ORed in too: such a pair has no plane bits, so it reads -1, which
+    is UNREACHABLE.  The accumulator is then viewed as that dtype and cast
+    into the table; each block's accumulator fills one block of memory.
     """
     n = graph.node_count
     sources = np.asarray(sources, dtype=np.intp)
@@ -350,29 +364,35 @@ def hop_columns(graph: NetworkGraph, sources, dtype=None, chunks=None) -> np.nda
     del chunks  # the neighbour lists, before the decode, unless the caller keeps them
     narrow = np.min_scalar_type(-(1 << len(planes)))
     table = np.empty((n, k), dtype=narrow if dtype is None else dtype)
-    step = block_rows(k * narrow.itemsize)
+    step = block_rows(row_bytes * 8 * narrow.itemsize)
     for a in range(0, n, step):
         rows = slice(a, a + step)
-        acc = np.zeros((len(reach[rows]), k), dtype=narrow)
-        for plane in reversed(planes):
-            acc <<= 1
-            acc |= _unpack(plane[rows], k)
+        acc = np.zeros((len(reach[rows]), row_bytes, narrow.itemsize), dtype=np.uint64)
+        for digit, plane in enumerate(planes):
+            acc |= _lanes(1 << digit, narrow).take(plane[rows].view(np.uint8), axis=0)
         if not complete:
-            # a pair missing from the final sets reads 0 here, and UNREACHABLE is -1
-            acc -= _unpack(~reach[rows], k)
-        table[rows] = acc
+            # a pair missing from the final sets has no plane bits, and UNREACHABLE is all ones
+            acc |= _lanes(UNREACHABLE, narrow).take(np.invert(reach[rows]).view(np.uint8), axis=0)
+        table[rows] = acc.view(narrow).reshape(len(acc), -1)[:, :k]
     return table
+
+
+@functools.cache
+def _lanes(value: int, dtype: np.dtype) -> np.ndarray:
+    """The lane table of ``value`` in ``dtype``: row b holds the eight
+    entries that a packed byte b encodes, ``value`` where bit i of b is set
+    and 0 elsewhere, in the dtype's native bytes, viewed as one uint64 word
+    per byte of the dtype's width.  Built once per process and read-only."""
+    bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    lanes = (bits * value).astype(dtype).view(np.uint64)
+    lanes.flags.writeable = False
+    return lanes
 
 
 def hop_distance_table(graph: NetworkGraph) -> np.ndarray:
     """All-pairs hop distances as an int64 table, symmetric with zero
     diagonal: ``hop_columns`` with every node a source."""
     return hop_columns(graph, np.arange(graph.node_count), np.int64)
-
-
-def _unpack(rows: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of each packed row as 0/1 int8 entries."""
-    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little").view(np.int8)
 
 
 def compute_tables(graph: NetworkGraph) -> np.ndarray:
@@ -448,5 +468,16 @@ def graph_from_edges(n: int, edges: list[tuple[int, int]]) -> NetworkGraph:
         if not (0 <= u < n and 0 <= v < n):
             raise FixtureFormatError(f"edge ({u}, {v}) out of range for {n} nodes")
         adj[u, v] = adj[v, u] = True
-    return NetworkGraph(adj=adj)
+    return _symmetric_graph(adj=adj)
+
+
+def _symmetric_graph(**values) -> NetworkGraph:
+    """The ``NetworkGraph`` of the given field values, whose bool ``adj``
+    its builder made square, irreflexive and symmetric: the fields are set
+    directly, without ``__post_init__``'s scans of the n x n entries.  A
+    field not given reads its default, which the dataclass keeps as a class
+    attribute."""
+    graph = object.__new__(NetworkGraph)
+    vars(graph).update(values)
+    return graph
 

@@ -144,6 +144,9 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
       key is not negative; every other column (ties, -0.0, negative
       entries, integer tables of more than n + 1 levels) is counted by
       ``argsort`` and the tie rule.
+
+    A NaN entry has no place in the order (every comparison with it is
+    false), so a float table with one is refused, naming the first.
     """
     table = np.asarray(table)
     n = table.shape[0]
@@ -153,6 +156,9 @@ def closeness_indices(table: np.ndarray) -> np.ndarray:
         low = int(table.min())
         levels = int(table.max()) - low + 1
         histogram = levels <= n + 1
+    elif table.dtype.kind == "f" and np.isnan(table).any():
+        row, column = np.argwhere(np.isnan(table))[0]
+        raise InvalidArgumentError(f"closeness table has a NaN entry at ({row}, {column})")
     g = np.zeros(n, dtype=np.int64)
     if not histogram:
         buffers = _sort_buffers(n)

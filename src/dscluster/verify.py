@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import ClusterState
 from .errors import SizeLimitError
-from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, block_rows, hop_distance_table
+from .graph import MAX_NODES, UNREACHABLE, NetworkGraph, _symmetric_graph, block_rows, hop_distance_table
 
 
 @dataclass
@@ -98,7 +98,7 @@ def check_cluster_diameter(state: ClusterState, graph: NetworkGraph) -> CheckRes
     witnesses = []
     for i in (broken & (bounds[1:] - bounds[:-1] > 1)).nonzero()[0].tolist():
         order = state.nodes[bounds[i]:bounds[i + 1]].tolist()
-        hop = hop_distance_table(NetworkGraph(adj=graph.adj[np.ix_(order, order)]))
+        hop = hop_distance_table(_symmetric_graph(adj=graph.adj[np.ix_(order, order)]))
         for a, b in np.argwhere((hop == UNREACHABLE) | (hop > 3)).tolist():
             distance = None if hop[a, b] == UNREACHABLE else int(hop[a, b])
             witnesses.append({"cluster": int(state.ids[i]),

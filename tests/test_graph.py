@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import dscluster as d
 from dscluster import graph as graph_module
+from dscluster import verify as verify_module
 from dscluster.errors import (
     DisconnectedGraphError,
     FixtureFormatError,
@@ -65,6 +67,22 @@ random_graphs = st.builds(
     p=st.sampled_from(DENSITIES) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Edge-list graphs of two parts with no edge between them, each a
+    random graph of 1-45 nodes, under shuffled node ids: every node has
+    unreachable nodes."""
+    sizes = draw(st.lists(st.integers(1, 45), min_size=2, max_size=2))
+    p = draw(st.sampled_from(DENSITIES) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = rng.permutation(sum(sizes))
+    edges = []
+    for part in np.split(ids, [sizes[0]]):
+        u, v = np.nonzero(np.triu(rng.random((len(part), len(part))) < p, k=1))
+        edges += zip(part[u].tolist(), part[v].tolist())
+    return d.graph_from_edges(len(ids), edges)
 
 
 coordinates = st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150) | st.just(0.0)
@@ -431,6 +449,57 @@ class TestSourceColumns:
         assert np.array_equal(whole, d.hop_distance_table(graph))
 
 
+class TestByteLookupDecode:
+    """The distance planes decoded by ``take`` from the ``_lanes`` tables."""
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_lane_tables_decode_each_byte(self, dtype):
+        # every dtype the decode can pick: int8 and int16 for MAX_NODES graphs,
+        # int32 and int64 for diameters of 2**15 and beyond
+        byte = np.arange(256)[:, None]
+        entry = np.arange(8)
+        for p in range(8 * np.dtype(dtype).itemsize - 1):
+            lanes = graph_module._lanes(1 << p, np.dtype(dtype))
+            assert lanes.dtype == np.uint64 and lanes.shape == (256, np.dtype(dtype).itemsize)
+            assert not lanes.flags.writeable
+            decoded = lanes.view(dtype)  # the entries in the dtype's native bytes
+            assert decoded.dtype == dtype
+            assert np.array_equal(decoded, ((byte >> entry) & 1) << p)
+        unreachable = graph_module._lanes(d.UNREACHABLE, np.dtype(dtype)).view(dtype)
+        assert np.array_equal(unreachable, -((byte >> entry) & 1))
+
+    @given(disconnected_graphs(), st.data())
+    def test_disconnected_graphs_from_any_source_set(self, graph, data):
+        n = graph.node_count
+        k = data.draw(st.integers(1, n))
+        sources = data.draw(st.permutations(range(n)))[:k]
+        dtype = data.draw(st.sampled_from([None, np.int64]))
+        table = graph_module.hop_columns(graph, sources, dtype)
+        assert (table == d.UNREACHABLE).any()
+        assert np.array_equal(table.T, reference_hops(graph, sources))
+        narrowest = np.min_scalar_type(-(1 << int(table.max()).bit_length()))
+        assert table.dtype == (narrowest if dtype is None else dtype)
+
+    @pytest.mark.parametrize("dtype", [None, np.int64])
+    def test_every_source_count_up_to_three_words(self, dtype):
+        # a 150-node path (an int16 table from sources near its ends), a random
+        # 30-node part and an isolated node; k = 1..181 sources leave the last
+        # byte and the last word of the packed sets short by every amount
+        rng = np.random.default_rng(7)
+        u, v = np.nonzero(np.triu(rng.random((30, 30)) < 0.15, k=1))
+        part = list(zip((u + 150).tolist(), (v + 150).tolist()))
+        graph = d.graph_from_edges(181, [(v, v + 1) for v in range(149)] + part)
+        reference = reference_hops(graph)
+        order = rng.permutation(181)
+        picked = set()
+        for k in range(1, 182):
+            table = graph_module.hop_columns(graph, order[:k], dtype)
+            assert np.array_equal(table, reference[order[:k]].T)
+            picked.add(table.dtype)
+        assert picked == ({np.dtype(np.int8), np.dtype(np.int16)} if dtype is None
+                          else {np.dtype(np.int64)})
+
+
 class TestEuclideanTable:
     @given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=70))
     def test_bit_equal_to_reference_formula(self, points):
@@ -521,6 +590,46 @@ class TestRefusedTopologies:
     def test_edge_that_is_not_a_pair(self, edge, message):
         with pytest.raises(FixtureFormatError, match=f"^{message}$"):
             d.graph_from_edges(3, [(0, 1), edge])
+
+
+class TestBuiltAdjacencyIsSymmetric:
+    """The package's builders skip ``NetworkGraph``'s scans, so each must
+    make a square, irreflexive, symmetric bool adjacency itself."""
+
+    @staticmethod
+    def assert_symmetric(adj):
+        assert adj.dtype == bool and adj.ndim == 2 and adj.shape[0] == adj.shape[1]
+        assert np.array_equal(adj, adj.T)
+        assert not adj.diagonal().any()
+
+    @given(st.lists(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)),
+                    min_size=1, max_size=60) | st.lists(st.tuples(coordinates, coordinates),
+                                                        min_size=1, max_size=20),
+           st.floats(0.5, 80.0))
+    def test_build_graph(self, points, range_):
+        self.assert_symmetric(d.build_graph(np.array(points), range_).adj)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                             .filter(lambda e: e[0] != e[1]), max_size=80))))
+    def test_graph_from_edges(self, case):
+        n, edges = case
+        graph = d.graph_from_edges(n, edges)
+        self.assert_symmetric(graph.adj)
+        assert graph.adj.sum() == 2 * len({frozenset(e) for e in edges})
+
+    @given(random_graphs, st.data())
+    def test_cluster_diameter_blocks(self, graph, data):
+        n = graph.node_count
+        order = data.draw(st.permutations(range(n)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n // 2))) if n > 1 else []
+        groups = np.split(np.array(order, dtype=np.intp), cuts)
+        clusters = [(g[0], g[1] if len(g) > 1 else None, g.tolist()) for g in groups]
+        with mock.patch.object(verify_module, "hop_distance_table",
+                               wraps=d.hop_distance_table) as table:
+            d.check_cluster_diameter(cluster_state(n, clusters), graph)
+        for call in table.call_args_list:
+            self.assert_symmetric(call.args[0].adj)
 
 
 class TestIngestFixture:

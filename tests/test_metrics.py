@@ -154,6 +154,18 @@ class TestClosenessIndices:
             assert sum(d.hop_closeness_index(u, hop) for u in range(n)) == 0
             assert sum(d.euclidean_closeness_index(u, euclid) for u in range(n)) == 0
 
+    def test_nan_entry_refused_at_its_place(self):
+        # every comparison with NaN is false, so the definition gives [1, -1, 0];
+        # a sort would place NaN above inf and give [0, -2, 2]
+        table = np.array([[0.0, np.nan, 1.0], [np.nan, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        assert closeness_by_pairs(table) == [1, -1, 0]
+        message = r"^closeness table has a NaN entry at \(0, 1\)$"
+        with pytest.raises(InvalidArgumentError, match=message):
+            closeness_indices(table)
+        table[0, 1] = 5.0
+        with pytest.raises(InvalidArgumentError, match=r"at \(1, 0\)$"):
+            closeness_indices(table)
+
 
 class TestCombinedIndex:
     @pytest.mark.parametrize(
